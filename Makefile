@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check perf verify bench bench-core sweep profile
+.PHONY: build test vet race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check bench-test perf verify bench bench-core sweep profile
 
 build:
 	$(GO) build ./...
@@ -88,6 +88,11 @@ explore-check:
 trace-check:
 	bash scripts/trace_check.sh
 
+# bench-test runs the nested bench module's own tests (its golden and
+# agreement checks); `go test ./...` at the root does not descend into it.
+bench-test:
+	cd bench && $(GO) test ./...
+
 # perf runs the perf-regression ledger: the fixed go-bench tier plus a
 # wall-clocked quick sweep, written as the next perf/BENCH_<n>.json and
 # compared against the newest committed ledger. Exits nonzero on regression.
@@ -98,7 +103,7 @@ perf:
 # passes. The race pass matters because the experiment harness fans
 # simulations across a worker pool; race-obs fails fast on the telemetry
 # packages before the full-tree race run.
-verify: vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check
+verify: vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check bench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$'
