@@ -9,9 +9,9 @@
 //	p10bench -jobs 4         # bound simulation parallelism (-jobs 1: serial)
 //	p10bench -metrics m.json # dump the telemetry-registry snapshot
 //	p10bench -trace t.json   # dump a Chrome trace (chrome://tracing, Perfetto)
-//	p10bench -pprof :6060    # serve net/http/pprof while the sweep runs
 //	p10bench -serve :9090    # live observability server: /metrics /status
 //	                         # /events /runs /dashboard /healthz /readyz
+//	                         # /debug/pprof/*
 //	p10bench -runlog dir     # append a campaign-ledger record per completed
 //	                         # simulation (query with p10query)
 //	p10bench -runlog dir -runlog-series 64   # plus downsampled time series
@@ -33,60 +33,42 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
-	"sort"
 	"strings"
-	"syscall"
-	"time"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/experiments"
-	"power10sim/internal/flightrec"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/progress"
-	"power10sim/internal/runlog"
-	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/surrogate"
 	"power10sim/internal/sweep"
-	"power10sim/internal/telemetry"
 )
 
 func main() {
+	obs := cliutil.Register(cliutil.Help{
+		Metrics:      "write a metrics-registry JSON snapshot to this file",
+		Trace:        "write a Chrome trace_event JSON file to this file",
+		FlightRec:    "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain",
+		Serve:        "serve the live observability endpoints on this address (e.g. :9090, 127.0.0.1:0)",
+		CacheDir:     "persist simulation results under this directory (shared across runs)",
+		RunLog:       "append one campaign-ledger record per completed simulation under this directory",
+		RunLogSeries: "with -runlog, also record a downsampled time series per executed sim, decimated to at most N frames (0 = off)",
+		Jobs:         "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)",
+	})
 	var (
 		expName    = flag.String("exp", "", "experiment to run (default: all)")
 		quick      = flag.Bool("quick", false, "reduced budgets")
-		jobs       = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		list       = flag.Bool("list", false, "list experiments")
-		metricsOut = flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file to this file")
-		flightOut  = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		serveAddr  = flag.String("serve", "", "serve the live observability endpoints on this address (e.g. :9090, 127.0.0.1:0)")
-		cacheDir   = flag.String("cachedir", "", "persist simulation results under this directory (shared across runs)")
-		runlogDir  = flag.String("runlog", "", "append one campaign-ledger record per completed simulation under this directory")
-		runlogSer  = flag.Int("runlog-series", 0, "with -runlog, also record a downsampled time series per executed sim, decimated to at most N frames (0 = off)")
 		surModel   = flag.String("surrogate", "", "serve low-uncertainty points from this trained surrogate model (see p10explore -op train) instead of simulating them")
 		surThresh  = flag.Float64("surrogate-threshold", 0, "with -surrogate, the relative-error confidence gate (0 = the 5% default)")
 		sampleMode = flag.String("sample-mode", "full", "full | sampled | validate: time every instruction, estimate every point with the SimPoint-style sampling engine, or run the sampled-vs-full error-bound sweep")
 		sampleWl   = flag.String("sample-workloads", "", "comma-separated workload families for -sample-mode=validate (default: all families)")
 	)
 	flag.Parse()
-	if *jobs < 0 {
-		cliutil.Usagef("-jobs %d: must be >= 0", *jobs)
-	}
-	if *runlogSer < 0 {
-		cliutil.Usagef("-runlog-series %d: must be >= 0", *runlogSer)
-	}
-	if *runlogSer != 0 && *runlogDir == "" {
-		cliutil.Usagef("-runlog-series needs -runlog")
-	}
+	obs.Check()
 	switch *sampleMode {
 	case "full", "sampled":
 		if *sampleWl != "" {
@@ -101,75 +83,17 @@ func main() {
 	default:
 		cliutil.Usagef("-sample-mode %q: must be full | sampled | validate", *sampleMode)
 	}
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("trace", *traceOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-	}
-	// Nil registry/tracer are valid no-op sinks, so instrumentation below is
-	// unconditional and the flags only decide whether anything is recorded.
-	// The observability server scrapes the registry live, so -serve implies
-	// a registry even without a -metrics file.
-	var reg *telemetry.Registry
-	var tr *telemetry.Tracer
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	if *traceOut != "" {
-		tr = telemetry.NewTracer()
-	}
 	cat := sweep.Catalog()
 	if *list {
-		names := make([]string, len(cat))
-		for i, e := range cat {
-			names[i] = fmt.Sprintf("%-10s %s", e.Name, e.Title)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
-		}
+		sweep.List(os.Stdout, cat)
 		return
 	}
-	// SIGINT and SIGTERM both cancel the in-flight sweep cooperatively: the
-	// pool's context reaches every running simulation, which bails out at the
-	// next cancellation check; the drain below still flushes the run ledger,
-	// telemetry files, and the failure summary, and exits nonzero. SIGTERM
-	// matters for service use — process supervisors send it first.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	pool := runner.New(*jobs)
-	pool.Instrument(reg, tr)
-	pool.SetContext(ctx)
-	// The persistent cache makes unique runs durable across processes; the
-	// stdout request/run/hit summary below is unaffected (a disk hit is
-	// still a unique request this process).
-	if err := pool.SetCacheDir(*cacheDir); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	// The campaign ledger is pure provenance: every completed request appends
-	// one record (and optionally a time series), all on stderr/disk, so the
-	// byte-identical stdout contract is untouched.
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		var err error
-		led, err = runlog.Open(*runlogDir, runlog.Options{Command: "p10bench", SeriesFrames: *runlogSer})
-		if err != nil {
-			cliutil.Usagef("%v", err)
-		}
-		led.Instrument(reg)
-		pool.SetRunLog(led)
-	}
+	// The harness owns the drain context (SIGINT/SIGTERM cancel in-flight
+	// simulations cooperatively), the pool with its persistent cache and
+	// campaign ledger, and the telemetry artifacts. None of it touches
+	// stdout, so the byte-identical contract holds with any of it enabled.
+	h := cliutil.Start(obs, cliutil.Options{Command: "p10bench"})
+	defer h.Rec.DumpOnPanic()
 	// The surrogate tier changes what the numbers ARE (model estimates with
 	// error bars instead of simulation), so it is strictly opt-in: with the
 	// flag unset, stdout is byte-identical to a surrogate-free build.
@@ -179,77 +103,20 @@ func main() {
 			cliutil.Usagef("%v", err)
 		}
 		tier := surrogate.NewTier(m, *surThresh)
-		pool.SetPredictor(tier.Predict)
+		h.Pool.SetPredictor(tier.Predict)
 		fmt.Fprintf(os.Stderr, "surrogate: %s (%d training rows, gate %.1f%%)\n",
 			*surModel, m.TrainRows, 100*tier.Threshold())
 	}
-	closeRunLog := func() {
-		if led == nil {
-			return
-		}
-		recs, n := led.Appended()
-		if err := led.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-		}
-		line := fmt.Sprintf("runlog: %d records (%d B)", recs, n)
-		if *runlogSer != 0 {
-			line += fmt.Sprintf(", %d series", led.SeriesAppended())
-		}
-		fmt.Fprintf(os.Stderr, "%s appended under %s\n", line, *runlogDir)
-	}
-	// The progress bus is the single source of truth for everything that
-	// narrates the sweep: the stderr console lines, the /events SSE stream,
-	// and the /status aggregation all subscribe to the same events. With no
-	// subscriber attached, publishing costs one atomic load.
-	bus := progress.NewBus()
-	pool.SetBus(bus)
-	console := progress.NewConsole(bus, os.Stderr)
-	// Armed only when requested: a nil recorder is a no-op everywhere, and
-	// not subscribing keeps the unobserved-bus publish at one atomic load.
-	var rec *flightrec.Recorder
-	if *flightOut != "" {
-		rec = flightrec.New(flightrec.Options{
-			Command:  "p10bench",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-			AutoDump: flightrec.WatchdogAutoDump,
-		})
-	}
-	rec.ArmSIGQUIT(nil)
-	defer rec.DumpOnPanic()
-	// A drain that wedges after the signal still leaves its observability
-	// artifacts behind; the normal end-of-run writes below overwrite these.
-	cliutil.FlushOnDrain(ctx, func() {
-		rec.Note("drain signal received")
-		_ = rec.Dump("drain")
-		if *metricsOut != "" {
-			_ = reg.WriteFile(*metricsOut)
-		}
-	})
+	// The progress bus narrates the sweep to every consumer: the stderr
+	// console lines, the /events SSE stream, and the /status aggregation.
+	console := progress.NewConsole(h.Bus, os.Stderr)
 	// Tolerant sweep: a failed simulation point (or whole experiment) is
 	// recorded and reported at end of sweep instead of aborting the run, so
 	// one bad point cannot void hours of completed figures.
 	failures := new(experiments.FailureLog)
-	var server *obsserver.Server
-	if *serveAddr != "" {
-		var err error
-		server, err = obsserver.Start(*serveAddr, obsserver.Options{
-			Command:  "p10bench",
-			Registry: reg,
-			Bus:      bus,
-			Stats:    pool.Stats,
-			Failures: failures.Count,
-			RunLog:   led,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obsserver: listening on %s\n", server.URL())
-	}
-	opt := experiments.Options{Quick: *quick, Jobs: pool.Workers(), Runner: pool,
-		Metrics: reg, Trace: tr, Failures: failures, Progress: bus}
+	h.Serve(obs.Serve, obsserver.Options{Failures: failures.Count})
+	opt := experiments.Options{Quick: *quick, Jobs: h.Pool.Workers(), Runner: h.Pool,
+		Metrics: h.Reg, Trace: h.Tr, Failures: failures, Progress: h.Bus}
 	switch *sampleMode {
 	case "sampled":
 		// Every simulation point in every experiment runs through the
@@ -283,81 +150,22 @@ func main() {
 	}
 	// The sweep plan (catalog order, filter, pool) is built: flip readiness
 	// so /readyz distinguishes "starting" from "sweeping".
-	server.SetReady(true)
-	outcome := sweep.Run(ctx, os.Stdout, cat, *expName, opt, reg, tr)
+	h.Ready()
+	outcome := sweep.Run(h.Ctx, os.Stdout, cat, *expName, opt, h.Reg, h.Tr)
 	// Flush the console before printing the summary lines below, so stderr
 	// keeps its historical order: per-experiment lines, then totals.
 	console.Stop()
 	if outcome.Ran == 0 {
-		closeRunLog()
-		shutdownServer(server, bus)
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *expName)
-		os.Exit(1)
+		os.Exit(h.Close(1))
 	}
-	st := pool.Stats()
+	st := h.Pool.Stats()
 	sweep.Summary(os.Stdout, st)
 	// Pool-pressure diagnostics are scheduling-dependent, so they join the
 	// timing on stderr rather than the deterministic stdout summary.
-	sweep.Totals(os.Stderr, st, pool.Workers(), outcome.Elapsed)
-	if *cacheDir != "" {
-		sweep.DiskTotals(os.Stderr, st, *cacheDir)
-	}
+	sweep.Totals(os.Stderr, st, h.Pool.Workers(), outcome.Elapsed)
 	// Telemetry files are written even when the sweep degraded or was
 	// interrupted: a partial run's diagnostics are exactly what you want to
 	// inspect afterwards.
-	exit := 0
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-		}
-	}
-	if *traceOut != "" {
-		if err := tr.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events)\n", *traceOut, tr.Len())
-		}
-	}
-	if *flightOut != "" {
-		if err := rec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
-		}
-	}
-	// End-of-sweep failure accounting: every degraded point and every failed
-	// experiment is listed, and a degraded sweep exits nonzero so automation
-	// never mistakes partial results for a clean run.
-	if s := failures.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
-		exit = 1
-	}
-	if len(outcome.Failed) > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed: %v\n", len(outcome.Failed), outcome.Failed)
-		exit = 1
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "sweep interrupted")
-		exit = 1
-	}
-	closeRunLog()
-	shutdownServer(server, bus)
-	os.Exit(exit)
-}
-
-// shutdownServer drains the observability server (bounded) and closes the
-// bus so SSE clients see end-of-stream before the process exits. Safe with
-// a nil server (-serve off).
-func shutdownServer(server *obsserver.Server, bus *progress.Bus) {
-	if server != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		server.Shutdown(sctx)
-		cancel()
-	}
-	bus.Close()
+	os.Exit(h.Close(outcome.Report(h.Ctx, os.Stderr, failures)))
 }

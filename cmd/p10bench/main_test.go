@@ -46,4 +46,6 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
+	// -pprof is gone: -serve mounts /debug/pprof/* on the observability server.
+	clitest.UsageError(t, "-pprof", "127.0.0.1:0", "-list")
 }

@@ -33,168 +33,83 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"os/signal"
-	"sort"
-	"syscall"
 	"time"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/experiments"
 	"power10sim/internal/fabric"
-	"power10sim/internal/flightrec"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/progress"
-	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
 	"power10sim/internal/sweep"
-	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
 
 func main() {
+	obs := cliutil.Register(cliutil.Help{
+		Metrics:      "write a metrics-registry JSON snapshot to this file (federated: includes worker-pushed series)",
+		Trace:        "write the merged fleet Chrome trace (clock-corrected unit lifecycles) to this file",
+		FlightRec:    "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain",
+		CacheDir:     "persist simulation results under this directory (shared across runs and with p10bench)",
+		RunLog:       "append one campaign-ledger record per completed simulation under this directory",
+		RunLogSeries: "with -runlog, also record a downsampled time series per executed sim (0 = off)",
+		Jobs:         "max simulation points in flight (0 = GOMAXPROCS)",
+	})
 	var (
 		listenAddr  = flag.String("listen", "127.0.0.1:9170", "serve the fabric worker API and observability endpoints on this address")
 		expName     = flag.String("exp", "", "experiment to run (default: all)")
 		quick       = flag.Bool("quick", false, "reduced budgets")
-		jobs        = flag.Int("jobs", 0, "max simulation points in flight (0 = GOMAXPROCS)")
 		list        = flag.Bool("list", false, "list experiments")
 		minWorkers  = flag.Int("min-workers", 1, "wait for this many live workers before starting the sweep (0 = start immediately)")
 		waitFor     = flag.Duration("worker-wait", 2*time.Minute, "give up if -min-workers have not registered within this window")
 		leaseTTL    = flag.Duration("lease-ttl", fabric.DefaultLeaseTTL, "worker lease TTL; a silent worker loses its units after this")
 		maxAttempts = flag.Int("max-attempts", fabric.DefaultMaxAttempts, "dispatch attempts per unit before it fails permanently")
-		metricsOut  = flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file (federated: includes worker-pushed series)")
-		traceOut    = flag.String("trace", "", "write the merged fleet Chrome trace (clock-corrected unit lifecycles) to this file")
-		flightOut   = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain")
-		cacheDir    = flag.String("cachedir", "", "persist simulation results under this directory (shared across runs and with p10bench)")
-		runlogDir   = flag.String("runlog", "", "append one campaign-ledger record per completed simulation under this directory")
-		runlogSer   = flag.Int("runlog-series", 0, "with -runlog, also record a downsampled time series per executed sim (0 = off)")
 	)
 	flag.Parse()
-	if *jobs < 0 {
-		cliutil.Usagef("-jobs %d: must be >= 0", *jobs)
-	}
+	obs.Check()
 	if *minWorkers < 0 {
 		cliutil.Usagef("-min-workers %d: must be >= 0", *minWorkers)
 	}
 	if *maxAttempts < 1 {
 		cliutil.Usagef("-max-attempts %d: must be >= 1", *maxAttempts)
 	}
-	if *runlogSer != 0 && *runlogDir == "" {
-		cliutil.Usagef("-runlog-series needs -runlog")
-	}
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("trace", *traceOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
 	cat := sweep.Catalog()
 	if *list {
-		names := make([]string, len(cat))
-		for i, e := range cat {
-			names[i] = fmt.Sprintf("%-10s %s", e.Name, e.Title)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			fmt.Println(n)
-		}
+		sweep.List(os.Stdout, cat)
 		return
 	}
 	// SIGINT/SIGTERM drain the whole fabric cooperatively: the pool context
 	// unblocks waiting submissions, the coordinator refuses new leases and
-	// tells polling workers to stop, and the ledger/telemetry flush below
-	// still runs. A drained partial sweep exits nonzero.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	// The coordinator always carries a registry: the observability server is
-	// not optional here (workers connect through it), so fabric health is
-	// always scrapeable.
-	reg := telemetry.NewRegistry()
-	bus := progress.NewBus()
-	console := progress.NewConsole(bus, os.Stderr)
-	pool := runner.New(*jobs)
-	pool.Instrument(reg, nil)
-	pool.SetContext(ctx)
-	pool.SetBus(bus)
-	if err := pool.SetCacheDir(*cacheDir); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		var err error
-		led, err = runlog.Open(*runlogDir, runlog.Options{Command: "p10coord", SeriesFrames: *runlogSer})
-		if err != nil {
-			cliutil.Usagef("%v", err)
-		}
-		led.Instrument(reg)
-		pool.SetRunLog(led)
-	}
+	// tells polling workers to stop, and the harness still flushes the
+	// ledger and telemetry. A drained partial sweep exits nonzero. The
+	// coordinator always carries a registry: the observability server is not
+	// optional here (workers connect through it), so fabric health is always
+	// scrapeable.
+	h := cliutil.Start(obs, cliutil.Options{Command: "p10coord", Registry: true, ExternalTrace: true})
+	defer h.Rec.DumpOnPanic()
+	console := progress.NewConsole(h.Bus, os.Stderr)
 	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{
 		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *maxAttempts,
 		Resolve:     newSubmitResolver(),
-		Bus:         bus,
-		Registry:    reg,
+		Bus:         h.Bus,
+		Registry:    h.Reg,
 	})
-	// Armed only when requested: a nil recorder is a no-op everywhere, so the
-	// dump calls below need no flag checks of their own.
-	var rec *flightrec.Recorder
-	if *flightOut != "" {
-		rec = flightrec.New(flightrec.Options{
-			Command:  "p10coord",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-			AutoDump: flightrec.WatchdogAutoDump,
-		})
-	}
-	rec.ArmSIGQUIT(nil)
-	defer rec.DumpOnPanic()
-	// writeArtifacts is shared by the normal end-of-run path and the drain
-	// flush: the federated metrics snapshot (fleet + per-worker series) and the
-	// merged fleet trace, both written atomically.
-	writeArtifacts := func(report bool) int {
-		exit := 0
-		if *metricsOut != "" {
-			if err := coord.FederatedSnapshot().WriteFile(*metricsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-				exit = 1
-			} else if report {
-				fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-			}
-		}
-		if *traceOut != "" {
-			if err := telemetry.WriteFileAtomic(*traceOut, coord.WriteTrace); err != nil {
-				fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-				exit = 1
-			} else if report {
-				fmt.Fprintf(os.Stderr, "trace: wrote %s\n", *traceOut)
-			}
-		}
-		return exit
-	}
-	cliutil.FlushOnDrain(ctx, func() {
-		rec.Note("drain signal received")
-		_ = rec.Dump("drain")
-		writeArtifacts(false)
-	})
+	// The artifacts are fleet-wide: the federated metrics snapshot (fleet +
+	// per-worker series) and the merged clock-corrected fleet trace.
+	h.Metrics = func(w io.Writer) error { return coord.FederatedSnapshot().WriteJSON(w) }
+	h.Trace = coord.WriteTrace
+	h.Quiesce = func() { drainFleet(coord) }
 	// Every cache-missing simulation the sweep requests is now dispatched to
 	// the fleet instead of simulated in-process; cache hits and chaos
 	// requests never leave the coordinator.
-	pool.SetExecutor(coord.Execute)
+	h.Pool.SetExecutor(coord.Execute)
 	failures := new(experiments.FailureLog)
-	server, err := obsserver.Start(*listenAddr, obsserver.Options{
-		Command:  "p10coord",
-		Registry: reg,
-		Bus:      bus,
-		Stats:    pool.Stats,
+	h.Serve(*listenAddr, obsserver.Options{
 		Failures: failures.Count,
-		RunLog:   led,
 		Fleet:    coord.Fleet,
 		Fabric:   coord.Handler(),
 		// The coordinator is the only process that can render the fleet-wide
@@ -202,94 +117,53 @@ func main() {
 		FleetTrace:        coord.WriteTrace,
 		FederatedSnapshot: coord.FederatedSnapshot,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "p10coord: fabric + observability on %s\n", server.URL())
-	shutdown := func() {
-		// Order matters: stop handing out leases first so draining workers
-		// deregister promptly, then flush the ledger, then drop the HTTP
-		// surface and close the bus. Between Close and Shutdown, give the
-		// fleet a grace window to observe the Closing lease response and
-		// deregister — a worker mid-poll sees it within milliseconds, one
-		// between polls within its poll interval; past the window the
-		// worker's own unreachable bound takes over.
-		coord.Close()
-		drainDeadline := time.Now().Add(8 * time.Second)
-		for time.Now().Before(drainDeadline) {
-			live := 0
-			for _, w := range coord.Fleet().Workers {
-				if w.State == "live" {
-					live++
-				}
-			}
-			if live == 0 {
-				break
-			}
-			time.Sleep(100 * time.Millisecond)
-		}
-		if led != nil {
-			recs, n := led.Appended()
-			if err := led.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "runlog: %d records (%d B) appended under %s\n", recs, n, *runlogDir)
-		}
-		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		server.Shutdown(sctx)
-		cancel()
-		bus.Close()
-	}
-	if !waitForWorkers(ctx, coord, *minWorkers, *waitFor) {
+	fmt.Fprintf(os.Stderr, "p10coord: fabric + observability on %s\n", h.Server.URL())
+	if !waitForWorkers(h.Ctx, coord, *minWorkers, *waitFor) {
 		console.Stop()
-		shutdown()
 		fmt.Fprintf(os.Stderr, "p10coord: %d worker(s) did not register within %s\n", *minWorkers, *waitFor)
-		os.Exit(1)
+		os.Exit(h.Close(1))
 	}
-	server.SetReady(true)
-	outcome := sweep.Run(ctx, os.Stdout, cat, *expName, experiments.Options{
-		Quick: *quick, Jobs: pool.Workers(), Runner: pool,
-		Metrics: reg, Failures: failures, Progress: bus,
-	}, reg, nil)
+	h.Ready()
+	outcome := sweep.Run(h.Ctx, os.Stdout, cat, *expName, experiments.Options{
+		Quick: *quick, Jobs: h.Pool.Workers(), Runner: h.Pool,
+		Metrics: h.Reg, Failures: failures, Progress: h.Bus,
+	}, h.Reg, nil)
 	console.Stop()
 	if outcome.Ran == 0 {
-		shutdown()
 		fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *expName)
-		os.Exit(1)
+		os.Exit(h.Close(1))
 	}
-	st := pool.Stats()
+	st := h.Pool.Stats()
 	sweep.Summary(os.Stdout, st)
-	sweep.Totals(os.Stderr, st, pool.Workers(), outcome.Elapsed)
-	if *cacheDir != "" {
-		sweep.DiskTotals(os.Stderr, st, *cacheDir)
-	}
+	sweep.Totals(os.Stderr, st, h.Pool.Workers(), outcome.Elapsed)
 	fleet := coord.Fleet()
 	fmt.Fprintf(os.Stderr, "fabric: %d units done, %d failed, %d requeues, %d duplicate results across %d worker(s)\n",
 		fleet.Queue.Done, fleet.Queue.Failed, fleet.Queue.Requeues, fleet.Queue.Duplicates, len(fleet.Workers))
-	exit := writeArtifacts(true)
-	if *flightOut != "" {
-		if err := rec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
+	os.Exit(h.Close(outcome.Report(h.Ctx, os.Stderr, failures)))
+}
+
+// drainFleet stops handing out leases, then gives the fleet a grace window
+// to observe the Closing lease response and deregister before the ledger
+// closes and the HTTP surface drops. A worker mid-poll sees it within
+// milliseconds, one between polls within its poll interval; past the window
+// the worker's own unreachable bound takes over.
+func drainFleet(coord *fabric.Coordinator) {
+	coord.Close()
+	deadline := time.Now().Add(8 * time.Second)
+	for liveWorkers(coord) > 0 && time.Now().Before(deadline) {
+		time.Sleep(100 * time.Millisecond)
+	}
+}
+
+// liveWorkers counts the workers the coordinator currently sees as live.
+func liveWorkers(coord *fabric.Coordinator) int {
+	live := 0
+	for _, w := range coord.Fleet().Workers {
+		if w.State == "live" {
+			live++
 		}
 	}
-	if s := failures.Summary(); s != "" {
-		fmt.Fprint(os.Stderr, s)
-		exit = 1
-	}
-	if len(outcome.Failed) > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed: %v\n", len(outcome.Failed), outcome.Failed)
-		exit = 1
-	}
-	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "sweep interrupted")
-		exit = 1
-	}
-	shutdown()
-	os.Exit(exit)
+	return live
 }
 
 // waitForWorkers blocks until n workers are live (or n == 0), the window
@@ -303,13 +177,7 @@ func waitForWorkers(ctx context.Context, coord *fabric.Coordinator, n int, windo
 	deadline := time.Now().Add(window)
 	logged := false
 	for {
-		live := 0
-		for _, w := range coord.Fleet().Workers {
-			if w.State == "live" {
-				live++
-			}
-		}
-		if live >= n {
+		if liveWorkers(coord) >= n {
 			return true
 		}
 		if ctx.Err() != nil || time.Now().After(deadline) {

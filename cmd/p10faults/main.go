@@ -20,26 +20,28 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/faultinject"
-	"power10sim/internal/flightrec"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/progress"
-	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
-	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 )
 
 func main() {
+	obs := cliutil.Register(cliutil.Help{
+		Metrics:   "write a metrics-registry JSON snapshot to this file",
+		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain",
+		Serve:     "serve the live observability endpoints on this address (e.g. :9090)",
+		CacheDir:  "persist simulation results under this directory (shared across runs)",
+		RunLog:    "append one campaign-ledger record per completed trial under this directory",
+		Jobs:      "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)",
+	})
 	var (
 		trials       = flag.Int("trials", 400, "Monte Carlo trials per workload")
 		seed         = flag.Uint64("seed", 42, "campaign RNG seed")
@@ -50,14 +52,8 @@ func main() {
 		vtsFlag      = flag.String("vts", "", "comma-separated VT sweep percentages (default 10,30,50,70,90)")
 		refVT        = flag.Int("refvt", 0, "reference VT%% for consequence trials (0 = sweep median)")
 		consequences = flag.Bool("consequences", true, "classify captured trials (SDC/detected/hang/masked)")
-		jobs         = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
 		timeout      = flag.Duration("timeout", 2*time.Minute, "per-simulation watchdog deadline")
 		chaos        = flag.Bool("chaos", false, "inject panics/transient failures/hangs into the harness (self-test)")
-		metricsOut   = flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-		flightOut    = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain")
-		serveAddr    = flag.String("serve", "", "serve the live observability endpoints on this address (e.g. :9090)")
-		cacheDir     = flag.String("cachedir", "", "persist simulation results under this directory (shared across runs)")
-		runlogDir    = flag.String("runlog", "", "append one campaign-ledger record per completed trial under this directory")
 	)
 	flag.Parse()
 	if *trials < 1 {
@@ -66,9 +62,7 @@ func main() {
 	if *smt < 1 {
 		cliutil.Usagef("-smt %d: must be >= 1", *smt)
 	}
-	if *jobs < 0 {
-		cliutil.Usagef("-jobs %d: must be >= 0", *jobs)
-	}
+	obs.Check()
 	if *refVT < 0 || *refVT > 100 {
 		cliutil.Usagef("-refvt %d: must be in [0,100]", *refVT)
 	}
@@ -81,111 +75,26 @@ func main() {
 			cliutil.Usagef("-vts %s: %d out of range [1,100]", *vtsFlag, vt)
 		}
 	}
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
 	cfg := uarch.ConfigByName(*cfgName)
 	if cfg == nil {
 		cliutil.Usagef("unknown config %q", *cfgName)
 	}
 
-	// SIGINT and SIGTERM both drain the campaign cooperatively: in-flight
-	// injections finish or cancel, the ledger and telemetry flush, and a
-	// partial campaign exits nonzero.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	var reg *telemetry.Registry
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	pool := runner.New(*jobs)
-	pool.Instrument(reg, nil)
-	pool.SetContext(ctx)
-	// Persist trial results across campaign invocations (the upset
-	// parameters are part of the content key, so a re-run with a new seed
-	// shares only its genuinely identical trials). Chaos self-test runs
-	// bypass the disk layer inside the runner.
-	if err := pool.SetCacheDir(*cacheDir); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	// Trial provenance: each completed injection trial appends a ledger
-	// record with its fault outcome. Chaos self-test requests are excluded by
-	// the runner, so a self-test never pollutes real campaign history.
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		var err error
-		led, err = runlog.Open(*runlogDir, runlog.Options{Command: "p10faults"})
-		if err != nil {
-			cliutil.Usagef("%v", err)
-		}
-		led.Instrument(reg)
-		pool.SetRunLog(led)
-	}
-	// Progress plumbing: the runner publishes per-trial events for the
-	// observability server (when -serve is given) to re-render on /events
-	// and /status. Unlike p10bench there is no stderr console subscriber:
-	// an injected upset that hangs or crashes its simulation is an expected
-	// campaign outcome (classified in the consequence table), not a harness
-	// failure worth a diagnostic line per trial. With no subscriber the bus
-	// costs one atomic load per publish.
-	bus := progress.NewBus()
-	pool.SetBus(bus)
-	// The flight recorder is the per-trial diagnostic channel this command
-	// otherwise lacks (no stderr console): the event tail before a watchdog
-	// kill or a panic burst survives in the dump even when the campaign table
-	// renders normally.
-	// Armed only when requested: a nil recorder is a no-op everywhere, and
-	// not subscribing preserves the deliberately subscriber-free bus above.
-	var rec *flightrec.Recorder
-	if *flightOut != "" {
-		rec = flightrec.New(flightrec.Options{
-			Command:  "p10faults",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-			AutoDump: flightrec.WatchdogAutoDump,
-		})
-	}
-	rec.ArmSIGQUIT(nil)
-	defer rec.DumpOnPanic()
-	cliutil.FlushOnDrain(ctx, func() {
-		rec.Note("drain signal received")
-		_ = rec.Dump("drain")
-		if *metricsOut != "" && reg != nil {
-			_ = reg.WriteFile(*metricsOut)
-		}
-	})
-	var server *obsserver.Server
-	if *serveAddr != "" {
-		var err error
-		server, err = obsserver.Start(*serveAddr, obsserver.Options{
-			Command: "p10faults", Registry: reg, Bus: bus, Stats: pool.Stats,
-			RunLog: led,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obsserver: listening on %s\n", server.URL())
-	}
-	shutdown := func() {
-		if led != nil {
-			recs, n := led.Appended()
-			if err := led.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-			}
-			fmt.Fprintf(os.Stderr, "runlog: %d records (%d B) appended under %s\n", recs, n, *runlogDir)
-		}
-		bus.Publish(progress.Event{Kind: progress.KindSweepDone})
-		if server != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			server.Shutdown(sctx)
-			cancel()
-		}
-		bus.Close()
+	// The harness wires the drain context (SIGINT/SIGTERM: in-flight
+	// injections finish or cancel, a partial campaign exits nonzero), the
+	// pool with its persistent cache (the upset parameters are part of the
+	// content key; chaos runs bypass the disk layer inside the runner), and
+	// the campaign ledger (chaos requests are excluded by the runner, so a
+	// self-test never pollutes real campaign history). The bus carries
+	// per-trial events for -serve and the flight recorder only: an injected
+	// upset that hangs or crashes its simulation is an expected campaign
+	// outcome, not a harness failure worth a stderr console line per trial.
+	h := cliutil.Start(obs, cliutil.Options{Command: "p10faults"})
+	defer h.Rec.DumpOnPanic()
+	h.Serve(obs.Serve, obsserver.Options{})
+	finish := func(exit int) {
+		h.Bus.Publish(progress.Event{Kind: progress.KindSweepDone})
+		os.Exit(h.Close(exit))
 	}
 	policy := runner.Policy{Timeout: *timeout, MaxAttempts: 3, Backoff: 10 * time.Millisecond}
 	if *chaos {
@@ -195,13 +104,12 @@ func main() {
 		// finish with tagged failed trials (nonzero exit) rather than crash.
 		policy = runner.Policy{Timeout: time.Second, MaxAttempts: 2, Backoff: time.Millisecond}
 	}
-	pool.SetPolicy(policy)
+	h.Pool.SetPolicy(policy)
 
 	cases, err := faultinject.DefaultCases()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		shutdown()
-		os.Exit(1)
+		finish(1)
 	}
 	c := &faultinject.Campaign{
 		Cfg:          cfg,
@@ -214,40 +122,25 @@ func main() {
 		Budget:       *budget,
 		WindowCycles: *window,
 		Consequences: *consequences,
-		Pool:         pool,
-		Metrics:      reg,
-		Ctx:          ctx,
+		Pool:         h.Pool,
+		Metrics:      h.Reg,
+		Ctx:          h.Ctx,
 	}
 	if *chaos {
 		c.Consequences = true
 		c.Chaos = &runner.ChaosSpec{PanicFirst: 3, FailFirst: 3, Hang: true}
 	}
 	// Campaign plan is built: the server may now answer /readyz positively.
-	server.SetReady(true)
+	h.Ready()
 
 	start := time.Now()
 	res, runErr := c.Run()
-
-	exit := 0
-	writeMetrics := func() {
-		// Metrics are written even on the failure path: a degraded
-		// campaign's recovered-panic / retry / watchdog counters are the
-		// evidence worth inspecting.
-		if *metricsOut == "" {
-			return
-		}
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			exit = 1
-			return
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-	}
+	// Metrics are written even on the failure path: a degraded campaign's
+	// recovered-panic / retry / watchdog counters are the evidence worth
+	// inspecting.
 	if runErr != nil {
 		fmt.Fprintln(os.Stderr, runErr)
-		writeMetrics()
-		shutdown()
-		os.Exit(1)
+		finish(1)
 	}
 
 	fmt.Printf("fault-injection campaign: %s, %d trials/workload, seed %d, %d latches\n",
@@ -258,30 +151,17 @@ func main() {
 		fmt.Println()
 		fmt.Print(res.OutcomeTable())
 	}
-	st := pool.Stats()
+	st := h.Pool.Stats()
 	fmt.Fprintf(os.Stderr, "campaign: %.1fs with %d workers; pool: %d runs, %d retries, %d panics recovered, %d watchdog timeouts\n",
-		time.Since(start).Seconds(), pool.Workers(), st.Misses, st.Retries, st.Panics, st.Timeouts)
-	if *cacheDir != "" {
-		fmt.Fprintf(os.Stderr, "diskcache: %d hits, %d misses, %d B read, %d B written (%s)\n",
-			st.DiskHits, st.DiskMisses, st.DiskReadBytes, st.DiskWrittenBytes, *cacheDir)
-	}
+		time.Since(start).Seconds(), h.Pool.Workers(), st.Misses, st.Retries, st.Panics, st.Timeouts)
+	exit := 0
 	if s := res.FailureSummary(); s != "" {
 		fmt.Fprint(os.Stderr, s)
 		exit = 1
 	}
-	if ctx.Err() != nil {
+	if h.Ctx.Err() != nil {
 		fmt.Fprintln(os.Stderr, "campaign interrupted")
 		exit = 1
 	}
-	writeMetrics()
-	if *flightOut != "" {
-		if err := rec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
-		}
-	}
-	shutdown()
-	os.Exit(exit)
+	finish(exit)
 }

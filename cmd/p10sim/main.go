@@ -13,20 +13,13 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
-	"os/signal"
 	"sort"
-	"syscall"
 	"time"
 
 	"power10sim/internal/cliutil"
-	"power10sim/internal/flightrec"
-	"power10sim/internal/isa"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/power"
 	"power10sim/internal/progress"
@@ -41,20 +34,21 @@ import (
 )
 
 func main() {
+	obs := cliutil.Register(cliutil.Help{
+		Metrics:   "write a metrics-registry JSON snapshot to this file",
+		Trace:     "write a Chrome trace_event JSON file to this file",
+		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain",
+		Serve:     "serve the live observability endpoints on this address (e.g. :9090)",
+		RunLog:    "append this run's campaign-ledger record under this directory",
+	})
 	var (
 		wlName     = flag.String("workload", "intcompute", "workload name (see -list)")
 		cfgName    = flag.String("config", "POWER10", "POWER9 | POWER10 | POWER10-noMMA")
 		smt        = flag.Int("smt", 1, "number of hardware threads (copies of the workload)")
 		budget     = flag.Uint64("budget", 0, "dynamic instruction budget per thread (0 = workload default)")
 		list       = flag.Bool("list", false, "list workloads and exit")
-		metricsOut = flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-		traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON file to this file")
-		flightOut  = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain")
 		sample     = flag.Uint64("sample", 1000, "cycle-sampling interval for -trace counter tracks (0 = off)")
 		sampleMode = flag.String("sample-mode", "full", "full | sampled | validate: time every instruction, run the SimPoint-style sampling engine, or run both and compare")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. :6060)")
-		serveAddr  = flag.String("serve", "", "serve the live observability endpoints on this address (e.g. :9090)")
-		runlogDir  = flag.String("runlog", "", "append this run's campaign-ledger record under this directory")
 	)
 	flag.Parse()
 	if *smt < 1 {
@@ -66,16 +60,16 @@ func main() {
 		// Cycle-resolved telemetry and the live server narrate one complete
 		// timed run; a sampled run is many short window simulations, so these
 		// integrations only exist on the full path.
-		if *traceOut != "" {
+		if obs.Trace != "" {
 			cliutil.Usagef("-trace requires -sample-mode=full (sampled runs have no cycle-resolved trace)")
 		}
-		if *serveAddr != "" {
+		if obs.Serve != "" {
 			cliutil.Usagef("-serve requires -sample-mode=full")
 		}
-		if *runlogDir != "" {
+		if obs.RunLog != "" {
 			cliutil.Usagef("-runlog requires -sample-mode=full (the ledger keys one complete timed run)")
 		}
-		if *flightOut != "" {
+		if obs.FlightRec != "" {
 			cliutil.Usagef("-flightrec requires -sample-mode=full (sampled runs publish no progress events to record)")
 		}
 	default:
@@ -89,22 +83,7 @@ func main() {
 			cliutil.Usagef("-budget 0: must be > 0 (omit the flag for the workload default)")
 		}
 	})
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("trace", *traceOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof: %v\n", err)
-			}
-		}()
-	}
+	obs.Check()
 
 	cat := workloads.Catalog()
 	if *list {
@@ -136,141 +115,62 @@ func main() {
 	if *budget > 0 {
 		bud = *budget
 	}
+	// A single simulation still publishes its lifecycle on the progress bus
+	// so -serve clients see the run on /events and /status; with no server
+	// (and thus no subscriber) every Publish is a single atomic load.
+	// SIGINT/SIGTERM cancel the simulation cooperatively through the core's
+	// context check; the error path below still appends the ledger record
+	// and publishes the failure event before the harness shuts down.
+	h := cliutil.Start(obs, cliutil.Options{Command: "p10sim"})
+	defer h.Rec.DumpOnPanic()
+	h.Serve(obs.Serve, obsserver.Options{})
+	h.Ready()
 	if *sampleMode != "full" {
-		os.Exit(runSampled(w, cfg, *smt, bud, *sampleMode, *metricsOut))
+		os.Exit(h.Close(runSampled(w, cfg, *smt, bud, *sampleMode, h.Reg)))
 	}
 	var streams []trace.Stream
 	for i := 0; i < *smt; i++ {
 		streams = append(streams, trace.NewVMStream(w.Prog, bud))
 	}
-	var reg *telemetry.Registry
-	var tr *telemetry.Tracer
-	if *metricsOut != "" || *serveAddr != "" {
-		reg = telemetry.NewRegistry()
-	}
-	if *traceOut != "" {
-		tr = telemetry.NewTracer()
-	}
-	// A single simulation still publishes its lifecycle on the progress bus
-	// so -serve clients see the run on /events and /status; with no server
-	// (and thus no subscriber) every Publish is a single atomic load.
-	bus := progress.NewBus()
-	// Armed only when requested: a nil recorder is a no-op everywhere, and
-	// not subscribing keeps the unobserved-bus publish at one atomic load.
-	var frec *flightrec.Recorder
-	if *flightOut != "" {
-		frec = flightrec.New(flightrec.Options{
-			Command:  "p10sim",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-		})
-	}
-	frec.ArmSIGQUIT(nil)
-	defer frec.DumpOnPanic()
-	var server *obsserver.Server
-	if *serveAddr != "" {
-		var serr error
-		server, serr = obsserver.Start(*serveAddr, obsserver.Options{
-			Command: "p10sim", Registry: reg, Bus: bus,
-		})
-		if serr != nil {
-			fmt.Fprintln(os.Stderr, serr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "obsserver: listening on %s\n", server.URL())
-	}
-	// One-shot ledger append: the record carries the same content key the
-	// runner's cache and ledger would use for an identical request, so ad-hoc
-	// p10sim runs join sweep history in p10query.
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		var lerr error
-		led, lerr = runlog.Open(*runlogDir, runlog.Options{Command: "p10sim"})
-		if lerr != nil {
-			cliutil.Usagef("%v", lerr)
-		}
-	}
-	logRun := func(rec runlog.Record) {
-		if led == nil {
-			return
-		}
-		if err := led.Append(rec); err != nil {
-			fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-		}
-		led.Close()
-		fmt.Fprintf(os.Stderr, "runlog: 1 record appended under %s\n", *runlogDir)
-	}
-	shutdown := func() {
-		if server != nil {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			server.Shutdown(sctx)
-			cancel()
-		}
-		bus.Close()
-	}
-	server.SetReady(true)
-	// SIGINT/SIGTERM cancel the simulation cooperatively through the core's
-	// context check; the error path below still appends the ledger record,
-	// publishes the failure event, shuts the server down, and exits nonzero —
-	// the same graceful drain p10bench performs for a whole sweep.
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-	// The drain flush closes a gap the normal paths cannot: a canceled
-	// simulation's error path exits before the telemetry writes below, and a
-	// wedged drain never reaches them at all.
-	cliutil.FlushOnDrain(ctx, func() {
-		frec.Note("drain signal received")
-		_ = frec.Dump("drain")
-		if *metricsOut != "" && reg != nil {
-			_ = reg.WriteFile(*metricsOut)
-		}
-	})
 	simName := fmt.Sprintf("%s@%s/smt%d", w.Name, cfg.Name, *smt)
 	// Recorded before Simulate so /metrics has a sample while the (possibly
 	// long) simulation is still running, not only after it retires.
-	if reg != nil {
-		reg.Counter("sims_started_total",
-			telemetry.L("workload", w.Name), telemetry.L("config", cfg.Name)).Add(1)
-	}
-	bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
+	h.Reg.Counter("sims_started_total",
+		telemetry.L("workload", w.Name), telemetry.L("config", cfg.Name)).Add(1)
+	h.Bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
 	simStart := time.Now()
-	sp := tr.Begin("sim:"+simName, "p10sim")
+	sp := h.Tr.Begin("sim:"+simName, "p10sim")
 	res, err := uarch.Simulate(cfg, streams, 50_000_000,
 		uarch.WithWarmup(w.Warmup*uint64(*smt)),
-		uarch.WithContext(ctx),
-		simobs.SampleOption(cfg, tr, *sample, *smt))
+		uarch.WithContext(h.Ctx),
+		simobs.SampleOption(cfg, h.Tr, *sample, *smt))
 	sp.End()
-	// The ledger record mirrors the simulation actually run above, so its
-	// content key matches an identical runner request's.
-	baseRec := func() runlog.Record {
-		req := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
-			Warmup: w.Warmup * uint64(*smt), MaxCycles: 50_000_000}
-		key, _ := runner.ContentKey(req)
-		return runlog.Record{
-			Key: key, Config: cfg.Name, Workload: w.Name, SMT: *smt,
-			Budget: bud, Warmup: req.Warmup, MaxCycles: req.MaxCycles,
-			Tier: runlog.TierRun, Attempts: 1,
-			WallSeconds: time.Since(simStart).Seconds(),
-		}
+	// One-shot ledger append: the record carries the same content key the
+	// runner's cache and ledger would use for an identical request, so ad-hoc
+	// p10sim runs join sweep history in p10query.
+	req := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
+		Warmup: w.Warmup * uint64(*smt), MaxCycles: 50_000_000}
+	key, _ := runner.ContentKey(req)
+	rec := runlog.Record{
+		Key: key, Config: cfg.Name, Workload: w.Name, SMT: *smt,
+		Budget: bud, Warmup: req.Warmup, MaxCycles: req.MaxCycles,
+		Tier: runlog.TierRun, Attempts: 1,
+		WallSeconds: time.Since(simStart).Seconds(),
 	}
 	if err != nil {
-		bus.Publish(progress.Event{Kind: progress.KindSimFailed, Sim: simName,
+		h.Bus.Publish(progress.Event{Kind: progress.KindSimFailed, Sim: simName,
 			Err: err.Error(), Elapsed: time.Since(simStart).Seconds()})
 		fmt.Fprintln(os.Stderr, err)
-		rec := baseRec()
 		rec.Err = err.Error()
-		logRun(rec)
-		_ = frec.Dump(fmt.Sprintf("sim failed: %v", err))
-		shutdown()
-		os.Exit(1)
+		logRun(h.Led, rec)
+		h.Rec.Note("sim failed: %v", err)
+		os.Exit(h.Close(1))
 	}
 	a := &res.Activity
 	mdl := power.NewModel(cfg)
 	rep := mdl.Report(a)
-	bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
+	h.Bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
 		Elapsed: time.Since(simStart).Seconds(), IPC: a.IPC(), Power: rep.Total})
-	rec := baseRec()
 	cyc := float64(a.Cycles)
 	rec.Cycles = a.Cycles
 	rec.Instructions = a.Instructions
@@ -285,7 +185,7 @@ func main() {
 	if a.Instructions > 0 {
 		rec.EPI = rec.EnergyTotal / float64(a.Instructions)
 	}
-	logRun(rec)
+	logRun(h.Led, rec)
 	fmt.Printf("workload        %s (SMT%d) on %s\n", w.Name, *smt, cfg.Name)
 	fmt.Printf("cycles          %d\n", a.Cycles)
 	fmt.Printf("instructions    %d\n", a.Instructions)
@@ -303,44 +203,25 @@ func main() {
 	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f]\n",
 		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage)
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
-	_ = isa.NumOpcodes
 
-	if reg != nil {
-		labels := []telemetry.Label{
-			telemetry.L("workload", w.Name),
-			telemetry.L("config", cfg.Name),
-			telemetry.L("smt", fmt.Sprint(*smt)),
-		}
-		reg.Counter("sim_cycles_total", labels...).Add(a.Cycles)
-		reg.Counter("sim_instructions_total", labels...).Add(a.Instructions)
-		reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-		reg.Gauge("sim_power_total", labels...).Set(rep.Total)
+	labels := []telemetry.Label{
+		telemetry.L("workload", w.Name),
+		telemetry.L("config", cfg.Name),
+		telemetry.L("smt", fmt.Sprint(*smt)),
 	}
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
+	h.Reg.Counter("sim_cycles_total", labels...).Add(a.Cycles)
+	h.Reg.Counter("sim_instructions_total", labels...).Add(a.Instructions)
+	h.Reg.Gauge("sim_ipc", labels...).Set(a.IPC())
+	h.Reg.Gauge("sim_power_total", labels...).Set(rep.Total)
+	os.Exit(h.Close(0))
+}
+
+// logRun appends the run's one ledger record; the harness closes the ledger
+// and prints its summary. Safe on a nil ledger (-runlog unset).
+func logRun(led *runlog.Ledger, rec runlog.Record) {
+	if err := led.Append(rec); err != nil {
+		fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
 	}
-	if *traceOut != "" {
-		if err := tr.WriteFile(*traceOut); err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "trace: wrote %s (%d events)\n", *traceOut, tr.Len())
-	}
-	if *flightOut != "" {
-		if err := frec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			shutdown()
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
-	}
-	shutdown()
 }
 
 func max1(v uint64) float64 {
@@ -353,9 +234,9 @@ func max1(v uint64) float64 {
 // runSampled is the -sample-mode=sampled|validate path: run the workload
 // through the SimPoint-style sampling engine and report the extrapolated
 // estimate; in validate mode also run the full simulation and compare against
-// the published error bounds (nonzero exit on violation). Returns the process
-// exit code.
-func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, mode, metricsOut string) int {
+// the published error bounds (nonzero exit on violation). The estimate's
+// metrics go to reg (nil without -metrics). Returns the process exit code.
+func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, mode string, reg *telemetry.Registry) int {
 	spec := sampling.DefaultSpec()
 	warmup := w.Warmup * uint64(smt)
 	est, err := sampling.Run(cfg, w.Prog, bud, warmup, smt, 50_000_000, spec)
@@ -403,24 +284,16 @@ func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, m
 			fmt.Println("validate        ok")
 		}
 	}
-	if metricsOut != "" {
-		reg := telemetry.NewRegistry()
-		labels := []telemetry.Label{
-			telemetry.L("workload", w.Name),
-			telemetry.L("config", cfg.Name),
-			telemetry.L("smt", fmt.Sprint(smt)),
-		}
-		reg.Counter("sampling_intervals_total", labels...).Add(uint64(m.Intervals))
-		reg.Counter("sampling_simulated_total", labels...).Add(m.SimulatedInsts)
-		reg.Gauge("sampling_speedup", labels...).Set(m.Speedup())
-		reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-		reg.Gauge("sim_power_total", labels...).Set(rep.Total)
-		if err := reg.WriteFile(metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", metricsOut)
+	labels := []telemetry.Label{
+		telemetry.L("workload", w.Name),
+		telemetry.L("config", cfg.Name),
+		telemetry.L("smt", fmt.Sprint(smt)),
 	}
+	reg.Counter("sampling_intervals_total", labels...).Add(uint64(m.Intervals))
+	reg.Counter("sampling_simulated_total", labels...).Add(m.SimulatedInsts)
+	reg.Gauge("sampling_speedup", labels...).Set(m.Speedup())
+	reg.Gauge("sim_ipc", labels...).Set(a.IPC())
+	reg.Gauge("sim_power_total", labels...).Set(rep.Total)
 	return exit
 }
 

@@ -27,41 +27,34 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/fabric"
-	"power10sim/internal/flightrec"
 	"power10sim/internal/progress"
-	"power10sim/internal/runlog"
-	"power10sim/internal/runner"
-	"power10sim/internal/telemetry"
 )
 
 func main() {
+	obs := cliutil.Register(cliutil.Help{
+		Metrics:   "write a metrics-registry JSON snapshot on exit",
+		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, chaos kill, or a lost lease",
+		CacheDir:  "persist simulation results under this directory (shared p10cache-v1 store)",
+		RunLog:    "append one campaign-ledger record per executed simulation under this directory",
+		Jobs:      "max concurrent simulations (0 = GOMAXPROCS)",
+	})
 	var (
-		coordURL   = flag.String("coord", "", "coordinator base URL (e.g. http://127.0.0.1:9170)")
-		name       = flag.String("name", "", "advertised worker name (default: hostname-pid)")
-		jobs       = flag.Int("jobs", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		batch      = flag.Int("batch", 0, "max units leased per poll (0 = match -jobs)")
-		chaosSpec  = flag.String("chaos", "", "misbehave on purpose: kill[:n] | stall[:n] | corrupt[:n]")
-		metricsOut = flag.String("metrics", "", "write a metrics-registry JSON snapshot on exit")
-		flightOut  = flag.String("flightrec", "", "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, chaos kill, or a lost lease")
-		cacheDir   = flag.String("cachedir", "", "persist simulation results under this directory (shared p10cache-v1 store)")
-		runlogDir  = flag.String("runlog", "", "append one campaign-ledger record per executed simulation under this directory")
+		coordURL  = flag.String("coord", "", "coordinator base URL (e.g. http://127.0.0.1:9170)")
+		name      = flag.String("name", "", "advertised worker name (default: hostname-pid)")
+		batch     = flag.Int("batch", 0, "max units leased per poll (0 = match -jobs)")
+		chaosSpec = flag.String("chaos", "", "misbehave on purpose: kill[:n] | stall[:n] | corrupt[:n]")
 	)
 	flag.Parse()
 	if *coordURL == "" {
 		cliutil.Usagef("-coord is required")
 	}
-	if *jobs < 0 {
-		cliutil.Usagef("-jobs %d: must be >= 0", *jobs)
-	}
+	obs.Check()
 	if *batch < 0 {
 		cliutil.Usagef("-batch %d: must be >= 0", *batch)
 	}
@@ -69,64 +62,19 @@ func main() {
 	if err != nil {
 		cliutil.Usagef("%v", err)
 	}
-	if err := cliutil.CheckOutputPath("metrics", *metricsOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	if err := cliutil.CheckOutputPath("flightrec", *flightOut); err != nil {
-		cliutil.Usagef("%v", err)
-	}
 	// SIGTERM drains rather than kills: Run finishes and reports the current
 	// batch, then deregisters so the coordinator reclaims nothing by timeout.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	// The registry is always live so the coordinator's federated scrape has
 	// worker-side series to merge; the -metrics file write stays opt-in.
-	reg := telemetry.NewRegistry()
-	bus := progress.NewBus()
-	pool := runner.New(*jobs)
-	pool.Instrument(reg, nil)
-	pool.SetContext(ctx)
-	pool.SetBus(bus)
-	console := progress.NewConsole(bus, os.Stderr)
-	if err := pool.SetCacheDir(*cacheDir); err != nil {
-		cliutil.Usagef("%v", err)
-	}
-	var led *runlog.Ledger
-	if *runlogDir != "" {
-		led, err = runlog.Open(*runlogDir, runlog.Options{Command: "p10worker"})
-		if err != nil {
-			cliutil.Usagef("%v", err)
-		}
-		led.Instrument(reg)
-		pool.SetRunLog(led)
-	}
-	// Armed only when requested: a nil recorder is a no-op everywhere, so the
-	// lease-loss and chaos-kill hooks below need no flag checks of their own.
-	var rec *flightrec.Recorder
-	if *flightOut != "" {
-		rec = flightrec.New(flightrec.Options{
-			Command:  "p10worker",
-			Bus:      bus,
-			Registry: reg,
-			DumpPath: *flightOut,
-			AutoDump: flightrec.WatchdogAutoDump,
-		})
-	}
-	rec.ArmSIGQUIT(nil)
-	defer rec.DumpOnPanic()
-	cliutil.FlushOnDrain(ctx, func() {
-		rec.Note("drain signal received")
-		_ = rec.Dump("drain")
-		if *metricsOut != "" {
-			_ = reg.WriteFile(*metricsOut)
-		}
-	})
-	w := fabric.NewWorker(pool, fabric.WorkerOptions{
+	h := cliutil.Start(obs, cliutil.Options{Command: "p10worker", Registry: true})
+	defer h.Rec.DumpOnPanic()
+	console := progress.NewConsole(h.Bus, os.Stderr)
+	w := fabric.NewWorker(h.Pool, fabric.WorkerOptions{
 		Coordinator: *coordURL,
 		Name:        *name,
 		Batch:       *batch,
 		Chaos:       chaos,
-		Registry:    reg,
+		Registry:    h.Reg,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "p10worker: "+format+"\n", args...)
 		},
@@ -134,52 +82,28 @@ func main() {
 		// exactly the "what was I doing when the fleet moved on?" moment the
 		// flight record exists for.
 		OnLeaseExpired: func(keys []string) {
-			rec.Note("lease lost: %v", keys)
-			_ = rec.Dump("lease lost")
+			h.Rec.Note("lease lost: %v", keys)
+			_ = h.Rec.Dump("lease lost")
 		},
 		// The chaos kill path exits without unwinding; dump the record first so
 		// the harness (and scripts/trace_check.sh) can post-mortem the corpse.
 		// Exit code 3 is part of the chaos contract — keep it.
 		Exit: func(code int) {
-			rec.Note("chaos kill: exiting %d", code)
-			_ = rec.Dump("chaos kill")
+			h.Rec.Note("chaos kill: exiting %d", code)
+			_ = h.Rec.Dump("chaos kill")
 			os.Exit(code)
 		},
 	})
-	runErr := w.Run(ctx)
+	h.Ready()
+	runErr := w.Run(h.Ctx)
 	console.Stop()
 	exit := 0
-	if runErr != nil && ctx.Err() == nil {
+	if runErr != nil && h.Ctx.Err() == nil {
 		fmt.Fprintf(os.Stderr, "p10worker: %v\n", runErr)
 		exit = 1
 	}
-	st := pool.Stats()
+	st := h.Pool.Stats()
 	fmt.Fprintf(os.Stderr, "p10worker: executed %d unique run(s), %d memo + %d disk hit(s)\n",
 		st.Misses-st.DiskHits, st.Hits, st.DiskHits)
-	if led != nil {
-		recs, n := led.Appended()
-		if err := led.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-			exit = 1
-		}
-		fmt.Fprintf(os.Stderr, "runlog: %d records (%d B) appended under %s\n", recs, n, *runlogDir)
-	}
-	if *metricsOut != "" {
-		if err := reg.WriteFile(*metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "metrics: wrote %s\n", *metricsOut)
-		}
-	}
-	if *flightOut != "" {
-		if err := rec.DumpFile(*flightOut, "end of run"); err != nil {
-			fmt.Fprintf(os.Stderr, "flightrec: %v\n", err)
-			exit = 1
-		} else {
-			fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", *flightOut)
-		}
-	}
-	bus.Close()
-	os.Exit(exit)
+	os.Exit(h.Close(exit))
 }

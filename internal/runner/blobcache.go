@@ -82,7 +82,7 @@ func CachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T
 	if err != nil {
 		return v, nil
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := writeBytesAtomic(path, data); err != nil {
 		return v, nil
 	}
 	r.mu.Lock()

@@ -5,12 +5,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"power10sim/internal/power"
 	"power10sim/internal/sampling"
+	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 )
 
@@ -32,10 +34,10 @@ import (
 // the power Report is recomputed on load, so power-model changes take effect
 // without versioning the cache.
 //
-// Writes go through a temp-file-plus-rename in the cache directory (the same
-// discipline as the telemetry artifact writer), so concurrent processes and
-// interrupted runs can never publish a truncated entry; a corrupt or
-// unreadable file is treated as a miss and overwritten by the next store.
+// Writes go through telemetry.WriteFileAtomic (a temp file in the cache
+// directory plus rename), so concurrent processes and interrupted runs can
+// never publish a truncated entry; a corrupt or unreadable file is treated as
+// a miss and overwritten by the next store.
 // Chaos-injected requests never touch the disk layer: their failure budgets
 // are per-spec-instance state that must not leak across processes.
 
@@ -181,7 +183,7 @@ func (r *Runner) diskStore(k key, req Request, res Result) {
 	if err != nil {
 		return
 	}
-	if err := writeFileAtomic(r.diskPath(k), data); err != nil {
+	if err := writeBytesAtomic(r.diskPath(k), data); err != nil {
 		return
 	}
 	r.mu.Lock()
@@ -190,33 +192,12 @@ func (r *Runner) diskStore(k key, req Request, res Result) {
 	r.obs.diskWrittenBytes.Add(uint64(len(data)))
 }
 
-// writeFileAtomic publishes data at path via a temp file in the same
-// directory plus rename, so a concurrent reader (another process warming
-// from the same cache) only ever observes a complete entry.
-func writeFileAtomic(path string, data []byte) error {
-	f, err := os.CreateTemp(filepath.Dir(path), ".p10cache-*")
-	if err != nil {
+// writeBytesAtomic publishes data at path through telemetry.WriteFileAtomic,
+// so a concurrent reader (another process warming from the same cache) only
+// ever observes a complete entry.
+func writeBytesAtomic(path string, data []byte) error {
+	return telemetry.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
 		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Chmod(0o644); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	})
 }

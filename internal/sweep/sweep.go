@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sort"
 	"time"
 
 	"power10sim/internal/experiments"
@@ -142,8 +143,36 @@ func Totals(w io.Writer, st runner.Stats, workers int, elapsed time.Duration) {
 		elapsed.Seconds(), workers, st.PeakInFlight, st.QueueWait.Seconds())
 }
 
-// DiskTotals renders the persistent-cache traffic line (stderr).
-func DiskTotals(w io.Writer, st runner.Stats, dir string) {
-	fmt.Fprintf(w, "diskcache: %d hits, %d misses, %d B read, %d B written (%s)\n",
-		st.DiskHits, st.DiskMisses, st.DiskReadBytes, st.DiskWrittenBytes, dir)
+// List renders the catalog for -list: one "name title" line per
+// experiment, sorted by name.
+func List(w io.Writer, cat []Experiment) {
+	names := make([]string, len(cat))
+	for i, e := range cat {
+		names[i] = fmt.Sprintf("%-10s %s", e.Name, e.Title)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		fmt.Fprintln(w, n)
+	}
+}
+
+// Report prints the end-of-sweep failure accounting to w (stderr): every
+// degraded point, every failed experiment, and an interrupted sweep. It
+// returns the exit status, 1 if any of those occurred, so automation never
+// mistakes partial results for a clean run.
+func (o Outcome) Report(ctx context.Context, w io.Writer, failures *experiments.FailureLog) int {
+	exit := 0
+	if s := failures.Summary(); s != "" {
+		fmt.Fprint(w, s)
+		exit = 1
+	}
+	if len(o.Failed) > 0 {
+		fmt.Fprintf(w, "%d experiment(s) failed: %v\n", len(o.Failed), o.Failed)
+		exit = 1
+	}
+	if ctx.Err() != nil {
+		fmt.Fprintln(w, "sweep interrupted")
+		exit = 1
+	}
+	return exit
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // WriteFileAtomic is the exported form of the registry/tracer atomic-write
-// primitive, for callers (the fabric's merged fleet trace, the flight
-// recorder's post-mortem dump) that produce observability artifacts outside
-// this package but need the same never-truncated guarantee.
+// primitive, for callers outside this package that need the same
+// never-truncated guarantee: the CLI harness's artifacts, the flight
+// recorder's post-mortem dump, and the runner's persistent cache entries.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	return writeFileAtomic(path, write)
 }
