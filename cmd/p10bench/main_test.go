@@ -9,6 +9,8 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, "p10bench", main) }
 
+func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
+
 func TestListGolden(t *testing.T) {
 	out, stderr, code := clitest.Run(t, "-list")
 	if code != 0 {

@@ -10,6 +10,8 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, "p10coord", main) }
 
+func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
+
 // TestListMatchesBench checks that the coordinator lists the same catalog
 // p10bench does: both render it through the shared sweep driver.
 func TestListMatchesBench(t *testing.T) {

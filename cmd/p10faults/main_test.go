@@ -9,6 +9,8 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, "p10faults", main) }
 
+func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
+
 // TestCampaignGolden pins the validation and consequence tables of a small
 // campaign; the campaign is deterministic in (seed, trials) for any -jobs.
 func TestCampaignGolden(t *testing.T) {

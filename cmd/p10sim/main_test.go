@@ -9,6 +9,8 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, "p10sim", main) }
 
+func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
+
 func TestDaxpyGolden(t *testing.T) {
 	out, stderr, code := clitest.Run(t, "-workload", "daxpy")
 	if code != 0 {

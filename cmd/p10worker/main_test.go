@@ -9,6 +9,8 @@ import (
 
 func TestMain(m *testing.M) { clitest.Main(m, "p10worker", main) }
 
+func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
+
 // TestUsageErrors covers the flag checks that must exit 2 before the worker
 // contacts a coordinator. The coordinator URL points at a closed loopback
 // port, so a check that stopped firing fails fast instead of joining a fleet.

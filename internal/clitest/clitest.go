@@ -95,13 +95,23 @@ func Golden(t *testing.T, name, got string) {
 		path, i+1, line(g), line(w))
 }
 
+// HelpGolden pins the command's -help output (every flag with its default
+// and help text) to testdata/help.golden.
+func HelpGolden(t *testing.T) {
+	t.Helper()
+	_, stderr, code := Run(t, "-help")
+	if code != 0 {
+		t.Fatalf("-help: exit %d", code)
+	}
+	Golden(t, "help", stderr)
+}
+
 // UsageError asserts that args make the command exit 2, the usage-error
-// status, and returns its stderr.
-func UsageError(t *testing.T, args ...string) string {
+// status.
+func UsageError(t *testing.T, args ...string) {
 	t.Helper()
 	_, stderr, code := Run(t, args...)
 	if code != 2 {
 		t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, stderr)
 	}
-	return stderr
 }
