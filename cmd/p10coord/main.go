@@ -70,6 +70,9 @@ func main() {
 	)
 	flag.Parse()
 	obs.Check()
+	if *listenAddr == "" {
+		cliutil.Usagef("-listen is required: workers reach the coordinator through it")
+	}
 	if *minWorkers < 0 {
 		cliutil.Usagef("-min-workers %d: must be >= 0", *minWorkers)
 	}

@@ -41,6 +41,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-runlog-series", "4"},
 		{"-min-workers", "-1"},
 		{"-max-attempts", "0"},
+		{"-listen", ""},
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}

@@ -42,6 +42,6 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
-	// -pprof is gone: -serve mounts /debug/pprof/* on the observability server.
+	// There is no -pprof flag: -serve mounts /debug/pprof/* instead.
 	clitest.UsageError(t, "-pprof", "127.0.0.1:0", "-list")
 }

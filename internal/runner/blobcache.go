@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
+	"power10sim/internal/telemetry"
 	"power10sim/internal/workloads"
 )
 
@@ -82,7 +84,10 @@ func CachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T
 	if err != nil {
 		return v, nil
 	}
-	if err := writeBytesAtomic(path, data); err != nil {
+	if err := telemetry.WriteFileAtomic(path, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return v, nil
 	}
 	r.mu.Lock()

@@ -183,21 +183,14 @@ func (r *Runner) diskStore(k key, req Request, res Result) {
 	if err != nil {
 		return
 	}
-	if err := writeBytesAtomic(r.diskPath(k), data); err != nil {
+	if err := telemetry.WriteFileAtomic(r.diskPath(k), func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return
 	}
 	r.mu.Lock()
 	r.stats.DiskWrittenBytes += uint64(len(data))
 	r.mu.Unlock()
 	r.obs.diskWrittenBytes.Add(uint64(len(data)))
-}
-
-// writeBytesAtomic publishes data at path through telemetry.WriteFileAtomic,
-// so a concurrent reader (another process warming from the same cache) only
-// ever observes a complete entry.
-func writeBytesAtomic(path string, data []byte) error {
-	return telemetry.WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
 }
