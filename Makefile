@@ -93,9 +93,9 @@ trace-check:
 bench-test:
 	cd bench && $(GO) test ./...
 
-# perf runs the perf-regression ledger: the fixed go-bench tier plus a
-# wall-clocked quick sweep, written as the next perf/BENCH_<n>.json and
-# compared against the newest committed ledger. Exits nonzero on regression.
+# perf runs the perf-regression ledger: the fixed go-bench tier, written as
+# the next perf/BENCH_<n>.json and compared against the newest committed
+# ledger. Exits nonzero on regression.
 perf:
 	$(GO) run ./cmd/p10perf
 

@@ -18,18 +18,14 @@ import (
 
 // Ledger is one BENCH_<n>.json document: everything `make perf` measured in
 // one run, with enough environment context to judge cross-machine noise.
-// DESIGN.md documents the schema.
+// DESIGN.md documents the schema. Older ledgers also carry "sweep" and
+// "surrogate" wall-clock sections; decoding ignores them.
 type Ledger struct {
 	Schema            int           `json:"schema"`
 	Created           string        `json:"created"`
 	Environment       Environment   `json:"environment"`
 	Benchmarks        []BenchResult `json:"benchmarks"`
-	Sweep             SweepResult   `json:"sweep"`
 	TelemetryOverhead float64       `json:"telemetry_overhead"`
-	// Surrogate is the surrogate-tier wall-clock sample; a pointer so
-	// ledgers written before the tier existed compare cleanly (nil on both
-	// sides of the comparison skips the rows).
-	Surrogate *SurrogateResult `json:"surrogate,omitempty"`
 }
 
 // Environment records where the numbers came from; regressions are only
@@ -48,28 +44,6 @@ type BenchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  uint64  `json:"bytes_per_op"`
 	AllocsPerOp uint64  `json:"allocs_per_op"`
-}
-
-// SweepResult is the wall-clocked quick-sweep sample: end-to-end harness
-// throughput, which the microbenchmarks alone cannot regress-test.
-type SweepResult struct {
-	Experiment    string  `json:"experiment"`
-	Quick         bool    `json:"quick"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	UniqueRuns    uint64  `json:"unique_runs"`
-	CacheHits     uint64  `json:"cache_hits"`
-	SimsPerSecond float64 `json:"sims_per_second"`
-}
-
-// SurrogateResult is the surrogate cache tier's wall-clock sample: one
-// training fit on a synthetic corpus plus the averaged cost of a full
-// 5,000-point pure-prediction design-space sweep (the p10explore hot path).
-type SurrogateResult struct {
-	TrainRows         int     `json:"train_rows"`
-	TrainSeconds      float64 `json:"train_seconds"`
-	Points            int     `json:"points"`
-	SweepSeconds      float64 `json:"sweep_seconds"`
-	PredictionsPerSec float64 `json:"predictions_per_sec"`
 }
 
 // benchLine matches one benchmark result line, e.g.
@@ -226,21 +200,8 @@ func compare(oldPath string, old, cur *Ledger, threshold float64) (string, int) 
 		noisy := o.NsPerOp < minRegressNs && r.NsPerOp < minRegressNs
 		row(r.Name+" ns/op", o.NsPerOp, r.NsPerOp, noisy)
 	}
-	if old.Sweep.WallSeconds > 0 && cur.Sweep.WallSeconds > 0 {
-		row("sweep "+cur.Sweep.Experiment+" wall seconds",
-			old.Sweep.WallSeconds, cur.Sweep.WallSeconds, false)
-	}
 	if old.TelemetryOverhead > 0 && cur.TelemetryOverhead > 0 {
 		row("telemetry overhead (on/off)", old.TelemetryOverhead, cur.TelemetryOverhead, false)
-	}
-	// Surrogate rows only compare when both ledgers carry the sample
-	// (pre-surrogate ledgers have a nil pointer). Sweep time is shown in
-	// milliseconds: a full 5,000-point pass is ~10ms, invisible in %.2f
-	// seconds.
-	if old.Surrogate != nil && cur.Surrogate != nil {
-		row("surrogate train seconds", old.Surrogate.TrainSeconds, cur.Surrogate.TrainSeconds, false)
-		row(fmt.Sprintf("surrogate %d-pt sweep ms", cur.Surrogate.Points),
-			old.Surrogate.SweepSeconds*1e3, cur.Surrogate.SweepSeconds*1e3, false)
 	}
 	return b.String(), regressions
 }

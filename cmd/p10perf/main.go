@@ -1,7 +1,6 @@
 // Command p10perf is the perf-regression ledger: it measures a fixed tier of
-// `go test -bench` microbenchmarks plus a wall-clocked quick sweep, writes
-// the results as the next perf/BENCH_<n>.json, and compares them against the
-// newest prior ledger. Any tracked metric slower than the noise threshold
+// `go test -bench` microbenchmarks, writes the results as the next
+// perf/BENCH_<n>.json, and compares them against the newest prior ledger. Any tracked metric slower than the noise threshold
 // fails the gate (exit 1) with a readable diff, so a perf regression shows
 // up in review as a red `make perf` next to the ledger that caught it.
 //
@@ -10,11 +9,12 @@
 //	p10perf                     # measure, write perf/BENCH_<n>.json, compare
 //	p10perf -threshold 0.5      # looser gate (single-CPU CI boxes are noisy)
 //	p10perf -dry-run            # measure and compare, write nothing
-//	p10perf -slow-factor 2      # test hook: fake a 2x slowdown (must fail)
 //
 // The benchmark tier is fixed on purpose: the zero-cost guards
 // (CoreTelemetryOff vs CoreTelemetryOn, PublishNoSubscribers) are exactly
 // the paths this repo promises stay free when observability is off.
+// End-to-end wall-clock jobs (sweeps, surrogate training) are measured with
+// paired statistics by the bench/ module, not here.
 package main
 
 import (
@@ -30,9 +30,6 @@ import (
 	"time"
 
 	"power10sim/internal/cliutil"
-	"power10sim/internal/experiments"
-	"power10sim/internal/runner"
-	"power10sim/internal/surrogate"
 )
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
@@ -115,71 +112,6 @@ func goBench(tier, benchtime string, count int, pkgs ...string) ([]BenchResult, 
 	return parseBenchOutput(&out)
 }
 
-// runSweep wall-clocks one quick experiment on a fresh pool: the end-to-end
-// number that catches regressions living between the microbenchmarks (queue
-// wait, memo-cache contention, result plumbing).
-func runSweep() (SweepResult, error) {
-	fmt.Fprintf(os.Stderr, "p10perf: wall-clocking quick fig5 sweep\n")
-	pool := runner.New(0)
-	o := experiments.Options{Quick: true, Runner: pool}
-	start := time.Now()
-	if _, err := experiments.Fig5(o); err != nil {
-		return SweepResult{}, err
-	}
-	wall := time.Since(start).Seconds()
-	st := pool.Stats()
-	s := SweepResult{
-		Experiment:  "fig5",
-		Quick:       true,
-		WallSeconds: wall,
-		UniqueRuns:  st.Misses,
-		CacheHits:   st.Hits,
-	}
-	if wall > 0 {
-		s.SimsPerSecond = float64(st.Misses) / wall
-	}
-	return s, nil
-}
-
-// runSurrogate wall-clocks the surrogate cache tier end to end: one training
-// fit (ridge + forward selection + per-workload residuals + the k-fold
-// conformal calibration pass) on a synthetic corpus, then repeated full
-// passes over a 5,000-point generated design space — the pure-prediction
-// sweep p10explore runs per invocation. The per-call cost is already gated
-// by BenchmarkSurrogatePredict; these numbers catch regressions in the batch
-// path (feature rendering, space generation, training itself).
-func runSurrogate() (*SurrogateResult, error) {
-	fmt.Fprintf(os.Stderr, "p10perf: wall-clocking surrogate train + 5000-point sweeps\n")
-	c := surrogate.SyntheticCorpus(480, 1)
-	start := time.Now()
-	m, err := surrogate.Train(c, surrogate.TrainOptions{})
-	if err != nil {
-		return nil, err
-	}
-	train := time.Since(start).Seconds()
-	r := &c.Rows[0]
-	pts := surrogate.Space(5000, 7)
-	var buf surrogate.PredictBuf
-	const reps = 20
-	start = time.Now()
-	for rep := 0; rep < reps; rep++ {
-		for _, p := range pts {
-			m.Predict(&buf, p.Cfg, r.Workload, r.Profile, p.SMT, r.Budget, r.Warmup)
-		}
-	}
-	total := time.Since(start).Seconds()
-	res := &SurrogateResult{
-		TrainRows:    len(c.Rows),
-		TrainSeconds: train,
-		Points:       len(pts),
-		SweepSeconds: total / reps,
-	}
-	if total > 0 {
-		res.PredictionsPerSec = float64(reps*len(pts)) / total
-	}
-	return res, nil
-}
-
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
 	if err != nil {
@@ -190,18 +122,14 @@ func gitCommit() string {
 
 func main() {
 	var (
-		dir        = flag.String("dir", "perf", "ledger directory (BENCH_<n>.json files)")
-		threshold  = flag.Float64("threshold", 0.30, "relative slowdown that fails the gate")
-		benchtime  = flag.String("benchtime", "3x", "go test -benchtime for the micro tier")
-		dryRun     = flag.Bool("dry-run", false, "measure and compare but do not write a ledger")
-		slowFactor = flag.Float64("slow-factor", 1, "test hook: scale measured times by this factor")
+		dir       = flag.String("dir", "perf", "ledger directory (BENCH_<n>.json files)")
+		threshold = flag.Float64("threshold", 0.30, "relative slowdown that fails the gate")
+		benchtime = flag.String("benchtime", "3x", "go test -benchtime for the micro tier")
+		dryRun    = flag.Bool("dry-run", false, "measure and compare but do not write a ledger")
 	)
 	flag.Parse()
 	if *threshold <= 0 {
 		cliutil.Usagef("-threshold %v: must be > 0", *threshold)
-	}
-	if *slowFactor <= 0 {
-		cliutil.Usagef("-slow-factor %v: must be > 0", *slowFactor)
 	}
 
 	benches, err := runGoBench(*benchtime)
@@ -213,17 +141,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "p10perf: benchmark tier produced no results")
 		os.Exit(1)
 	}
-	sweep, err := runSweep()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p10perf: sweep: %v\n", err)
-		os.Exit(1)
-	}
-	sur, err := runSurrogate()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "p10perf: surrogate: %v\n", err)
-		os.Exit(1)
-	}
-
 	cur := &Ledger{
 		Schema:  1,
 		Created: time.Now().UTC().Format(time.RFC3339),
@@ -235,30 +152,14 @@ func main() {
 			Commit:    gitCommit(),
 		},
 		Benchmarks: benches,
-		Sweep:      sweep,
-		Surrogate:  sur,
 	}
-	// The slow-factor hook scales every timing after measurement, so the
-	// regression path is testable without actually slowing the code.
 	var off, on float64
-	for i := range cur.Benchmarks {
-		cur.Benchmarks[i].NsPerOp *= *slowFactor
-		switch cur.Benchmarks[i].Name {
+	for _, r := range cur.Benchmarks {
+		switch r.Name {
 		case "BenchmarkCoreTelemetryOff":
-			off = cur.Benchmarks[i].NsPerOp
+			off = r.NsPerOp
 		case "BenchmarkCoreTelemetryOn":
-			on = cur.Benchmarks[i].NsPerOp
-		}
-	}
-	cur.Sweep.WallSeconds *= *slowFactor
-	if cur.Sweep.WallSeconds > 0 {
-		cur.Sweep.SimsPerSecond = float64(cur.Sweep.UniqueRuns) / cur.Sweep.WallSeconds
-	}
-	if cur.Surrogate != nil {
-		cur.Surrogate.TrainSeconds *= *slowFactor
-		cur.Surrogate.SweepSeconds *= *slowFactor
-		if cur.Surrogate.SweepSeconds > 0 {
-			cur.Surrogate.PredictionsPerSec = float64(cur.Surrogate.Points) / cur.Surrogate.SweepSeconds
+			on = r.NsPerOp
 		}
 	}
 	if off > 0 {
@@ -310,6 +211,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "p10perf: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("wrote %s (%d benchmarks, sweep %.2fs)\n", path, len(cur.Benchmarks), cur.Sweep.WallSeconds)
+	fmt.Printf("wrote %s (%d benchmarks)\n", path, len(cur.Benchmarks))
 	os.Exit(exit)
 }

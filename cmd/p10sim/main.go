@@ -171,20 +171,7 @@ func main() {
 	rep := mdl.Report(a)
 	h.Bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
 		Elapsed: time.Since(simStart).Seconds(), IPC: a.IPC(), Power: rep.Total})
-	cyc := float64(a.Cycles)
-	rec.Cycles = a.Cycles
-	rec.Instructions = a.Instructions
-	rec.CPI = a.CPI()
-	rec.IPC = a.IPC()
-	rec.PowerTotal = rep.Total
-	rec.EnergyTotal = rep.Total * cyc
-	rec.EnergyClock = rep.Clock * cyc
-	rec.EnergySwitching = rep.Switching * cyc
-	rec.EnergyArray = rep.Array * cyc
-	rec.EnergyLeakage = rep.Leakage * cyc
-	if a.Instructions > 0 {
-		rec.EPI = rec.EnergyTotal / float64(a.Instructions)
-	}
+	rec.Measure(a, rep)
 	logRun(h.Led, rec)
 	fmt.Printf("workload        %s (SMT%d) on %s\n", w.Name, *smt, cfg.Name)
 	fmt.Printf("cycles          %d\n", a.Cycles)

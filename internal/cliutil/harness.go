@@ -156,7 +156,7 @@ func Start(f *Flags, o Options) *Harness {
 	}
 	if f.FlightRec != "" {
 		h.Rec = flightrec.New(flightrec.Options{Command: o.Command, Bus: h.Bus,
-			Registry: h.Reg, DumpPath: f.FlightRec, AutoDump: flightrec.WatchdogAutoDump})
+			Registry: h.Reg, DumpPath: f.FlightRec})
 		h.Rec.ArmSIGQUIT(nil)
 	}
 	return h

@@ -1,17 +1,20 @@
-// Package flightrec is the harness's crash-safe flight recorder: a bounded
-// in-memory ring of the most recent progress-bus events and operator notes,
-// paired with a baseline telemetry snapshot, that can be dumped atomically to
-// JSON at the moment something goes wrong — a panic, a SIGQUIT, a watchdog
-// kill, a lost lease, a chaos exit. The dump answers the post-mortem question
-// the live endpoints cannot: "what was this process doing in the seconds
-// before it died?", from a process that is already dying.
+// Package flightrec is the harness's crash-safe flight recorder: the tail of
+// the progress bus's replay ring (events and operator notes, in one seq
+// order), paired with a baseline telemetry snapshot, that can be dumped
+// atomically to JSON at the moment something goes wrong — a panic, a SIGQUIT,
+// a watchdog kill, a lost lease, a chaos exit. The dump answers the
+// post-mortem question the live endpoints cannot: "what was this process
+// doing in the seconds before it died?", from a process that is already
+// dying.
 //
 // The recorder follows the repository's observability conventions:
 //
 //   - Nil is off. Every method on a nil *Recorder does nothing, so CLIs arm
 //     it unconditionally behind a flag.
-//   - Bounded memory. The ring holds Capacity entries; older entries are
-//     dropped and counted, never reallocated at dump time.
+//   - One event history. The recorder keeps no ring of its own: it subscribes
+//     to the bus, which makes the bus stamp and retain every event, and a
+//     dump reads the newest DefaultCapacity of them. Notes are bus events
+//     too, so a dump taken right after an event always contains it.
 //   - Crash-safe output. Dumps go through the telemetry package's atomic
 //     write (temp file + rename), so a dump interrupted by the very crash it
 //     is recording leaves either the previous complete dump or nothing —
@@ -22,16 +25,14 @@
 package flightrec
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
-
-	"encoding/json"
 
 	"power10sim/internal/progress"
 	"power10sim/internal/telemetry"
@@ -40,19 +41,17 @@ import (
 // Schema identifies the dump format; p10obscheck -flightrec verifies it.
 const Schema = "p10flightrec-v1"
 
-// DefaultCapacity is the ring size when Options.Capacity is unset: enough to
-// hold the tail of any realistic sweep's event stream without mattering to
-// the process footprint.
+// DefaultCapacity is how many of the newest bus events a dump carries: enough
+// for the tail of any realistic sweep's event stream while keeping the dump
+// small.
 const DefaultCapacity = 256
 
 // Options configures a Recorder.
 type Options struct {
 	// Command names the process in the dump ("p10bench", "p10worker", ...).
 	Command string
-	// Capacity bounds the event ring (default DefaultCapacity).
-	Capacity int
-	// Bus, when non-nil, is subscribed to and its events recorded into the
-	// ring as they are published.
+	// Bus is the event history the recorder dumps from and publishes notes
+	// on. Required.
 	Bus *progress.Bus
 	// Registry, when non-nil, is snapshotted at arm time (the delta baseline)
 	// and again at each dump.
@@ -60,15 +59,12 @@ type Options struct {
 	// DumpPath is the default destination for Dump/DumpOnPanic; empty makes
 	// those methods no-ops (WriteJSON and DumpFile still work).
 	DumpPath string
-	// AutoDump, when non-nil, is evaluated against every bus event; a true
-	// return dumps to DumpPath immediately. WatchdogAutoDump is the stock
-	// predicate (dump when a simulation dies by watchdog).
-	AutoDump func(progress.Event) bool
 }
 
-// WatchdogAutoDump is the stock AutoDump predicate: fire on simulation
-// failures and retries whose error mentions the watchdog — the hang-recovery
-// path, where the pre-kill event tail is exactly what a post-mortem needs.
+// WatchdogAutoDump is the auto-dump predicate every recorder applies to the
+// bus stream: fire on simulation failures and retries whose error mentions
+// the watchdog — the hang-recovery path, where the pre-kill event tail is
+// exactly what a post-mortem needs.
 func WatchdogAutoDump(ev progress.Event) bool {
 	if ev.Kind != progress.KindSimFailed && ev.Kind != progress.KindSimRetried {
 		return false
@@ -76,11 +72,11 @@ func WatchdogAutoDump(ev progress.Event) bool {
 	return strings.Contains(ev.Err, "watchdog")
 }
 
-// Entry is one ring slot: a recorded bus event or an operator note.
+// Entry is one dumped bus event.
 type Entry struct {
-	// Seq is the recorder-local sequence number, strictly increasing across
-	// both kinds, so a validator can prove the ring is ordered and gap-free
-	// modulo the counted drops.
+	// Seq is the bus sequence number, strictly increasing across both kinds,
+	// so a validator can prove the dump is ordered and gap-free after the
+	// Dropped older events.
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	// Kind is "event" (Event is set) or "note" (Note is set).
@@ -104,8 +100,8 @@ type Dump struct {
 	// "lease lost", "chaos kill", ...).
 	Reason   string    `json:"reason"`
 	DumpedAt time.Time `json:"dumped_at"`
-	// Dropped counts ring entries lost to the capacity bound before this
-	// dump (the recorder's own overwrites plus bus-side subscription drops).
+	// Dropped counts the older bus events not in the dump (the first dumped
+	// seq minus one).
 	Dropped uint64  `json:"dropped,omitempty"`
 	Events  []Entry `json:"events"`
 	// Counters are deltas since arm time; Gauges are current values (a gauge
@@ -114,96 +110,75 @@ type Dump struct {
 	Gauges   []telemetry.GaugeSnapshot `json:"gauges,omitempty"`
 }
 
-// Recorder is the in-memory flight recorder. Construct with New; a nil
-// *Recorder is a valid no-op.
+// Recorder is the flight recorder. Construct with New; a nil *Recorder is a
+// valid no-op.
 type Recorder struct {
 	opts     Options
 	baseline telemetry.Snapshot
 	sub      *progress.Subscription
-
-	mu      sync.Mutex
-	ring    []Entry
-	next    int // ring insertion point once full
-	seq     uint64
-	dropped uint64
-	done    chan struct{}
+	done     chan struct{}
 }
 
-// New arms a recorder: takes the counter baseline and, when a bus is
-// configured, starts draining its events into the ring. Close it to detach.
+// New arms a recorder: takes the counter baseline and subscribes to the bus,
+// so the bus stamps and retains every event and a watchdog kill dumps to
+// DumpPath as it happens. Close it to detach.
 func New(opts Options) *Recorder {
-	if opts.Capacity <= 0 {
-		opts.Capacity = DefaultCapacity
+	if opts.Bus == nil {
+		panic("flightrec: Options.Bus is required")
 	}
 	r := &Recorder{
 		opts:     opts,
 		baseline: opts.Registry.Snapshot(),
-		done:     make(chan struct{}),
+		// The buffer only feeds the watchdog check, so an overflowing burst
+		// costs at most an auto-dump, never dump content; a dump's worth of
+		// events is plenty of slack.
+		sub:  opts.Bus.Subscribe(DefaultCapacity),
+		done: make(chan struct{}),
 	}
-	if opts.Bus != nil {
-		// The subscription buffer matches the ring: a burst the ring would
-		// overwrite anyway may as well drop at the bus (it is counted there).
-		r.sub = opts.Bus.Subscribe(opts.Capacity)
-		go r.drain()
-	}
+	go r.watch()
 	return r
 }
 
-// drain moves bus events into the ring until the subscription closes.
-func (r *Recorder) drain() {
+// watch drains the subscription until it closes, auto-dumping on watchdog
+// events.
+func (r *Recorder) watch() {
 	defer close(r.done)
 	for ev := range r.sub.C() {
-		ev := ev
-		r.record(Entry{Kind: "event", Time: ev.Time, Event: &ev})
-		if r.opts.AutoDump != nil && r.opts.AutoDump(ev) {
+		if WatchdogAutoDump(ev) {
 			_ = r.Dump(fmt.Sprintf("auto: %s", ev.String()))
 		}
 	}
 }
 
-// record appends one entry, overwriting the oldest once the ring is full.
-func (r *Recorder) record(e Entry) {
-	r.mu.Lock()
-	r.seq++
-	e.Seq = r.seq
-	if e.Time.IsZero() {
-		e.Time = time.Now()
-	}
-	if len(r.ring) < r.opts.Capacity {
-		r.ring = append(r.ring, e)
-	} else {
-		r.ring[r.next] = e
-		r.next = (r.next + 1) % len(r.ring)
-		r.dropped++
-	}
-	r.mu.Unlock()
-}
-
-// Note records an operator annotation ("draining on SIGTERM", "lease lost:
-// <keys>"). Safe on nil.
+// Note publishes an operator annotation ("draining on SIGTERM", "lease lost:
+// <keys>") on the bus as a note event. Safe on nil.
 func (r *Recorder) Note(format string, args ...any) {
 	if r == nil {
 		return
 	}
-	r.record(Entry{Kind: "note", Note: fmt.Sprintf(format, args...)})
+	r.opts.Bus.Publish(progress.Event{Kind: progress.KindNote, Note: fmt.Sprintf(format, args...)})
 }
 
-// snapshotLocked returns the ring in seq order plus the drop count.
-func (r *Recorder) snapshot() (events []Entry, dropped uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	events = make([]Entry, 0, len(r.ring))
-	if len(r.ring) == r.opts.Capacity {
-		events = append(events, r.ring[r.next:]...)
-		events = append(events, r.ring[:r.next]...)
-	} else {
-		events = append(events, r.ring...)
+// entries returns the newest DefaultCapacity bus events as dump entries, plus
+// the number of older events left out.
+func (r *Recorder) entries() ([]Entry, uint64) {
+	evs := r.opts.Bus.ReplaySince(0)
+	if len(evs) > DefaultCapacity {
+		evs = evs[len(evs)-DefaultCapacity:]
 	}
-	dropped = r.dropped
-	if r.sub != nil {
-		dropped += r.sub.Dropped()
+	out := make([]Entry, len(evs))
+	for i := range evs {
+		ev := &evs[i]
+		if ev.Kind == progress.KindNote {
+			out[i] = Entry{Seq: ev.Seq, Time: ev.Time, Kind: "note", Note: ev.Note}
+		} else {
+			out[i] = Entry{Seq: ev.Seq, Time: ev.Time, Kind: "event", Event: ev}
+		}
 	}
-	return events, dropped
+	if len(evs) == 0 {
+		return out, 0
+	}
+	return out, evs[0].Seq - 1
 }
 
 // WriteJSON serializes the flight record. Safe on nil (writes nothing,
@@ -212,7 +187,7 @@ func (r *Recorder) WriteJSON(w io.Writer, reason string) error {
 	if r == nil {
 		return nil
 	}
-	events, dropped := r.snapshot()
+	events, dropped := r.entries()
 	d := Dump{
 		Schema:   Schema,
 		Command:  r.opts.Command,
@@ -308,15 +283,13 @@ func (r *Recorder) ArmSIGQUIT(exit func(int)) {
 	}()
 }
 
-// Close detaches the bus subscription and stops the drain goroutine. It does
+// Close detaches the bus subscription and stops the watch goroutine. It does
 // not dump — pair it with an explicit Dump/DumpFile where a final record is
 // wanted. Safe on nil and idempotent via the subscription's own guard.
 func (r *Recorder) Close() {
 	if r == nil {
 		return
 	}
-	if r.sub != nil {
-		r.sub.Close()
-		<-r.done
-	}
+	r.sub.Close()
+	<-r.done
 }

@@ -19,6 +19,7 @@ package progress
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,6 +76,10 @@ const (
 	// KindUnitDuplicate fires when a late completion for an already-accepted
 	// unit is discarded (the accept-once rule).
 	KindUnitDuplicate Kind = "unit_duplicate"
+
+	// KindNote is an operator annotation from the flight recorder ("drain
+	// signal received", "lease lost: ..."); Note carries the text.
+	KindNote Kind = "note"
 )
 
 // Event is one progress observation. Seq is assigned by the bus at publish
@@ -103,6 +108,8 @@ type Event struct {
 	Power float64 `json:"power,omitempty"`
 	// Worker is the fleet worker name for fabric events.
 	Worker string `json:"worker,omitempty"`
+	// Note is the annotation text of note events.
+	Note string `json:"note,omitempty"`
 }
 
 // String renders the event the way the console subscriber prints it.
@@ -155,7 +162,8 @@ type Bus struct {
 	subs    map[int]*Subscription
 	nextID  int
 	seq     uint64
-	ring    []Event // replay ring, oldest-first once full
+	ring    []Event // replay ring; once full, ring[head] is the oldest event
+	head    int
 	dropped atomic.Uint64
 }
 
@@ -239,8 +247,8 @@ func (b *Bus) Publish(ev Event) {
 	if len(b.ring) < replayCap {
 		b.ring = append(b.ring, ev)
 	} else {
-		copy(b.ring, b.ring[1:])
-		b.ring[len(b.ring)-1] = ev
+		b.ring[b.head] = ev
+		b.head = (b.head + 1) % replayCap
 	}
 	for _, s := range b.subs {
 		select {
@@ -264,22 +272,18 @@ func (b *Bus) ReplaySince(seq uint64) []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	// The ring is ordered by Seq (stamped under this mutex); find the first
-	// event past seq.
-	lo, hi := 0, len(b.ring)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if b.ring[mid].Seq <= seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == len(b.ring) {
+	// In logical order (from head, wrapping) the ring is sorted by Seq,
+	// stamped under this mutex; find the first event past seq.
+	n := len(b.ring)
+	at := func(i int) Event { return b.ring[(b.head+i)%n] }
+	lo := sort.Search(n, func(i int) bool { return at(i).Seq > seq })
+	if lo == n {
 		return nil
 	}
-	out := make([]Event, len(b.ring)-lo)
-	copy(out, b.ring[lo:])
+	out := make([]Event, n-lo)
+	for i := range out {
+		out[i] = at(lo + i)
+	}
 	return out
 }
 

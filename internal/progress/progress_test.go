@@ -323,4 +323,43 @@ func TestReplaySince(t *testing.T) {
 			t.Fatalf("ring not contiguous at %d: %d after %d", i, got[i].Seq, got[i-1].Seq)
 		}
 	}
+
+	// Wrap the ring more than once. Seq s lives in slot (s-1)%replayCap, so
+	// seq 2*replayCap sits in the last slot and its successor in slot 0:
+	// cutting just past it must read across the physical end of the ring.
+	for i := 0; i < replayCap+5; i++ {
+		b.Publish(Event{Kind: KindSimStarted, Sim: "s"})
+	}
+	const latest = 2*replayCap + 15
+	got = b.ReplaySince(0)
+	if len(got) != replayCap || got[0].Seq != latest-replayCap+1 || got[len(got)-1].Seq != latest {
+		t.Fatalf("after two wraps: %d events, seqs %d..%d; want %d..%d",
+			len(got), got[0].Seq, got[len(got)-1].Seq, latest-replayCap+1, latest)
+	}
+	for _, cut := range []uint64{2*replayCap - 1, 2 * replayCap, 2*replayCap + 1} {
+		got = b.ReplaySince(cut)
+		if want := int(latest - cut); len(got) != want {
+			t.Fatalf("ReplaySince(%d) = %d events, want %d", cut, len(got), want)
+		}
+		for i, ev := range got {
+			if ev.Seq != cut+1+uint64(i) {
+				t.Fatalf("ReplaySince(%d)[%d].Seq = %d, want %d", cut, i, ev.Seq, cut+1+uint64(i))
+			}
+		}
+	}
+}
+
+// BenchmarkPublishFullRing measures a subscribed publish once the replay ring
+// is full: the steady state of any long observed campaign.
+func BenchmarkPublishFullRing(b *testing.B) {
+	bus := NewBus()
+	sub := bus.Subscribe(1)
+	defer sub.Close()
+	for i := 0; i < replayCap; i++ {
+		bus.Publish(Event{Kind: KindSimFinished})
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bus.Publish(Event{Kind: KindSimFinished, Sim: "daxpy@POWER10/smt1"})
+	}
 }

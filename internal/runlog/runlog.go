@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"power10sim/internal/power"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 )
@@ -163,6 +164,26 @@ func (r *Record) SimLabel() string {
 // Hit reports whether the record was served from a cache tier rather than
 // executed.
 func (r *Record) Hit() bool { return r.Tier == TierDisk || r.Tier == TierMemo }
+
+// Measure fills the measurement fields from a finished run's activity and
+// power report, integrating the average power over the run's cycles into
+// per-category energy.
+func (r *Record) Measure(a *uarch.Activity, rep *power.Report) {
+	cyc := float64(a.Cycles)
+	r.Cycles = a.Cycles
+	r.Instructions = a.Instructions
+	r.CPI = a.CPI()
+	r.IPC = a.IPC()
+	r.PowerTotal = rep.Total
+	r.EnergyTotal = rep.Total * cyc
+	r.EnergyClock = rep.Clock * cyc
+	r.EnergySwitching = rep.Switching * cyc
+	r.EnergyArray = rep.Array * cyc
+	r.EnergyLeakage = rep.Leakage * cyc
+	if a.Instructions > 0 {
+		r.EPI = r.EnergyTotal / float64(a.Instructions)
+	}
+}
 
 // Options configures a Ledger.
 type Options struct {

@@ -96,21 +96,7 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 	if res.Err != nil {
 		rec.Err = res.Err.Error()
 	} else if res.Activity != nil && res.Report != nil {
-		a, rep := res.Activity, res.Report
-		cyc := float64(a.Cycles)
-		rec.Cycles = a.Cycles
-		rec.Instructions = a.Instructions
-		rec.CPI = a.CPI()
-		rec.IPC = a.IPC()
-		rec.PowerTotal = rep.Total
-		rec.EnergyTotal = rep.Total * cyc
-		rec.EnergyClock = rep.Clock * cyc
-		rec.EnergySwitching = rep.Switching * cyc
-		rec.EnergyArray = rep.Array * cyc
-		rec.EnergyLeakage = rep.Leakage * cyc
-		if a.Instructions > 0 {
-			rec.EPI = rec.EnergyTotal / float64(a.Instructions)
-		}
+		rec.Measure(res.Activity, res.Report)
 	}
 	r.runlog.Append(rec)
 }
