@@ -19,11 +19,12 @@ race:
 # race-obs is the focused race gate for the observability plumbing: the
 # telemetry registry/tracer, the progress bus, the HTTP server, the
 # instrumented runner, and the sim-sampling glue are all exercised from many
-# goroutines.
+# goroutines. isa and sampling ride along because isa.Memory mutates its
+# page cache on reads: a Memory shared across goroutines would race here.
 race-obs:
 	$(GO) test -race ./internal/telemetry ./internal/progress ./internal/obsserver \
 		./internal/runner ./internal/simobs ./internal/runlog ./internal/fabric \
-		./internal/flightrec
+		./internal/flightrec ./internal/isa ./internal/sampling
 
 # chaos is the fault-tolerance gate: the runner hardening tests under the
 # race detector, then a p10faults self-test campaign with forced panics,

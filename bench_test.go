@@ -111,6 +111,40 @@ func BenchmarkCoreP10(b *testing.B) {
 	b.ReportMetric(float64(res.Activity.Cycles), "cycles")
 }
 
+// BenchmarkVMStream is the functional-layer benchmark: the daxpy-200 trace
+// (2.46M instructions) drained through one VMStream, reset between
+// iterations, with no timing model attached. It isolates the VM's
+// per-instruction cost — opcode dispatch and memory access — that sampled
+// runs, trace capture and functional warming all pay. Like BenchmarkCoreP10
+// it must stay allocation-free: the reset VM reuses its memory pages.
+func BenchmarkVMStream(b *testing.B) {
+	w := workloads.Daxpy(4096, 200)
+	stream := trace.NewVMStream(w.Prog, w.Budget)
+	drain := func() uint64 {
+		var n uint64
+		for {
+			if _, ok := stream.Next(); !ok {
+				break
+			}
+			n++
+		}
+		if err := stream.Err(); err != nil {
+			b.Fatal(err)
+		}
+		return n
+	}
+	// Warmup: touch the VM's memory footprint.
+	insts := drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stream.Reset()
+		drain()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
 // BenchmarkCoreP10Sampled times the SimPoint-style estimator end to end
 // (featurize, cluster, simulate representative windows, extrapolate) on a
 // long daxpy run — the regime interval sampling exists for. The speedup-x

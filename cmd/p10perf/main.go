@@ -38,7 +38,7 @@ import (
 // (nanosecond-to-microsecond ops) needs real iteration counts — at 3
 // iterations a 100ns op is timer noise, and noise was tripping the
 // regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the
@@ -54,11 +54,13 @@ const (
 
 // zeroAllocBenches must report 0 allocs/op: the steady-state core loop is
 // allocation-free by construction (cycle maps, ring buffers, pooled cores),
-// and any new per-cycle allocation is a regression regardless of how the
+// as is a reset VM re-running over its touched pages, and any new per-cycle
+// or per-instruction allocation is a regression regardless of how the
 // timings move. Checked before the ns/op comparison so the failure names the
 // allocation count, not a noisy ratio.
 var zeroAllocBenches = map[string]bool{
 	"BenchmarkCoreP10":          true,
+	"BenchmarkVMStream":         true,
 	"BenchmarkSurrogatePredict": true,
 }
 

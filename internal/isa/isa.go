@@ -275,7 +275,7 @@ func (o Opcode) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// opInfo is the static metadata table for opcodes.
+// opInfo is the static metadata of one opcode.
 type opInfo struct {
 	class  Class
 	flops  uint8 // floating-point operations performed
@@ -283,7 +283,11 @@ type opInfo struct {
 	size   uint8 // memory access bytes (0 if not memory)
 }
 
-var opTable = map[Opcode]opInfo{
+// opTable is indexed directly by the uint8 opcode because the metadata
+// lookups run once or more per dynamic instruction in both the functional
+// and the timing layer. Undefined opcodes read the zero opInfo (ClassNop, no
+// flops, no memory).
+var opTable = [256]opInfo{
 	OpNop:  {class: ClassNop},
 	OpHalt: {class: ClassSystem},
 

@@ -1,9 +1,20 @@
 package isa
 
+import "encoding/binary"
+
 // Memory is a sparse, page-granular byte-addressable memory for the
 // functional executor. Reads of untouched memory return zeros.
+//
+// The page map is the only storage; a one-entry cache of the most recently
+// touched page short-cuts the map probe for the streaming and loop-local
+// access patterns that dominate dynamic traces. Every access — reads
+// included — may update that cache, so a Memory is not safe for concurrent
+// use, even by readers. Each VM owns its Memory.
 type Memory struct {
 	pages map[uint64]*page
+
+	lastPN uint64 // page number of last; meaningful only when last != nil
+	last   *page
 }
 
 const pageShift = 12 // 4 KiB pages
@@ -16,13 +27,23 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
+// pageFor returns the page holding addr, allocating it when create is set;
+// otherwise an untouched page is nil. Pages are never removed (Reset zeroes
+// them in place), so a cached page pointer stays valid for the Memory's life.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageShift
+	if m.last != nil && m.lastPN == pn {
+		return m.last
+	}
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new(page)
 		m.pages[pn] = p
 	}
+	m.lastPN, m.last = pn, p
 	return p
 }
 
@@ -41,8 +62,21 @@ func (m *Memory) SetByte(addr uint64, v byte) {
 	p[addr&(pageSize-1)] = v
 }
 
-// Read reads n little-endian bytes into a uint64 (n <= 8).
+// Read reads n little-endian bytes into a uint64 (n <= 8). Word and
+// doubleword accesses inside one page are a single load; page-crossing and
+// odd-size accesses go byte by byte.
 func (m *Memory) Read(addr uint64, n int) uint64 {
+	if off := addr & (pageSize - 1); (n == 8 || n == 4) && off+uint64(n) <= pageSize {
+		p := m.pageFor(addr, false)
+		switch {
+		case p == nil:
+			return 0
+		case n == 8:
+			return binary.LittleEndian.Uint64(p[off : off+8])
+		default:
+			return uint64(binary.LittleEndian.Uint32(p[off : off+4]))
+		}
+	}
 	var v uint64
 	for i := 0; i < n; i++ {
 		v |= uint64(m.ByteAt(addr+uint64(i))) << (8 * i)
@@ -50,8 +84,18 @@ func (m *Memory) Read(addr uint64, n int) uint64 {
 	return v
 }
 
-// Write writes the low n bytes of v little-endian (n <= 8).
+// Write writes the low n bytes of v little-endian (n <= 8), with the same
+// single-store fast path as Read.
 func (m *Memory) Write(addr uint64, v uint64, n int) {
+	if off := addr & (pageSize - 1); (n == 8 || n == 4) && off+uint64(n) <= pageSize {
+		p := m.pageFor(addr, true)
+		if n == 8 {
+			binary.LittleEndian.PutUint64(p[off:off+8], v)
+		} else {
+			binary.LittleEndian.PutUint32(p[off:off+4], uint32(v))
+		}
+		return
+	}
 	for i := 0; i < n; i++ {
 		m.SetByte(addr+uint64(i), byte(v>>(8*i)))
 	}

@@ -120,9 +120,10 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// Pass 2+3, interleaved: simulate representative windows and adaptively
 	// add more until the stratified confidence interval converges. A window
 	// is the representative interval plus a short timed-warmup prefix
-	// (WarmupIntervals intervals, captured by deterministic functional
-	// replay) plus a functional-warming pass over the whole prefix [0, lo)
-	// so caches, TLB and predictors hold their in-context state.
+	// (WarmupIntervals intervals) plus a functional-warming pass over the
+	// whole prefix [0, lo) so caches, TLB and predictors hold their
+	// in-context state. Both come from one recorded functional pass, extended
+	// lazily to the furthest window end reached so far.
 	model := power.NewModel(cfg)
 	roiInsts := totalROI * uint64(smt)
 	var simulated uint64
@@ -131,6 +132,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		cpi, pow float64
 	}
 	samples := make([][]meas, plan.K())
+	rec := newRecording(prog, plan.TotalInsts)
 	simWindow := func(c, ivIdx int) error {
 		iv := plan.Intervals[ivIdx]
 		lo := iv.Start
@@ -146,20 +148,11 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		// the window does not pay a whole-pipeline drain that in-context
 		// execution overlaps with downstream work.
 		hi := min(iv.End+spec.IntervalInsts, plan.TotalInsts)
-		recs := make([]isa.DynInst, 0, hi-lo)
-		replay := trace.NewVMStream(prog, hi)
-		for idx := uint64(0); ; idx++ {
-			d, ok := replay.Next()
-			if !ok {
-				break
-			}
-			if idx >= lo {
-				recs = append(recs, d)
-			}
+		prefix, err := rec.upTo(hi)
+		if err != nil {
+			return err
 		}
-		if err := replay.Err(); err != nil {
-			return fmt.Errorf("sampling: capture pass: %w", err)
-		}
+		recs := prefix[lo:]
 		// Thread stagger: a real SMT run's threads drift a few hundred
 		// instructions apart (measured: spreads of 100-400 at SMT4), so their
 		// resource demands decorrelate. Perfectly phase-locked copies issue
@@ -175,10 +168,11 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		// steady state and inflates CPI — measured +4% on a 12-PC streaming
 		// kernel at SMT8 versus +10% for lockstep copies of a 131-PC phase
 		// at SMT4. Large-footprint code staggers; tight loops stay aligned.
+		// Distinct static indices are distinct PCs.
 		skew := spec.IntervalInsts / uint64(4*smt)
-		pcs := make(map[uint64]struct{}, staggerMinPCs)
+		pcs := make(map[int32]struct{}, staggerMinPCs)
 		for i := iv.Start - lo; i < uint64(len(recs)) && i < iv.End-lo; i++ {
-			pcs[recs[i].PC] = struct{}{}
+			pcs[recs[i].idx] = struct{}{}
 			if len(pcs) >= staggerMinPCs {
 				break
 			}
@@ -190,7 +184,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		streams := make([]trace.Stream, smt)
 		for t := 0; t < smt; t++ {
 			skip := min(uint64(t)*skew, iv.Start-lo)
-			streams[t] = trace.NewSliceStream(prog, recs[skip:])
+			streams[t] = rec.replay(lo+skip, hi)
 			warm += iv.Start - lo - skip
 		}
 		opts := append(append([]uarch.SimOption{}, extra...), uarch.WithWarmup(warm))
@@ -202,7 +196,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		if lo > 0 {
 			warms := make([]trace.Stream, smt)
 			for t := 0; t < smt; t++ {
-				warms[t] = trace.NewVMStream(prog, lo)
+				warms[t] = rec.replay(0, lo)
 			}
 			opts = append(opts, uarch.WithFunctionalWarming(warms))
 		}

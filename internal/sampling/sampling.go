@@ -9,10 +9,14 @@
 // simulation-bound (the paper leaned on AWAN hardware acceleration for
 // exactly this reason), and representative-interval execution buys another
 // 10-100x on top of any hot-loop speedup by simulating *fewer* instructions
-// rather than simulating them faster. Functional execution (the isa VM) is
-// orders of magnitude cheaper than timed simulation, so the two functional
-// passes the engine makes over the trace are noise next to the timed work it
-// avoids.
+// rather than simulating them faster. The engine executes the program
+// functionally twice per run, whatever the window count: once to featurize
+// (BuildPlan) and once, lazily, into a compact recording that every window's
+// timed records and every thread's functional-warming prefix are sliced from
+// (Run). The VM retires instructions several times faster than the timing
+// core, so the two passes together cost a fraction of one full simulation;
+// what grows with the window count is functional warming, which replays each
+// window's prefix through the cache and predictor models.
 //
 // Determinism: featurization is a pure function of the trace, k-means uses a
 // seeded LCG for initialization, ties break on lowest index, and the
