@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check bench-test perf verify bench bench-core sweep profile
+.PHONY: build test vet race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test perf verify bench bench-core sweep profile
 
 build:
 	$(GO) build ./...
@@ -89,6 +89,17 @@ explore-check:
 trace-check:
 	bash scripts/trace_check.sh
 
+# fuzz runs every Fuzz* target in the module for 10 s each, on top of its
+# committed corpus under testdata/fuzz. go test fuzzes one target per
+# invocation, so the targets are found by name and run one at a time.
+fuzz:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' ./internal ./cmd); do \
+		for t in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\).*/\1/p' $$f); do \
+			echo "fuzz $$t ($$(dirname $$f))"; \
+			$(GO) test $$(dirname $$f) -run '^$$' -fuzz "^$$t\$$" -fuzztime 10s; \
+		done; \
+	done
+
 # bench-test runs the nested bench module's own tests (its golden and
 # agreement checks); `go test ./...` at the root does not descend into it.
 bench-test:
@@ -104,7 +115,7 @@ perf:
 # passes. The race pass matters because the experiment harness fans
 # simulations across a worker pool; race-obs fails fast on the telemetry
 # packages before the full-tree race run.
-verify: vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check bench-test
+verify: vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$'

@@ -7,7 +7,6 @@ import (
 	"encoding/json"
 
 	"power10sim/internal/isa"
-	"power10sim/internal/power"
 	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/uarch"
@@ -24,11 +23,11 @@ import (
 //     unit on mismatch, so a codec bug or corrupted payload can never make a
 //     worker silently simulate the wrong point.
 //   - A WireResult ships only simulator ground truth (Activity, upset
-//     outcome, sampling metadata) exactly like a p10cache-v1 payload; the
-//     coordinator recomputes the power Report locally on decode. A result
-//     that crossed the wire is therefore indistinguishable from a disk-cache
-//     load, which is the established determinism argument for byte-identical
-//     merged output.
+//     outcome, sampling metadata), the runner.GroundTruth a disk-cache entry
+//     stores; the coordinator rebuilds the power Report locally on decode. A
+//     result that crossed the wire is therefore indistinguishable from a
+//     disk-cache load, which is the established determinism argument for
+//     byte-identical merged output.
 
 // WireRequest is the encoded simulation request. Program fields are copied
 // into wireProgram rather than embedding *isa.Program: the program's lazy PC
@@ -64,9 +63,9 @@ type wireProgram struct {
 	CodeBase uint64            `json:"code_base,omitempty"`
 }
 
-// WireResult is the completed-unit payload: the diskPayload shape plus the
-// unit key it answers and the error taxonomy needed for the coordinator's
-// requeue decision.
+// WireResult is the completed-unit payload: the runner.GroundTruth fields
+// plus the unit key it answers and the error taxonomy needed for the
+// coordinator's requeue decision.
 type WireResult struct {
 	Key      string              `json:"key"`
 	Activity *uarch.Activity     `json:"activity,omitempty"`
@@ -202,11 +201,11 @@ func EncodeResult(key string, res runner.Result) WireResult {
 	return wr
 }
 
-// DecodeResult rebuilds a runner result on the coordinator, recomputing the
-// power Report from the shipped Activity under the original request's config
-// — the same derivation a disk-cache load performs. Each call allocates
-// fresh Activity/Report values, so concurrent waiters on one unit never
-// share mutable state.
+// DecodeResult rebuilds a runner result on the coordinator through
+// runner.GroundTruth.Rebuild, the derivation a disk-cache load performs: the
+// power Report is recomputed under the original request's config. Each call
+// allocates fresh Activity/Report values, so concurrent waiters on one unit
+// never share mutable state.
 func DecodeResult(wr WireResult, req runner.Request) (runner.Result, error) {
 	if wr.Err != "" {
 		err := errors.New(wr.Err)
@@ -215,23 +214,11 @@ func DecodeResult(wr WireResult, req runner.Request) (runner.Result, error) {
 		}
 		return runner.Result{Err: err, Attempts: wr.Attempts}, nil
 	}
-	if wr.Activity == nil {
-		return runner.Result{}, errors.New("fabric: result has neither activity nor error")
+	res, err := runner.GroundTruth{Activity: wr.Activity, Upset: wr.Upset, Sampling: wr.Sampling}.Rebuild(req)
+	if err != nil {
+		return runner.Result{}, fmt.Errorf("fabric: %w", err)
 	}
-	act := *wr.Activity
-	res := runner.Result{
-		Activity: &act,
-		Report:   power.NewModel(req.Cfg).Report(&act),
-		Attempts: wr.Attempts,
-	}
-	if wr.Upset != nil {
-		u := *wr.Upset
-		res.Upset = &u
-	}
-	if wr.Sampling != nil {
-		s := *wr.Sampling
-		res.Sampling = &s
-	}
+	res.Attempts = wr.Attempts
 	return res, nil
 }
 

@@ -101,51 +101,143 @@ func TestDiskCacheUpsetOutcomeSurvives(t *testing.T) {
 	}
 }
 
+// A damaged or empty entry is never served: the request re-executes and
+// rewrites the entry. An older-generation entry is a plain miss; anything
+// else is quarantined.
 func TestDiskCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
-	dir := t.TempDir()
-	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
+	cases := []struct {
+		name    string
+		data    string
+		corrupt uint64
+	}{
+		{"truncated", "{truncated", 1},
+		{"empty older entry", `{"schema":"p10cache-v1"}`, 0},
+		{"entry without value", `{"schema":"p10cache-v2","kind":"result","sum":"00"}`, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 
-	r := New(1)
-	if err := r.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	first := r.Do(req)
-	if first.Err != nil {
-		t.Fatal(first.Err)
-	}
-	k, ok := keyOf(req)
-	if !ok {
-		t.Fatal("unkeyable test request")
-	}
-	path := r.diskPath(k)
-	if err := os.WriteFile(path, []byte("{truncated"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+			r := New(1)
+			if err := r.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			first := r.Do(req)
+			if first.Err != nil {
+				t.Fatal(first.Err)
+			}
+			k, ok := keyOf(req)
+			if !ok {
+				t.Fatal("unkeyable test request")
+			}
+			path := r.diskPath(k)
+			if err := os.WriteFile(path, []byte(tc.data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	r2 := New(1)
-	if err := r2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
+			r2 := New(1)
+			if err := r2.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			res := r2.Do(req)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			st := r2.Stats()
+			if st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskCorrupt != tc.corrupt {
+				t.Errorf("disk hits=%d misses=%d corrupt=%d, want 0/1/%d",
+					st.DiskHits, st.DiskMisses, st.DiskCorrupt, tc.corrupt)
+			}
+			if !reflect.DeepEqual(first.Activity, res.Activity) {
+				t.Error("re-executed result differs from original")
+			}
+			// The bad entry must have been overwritten with a valid one.
+			r3 := New(1)
+			if err := r3.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if res := r3.Do(req); res.Err != nil {
+				t.Fatal(res.Err)
+			} else if r3.Stats().DiskHits != 1 {
+				t.Error("repaired entry did not serve a disk hit")
+			}
+		})
 	}
-	res := r2.Do(req)
-	if res.Err != nil {
-		t.Fatal(res.Err)
+}
+
+// CachedJSON blobs share the result entries' corruption policy: a damaged
+// or empty blob is recomputed, never served, and everything but an
+// older-generation entry is quarantined and counted.
+func TestBlobCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
+	flipDigit := func(data []byte) []byte {
+		i := strings.Index(string(data), `"value":`) + len(`"value":`)
+		data[i] ^= 0x01 // 42 -> 52
+		return data
 	}
-	st := r2.Stats()
-	if st.DiskHits != 0 || st.DiskMisses != 1 {
-		t.Errorf("corrupt entry: disk hits=%d misses=%d, want 0/1", st.DiskHits, st.DiskMisses)
+	cases := []struct {
+		name    string
+		mutate  func(entry []byte) []byte
+		corrupt uint64
+	}{
+		{"truncated", func(b []byte) []byte { return b[:len(b)/2] }, 1},
+		{"older entry without value", func([]byte) []byte { return []byte(`{"schema":"p10cache-v1","kind":"pin"}`) }, 0},
+		{"entry without value", func([]byte) []byte { return []byte(`{"schema":"p10cache-v2","kind":"pin"}`) }, 1},
+		{"wrong kind", func(b []byte) []byte { return []byte(strings.Replace(string(b), `"pin"`, `"pun"`, 1)) }, 1},
+		{"digit flip", flipDigit, 1},
 	}
-	if !reflect.DeepEqual(first.Activity, res.Activity) {
-		t.Error("re-executed result differs from original")
-	}
-	// The corrupt entry must have been overwritten with a valid one.
-	r3 := New(1)
-	if err := r3.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if res := r3.Do(req); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if r3.Stats().DiskHits != 1 {
-		t.Error("repaired entry did not serve a disk hit")
+	compute := func() (int, error) { return 42, nil }
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			r := New(1)
+			if err := r.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := CachedJSON(r, "pin", "fp", compute); err != nil {
+				t.Fatal(err)
+			}
+			paths, _ := filepath.Glob(filepath.Join(dir, "*.json"))
+			if len(paths) != 1 {
+				t.Fatalf("cache dir holds %v, want one blob", paths)
+			}
+			data, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(paths[0], tc.mutate(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			r2 := New(1)
+			if err := r2.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if v, err := CachedJSON(r2, "pin", "fp", compute); err != nil || v != 42 {
+				t.Fatalf("CachedJSON = %d, %v; want the computed 42", v, err)
+			}
+			st := r2.Stats()
+			if st.DiskHits != 0 || st.DiskMisses != 1 || st.DiskCorrupt != tc.corrupt {
+				t.Errorf("disk hits=%d misses=%d corrupt=%d, want 0/1/%d",
+					st.DiskHits, st.DiskMisses, st.DiskCorrupt, tc.corrupt)
+			}
+			bad, _ := filepath.Glob(filepath.Join(dir, "*.bad"))
+			if uint64(len(bad)) != tc.corrupt {
+				t.Errorf("quarantined files %v, want %d", bad, tc.corrupt)
+			}
+
+			r3 := New(1)
+			if err := r3.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			v, err := CachedJSON(r3, "pin", "fp", func() (int, error) {
+				t.Error("repaired blob recomputed")
+				return 0, nil
+			})
+			if err != nil || v != 42 || r3.Stats().DiskHits != 1 {
+				t.Errorf("repaired blob = %d, %v, stats %+v; want a disk hit of 42", v, err, r3.Stats())
+			}
+		})
 	}
 }
 
@@ -214,70 +306,84 @@ func TestDiskKeySensitivity(t *testing.T) {
 // damaged bytes intact for inspection, and must be counted, while the request
 // itself transparently re-executes and repairs the entry.
 func TestDiskCacheBitFlipQuarantined(t *testing.T) {
-	dir := t.TempDir()
-	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
+	cases := []struct {
+		name string
+		flip func(data []byte) int // returns the byte index to flip
+	}{
+		// The opening brace: the entry no longer parses.
+		{"brace", func([]byte) int { return 0 }},
+		// The first digit of the cycle count: still valid JSON, a
+		// plausible but wrong measurement (3508 -> 2508 cycles).
+		{"digit", func(data []byte) int {
+			return strings.Index(string(data), `"Cycles":`) + len(`"Cycles":`)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 
-	r := New(1)
-	if err := r.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	first := r.Do(req)
-	if first.Err != nil {
-		t.Fatal(first.Err)
-	}
-	k, ok := keyOf(req)
-	if !ok {
-		t.Fatal("unkeyable test request")
-	}
-	path := r.diskPath(k)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Flip one bit of the opening brace so the JSON no longer parses; the
-	// quarantine path also covers subtler flips via the schema check.
-	data[0] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			r := New(1)
+			if err := r.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			first := r.Do(req)
+			if first.Err != nil {
+				t.Fatal(first.Err)
+			}
+			k, ok := keyOf(req)
+			if !ok {
+				t.Fatal("unkeyable test request")
+			}
+			path := r.diskPath(k)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[tc.flip(data)] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	reg := telemetry.NewRegistry()
-	r2 := New(1)
-	r2.Instrument(reg, nil)
-	if err := r2.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	res := r2.Do(req)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if !reflect.DeepEqual(first.Activity, res.Activity) {
-		t.Error("re-executed result differs from original")
-	}
-	st := r2.Stats()
-	if st.DiskCorrupt != 1 || st.DiskHits != 0 {
-		t.Errorf("stats = corrupt %d hits %d, want 1/0", st.DiskCorrupt, st.DiskHits)
-	}
-	if got := reg.Counter("runner_diskcache_corrupt_total").Value(); got != 1 {
-		t.Errorf("runner_diskcache_corrupt_total = %d, want 1", got)
-	}
-	bad := strings.TrimSuffix(path, ".json") + ".bad"
-	kept, err := os.ReadFile(bad)
-	if err != nil {
-		t.Fatalf("quarantined entry missing: %v", err)
-	}
-	if !reflect.DeepEqual(kept, data) {
-		t.Error("quarantined bytes differ from the damaged entry")
-	}
-	// The repair wrote a fresh entry under the same key; a third runner
-	// serves it as a plain disk hit.
-	r3 := New(1)
-	if err := r3.SetCacheDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if res := r3.Do(req); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if r3.Stats().DiskHits != 1 {
-		t.Error("repaired entry did not serve a disk hit")
+			reg := telemetry.NewRegistry()
+			r2 := New(1)
+			r2.Instrument(reg, nil)
+			if err := r2.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			res := r2.Do(req)
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+			if !reflect.DeepEqual(first.Activity, res.Activity) {
+				t.Errorf("served %d cycles, want the executed %d", res.Activity.Cycles, first.Activity.Cycles)
+			}
+			st := r2.Stats()
+			if st.DiskCorrupt != 1 || st.DiskHits != 0 {
+				t.Errorf("stats = corrupt %d hits %d, want 1/0", st.DiskCorrupt, st.DiskHits)
+			}
+			if got := reg.Counter("runner_diskcache_corrupt_total").Value(); got != 1 {
+				t.Errorf("runner_diskcache_corrupt_total = %d, want 1", got)
+			}
+			bad := strings.TrimSuffix(path, ".json") + ".bad"
+			kept, err := os.ReadFile(bad)
+			if err != nil {
+				t.Fatalf("quarantined entry missing: %v", err)
+			}
+			if !reflect.DeepEqual(kept, data) {
+				t.Error("quarantined bytes differ from the damaged entry")
+			}
+			// The repair wrote a fresh entry under the same key; a third
+			// runner serves it as a plain disk hit.
+			r3 := New(1)
+			if err := r3.SetCacheDir(dir); err != nil {
+				t.Fatal(err)
+			}
+			if res := r3.Do(req); res.Err != nil {
+				t.Fatal(res.Err)
+			} else if r3.Stats().DiskHits != 1 {
+				t.Error("repaired entry did not serve a disk hit")
+			}
+		})
 	}
 }

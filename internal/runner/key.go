@@ -52,15 +52,11 @@ func keyOf(req Request) (key, bool) {
 	if req.Cfg == nil || req.W == nil || req.W.Prog == nil {
 		return key{}, false
 	}
-	smt := req.SMT
-	if smt < 1 {
-		smt = 1
-	}
 	p := req.W.Prog
 	k := key{
 		cfg:       *req.Cfg,
 		prog:      progID{name: p.Name, code: len(p.Code), hash: fingerprint(p)},
-		smt:       smt,
+		smt:       max(req.SMT, 1),
 		budget:    req.Budget,
 		warmup:    req.Warmup,
 		maxCycles: req.MaxCycles,

@@ -86,6 +86,7 @@ func TestRequestLifecycle(t *testing.T) {
 		res.Attempts = 1
 		return res, true
 	}
+	declined := func(context.Context, Request) (Result, bool) { return Result{}, false }
 	started, finished := progress.KindSimStarted, progress.KindSimFinished
 
 	cases := []struct {
@@ -140,6 +141,17 @@ func TestRequestLifecycle(t *testing.T) {
 			spans:   1,
 			persist: true,
 			delta:   Stats{Misses: 1, DiskMisses: 1, Remote: 1},
+		},
+		{
+			// An executor that declines leaves the run to the local pool,
+			// inside the one span and sim_started it already opened.
+			name:    "executor declined",
+			setup:   func(t *testing.T, g *lifecycleRig, _ Request) { g.r.SetExecutor(declined) },
+			events:  []progress.Kind{started, finished},
+			tier:    runlog.TierRun,
+			spans:   1,
+			persist: true,
+			delta:   Stats{Misses: 1, DiskMisses: 1},
 		},
 		{
 			name:    "local run",

@@ -58,15 +58,11 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 	if !r.runlogEligible(req) {
 		return
 	}
-	smt := req.SMT
-	if smt < 1 {
-		smt = 1
-	}
 	rec := runlog.Record{
 		Key:         diskKey(k),
 		Config:      req.Cfg.Name,
 		Workload:    req.W.Name,
-		SMT:         smt,
+		SMT:         max(req.SMT, 1),
 		Budget:      req.Budget,
 		Warmup:      req.Warmup,
 		MaxCycles:   req.MaxCycles,
@@ -74,8 +70,7 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 		Attempts:    res.Attempts,
 		WallSeconds: wall.Seconds(),
 	}
-	if req.Sample != nil && req.Upset == nil {
-		n := req.Sample.Normalized()
+	if n := k.sample; k.hasSample {
 		rec.Sampled = true
 		rec.SampleSpec = fmt.Sprintf("iv%d k%d r%d w%d sig%d s%d",
 			n.IntervalInsts, n.MaxK, n.RepsPerCluster,
@@ -106,11 +101,7 @@ func (r *Runner) logSeries(k key, req Request, cap *runlog.SeriesCapture) {
 	if cap == nil {
 		return
 	}
-	smt := req.SMT
-	if smt < 1 {
-		smt = 1
-	}
-	r.runlog.AppendSeries(cap.Finish(diskKey(k), req.Cfg.Name, req.W.Name, smt))
+	r.runlog.AppendSeries(cap.Finish(diskKey(k), req.Cfg.Name, req.W.Name, max(req.SMT, 1)))
 }
 
 // faultOutcome renders an upset outcome for the ledger's fault_outcome

@@ -103,29 +103,23 @@ type PredictionMeta struct {
 // clone returns a caller-owned copy of the result so cached values can never
 // be mutated through a returned pointer.
 func (r Result) clone() Result {
-	out := Result{Err: r.Err, Attempts: r.Attempts}
-	if r.Activity != nil {
-		a := *r.Activity
-		out.Activity = &a
-	}
+	out := Result{Err: r.Err, Attempts: r.Attempts, Activity: copyOf(r.Activity),
+		Upset: copyOf(r.Upset), Sampling: copyOf(r.Sampling), Predicted: copyOf(r.Predicted)}
 	if r.Report != nil {
 		rep := *r.Report
 		rep.Components = append([]float64(nil), r.Report.Components...)
 		out.Report = &rep
 	}
-	if r.Upset != nil {
-		u := *r.Upset
-		out.Upset = &u
-	}
-	if r.Sampling != nil {
-		m := *r.Sampling
-		out.Sampling = &m
-	}
-	if r.Predicted != nil {
-		p := *r.Predicted
-		out.Predicted = &p
-	}
 	return out
+}
+
+// copyOf returns a pointer to a fresh copy of *p, or nil for nil.
+func copyOf[T any](p *T) *T {
+	if p == nil {
+		return nil
+	}
+	v := *p
+	return &v
 }
 
 // runCtx executes the simulation once. It mirrors the original serial
@@ -139,33 +133,26 @@ func (r Request) runCtx(ctx context.Context) Result {
 			return Result{Err: err}
 		}
 	}
-	smt := r.SMT
-	if smt < 1 {
-		smt = 1
+	smt := max(r.SMT, 1)
+	var opts []uarch.SimOption
+	if ctx != nil && ctx.Done() != nil {
+		opts = append(opts, uarch.WithContext(ctx))
 	}
 	if r.Sample != nil && r.Upset == nil {
 		// Sampled path: representative-interval simulation + extrapolation.
 		// Upset requests fall through to the full simulation — an injected
 		// fault targets a specific cycle of the complete run.
-		var extra []uarch.SimOption
-		if ctx != nil && ctx.Done() != nil {
-			extra = append(extra, uarch.WithContext(ctx))
-		}
-		est, err := sampling.Run(r.Cfg, r.W.Prog, r.Budget, r.Warmup, smt, r.MaxCycles, *r.Sample, extra...)
+		est, err := sampling.Run(r.Cfg, r.W.Prog, r.Budget, r.Warmup, smt, r.MaxCycles, *r.Sample, opts...)
 		if err != nil {
 			return Result{Err: fmt.Errorf("%s on %s (SMT%d, sampled): %w", r.W.Name, r.Cfg.Name, smt, err)}
 		}
-		act := est.Activity
-		return Result{Activity: &act, Report: est.Report, Sampling: &est.Meta}
+		return Result{Activity: &est.Activity, Report: est.Report, Sampling: &est.Meta}
 	}
 	streams := make([]trace.Stream, 0, smt)
 	for i := 0; i < smt; i++ {
 		streams = append(streams, trace.NewVMStream(r.W.Prog, r.Budget))
 	}
-	opts := []uarch.SimOption{uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit()}
-	if ctx != nil && ctx.Done() != nil {
-		opts = append(opts, uarch.WithContext(ctx))
-	}
+	opts = append(opts, uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit())
 	if r.series != nil {
 		opts = append(opts, r.series.Option())
 	}
@@ -176,9 +163,7 @@ func (r Request) runCtx(ctx context.Context) Result {
 	if err != nil {
 		return Result{Err: fmt.Errorf("%s on %s (SMT%d): %w", r.W.Name, r.Cfg.Name, smt, err)}
 	}
-	rep := power.NewModel(r.Cfg).Report(&res.Activity)
-	act := res.Activity
-	return Result{Activity: &act, Report: rep, Upset: res.Upset}
+	return Result{Activity: &res.Activity, Report: power.NewModel(r.Cfg).Report(&res.Activity), Upset: res.Upset}
 }
 
 // entry is one cache slot. The first requester computes the result and
@@ -240,9 +225,10 @@ type Stats struct {
 	PredictDeclined uint64
 }
 
-// obs holds the runner's telemetry handles. All fields are nil until
-// Instrument is called; every metric method is nil-safe, so the
-// uninstrumented hot path pays only dead branches.
+// obs holds the runner's counters, its only record of what it did: Stats
+// reads them back. New registers them in a private registry and Instrument
+// moves them to the caller's, so the exported metrics and Stats can never
+// disagree.
 type obs struct {
 	hits, misses, coalesced *telemetry.Counter
 	retries, panics         *telemetry.Counter
@@ -262,6 +248,35 @@ type obs struct {
 	predicted               *telemetry.Counter
 	predictDeclined         *telemetry.Counter
 	tracer                  *telemetry.Tracer
+}
+
+func newObs(reg *telemetry.Registry, tr *telemetry.Tracer) obs {
+	return obs{
+		hits:              reg.Counter("runner_cache_hits_total"),
+		misses:            reg.Counter("runner_cache_misses_total"),
+		coalesced:         reg.Counter("runner_inflight_coalesced_total"),
+		retries:           reg.Counter("runner_retries_total"),
+		panics:            reg.Counter("runner_panics_recovered_total"),
+		timeouts:          reg.Counter("runner_watchdog_timeouts_total"),
+		cancels:           reg.Counter("runner_cancels_total"),
+		uncached:          reg.Counter("runner_uncached_errors_total"),
+		remote:            reg.Counter("runner_remote_runs_total"),
+		diskHits:          reg.Counter("runner_diskcache_hits_total"),
+		diskMisses:        reg.Counter("runner_diskcache_misses_total"),
+		diskCorrupt:       reg.Counter("runner_diskcache_corrupt_total"),
+		diskReadBytes:     reg.Counter("runner_diskcache_read_bytes_total"),
+		diskWrittenBytes:  reg.Counter("runner_diskcache_written_bytes_total"),
+		queueWait:         reg.Histogram("runner_queue_wait_seconds", telemetry.DurationBuckets()),
+		runLatency:        reg.Histogram("runner_run_seconds", telemetry.DurationBuckets()),
+		busyWorkers:       reg.Gauge("runner_workers_busy"),
+		peakInFlight:      reg.Gauge("runner_inflight_peak"),
+		samplingIntervals: reg.Counter("sampling_intervals_total"),
+		samplingSimulated: reg.Counter("sampling_simulated_total"),
+		samplingSpeedup:   reg.Gauge("sampling_speedup"),
+		predicted:         reg.Counter("surrogate_predictions_total"),
+		predictDeclined:   reg.Counter("surrogate_fallthrough_total"),
+		tracer:            tr,
+	}
 }
 
 // Policy is the runner's fault-tolerance configuration. The zero value is
@@ -284,14 +299,12 @@ type Policy struct {
 // Runner is a bounded worker pool with a keyed memoization cache.
 // The zero value is not usable; construct with New.
 type Runner struct {
-	workers int
-	sem     chan struct{}
-	base    context.Context
-	policy  Policy
+	sem    chan struct{} // one slot per worker
+	base   context.Context
+	policy Policy
 
 	mu       sync.Mutex
 	cache    map[key]*entry
-	stats    Stats
 	inflight int
 
 	// cacheDir roots the persistent result cache; empty disables it (see
@@ -323,15 +336,15 @@ func New(workers int) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		workers: workers,
-		sem:     make(chan struct{}, workers),
-		base:    context.Background(),
-		cache:   map[key]*entry{},
+		sem:   make(chan struct{}, workers),
+		base:  context.Background(),
+		cache: map[key]*entry{},
+		obs:   newObs(telemetry.NewRegistry(), nil),
 	}
 }
 
 // Workers returns the concurrency bound.
-func (r *Runner) Workers() int { return r.workers }
+func (r *Runner) Workers() int { return cap(r.sem) }
 
 // SetPolicy installs the fault-tolerance policy. Call before submitting
 // requests; SetPolicy is not synchronized with Do.
@@ -381,8 +394,10 @@ func (r *Runner) SetContext(ctx context.Context) {
 	r.base = ctx
 }
 
-// Instrument attaches a metrics registry and tracer to the runner. Either
-// may be nil (that aspect stays off). Metrics exported:
+// Instrument registers the runner's counters in reg and attaches a tracer.
+// Either may be nil: a nil registry keeps the counters private, a nil
+// tracer records no spans. One registry serves one runner, because Stats
+// reads the counters back. Metrics exported:
 //
 //	runner_cache_hits_total / runner_cache_misses_total /
 //	runner_inflight_coalesced_total   cache effectiveness counters
@@ -411,32 +426,10 @@ func (r *Runner) SetContext(ctx context.Context) {
 // a span named sim:<workload>@<config>/smt<N>. Call before submitting
 // requests; Instrument is not synchronized with Do.
 func (r *Runner) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	r.obs = obs{
-		hits:              reg.Counter("runner_cache_hits_total"),
-		misses:            reg.Counter("runner_cache_misses_total"),
-		coalesced:         reg.Counter("runner_inflight_coalesced_total"),
-		retries:           reg.Counter("runner_retries_total"),
-		panics:            reg.Counter("runner_panics_recovered_total"),
-		timeouts:          reg.Counter("runner_watchdog_timeouts_total"),
-		cancels:           reg.Counter("runner_cancels_total"),
-		uncached:          reg.Counter("runner_uncached_errors_total"),
-		remote:            reg.Counter("runner_remote_runs_total"),
-		diskHits:          reg.Counter("runner_diskcache_hits_total"),
-		diskMisses:        reg.Counter("runner_diskcache_misses_total"),
-		diskCorrupt:       reg.Counter("runner_diskcache_corrupt_total"),
-		diskReadBytes:     reg.Counter("runner_diskcache_read_bytes_total"),
-		diskWrittenBytes:  reg.Counter("runner_diskcache_written_bytes_total"),
-		queueWait:         reg.Histogram("runner_queue_wait_seconds", telemetry.DurationBuckets()),
-		runLatency:        reg.Histogram("runner_run_seconds", telemetry.DurationBuckets()),
-		busyWorkers:       reg.Gauge("runner_workers_busy"),
-		peakInFlight:      reg.Gauge("runner_inflight_peak"),
-		samplingIntervals: reg.Counter("sampling_intervals_total"),
-		samplingSimulated: reg.Counter("sampling_simulated_total"),
-		samplingSpeedup:   reg.Gauge("sampling_speedup"),
-		predicted:         reg.Counter("surrogate_predictions_total"),
-		predictDeclined:   reg.Counter("surrogate_fallthrough_total"),
-		tracer:            tr,
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	r.obs = newObs(reg, tr)
 }
 
 // SetBus attaches a progress bus: every cache hit, execution start/finish,
@@ -466,9 +459,26 @@ func (r *Runner) publish(kind progress.Kind, req Request, build func(*progress.E
 // (misses equals the number of unique keys and hits the remainder);
 // QueueWait and PeakInFlight are scheduling-dependent diagnostics.
 func (r *Runner) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	o := &r.obs
+	return Stats{
+		Hits:             o.hits.Value(),
+		Misses:           o.misses.Value(),
+		QueueWait:        time.Duration(o.queueWait.Sum() * float64(time.Second)),
+		PeakInFlight:     int(o.peakInFlight.Value()),
+		Retries:          o.retries.Value(),
+		Panics:           o.panics.Value(),
+		Timeouts:         o.timeouts.Value(),
+		Cancels:          o.cancels.Value(),
+		Uncached:         o.uncached.Value(),
+		Remote:           o.remote.Value(),
+		DiskHits:         o.diskHits.Value(),
+		DiskMisses:       o.diskMisses.Value(),
+		DiskCorrupt:      o.diskCorrupt.Value(),
+		DiskReadBytes:    o.diskReadBytes.Value(),
+		DiskWrittenBytes: o.diskWrittenBytes.Value(),
+		Predicted:        o.predicted.Value(),
+		PredictDeclined:  o.predictDeclined.Value(),
+	}
 }
 
 // Do executes one request through the cache and pool under the runner's base
@@ -480,6 +490,9 @@ func (r *Runner) Do(req Request) Result { return r.DoCtx(r.base, req) }
 // attempt. Successes and deterministic errors are memoized; transient
 // failures (panics, timeouts, tagged errors) and cancellations are returned
 // but never cached, so the next identical request re-executes.
+//
+// After the memo check a request takes one of two steps: a tier serves it
+// without executing (serve), or it executes (run).
 func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -492,7 +505,6 @@ func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	}
 	r.mu.Lock()
 	if e, hit := r.cache[k]; hit {
-		r.stats.Hits++
 		r.mu.Unlock()
 		r.obs.hits.Inc()
 		r.publish(progress.KindCacheHit, req, nil)
@@ -510,191 +522,144 @@ func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	}
 	e := &entry{ready: make(chan struct{})}
 	r.cache[k] = e
-	r.stats.Misses++
 	r.mu.Unlock()
 	r.obs.misses.Inc()
+	defer close(e.ready)
 
-	// Persistent layer: a memo miss may still be a disk hit from an earlier
-	// process. Served before taking a worker slot — a disk read should never
-	// queue behind running simulations.
-	if r.diskUsable(req) {
-		diskStart := time.Now()
-		if res, ok := r.diskLoad(k, req); ok {
-			e.res = res
-			r.publish(progress.KindCacheHit, req, nil)
-			r.logRecord(k, req, e.res, runlog.TierDisk, time.Since(diskStart))
-			close(e.ready)
-			return e.res.clone()
-		}
-	}
-
-	// Learned surrogate tier: a request no exact tier has a real result for
-	// may be served by prediction when the installed predictor is confident
-	// enough. Predictions stay in the memo cache (identical requests predict
-	// once) but are never persisted to disk — the exact tiers must keep
-	// winning for anything that has actually run. A decline falls through to
-	// real execution, which is precisely the active-learning signal: the
-	// points the model is unsure about are the ones worth simulating.
-	if r.pred != nil && req.Chaos == nil {
-		predStart := time.Now()
-		if res, ok := r.pred(req); ok {
-			e.res = res
-			r.mu.Lock()
-			r.stats.Predicted++
-			r.mu.Unlock()
-			r.obs.predicted.Inc()
-			r.publish(progress.KindCacheHit, req, nil)
-			r.logRecord(k, req, e.res, runlog.TierSurrogate, time.Since(predStart))
-			close(e.ready)
-			return e.res.clone()
-		}
-		r.mu.Lock()
-		r.stats.PredictDeclined++
-		r.mu.Unlock()
-		r.obs.predictDeclined.Inc()
-	}
-
-	// External executor (the distributed sweep fabric): a cache-miss request
-	// is offered to the fleet before the local pool. Remote executions do not
-	// hold a local worker slot — their concurrency is the fleet's — but they
-	// share the entry lifecycle, so coalesced waiters and the disk cache see
-	// remote results exactly like local ones. Chaos self-tests stay local:
-	// their mutable failure budgets must not cross process boundaries.
-	if r.exec != nil && req.Chaos == nil {
-		if res, handled := r.remoteExecute(ctx, req, e, k); handled {
-			return res
-		}
-	}
-
-	enqueued := time.Now()
-	select {
-	case r.sem <- struct{}{}:
-	case <-ctx.Done():
-		// Canceled while queued: surface the cancellation and withdraw the
-		// cache entry so a later request re-executes.
-		e.res = Result{Err: fmt.Errorf("canceled before start: %w", ctx.Err())}
-		r.uncache(k, e)
-		close(e.ready)
-		return e.res.clone()
-	}
-	wait := time.Since(enqueued)
-	r.mu.Lock()
-	r.stats.QueueWait += wait
-	r.inflight++
-	inflight := r.inflight
-	if inflight > r.stats.PeakInFlight {
-		r.stats.PeakInFlight = inflight
-	}
-	r.mu.Unlock()
-	r.obs.queueWait.Observe(wait.Seconds())
-	r.obs.busyWorkers.Set(float64(inflight))
-	r.obs.peakInFlight.SetMax(float64(inflight))
-
-	var sp telemetry.Span
-	if r.obs.tracer != nil {
-		sp = r.obs.tracer.Begin(spanName(req), "runner")
-	}
-	r.publish(progress.KindSimStarted, req, nil)
-	req.series = r.seriesFor(req)
 	start := time.Now()
-	e.res = r.execute(ctx, req)
-	elapsed := time.Since(start)
-	r.obs.runLatency.Observe(elapsed.Seconds())
-	sp.End()
-	if e.res.Err != nil {
-		r.publish(progress.KindSimFailed, req, func(ev *progress.Event) {
-			ev.Err = e.res.Err.Error()
-			ev.Elapsed = elapsed.Seconds()
-			ev.Attempt = e.res.Attempts
-		})
-	} else {
-		r.publish(progress.KindSimFinished, req, func(ev *progress.Event) {
-			ev.Elapsed = elapsed.Seconds()
-			ev.Attempt = e.res.Attempts
-			// The live IPC/power readings drive the dashboard sparklines.
-			if e.res.Activity != nil {
-				ev.IPC = e.res.Activity.IPC()
-			}
-			if e.res.Report != nil {
-				ev.Power = e.res.Report.Total
-			}
-		})
-		r.logSeries(k, req, req.series)
+	if res, tier, ok := r.serve(k, req); ok {
+		e.res = res
+		r.publish(progress.KindCacheHit, req, nil)
+		r.logRecord(k, req, res, tier, time.Since(start))
+		return res.clone()
 	}
-	r.logRecord(k, req, e.res, runlog.TierRun, elapsed)
-
-	if !cacheable(e.res.Err) {
+	e.res = r.run(ctx, k, req)
+	switch {
+	case !cacheable(e.res.Err):
 		// Cache-poisoning guard: a transient failure (or cancellation) is a
 		// property of this attempt, not of the request — memoizing it would
 		// replay the failure to every later identical request.
 		r.uncache(k, e)
-	} else if r.diskUsable(req) {
+	case e.res.Err == nil && r.diskUsable(req):
 		// Persist successful results only: a deterministic error is memoized
-		// for this process but re-verified by the next one.
-		r.diskStore(k, req, e.res)
+		// for this process but re-verified by the next one. A fleet-computed
+		// result is as durable as a local one.
+		r.diskStore(k, e.res)
 	}
-	r.mu.Lock()
-	r.inflight--
-	inflight = r.inflight
-	r.mu.Unlock()
-	r.obs.busyWorkers.Set(float64(inflight))
-	<-r.sem
-	close(e.ready)
 	return e.res.clone()
 }
 
-// remoteExecute runs one cache-miss request through the installed executor.
-// handled is false when the executor declined (chaos self-tests, unkeyable
-// shapes), leaving the request to the local pool. On handled results it
-// performs the same bookkeeping as local execution: progress events, ledger
-// record (under the fabric tier), cache-poisoning guard, and disk persist.
-func (r *Runner) remoteExecute(ctx context.Context, req Request, e *entry, k key) (Result, bool) {
-	var sp telemetry.Span
-	if r.obs.tracer != nil {
-		sp = r.obs.tracer.Begin(spanName(req), "fabric")
+// serve answers a memo miss from a tier that does not execute: the
+// persistent disk cache, which an earlier process filled, then the learned
+// surrogate. Both are consulted before taking a worker slot. A prediction
+// stays in the memo cache (identical requests predict once) but is never
+// persisted, so the exact tiers keep winning for anything that has run. A
+// decline falls through to execution, which is the active-learning signal:
+// the points the model is unsure about are the ones worth simulating.
+func (r *Runner) serve(k key, req Request) (res Result, tier string, ok bool) {
+	if r.diskUsable(req) {
+		if res, ok := r.diskLoad(k, req); ok {
+			return res, runlog.TierDisk, true
+		}
 	}
+	if r.pred != nil && req.Chaos == nil {
+		if res, ok := r.pred(req); ok {
+			r.obs.predicted.Inc()
+			return res, runlog.TierSurrogate, true
+		}
+		r.obs.predictDeclined.Inc()
+	}
+	return Result{}, "", false
+}
+
+// run executes a request no tier served: on the installed Executor (the
+// distributed sweep fabric) when it accepts the request, else on the local
+// pool. Every execution opens one span and publishes sim_started once, then
+// sim_finished or sim_failed, and appends one ledger record under the tier
+// that ran it ("fabric" or "run").
+//
+// Remote executions hold no local worker slot — their concurrency is the
+// fleet's — so the executor is offered the request before any slot is
+// taken. When it declines, the local pool runs the request inside the span
+// already open. Without an executor the slot comes first, and a request
+// whose context ends while it waits never started: it publishes and logs
+// nothing. Chaos self-tests always stay local: their mutable failure budgets
+// must not cross process boundaries.
+func (r *Runner) run(ctx context.Context, k key, req Request) Result {
+	offer := r.exec != nil && req.Chaos == nil
+	if !offer {
+		if err := r.acquire(ctx); err != nil {
+			return Result{Err: err}
+		}
+	}
+	sp := r.obs.tracer.Begin(spanName(req), "runner")
 	r.publish(progress.KindSimStarted, req, nil)
 	start := time.Now()
-	res, handled := r.exec(ctx, req)
+	var res Result
+	tier, done := runlog.TierRun, false
+	if offer {
+		if res, done = r.exec(ctx, req); done {
+			tier = runlog.TierFabric
+			r.obs.remote.Inc()
+		} else if err := r.acquire(ctx); err != nil {
+			res, done = Result{Err: err}, true
+		}
+	}
+	if !done {
+		req.series = r.seriesFor(req)
+		res = r.execute(ctx, req)
+		r.setInflight(-1)
+		<-r.sem
+	}
 	elapsed := time.Since(start)
-	sp.End()
-	if !handled {
-		return Result{}, false
-	}
-	e.res = res
-	r.mu.Lock()
-	r.stats.Remote++
-	r.mu.Unlock()
-	r.obs.remote.Inc()
 	r.obs.runLatency.Observe(elapsed.Seconds())
-	if e.res.Err != nil {
-		r.publish(progress.KindSimFailed, req, func(ev *progress.Event) {
-			ev.Err = e.res.Err.Error()
-			ev.Elapsed = elapsed.Seconds()
-			ev.Attempt = e.res.Attempts
-		})
-	} else {
-		r.publish(progress.KindSimFinished, req, func(ev *progress.Event) {
-			ev.Elapsed = elapsed.Seconds()
-			ev.Attempt = e.res.Attempts
-			if e.res.Activity != nil {
-				ev.IPC = e.res.Activity.IPC()
-			}
-			if e.res.Report != nil {
-				ev.Power = e.res.Report.Total
-			}
-		})
+	sp.End()
+	kind := progress.KindSimFinished
+	if res.Err != nil {
+		kind = progress.KindSimFailed
 	}
-	r.logRecord(k, req, e.res, runlog.TierFabric, elapsed)
-	if !cacheable(e.res.Err) {
-		r.uncache(k, e)
-	} else if r.diskUsable(req) {
-		// A fleet-computed result is as durable as a local one: persisting it
-		// lets the next coordinator process skip the dispatch entirely.
-		r.diskStore(k, req, e.res)
+	r.publish(kind, req, func(ev *progress.Event) {
+		ev.Elapsed = elapsed.Seconds()
+		ev.Attempt = res.Attempts
+		switch {
+		case res.Err != nil:
+			ev.Err = res.Err.Error()
+		case res.Activity != nil && res.Report != nil:
+			// The live IPC/power readings drive the dashboard sparklines.
+			ev.IPC = res.Activity.IPC()
+			ev.Power = res.Report.Total
+		}
+	})
+	if res.Err == nil {
+		r.logSeries(k, req, req.series)
 	}
-	close(e.ready)
-	return e.res.clone(), true
+	r.logRecord(k, req, res, tier, elapsed)
+	return res
+}
+
+// acquire takes a local worker slot, recording the wait; it fails only when
+// ctx ends first.
+func (r *Runner) acquire(ctx context.Context) error {
+	enqueued := time.Now()
+	select {
+	case r.sem <- struct{}{}:
+	case <-ctx.Done():
+		return fmt.Errorf("canceled before start: %w", ctx.Err())
+	}
+	r.obs.queueWait.Observe(time.Since(enqueued).Seconds())
+	r.setInflight(+1)
+	return nil
+}
+
+// setInflight moves the busy-worker count and its peak. The gauges are set
+// under the lock so concurrent updates land in order.
+func (r *Runner) setInflight(delta int) {
+	r.mu.Lock()
+	r.inflight += delta
+	n := float64(r.inflight)
+	r.obs.busyWorkers.Set(n)
+	r.obs.peakInFlight.SetMax(n)
+	r.mu.Unlock()
 }
 
 // uncache withdraws a failed entry from the cache (the entry's ready channel
@@ -703,19 +668,15 @@ func (r *Runner) uncache(k key, e *entry) {
 	r.mu.Lock()
 	if r.cache[k] == e {
 		delete(r.cache, k)
-		r.stats.Uncached++
+		r.obs.uncached.Inc()
 	}
 	r.mu.Unlock()
-	r.obs.uncached.Inc()
 }
 
 // execute runs a request with panic recovery, the per-attempt watchdog, and
 // bounded retry for transient failures.
 func (r *Runner) execute(ctx context.Context, req Request) Result {
-	maxAttempts := r.policy.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
-	}
+	maxAttempts := max(r.policy.MaxAttempts, 1)
 	var res Result
 	for attempt := 1; ; attempt++ {
 		res = r.attempt(ctx, req)
@@ -725,9 +686,6 @@ func (r *Runner) execute(ctx context.Context, req Request) Result {
 			return res
 		}
 		r.obs.retries.Inc()
-		r.mu.Lock()
-		r.stats.Retries++
-		r.mu.Unlock()
 		next := attempt + 1
 		r.publish(progress.KindSimRetried, req, func(ev *progress.Event) {
 			ev.Attempt = next
@@ -758,9 +716,6 @@ func (r *Runner) attempt(ctx context.Context, req Request) (res Result) {
 	defer func() {
 		if p := recover(); p != nil {
 			r.obs.panics.Inc()
-			r.mu.Lock()
-			r.stats.Panics++
-			r.mu.Unlock()
 			res = Result{Err: &PanicError{Value: p, Stack: debug.Stack()}}
 		}
 	}()
@@ -773,19 +728,11 @@ func (r *Runner) attempt(ctx context.Context, req Request) (res Result) {
 		r.obs.samplingSimulated.Add(res.Sampling.SimulatedInsts)
 		r.obs.samplingSpeedup.Set(res.Sampling.Speedup())
 	}
-	if res.Err != nil {
-		switch {
-		case errors.Is(res.Err, context.DeadlineExceeded):
-			r.obs.timeouts.Inc()
-			r.mu.Lock()
-			r.stats.Timeouts++
-			r.mu.Unlock()
-		case errors.Is(res.Err, context.Canceled):
-			r.obs.cancels.Inc()
-			r.mu.Lock()
-			r.stats.Cancels++
-			r.mu.Unlock()
-		}
+	switch {
+	case errors.Is(res.Err, context.DeadlineExceeded):
+		r.obs.timeouts.Inc()
+	case errors.Is(res.Err, context.Canceled):
+		r.obs.cancels.Inc()
 	}
 	return res
 }
@@ -798,10 +745,7 @@ func retryDelay(base time.Duration, attempt int, req Request) time.Duration {
 	if base <= 0 {
 		return 0
 	}
-	d := base << (attempt - 1)
-	if d > 16*base {
-		d = 16 * base
-	}
+	d := min(base<<(attempt-1), 16*base)
 	h := fnv.New64a()
 	if req.W != nil {
 		h.Write([]byte(req.W.Name))
@@ -819,10 +763,6 @@ func retryDelay(base time.Duration, attempt int, req Request) time.Duration {
 // Nil config/workload (unkeyable requests) render as "?" instead of
 // panicking, since the progress path also labels uncacheable executions.
 func spanName(req Request) string {
-	smt := req.SMT
-	if smt < 1 {
-		smt = 1
-	}
 	w, c := "?", "?"
 	if req.W != nil {
 		w = req.W.Name
@@ -830,7 +770,7 @@ func spanName(req Request) string {
 	if req.Cfg != nil {
 		c = req.Cfg.Name
 	}
-	return "sim:" + w + "@" + c + "/smt" + strconv.Itoa(smt)
+	return "sim:" + w + "@" + c + "/smt" + strconv.Itoa(max(req.SMT, 1))
 }
 
 // RunAll fans the requests out across the pool and returns their results in
@@ -843,10 +783,7 @@ func (r *Runner) RunAll(reqs []Request) []Result { return r.RunAllCtx(r.base, re
 // cancellation errors.
 func (r *Runner) RunAllCtx(ctx context.Context, reqs []Request) []Result {
 	out := make([]Result, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if r.workers == 1 {
+	if cap(r.sem) == 1 {
 		// Serial fast path: no goroutines, identical observable behavior.
 		for i := range reqs {
 			out[i] = r.DoCtx(ctx, reqs[i])
@@ -877,10 +814,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers == 1 {
+	if workers = min(workers, n); workers == 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
