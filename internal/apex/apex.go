@@ -173,7 +173,8 @@ func Extract(cfg *uarch.Config, streams []trace.Stream, intervalCycles, maxCycle
 	var prevInst, prevL1D uint64
 
 	var cbErr error
-	opts = append(opts, uarch.WithEpochs(intervalCycles, func(d uarch.Activity) {
+	opts = append(opts, uarch.WithSampler(intervalCycles, func(s uarch.CycleSample) {
+		d := s.Delta
 		instLFSR.TickN(d.Instructions)
 		l1dLFSR.TickN(d.L1DAccesses)
 		gotInst, err := instLFSR.Decode()

@@ -38,7 +38,8 @@ func SampledExtract(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64,
 	var prevInst uint64
 	var cbErr error
 	var measCycles uint64
-	epochs := uarch.WithEpochs(intervalCycles, func(d uarch.Activity) {
+	epochs := uarch.WithSampler(intervalCycles, func(s uarch.CycleSample) {
+		d := s.Delta
 		instLFSR.TickN(d.Instructions)
 		got, err := instLFSR.Decode()
 		if err == nil {

@@ -130,9 +130,9 @@ func TestGovernorOnRealEpochSeries(t *testing.T) {
 	w := workloads.Compress()
 	_, err = uarch.Simulate(cfg, []trace.Stream{trace.NewVMStream(w.Prog, w.Budget)},
 		30_000_000, uarch.WithWarmup(w.Warmup),
-		uarch.WithEpochs(2000, func(d uarch.Activity) {
-			if d.Cycles > 0 {
-				dyn = append(dyn, px.Estimate(d.Counters()))
+		uarch.WithSampler(2000, func(s uarch.CycleSample) {
+			if s.Delta.Cycles > 0 {
+				dyn = append(dyn, px.Estimate(s.Delta.Counters()))
 			}
 		}))
 	if err != nil {

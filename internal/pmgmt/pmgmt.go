@@ -194,7 +194,8 @@ func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windo
 	for _, win := range windows {
 		var sumAbs, sumRef float64
 		var n int
-		cb := func(d uarch.Activity) {
+		cb := func(s uarch.CycleSample) {
+			d := s.Delta
 			if d.Cycles == 0 {
 				return
 			}
@@ -209,7 +210,7 @@ func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windo
 			n++
 		}
 		_, err := uarch.Simulate(cfg, []trace.Stream{mk()}, 50_000_000,
-			uarch.WithEpochs(win, cb))
+			uarch.WithSampler(win, cb))
 		if err != nil {
 			return nil, fmt.Errorf("pmgmt: window %d: %w", win, err)
 		}
@@ -353,13 +354,13 @@ func (d DDS) SimulateDroop(current []float64, sensorEnabled bool) DroopReport {
 func CurrentSeries(cfg *uarch.Config, mk func() trace.Stream, window uint64, maxCycles uint64) ([]float64, error) {
 	model := power.NewModel(cfg)
 	var out []float64
-	cb := func(d uarch.Activity) {
-		if d.Cycles == 0 {
+	cb := func(s uarch.CycleSample) {
+		if s.Delta.Cycles == 0 {
 			return
 		}
-		out = append(out, model.Report(&d).EffCap)
+		out = append(out, model.Report(&s.Delta).EffCap)
 	}
-	if _, err := uarch.Simulate(cfg, []trace.Stream{mk()}, maxCycles, uarch.WithEpochs(window, cb)); err != nil {
+	if _, err := uarch.Simulate(cfg, []trace.Stream{mk()}, maxCycles, uarch.WithSampler(window, cb)); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -95,7 +95,8 @@ func CollectJobs(cfg *uarch.Config, ws []*workloads.Workload, epochCycles uint64
 		// private instance keeps the proof local.
 		model := power.NewModel(cfg)
 		pw := &collected[i]
-		cb := func(d uarch.Activity) {
+		cb := func(s uarch.CycleSample) {
+			d := s.Delta
 			if d.Instructions == 0 {
 				return
 			}
@@ -112,7 +113,7 @@ func CollectJobs(cfg *uarch.Config, ws []*workloads.Workload, epochCycles uint64
 		}
 		_, err := uarch.Simulate(cfg,
 			[]trace.Stream{trace.NewVMStream(w.Prog, w.Budget)},
-			100_000_000, uarch.WithWarmup(w.Warmup), uarch.WithEpochs(epochCycles, cb))
+			100_000_000, uarch.WithWarmup(w.Warmup), uarch.WithSampler(epochCycles, cb))
 		if err != nil {
 			pw.err = fmt.Errorf("powermodel: %s: %w", w.Name, err)
 		}

@@ -57,18 +57,18 @@ func Collect(w *workloads.Workload, cfg *uarch.Config, epochCycles uint64) (*Pro
 	}
 	p := &Profile{Name: w.Name, Prog: w.Prog, Recs: recs}
 	var cursor uint64
-	cb := func(d uarch.Activity) {
+	cb := func(s uarch.CycleSample) {
 		start := cursor
-		cursor += d.Instructions
+		cursor += s.Delta.Instructions
 		p.Epochs = append(p.Epochs, Epoch{
 			Index:     len(p.Epochs),
 			StartInst: start,
 			EndInst:   cursor,
-			Act:       d,
+			Act:       s.Delta,
 		})
 	}
 	res, err := uarch.Simulate(cfg, []trace.Stream{trace.NewSliceStream(w.Prog, recs)},
-		100_000_000, uarch.WithEpochs(epochCycles, cb))
+		100_000_000, uarch.WithSampler(epochCycles, cb))
 	if err != nil {
 		return nil, err
 	}

@@ -162,9 +162,7 @@ type core struct {
 	readyQ     []readyItem
 	deferred   []int32
 
-	// Epoch/sample bookkeeping (previously captured by per-run closures).
-	epochPrev   Activity
-	epochStart  uint64
+	// Sampler bookkeeping (previously captured by per-run closures).
 	samplePrev  Activity
 	sampleStart uint64
 
@@ -177,17 +175,15 @@ type core struct {
 type SimOption func(*simOptions)
 
 type simOptions struct {
-	warmupInsts   uint64
-	measureLimit  uint64
-	warmStreams   []trace.Stream
-	epochCycles   uint64
-	epochCallback func(Activity)
-	sampleEvery   uint64
-	sampleFn      func(CycleSample)
-	upset         *Upset
-	ctx           context.Context
-	strictLimit   bool
-	naiveSched    bool
+	warmupInsts  uint64
+	measureLimit uint64
+	warmStreams  []trace.Stream
+	sampleEvery  uint64
+	sampleFn     func(CycleSample)
+	upset        *Upset
+	ctx          context.Context
+	strictLimit  bool
+	naiveSched   bool
 }
 
 // WithWarmup discards all statistics gathered before the first n retired
@@ -209,16 +205,6 @@ func WithMeasureLimit(n uint64) SimOption {
 	return func(o *simOptions) { o.measureLimit = n }
 }
 
-// WithEpochs invokes cb with the activity delta of every `cycles`-cycle
-// interval (the batch-extraction hook APEX and the Tracepoints epoch
-// counters are built on). The final partial epoch is also delivered.
-func WithEpochs(cycles uint64, cb func(Activity)) SimOption {
-	return func(o *simOptions) {
-		o.epochCycles = cycles
-		o.epochCallback = cb
-	}
-}
-
 // CycleSample is one observation window delivered to a WithSampler hook:
 // the window's end cycle and the activity delta accumulated inside it.
 type CycleSample struct {
@@ -230,11 +216,13 @@ type CycleSample struct {
 	Delta Activity
 }
 
-// WithSampler invokes fn with a CycleSample every `every` cycles — the
-// telemetry hook behind cycle-resolved IPC/occupancy/power trace tracks.
-// The final partial window is also delivered. every == 0 or a nil fn
-// disables sampling; the disabled path adds no per-cycle work beyond one
-// nil check (guarded by BenchmarkCoreTelemetryOff).
+// WithSampler invokes fn with a CycleSample every `every` cycles. It is the
+// core's one per-window hook: cycle-resolved IPC/occupancy/power trace
+// tracks, the APEX batch extraction, the Tracepoints epoch counters and the
+// power-model training windows are all built on it. The final partial
+// window is also delivered. every == 0 or a nil fn disables sampling; the
+// disabled path adds no per-cycle work beyond one nil check (guarded by
+// BenchmarkCoreTelemetryOff).
 func WithSampler(every uint64, fn func(CycleSample)) SimOption {
 	return func(o *simOptions) {
 		o.sampleEvery = every
@@ -301,8 +289,6 @@ func (c *core) run(maxCycles uint64) error {
 	lastRetired := uint64(0)
 	warmed := o.warmupInsts == 0
 	warmStart := uint64(0)
-	c.epochPrev = Activity{}
-	c.epochStart = 0
 	c.samplePrev = Activity{}
 	c.sampleStart = 0
 	sampling := o.sampleFn != nil && o.sampleEvery > 0
@@ -341,17 +327,12 @@ func (c *core) run(maxCycles uint64) error {
 			warmed = true
 			warmStart = c.now + 1
 			c.resetStats()
-			c.epochPrev = Activity{}
-			c.epochStart = c.now + 1
 			c.samplePrev = Activity{}
 			c.sampleStart = c.now + 1
 		}
 		if o.measureLimit > 0 && warmed && c.act.Instructions >= o.measureLimit {
 			c.now++
 			break
-		}
-		if o.epochCallback != nil && o.epochCycles > 0 && c.now+1-c.epochStart >= o.epochCycles {
-			c.emitEpoch(o, c.now+1)
 		}
 		if sampling && c.now+1-c.sampleStart >= o.sampleEvery {
 			c.emitSample(o, c.now+1)
@@ -372,27 +353,12 @@ func (c *core) run(maxCycles uint64) error {
 		c.syncActivity()
 		return c.hangError("cycle limit exhausted", 0)
 	}
-	if o.epochCallback != nil && c.now > c.epochStart {
-		c.emitEpoch(o, c.now)
-	}
 	if sampling && c.now > c.sampleStart {
 		c.emitSample(o, c.now)
 	}
 	c.syncActivity()
 	c.act.Cycles = c.now - warmStart
 	return nil
-}
-
-func (c *core) emitEpoch(o *simOptions, end uint64) {
-	c.syncActivity()
-	snap := c.act
-	snap.Cycles = end - c.epochStart
-	d := snap.Sub(&c.epochPrev)
-	d.Cycles = end - c.epochStart
-	o.epochCallback(d)
-	c.epochPrev = c.act
-	c.epochPrev.Cycles = 0
-	c.epochStart = end
 }
 
 func (c *core) emitSample(o *simOptions, end uint64) {

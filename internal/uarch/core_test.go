@@ -366,86 +366,49 @@ func TestForwardingDoesNotFireAcrossAddresses(t *testing.T) {
 	}
 }
 
-func TestEpochCallbackDeltasSumToTotal(t *testing.T) {
-	p := simpleLoop(4000)
-	var epochs []Activity
-	res, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
-		10_000_000, WithEpochs(500, func(d Activity) { epochs = append(epochs, d) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(epochs) < 3 {
-		t.Fatalf("only %d epochs", len(epochs))
-	}
-	var cyc, insts, l1d uint64
-	for _, e := range epochs {
-		cyc += e.Cycles
-		insts += e.Instructions
-		l1d += e.L1DAccesses
-	}
-	if insts != res.Activity.Instructions {
-		t.Errorf("epoch insts %d != total %d", insts, res.Activity.Instructions)
-	}
-	if cyc != res.Activity.Cycles {
-		t.Errorf("epoch cycles %d != total %d", cyc, res.Activity.Cycles)
-	}
-	if l1d != res.Activity.L1DAccesses {
-		t.Errorf("epoch l1d %d != total %d", l1d, res.Activity.L1DAccesses)
-	}
-}
-
+// Every window's delta is that window's activity only: the deltas tile the
+// measured run, whatever the window length.
 func TestSamplerDeltasSumToTotal(t *testing.T) {
 	p := simpleLoop(4000)
-	var samples []CycleSample
-	res, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
-		10_000_000, WithSampler(700, func(s CycleSample) { samples = append(samples, s) }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samples) < 3 {
-		t.Fatalf("only %d samples", len(samples))
-	}
-	var cyc, insts, l1d uint64
-	prevEnd := uint64(0)
-	for i, s := range samples {
-		if s.Cycle <= prevEnd {
-			t.Errorf("sample %d end cycle %d not increasing past %d", i, s.Cycle, prevEnd)
+	for _, every := range []uint64{500, 700} {
+		var samples []CycleSample
+		res, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
+			10_000_000, WithSampler(every, func(s CycleSample) { samples = append(samples, s) }))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i < len(samples)-1 && s.Delta.Cycles != 700 {
-			t.Errorf("sample %d window = %d cycles, want 700", i, s.Delta.Cycles)
+		if len(samples) < 3 {
+			t.Fatalf("every=%d: only %d samples", every, len(samples))
 		}
-		prevEnd = s.Cycle
-		cyc += s.Delta.Cycles
-		insts += s.Delta.Instructions
-		l1d += s.Delta.L1DAccesses
-	}
-	if insts != res.Activity.Instructions {
-		t.Errorf("sample insts %d != total %d", insts, res.Activity.Instructions)
-	}
-	if cyc != res.Activity.Cycles {
-		t.Errorf("sample cycles %d != total %d", cyc, res.Activity.Cycles)
-	}
-	if l1d != res.Activity.L1DAccesses {
-		t.Errorf("sample l1d %d != total %d", l1d, res.Activity.L1DAccesses)
+		var cyc, insts, l1d uint64
+		prevEnd := uint64(0)
+		for i, s := range samples {
+			if s.Cycle <= prevEnd {
+				t.Errorf("every=%d: sample %d end cycle %d not increasing past %d", every, i, s.Cycle, prevEnd)
+			}
+			if i < len(samples)-1 && s.Delta.Cycles != every {
+				t.Errorf("every=%d: sample %d window = %d cycles", every, i, s.Delta.Cycles)
+			}
+			prevEnd = s.Cycle
+			cyc += s.Delta.Cycles
+			insts += s.Delta.Instructions
+			l1d += s.Delta.L1DAccesses
+		}
+		if insts != res.Activity.Instructions {
+			t.Errorf("every=%d: sample insts %d != total %d", every, insts, res.Activity.Instructions)
+		}
+		if cyc != res.Activity.Cycles {
+			t.Errorf("every=%d: sample cycles %d != total %d", every, cyc, res.Activity.Cycles)
+		}
+		if l1d != res.Activity.L1DAccesses {
+			t.Errorf("every=%d: sample l1d %d != total %d", every, l1d, res.Activity.L1DAccesses)
+		}
 	}
 }
 
-func TestSamplerAndEpochsCoexist(t *testing.T) {
-	// Samplers and epoch callbacks maintain independent window state; both
-	// must see the full run, and disabled sampling (every=0 or nil fn) must
-	// not fire.
+// Disabled sampling (every=0 or a nil fn) must never fire.
+func TestSamplerDisabled(t *testing.T) {
 	p := simpleLoop(2000)
-	var nSamples, nEpochs int
-	_, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
-		10_000_000,
-		WithEpochs(500, func(Activity) { nEpochs++ }),
-		WithSampler(300, func(CycleSample) { nSamples++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nEpochs < 2 || nSamples < 2 {
-		t.Errorf("epochs=%d samples=%d, want both >= 2", nEpochs, nSamples)
-	}
 	if _, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
 		10_000_000, WithSampler(0, func(CycleSample) { t.Error("disabled sampler fired") })); err != nil {
 		t.Fatal(err)

@@ -138,8 +138,6 @@ func (c *core) reset(nthreads int) {
 		c.waiterHead[i] = -1
 	}
 	c.opts = simOptions{}
-	c.epochPrev = Activity{}
-	c.epochStart = 0
 	c.samplePrev = Activity{}
 	c.sampleStart = 0
 }

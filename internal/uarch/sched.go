@@ -331,11 +331,6 @@ func (c *core) idleSkip(o *simOptions, lastProgress, maxCycles uint64, checkCtx 
 			next = b
 		}
 	}
-	if o.epochCallback != nil && o.epochCycles > 0 {
-		if b := c.epochStart + o.epochCycles - 1; b < next {
-			next = b
-		}
-	}
 	if o.sampleFn != nil && o.sampleEvery > 0 {
 		if b := c.sampleStart + o.sampleEvery - 1; b < next {
 			next = b
