@@ -180,18 +180,24 @@ func RunOn(cfg *uarch.Config, w *workloads.Workload, smt int, o Options) (*uarch
 	return res.Activity, res.Report, res.Err
 }
 
-// runBatch fans independent simulation requests across the runner and
-// returns the results in request order, so batched figure loops render
-// byte-identically to their original serial form. The first error in
-// request order aborts the batch.
-func runBatch(o Options, reqs []runner.Request) ([]runner.Result, error) {
+// submit fans one batch of independent simulation requests across the
+// runner under a batch span, counting the requests and publishing a
+// batch_submitted event (label, when set, names the experiment). Results
+// come back in request order, so batched figure loops render
+// byte-identically to their original serial form.
+func submit(o Options, label string, reqs []runner.Request) []runner.Result {
 	if o.Trace != nil {
 		sp := o.Trace.Begin(fmt.Sprintf("batch:%d-reqs", len(reqs)), "experiments")
 		defer sp.End()
 	}
 	o.Metrics.Counter("experiments_batch_requests_total").Add(uint64(len(reqs)))
-	o.Progress.Publish(progress.Event{Kind: progress.KindBatchSubmitted, Count: len(reqs)})
-	results := o.pool().RunAll(reqs)
+	o.Progress.Publish(progress.Event{Kind: progress.KindBatchSubmitted, Experiment: label, Count: len(reqs)})
+	return o.pool().RunAll(reqs)
+}
+
+// runBatch submits a batch; the first error in request order aborts it.
+func runBatch(o Options, reqs []runner.Request) ([]runner.Result, error) {
+	results := submit(o, "", reqs)
 	for i := range results {
 		if results[i].Err != nil {
 			return nil, results[i].Err
@@ -209,14 +215,7 @@ func runBatchTolerant(o Options, label string, reqs []runner.Request) ([]runner.
 	if o.Failures == nil {
 		return runBatch(o, reqs)
 	}
-	if o.Trace != nil {
-		sp := o.Trace.Begin(fmt.Sprintf("batch:%d-reqs", len(reqs)), "experiments")
-		defer sp.End()
-	}
-	o.Metrics.Counter("experiments_batch_requests_total").Add(uint64(len(reqs)))
-	o.Progress.Publish(progress.Event{Kind: progress.KindBatchSubmitted,
-		Experiment: label, Count: len(reqs)})
-	results := o.pool().RunAll(reqs)
+	results := submit(o, label, reqs)
 	for i := range results {
 		if results[i].Err != nil {
 			req := reqs[i]

@@ -13,7 +13,6 @@ import (
 	"math"
 	"strings"
 
-	"power10sim/internal/progress"
 	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/uarch"
@@ -186,14 +185,7 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 			}
 		}
 	}
-	if o.Trace != nil {
-		sp := o.Trace.Begin(fmt.Sprintf("batch:%d-reqs", len(reqs)), "experiments")
-		defer sp.End()
-	}
-	o.Metrics.Counter("experiments_batch_requests_total").Add(uint64(len(reqs)))
-	o.Progress.Publish(progress.Event{Kind: progress.KindBatchSubmitted,
-		Experiment: "sample-validate", Count: len(reqs)})
-	results := o.pool().RunAll(reqs)
+	results := submit(o, "sample-validate", reqs)
 
 	for i := range v.Points {
 		p := &v.Points[i]

@@ -126,7 +126,10 @@ func LoadCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 }
 
 // CorpusFromRecords builds a corpus from already-scanned ledger records
-// (LoadCorpus over a directory is the common entry).
+// (LoadCorpus over a directory is the common entry). Rows come back sorted
+// by content key: Train depends on row order, and a ledger lists parallel
+// runs in the order they completed, so the same campaign must not train a
+// different model on every replay.
 func CorpusFromRecords(recs []runlog.Record, scan runlog.ScanStats, opts CorpusOptions) *Corpus {
 	if opts.Configs == nil {
 		opts.Configs = DefaultConfigResolver()
@@ -193,6 +196,7 @@ func CorpusFromRecords(recs []runlog.Record, scan runlog.ScanStats, opts CorpusO
 			c.Stats.Used++
 		}
 	}
+	sort.Slice(c.Rows, func(a, b int) bool { return c.Rows[a].Key < c.Rows[b].Key })
 	for w := range vocab {
 		c.Vocab = append(c.Vocab, w)
 	}

@@ -1,6 +1,7 @@
 package surrogate
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -159,6 +160,53 @@ func TestLedgerToCorpusRoundTrip(t *testing.T) {
 	r0 := c.Rows[0]
 	if math.Abs(r0.PowerClock-0.4*r0.Power) > 1e-9 {
 		t.Errorf("PowerClock = %v, want 0.4*%v", r0.PowerClock, r0.Power)
+	}
+}
+
+// TestCorpusOrderIndependent: a ledger lists parallel runs in the order
+// they completed, so the same records scanned in another order must give
+// the same rows and the same trained model, byte for byte.
+func TestCorpusOrderIndependent(t *testing.T) {
+	syn := SyntheticCorpus(120, 5)
+	recs := make([]runlog.Record, len(syn.Rows))
+	for i, r := range syn.Rows {
+		recs[i] = validRecord(uint64(i+1), r.Key, r.Config, r.Workload, r.SMT, r.CPI, r.Power)
+		recs[i].Spec = r.Cfg
+	}
+	reversed := make([]runlog.Record, len(recs))
+	for i := range recs {
+		reversed[len(recs)-1-i] = recs[i]
+	}
+	profiles := synthProfiles()
+	opts := CorpusOptions{Profiles: func(name string) ([]float64, bool) {
+		p, ok := profiles[name]
+		return p, ok
+	}}
+	model := func(c *Corpus) []byte {
+		m, err := Train(c, TrainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "model.json")
+		if err := m.Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	a := CorpusFromRecords(recs, runlog.ScanStats{}, opts)
+	b := CorpusFromRecords(reversed, runlog.ScanStats{}, opts)
+	if len(a.Rows) != len(recs) {
+		t.Fatalf("%d rows from %d records", len(a.Rows), len(recs))
+	}
+	if !reflect.DeepEqual(a.Rows, b.Rows) {
+		t.Fatal("corpus rows depend on record order")
+	}
+	if !bytes.Equal(model(a), model(b)) {
+		t.Error("saved model bytes depend on record order")
 	}
 }
 
