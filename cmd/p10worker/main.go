@@ -5,7 +5,7 @@
 //
 //	p10worker -coord http://host:9170             # join the fleet
 //	p10worker -coord http://host:9170 -jobs 4     # bound local parallelism
-//	p10worker -coord ... -cachedir cache          # share the p10cache-v1 store
+//	p10worker -coord ... -cachedir cache          # share the persistent run cache
 //	p10worker -coord ... -chaos kill:3            # fault harness: die after 3 units
 //
 // A worker is deliberately stateless: it registers, long-polls for leases,
@@ -40,7 +40,7 @@ func main() {
 	obs := cliutil.Register(cliutil.Help{
 		Metrics:   "write a metrics-registry JSON snapshot on exit",
 		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, chaos kill, or a lost lease",
-		CacheDir:  "persist simulation results under this directory (shared p10cache-v1 store)",
+		CacheDir:  "persist simulation results under this directory (shared with other workers and p10bench)",
 		RunLog:    "append one campaign-ledger record per executed simulation under this directory",
 		Jobs:      "max concurrent simulations (0 = GOMAXPROCS)",
 	})

@@ -10,7 +10,7 @@
 //   - Work units are content-keyed (runner.ContentKey — the same SHA-256 the
 //     disk cache and the campaign ledger address simulations by), so the
 //     fleet dedups in flight: two submitters of the same point share one
-//     unit, and a warm worker serves it from the shared p10cache-v1 disk
+//     unit, and a warm worker serves it from the shared persistent disk
 //     cache without re-simulating.
 //   - Units are dispatched under time-limited leases. Workers heartbeat to
 //     extend them; a missed heartbeat or dead worker expires the lease and

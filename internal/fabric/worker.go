@@ -90,7 +90,7 @@ type WorkerOptions struct {
 // Worker is the fleet's execution side: it leases content-keyed units from a
 // coordinator, runs them on a local runner pool — inheriting every local
 // robustness layer: panic recovery, watchdog timeouts, retry policy, and the
-// shared p10cache-v1 disk cache and p10runlog-v1 ledger — and reports
+// shared persistent disk cache and p10runlog-v1 ledger — and reports
 // results, heartbeating while it works.
 type Worker struct {
 	pool   *runner.Runner

@@ -103,7 +103,7 @@ func TestDiskCacheUpsetOutcomeSurvives(t *testing.T) {
 
 // A damaged or empty entry is never served: the request re-executes and
 // rewrites the entry. An older-generation entry is a plain miss; anything
-// else is quarantined.
+// else is quarantined. CachedJSON blobs share the policy.
 func TestDiskCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -164,12 +164,13 @@ func TestDiskCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
 			}
 		})
 	}
+	testBlobCorruptEntries(t)
 }
 
-// CachedJSON blobs share the result entries' corruption policy: a damaged
-// or empty blob is recomputed, never served, and everything but an
-// older-generation entry is quarantined and counted.
-func TestBlobCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
+// testBlobCorruptEntries damages a CachedJSON blob the same ways: the blob
+// is recomputed, never served, and quarantined unless it is an older
+// generation.
+func testBlobCorruptEntries(t *testing.T) {
 	flipDigit := func(data []byte) []byte {
 		i := strings.Index(string(data), `"value":`) + len(`"value":`)
 		data[i] ^= 0x01 // 42 -> 52
@@ -188,7 +189,7 @@ func TestBlobCacheCorruptEntryIsAMissAndRepaired(t *testing.T) {
 	}
 	compute := func() (int, error) { return 42, nil }
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
+		t.Run("blob "+tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			r := New(1)
 			if err := r.SetCacheDir(dir); err != nil {

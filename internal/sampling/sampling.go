@@ -43,7 +43,7 @@ const (
 )
 
 // Spec is the sampling configuration. It is a flat comparable struct on
-// purpose: the spec joins runner.Key (and the persistent p10cache-v1 disk
+// purpose: the spec joins runner.Key (and the persistent disk-cache
 // key), so sampled and full results of the same simulation never collide.
 type Spec struct {
 	// IntervalInsts is the phase-classification interval length in dynamic

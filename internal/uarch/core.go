@@ -162,7 +162,7 @@ type core struct {
 	readyQ     []readyItem
 	deferred   []int32
 
-	// Sampler bookkeeping (previously captured by per-run closures).
+	// Sampler window bookkeeping.
 	samplePrev  Activity
 	sampleStart uint64
 
