@@ -70,7 +70,8 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 		Attempts:    res.Attempts,
 		WallSeconds: wall.Seconds(),
 	}
-	if n := k.sample; k.hasSample {
+	if k.hasSample {
+		n := k.sample
 		rec.Sampled = true
 		rec.SampleSpec = fmt.Sprintf("iv%d k%d r%d w%d sig%d s%d",
 			n.IntervalInsts, n.MaxK, n.RepsPerCluster,
