@@ -366,45 +366,51 @@ func TestForwardingDoesNotFireAcrossAddresses(t *testing.T) {
 	}
 }
 
-// Every window's delta is that window's activity only: the deltas tile the
-// measured run, whatever the window length.
-func TestSamplerDeltasSumToTotal(t *testing.T) {
+// checkWindowsTileRun runs a 4000-iteration loop with a sampler every `every`
+// cycles and checks that each window's delta is that window's activity only:
+// full windows are `every` cycles long and the deltas sum to the run's totals.
+func checkWindowsTileRun(t *testing.T, every uint64) {
+	t.Helper()
 	p := simpleLoop(4000)
-	for _, every := range []uint64{500, 700} {
-		var samples []CycleSample
-		res, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
-			10_000_000, WithSampler(every, func(s CycleSample) { samples = append(samples, s) }))
-		if err != nil {
-			t.Fatal(err)
+	var samples []CycleSample
+	res, err := Simulate(POWER10(), []trace.Stream{trace.NewVMStream(p, 1<<20)},
+		10_000_000, WithSampler(every, func(s CycleSample) { samples = append(samples, s) }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) < 3 {
+		t.Fatalf("only %d samples", len(samples))
+	}
+	var cyc, insts, l1d uint64
+	prevEnd := uint64(0)
+	for i, s := range samples {
+		if s.Cycle <= prevEnd {
+			t.Errorf("sample %d end cycle %d not increasing past %d", i, s.Cycle, prevEnd)
 		}
-		if len(samples) < 3 {
-			t.Fatalf("every=%d: only %d samples", every, len(samples))
+		if i < len(samples)-1 && s.Delta.Cycles != every {
+			t.Errorf("sample %d window = %d cycles, want %d", i, s.Delta.Cycles, every)
 		}
-		var cyc, insts, l1d uint64
-		prevEnd := uint64(0)
-		for i, s := range samples {
-			if s.Cycle <= prevEnd {
-				t.Errorf("every=%d: sample %d end cycle %d not increasing past %d", every, i, s.Cycle, prevEnd)
-			}
-			if i < len(samples)-1 && s.Delta.Cycles != every {
-				t.Errorf("every=%d: sample %d window = %d cycles", every, i, s.Delta.Cycles)
-			}
-			prevEnd = s.Cycle
-			cyc += s.Delta.Cycles
-			insts += s.Delta.Instructions
-			l1d += s.Delta.L1DAccesses
-		}
-		if insts != res.Activity.Instructions {
-			t.Errorf("every=%d: sample insts %d != total %d", every, insts, res.Activity.Instructions)
-		}
-		if cyc != res.Activity.Cycles {
-			t.Errorf("every=%d: sample cycles %d != total %d", every, cyc, res.Activity.Cycles)
-		}
-		if l1d != res.Activity.L1DAccesses {
-			t.Errorf("every=%d: sample l1d %d != total %d", every, l1d, res.Activity.L1DAccesses)
-		}
+		prevEnd = s.Cycle
+		cyc += s.Delta.Cycles
+		insts += s.Delta.Instructions
+		l1d += s.Delta.L1DAccesses
+	}
+	if insts != res.Activity.Instructions {
+		t.Errorf("sample insts %d != total %d", insts, res.Activity.Instructions)
+	}
+	if cyc != res.Activity.Cycles {
+		t.Errorf("sample cycles %d != total %d", cyc, res.Activity.Cycles)
+	}
+	if l1d != res.Activity.L1DAccesses {
+		t.Errorf("sample l1d %d != total %d", l1d, res.Activity.L1DAccesses)
 	}
 }
+
+// Epoch counters (pmgmt, tracepoints, powermodel) are read from the sampler
+// hook's deltas; the 500-cycle epoch windows must tile the run.
+func TestEpochCallbackDeltasSumToTotal(t *testing.T) { checkWindowsTileRun(t, 500) }
+
+func TestSamplerDeltasSumToTotal(t *testing.T) { checkWindowsTileRun(t, 700) }
 
 // Disabled sampling (every=0 or a nil fn) must never fire.
 func TestSamplerDisabled(t *testing.T) {
