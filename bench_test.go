@@ -291,6 +291,32 @@ func BenchmarkFig11(b *testing.B) {
 	}
 }
 
+// BenchmarkModelFits times the power-model fit layer on its own: Fig. 11's
+// four error curves, Fig. 12's top-down and bottom-up fits, and Fig. 15(a)'s
+// accuracy curve and 16-counter design. The quick model corpus is collected
+// once, outside the timer; BenchmarkFig11 and its siblings pay for the
+// collection in every iteration.
+func BenchmarkModelFits(b *testing.B) {
+	ds, err := experiments.ModelDataset(uarch.POWER10(), quick)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Fig11Fits(ds); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := experiments.Fig12Fits(ds); err != nil {
+			b.Fatal(err)
+		}
+		if _, _, err := experiments.Fig15aFits(ds); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(ds.Samples)), "samples")
+}
+
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig12(quick)

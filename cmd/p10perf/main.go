@@ -33,12 +33,12 @@ import (
 )
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
-// measure both ends honestly: the heavy tier (whole-core simulations,
-// 50ms-14s per op) runs a fixed few iterations, while the fast tier
-// (nanosecond-to-microsecond ops) needs real iteration counts — at 3
+// measure both ends honestly: the heavy tier (whole-core simulations and the
+// power-model fits, 50ms-14s per op) runs a fixed few iterations, while the
+// fast tier (nanosecond-to-microsecond ops) needs real iteration counts — at 3
 // iterations a 100ns op is timer noise, and noise was tripping the
 // regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the

@@ -165,11 +165,11 @@ func modelInputs(cfg *uarch.Config, o Options) ([]*workloads.Workload, uint64, s
 	return ws, epoch, fp
 }
 
-// modelDataset builds the shared counter/power corpus, fanning the
+// ModelDataset builds the shared counter/power corpus, fanning the
 // per-workload epoch collection across the options' job count. The corpus is
 // persisted through the runner's blob cache, so the three figures sharing it
 // collect it once per cache directory, not once per figure per process.
-func modelDataset(cfg *uarch.Config, o Options) (*powermodel.Dataset, error) {
+func ModelDataset(cfg *uarch.Config, o Options) (*powermodel.Dataset, error) {
 	ws, epoch, fp := modelInputs(cfg, o)
 	return runner.CachedJSON(o.pool(), "modeldataset", fp, func() (*powermodel.Dataset, error) {
 		return powermodel.CollectJobs(cfg, ws, epoch, o.jobs())
@@ -184,29 +184,34 @@ func Fig11(o Options) (*Fig11Result, error) {
 	cfg := uarch.POWER10()
 	_, _, fp := modelInputs(cfg, o)
 	return runner.CachedJSON(o.pool(), "fig11", fp, func() (*Fig11Result, error) {
-		ds, err := modelDataset(cfg, o)
+		ds, err := ModelDataset(cfg, o)
 		if err != nil {
 			return nil, err
 		}
-		res := &Fig11Result{
-			Inputs: []int{1, 2, 4, 8, 16, 24},
-			Curves: map[string]map[int]float64{},
-		}
-		constraints := map[string]mlfit.Options{
-			"ols":          {Intercept: true},
-			"ridge":        {Intercept: true, Ridge: 0.5},
-			"non-negative": {Intercept: true, NonNegative: true},
-			"no-intercept": {},
-		}
-		for name, opt := range constraints {
-			curve, err := powermodel.ErrorCurve(ds, res.Inputs, opt)
-			if err != nil {
-				return nil, err
-			}
-			res.Curves[name] = curve
-		}
-		return res, nil
+		return Fig11Fits(ds)
 	})
+}
+
+// Fig11Fits fits Fig. 11's error curves on a model corpus.
+func Fig11Fits(ds *powermodel.Dataset) (*Fig11Result, error) {
+	res := &Fig11Result{
+		Inputs: []int{1, 2, 4, 8, 16, 24},
+		Curves: map[string]map[int]float64{},
+	}
+	constraints := map[string]mlfit.Options{
+		"ols":          {Intercept: true},
+		"ridge":        {Intercept: true, Ridge: 0.5},
+		"non-negative": {Intercept: true, NonNegative: true},
+		"no-intercept": {},
+	}
+	for name, opt := range constraints {
+		curve, err := powermodel.ErrorCurve(ds, res.Inputs, opt)
+		if err != nil {
+			return nil, err
+		}
+		res.Curves[name] = curve
+	}
+	return res, nil
 }
 
 // Table renders Fig. 11.
@@ -232,24 +237,30 @@ func Fig12(o Options) (*Fig12Result, error) {
 	cfg := uarch.POWER10()
 	_, _, fp := modelInputs(cfg, o)
 	return runner.CachedJSON(o.pool(), "fig12", fp, func() (*Fig12Result, error) {
-		ds, err := modelDataset(cfg, o)
+		ds, err := ModelDataset(cfg, o)
 		if err != nil {
 			return nil, err
 		}
-		td, err := powermodel.FitTopDown(ds, 16, mlfit.Options{Intercept: true})
-		if err != nil {
-			return nil, err
-		}
-		bu, err := powermodel.FitBottomUp(ds, 3, mlfit.Options{Intercept: true})
-		if err != nil {
-			return nil, err
-		}
-		return &Fig12Result{
-			Comparison:     powermodel.Compare(td, bu, ds),
-			BottomUpEvents: bu.EventsUsed,
-			Samples:        len(ds.Samples),
-		}, nil
+		return Fig12Fits(ds)
 	})
+}
+
+// Fig12Fits fits both model styles on a model corpus and cross-validates
+// them.
+func Fig12Fits(ds *powermodel.Dataset) (*Fig12Result, error) {
+	td, err := powermodel.FitTopDown(ds, 16, mlfit.Options{Intercept: true})
+	if err != nil {
+		return nil, err
+	}
+	bu, err := powermodel.FitBottomUp(ds, 3, mlfit.Options{Intercept: true})
+	if err != nil {
+		return nil, err
+	}
+	return &Fig12Result{
+		Comparison:     powermodel.Compare(td, bu, ds),
+		BottomUpEvents: bu.EventsUsed,
+		Samples:        len(ds.Samples),
+	}, nil
 }
 
 // Table renders Fig. 12.

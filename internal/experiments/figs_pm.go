@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"power10sim/internal/pmgmt"
+	"power10sim/internal/powermodel"
 	"power10sim/internal/runner"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
@@ -39,15 +40,11 @@ func Fig15(o Options) (*Fig15Result, error) {
 	_, _, fp := modelInputs(cfg, o)
 	fp += fmt.Sprintf("|gran=%s|budget=%d", runner.WorkloadFingerprint(w), o.scale(w.Budget))
 	return runner.CachedJSON(o.pool(), "fig15", fp, func() (*Fig15Result, error) {
-		ds, err := modelDataset(cfg, o)
+		ds, err := ModelDataset(cfg, o)
 		if err != nil {
 			return nil, err
 		}
-		curve, err := pmgmt.AccuracyCurve(ds, []int{2, 4, 8, 16, 24})
-		if err != nil {
-			return nil, err
-		}
-		px, err := pmgmt.DesignProxy(ds, 16)
+		curve, px, err := Fig15aFits(ds)
 		if err != nil {
 			return nil, err
 		}
@@ -64,6 +61,20 @@ func Fig15(o Options) (*Fig15Result, error) {
 			ErrorByGranularity: gran,
 		}, nil
 	})
+}
+
+// Fig15aFits designs the proxy on a model corpus: Fig. 15(a)'s accuracy
+// curve over counter budgets and the selected 16-counter design.
+func Fig15aFits(ds *powermodel.Dataset) (map[int]float64, *pmgmt.Proxy, error) {
+	curve, err := pmgmt.AccuracyCurve(ds, []int{2, 4, 8, 16, 24})
+	if err != nil {
+		return nil, nil, err
+	}
+	px, err := pmgmt.DesignProxy(ds, 16)
+	if err != nil {
+		return nil, nil, err
+	}
+	return curve, px, nil
 }
 
 // Table renders Fig. 15.

@@ -79,47 +79,91 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// fitOnColumns fits y on the selected columns of X.
-func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearModel, error) {
-	n := len(X)
-	if n == 0 || n != len(y) {
-		return nil, errors.New("mlfit: bad sample dimensions")
+// Gram holds the sums every least-squares fit on one corpus is assembled
+// from: X'X over the feature columns plus a trailing ones column (the
+// intercept). Each entry adds its products in sample order, the order a
+// row-by-row normal-equation build adds them, so a fit solved from a slice
+// of the matrix is bit-identical to one built from the samples.
+type Gram struct {
+	x   [][]float64 // the samples, kept to score candidate fits
+	nf  int         // feature columns; index nf is the ones column
+	xtx []float64   // (nf+1) x (nf+1), row-major, symmetric
+}
+
+// NewGram sums X'X for a corpus.
+func NewGram(X [][]float64) (*Gram, error) {
+	if len(X) == 0 {
+		return nil, errors.New("mlfit: no samples")
 	}
-	k := len(cols)
-	dim := k
-	if opt.Intercept {
-		dim++
-	}
-	// Normal equations: (Z'Z + ridge I) w = Z'y.
-	zt := make([][]float64, dim)
-	for i := range zt {
-		zt[i] = make([]float64, dim)
-	}
-	zy := make([]float64, dim)
-	row := make([]float64, dim)
-	for s := 0; s < n; s++ {
-		for i, c := range cols {
-			row[i] = X[s][c]
-		}
-		if opt.Intercept {
-			row[dim-1] = 1
-		}
-		for i := 0; i < dim; i++ {
-			zy[i] += row[i] * y[s]
-			for j := i; j < dim; j++ {
-				zt[i][j] += row[i] * row[j]
+	nf := len(X[0])
+	d := nf + 1
+	g := &Gram{x: X, nf: nf, xtx: make([]float64, d*d)}
+	row := make([]float64, 0, d)
+	for _, xs := range X {
+		row = append(append(row[:0], xs...), 1)
+		for i := range row {
+			gi := g.xtx[i*d : (i+1)*d]
+			for j := i; j < len(row); j++ {
+				gi[j] += row[i] * row[j]
 			}
 		}
 	}
-	for i := 0; i < dim; i++ {
+	for i := 0; i < d; i++ {
 		for j := 0; j < i; j++ {
-			zt[i][j] = zt[j][i]
+			g.xtx[i*d+j] = g.xtx[j*d+i]
+		}
+	}
+	return g, nil
+}
+
+// Target is one response vector on a corpus: X'y with the ones column
+// last, summed in sample order. All targets of a corpus share its Gram.
+type Target struct {
+	g   *Gram
+	y   []float64
+	xty []float64
+}
+
+// Target sums X'y for a response vector.
+func (g *Gram) Target(y []float64) *Target {
+	t := &Target{g: g, y: y, xty: make([]float64, g.nf+1)}
+	if len(y) != len(g.x) {
+		return t // every fit reports the bad dimensions
+	}
+	for s, xs := range g.x {
+		for i, v := range xs {
+			t.xty[i] += v * y[s]
+		}
+		t.xty[g.nf] += y[s] // the ones column
+	}
+	return t
+}
+
+// Fit fits the target on the given columns, solving the (ridge) normal
+// equations sliced from the Gram matrix.
+func (t *Target) Fit(cols []int, opt Options) (*LinearModel, error) {
+	if len(t.y) != len(t.g.x) {
+		return nil, errors.New("mlfit: bad sample dimensions")
+	}
+	k := len(cols)
+	idx := cols
+	if opt.Intercept {
+		idx = append(cols[:k:k], t.g.nf)
+	}
+	d := t.g.nf + 1
+	zt := make([][]float64, len(idx))
+	zy := make([]float64, len(idx))
+	for i, ci := range idx {
+		zt[i] = make([]float64, len(idx))
+		for j, cj := range idx {
+			zt[i][j] = t.g.xtx[ci*d+cj]
 		}
 		ridge := opt.Ridge
-		if opt.Intercept && i == dim-1 {
+		if i == k {
 			ridge = 0 // do not shrink the intercept
 		}
 		zt[i][i] += ridge + 1e-9 // tiny jitter for stability
+		zy[i] = t.xty[ci]
 	}
 	w, err := solve(zt, zy)
 	if err != nil {
@@ -148,7 +192,7 @@ func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearM
 			}
 			sub := opt
 			sub.NonNegative = false
-			mm, err := fitOnColumns(X, y, keep, sub)
+			mm, err := t.Fit(keep, sub)
 			if err != nil {
 				return nil, err
 			}
@@ -161,21 +205,17 @@ func fitOnColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearM
 	return m, nil
 }
 
-// FitColumns fits a linear model restricted to the given columns.
-func FitColumns(X [][]float64, y []float64, cols []int, opt Options) (*LinearModel, error) {
-	return fitOnColumns(X, y, cols, opt)
-}
-
 // Fit fits a linear model on all columns of X.
 func Fit(X [][]float64, y []float64, opt Options) (*LinearModel, error) {
-	if len(X) == 0 {
-		return nil, errors.New("mlfit: no samples")
+	g, err := NewGram(X)
+	if err != nil {
+		return nil, err
 	}
-	cols := make([]int, len(X[0]))
+	cols := make([]int, g.nf)
 	for i := range cols {
 		cols[i] = i
 	}
-	return fitOnColumns(X, y, cols, opt)
+	return g.Target(y).Fit(cols, opt)
 }
 
 // MeanAbsPctError returns mean |pred-y|/mean(y) — the "% error on active
@@ -198,52 +238,90 @@ func MeanAbsPctError(m *LinearModel, X [][]float64, y []float64) float64 {
 	return sumAbs / float64(len(X)) / meanY * 100
 }
 
-// ForwardSelect greedily adds up to maxFeatures columns, each step choosing
-// the feature that most reduces training error. This is how the methodology
-// derives constrained-input power models (Figs. 11 and 15a).
-func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*LinearModel, error) {
-	if len(X) == 0 {
-		return nil, errors.New("mlfit: no samples")
+// Selection is the rule set of a greedy forward-selection path.
+type Selection struct {
+	Options
+	// Candidate reports whether column f may enter the model; nil admits
+	// every column.
+	Candidate func(f int) bool
+	// Strict rejects a candidate whose non-negative refit pruned a column,
+	// so every step adds exactly one input.
+	Strict bool
+}
+
+// Step is one step of a forward-selection path: the lowest-error model of
+// the steps so far and its training error (MeanAbsPctError).
+type Step struct {
+	Model *LinearModel
+	Error float64
+}
+
+// Path is a greedy forward-selection path; Path[k-1] is the model
+// selection returns at an input budget of k.
+type Path []Step
+
+// At returns the model selected at an input budget. A budget past the end
+// of the path, where the columns ran out or no candidate fit, reads the
+// last step.
+func (p Path) At(budget int) (Step, error) {
+	if budget <= 0 || len(p) == 0 {
+		return Step{}, errors.New("mlfit: forward selection found no usable feature")
 	}
-	nf := len(X[0])
-	if maxFeatures > nf {
-		maxFeatures = nf
+	if budget > len(p) {
+		budget = len(p)
 	}
-	var chosen []int
-	used := make([]bool, nf)
-	var best *LinearModel
-	bestErr := math.Inf(1)
+	return p[budget-1], nil
+}
+
+// Path walks greedy forward selection for up to maxFeatures steps. Each
+// step adds the admitted column whose fit has the lowest training error,
+// the first such column on a tie, so the path to a large budget passes
+// through the selection at every smaller one. The walk stops early when no
+// candidate fits.
+func (t *Target) Path(maxFeatures int, sel Selection) Path {
+	var path Path
+	var chosen, cand []int
+	used := make([]bool, t.g.nf)
+	best := Step{Error: math.Inf(1)}
 	for len(chosen) < maxFeatures {
-		stepBestErr := math.Inf(1)
-		stepBestF := -1
-		var stepBestModel *LinearModel
-		for f := 0; f < nf; f++ {
-			if used[f] {
+		step, pick := Step{Error: math.Inf(1)}, -1
+		for f := 0; f < t.g.nf; f++ {
+			if used[f] || (sel.Candidate != nil && !sel.Candidate(f)) {
 				continue
 			}
-			cand := append(append([]int{}, chosen...), f)
-			m, err := fitOnColumns(X, y, cand, opt)
-			if err != nil {
+			cand = append(append(cand[:0], chosen...), f)
+			m, err := t.Fit(cand, sel.Options)
+			if err != nil || (sel.Strict && len(m.Features) != len(cand)) {
 				continue
 			}
-			e := MeanAbsPctError(m, X, y)
-			if e < stepBestErr {
-				stepBestErr, stepBestF, stepBestModel = e, f, m
+			if e := MeanAbsPctError(m, t.g.x, t.y); e < step.Error {
+				step, pick = Step{Model: m, Error: e}, f
 			}
 		}
-		if stepBestF < 0 {
+		if pick < 0 {
 			break
 		}
-		chosen = append(chosen, stepBestF)
-		used[stepBestF] = true
-		if stepBestErr < bestErr {
-			bestErr, best = stepBestErr, stepBestModel
+		chosen = append(chosen, pick)
+		used[pick] = true
+		if step.Error < best.Error {
+			best = step
 		}
+		path = append(path, best)
 	}
-	if best == nil {
-		return nil, errors.New("mlfit: forward selection found no usable feature")
+	return path
+}
+
+// ForwardSelect greedily adds up to maxFeatures columns, each step choosing
+// the feature that most reduces training error, and returns the best model
+// found. This is how the methodology derives constrained-input power
+// models (Figs. 11 and 15a).
+func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*LinearModel, error) {
+	g, err := NewGram(X)
+	if err != nil {
+		return nil, err
 	}
-	return best, nil
+	s, err := g.Target(y).Path(maxFeatures, Selection{Options: opt}).At(maxFeatures)
+	return s.Model, err
 }
 
 // KMeans clusters rows into k clusters (deterministic k-means++ style

@@ -8,6 +8,7 @@ package pmgmt
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
@@ -118,71 +119,62 @@ func hardwareImplementable(name string) bool {
 // non-negative coefficients), mirroring the design-space exploration that
 // produced the final 16-counter POWER10 proxy.
 func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
-	if nCounters <= 0 {
-		return nil, errors.New("pmgmt: proxy needs at least one counter")
-	}
-	// Strict non-negative greedy: grow the counter set one input at a
-	// time, only accepting candidates whose addition keeps every weight
-	// implementable (>= 0). This is how the final design ends up with the
-	// full 16-counter budget populated rather than a pruned handful.
-	X := ds.X()
-	y := ds.ActiveY()
-	opt := mlfit.Options{Intercept: true, NonNegative: true, Ridge: 1e-6}
-	var chosen []int
-	used := make(map[int]bool)
-	var best *mlfit.LinearModel
-	bestErr := 1e18
-	for len(chosen) < nCounters {
-		stepF, stepErr := -1, 1e18
-		var stepModel *mlfit.LinearModel
-		for f := range ds.Names {
-			if used[f] || !hardwareImplementable(ds.Names[f]) {
-				continue
-			}
-			cand := append(append([]int{}, chosen...), f)
-			m, err := mlfit.FitColumns(X, y, cand, opt)
-			if err != nil || len(m.Features) != len(cand) {
-				continue // pruned: a weight went negative
-			}
-			e := mlfit.MeanAbsPctError(m, X, y)
-			if e < stepErr {
-				stepF, stepErr, stepModel = f, e, m
-			}
-		}
-		if stepF < 0 {
-			break // no candidate survives the constraint
-		}
-		chosen = append(chosen, stepF)
-		used[stepF] = true
-		if stepErr < bestErr {
-			bestErr, best = stepErr, stepModel
-		}
-	}
-	if best == nil {
-		return nil, errors.New("pmgmt: no implementable counter set found")
-	}
-	p := &Proxy{Model: best, ActiveError: mlfit.MeanAbsPctError(best, X, y)}
-	for _, f := range best.Features {
-		p.Counters = append(p.Counters, ds.Names[f])
-	}
-	return p, nil
+	return proxyAt(ds, proxyPath(ds, nCounters), nCounters)
 }
 
 // Estimate returns the proxy's active-power estimate for a counter row.
 func (p *Proxy) Estimate(counters []float64) float64 { return p.Model.Predict(counters) }
 
 // AccuracyCurve produces Fig. 15(a): active-power error versus counter
-// budget under the hardware constraints.
+// budget under the hardware constraints. Every budget reads one greedy path
+// walked to the largest budget.
 func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
 	out := map[int]float64{}
+	if len(budgets) == 0 {
+		return out, nil
+	}
+	path := proxyPath(ds, slices.Max(budgets))
 	for _, n := range budgets {
-		p, err := DesignProxy(ds, n)
+		p, err := proxyAt(ds, path, n)
 		if err != nil {
 			return nil, err
 		}
 		out[n] = p.ActiveError
 	}
 	return out, nil
+}
+
+// proxyPath grows the counter set one input at a time, admitting only
+// implementable counters and only candidates whose addition keeps every
+// weight implementable (>= 0): a refit that prunes a negative weight is
+// rejected. This is how the final design ends up with the full 16-counter
+// budget populated rather than a pruned handful.
+func proxyPath(ds *powermodel.Dataset, nCounters int) mlfit.Path {
+	g, err := mlfit.NewGram(ds.X())
+	if err != nil {
+		return nil // no samples: no counter set is implementable
+	}
+	return g.Target(ds.ActiveY()).Path(nCounters, mlfit.Selection{
+		Options:   mlfit.Options{Intercept: true, NonNegative: true, Ridge: 1e-6},
+		Candidate: func(f int) bool { return hardwareImplementable(ds.Names[f]) },
+		Strict:    true,
+	})
+}
+
+// proxyAt returns the proxy a selection path holds at a counter budget.
+func proxyAt(ds *powermodel.Dataset, path mlfit.Path, nCounters int) (*Proxy, error) {
+	if nCounters <= 0 {
+		return nil, errors.New("pmgmt: proxy needs at least one counter")
+	}
+	s, err := path.At(nCounters)
+	if err != nil {
+		return nil, errors.New("pmgmt: no implementable counter set found")
+	}
+	px := &Proxy{Model: s.Model, ActiveError: s.Error}
+	for _, f := range s.Model.Features {
+		px.Counters = append(px.Counters, ds.Names[f])
+	}
+	return px, nil
 }
 
 // GranularityError produces Fig. 15(b): the proxy's total-power prediction

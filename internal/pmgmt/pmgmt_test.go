@@ -1,8 +1,10 @@
 package pmgmt
 
 import (
+	"math/rand"
 	"testing"
 
+	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
 	"power10sim/internal/powermodel"
 	"power10sim/internal/trace"
@@ -250,5 +252,81 @@ func TestMMAGateHintsHideWakeLatency(t *testing.T) {
 	}
 	if rep.GatedWindows == 0 {
 		t.Error("gate never engaged")
+	}
+}
+
+// handDataset is a small corpus built without simulation: two implementable
+// event counters and two the proxy may not use (a busy fraction and IPC),
+// with active power set from the counters by f.
+func handDataset(f func(x []float64) float64) *powermodel.Dataset {
+	rng := rand.New(rand.NewSource(9))
+	ds := &powermodel.Dataset{Names: []string{"fx_ops", "ld_ops", "busy_fxu", "ipc"}}
+	for s := 0; s < 24; s++ {
+		x := []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
+		ds.Samples = append(ds.Samples, powermodel.Sample{Counters: x, Active: f(x)})
+	}
+	return ds
+}
+
+// TestCurveBudgetEdgeCases pins how the Fig. 11 and Fig. 15(a) curves read
+// budgets off their selection paths.
+func TestCurveBudgetEdgeCases(t *testing.T) {
+	rising := handDataset(func(x []float64) float64 { return 1 + 2*x[0] + x[1] + 3*x[2] + 0.5*x[3] })
+	falling := handDataset(func(x []float64) float64 { return 10 - 2*x[0] - 3*x[1] + x[2] })
+	errorCurve := func(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
+		return powermodel.ErrorCurve(ds, budgets, mlfit.Options{Intercept: true})
+	}
+	cases := []struct {
+		name    string
+		curve   func(*powermodel.Dataset, []int) (map[int]float64, error)
+		ds      *powermodel.Dataset
+		budgets []int
+		wantErr string
+		// same lists budget pairs that must read the same path step.
+		same [][2]int
+	}{
+		{name: "ErrorCurve/no budgets", curve: errorCurve, ds: rising},
+		{name: "AccuracyCurve/no budgets", curve: AccuracyCurve, ds: rising},
+		{name: "ErrorCurve/zero budget", curve: errorCurve, ds: rising, budgets: []int{2, 0},
+			wantErr: "mlfit: forward selection found no usable feature"},
+		{name: "ErrorCurve/negative budget", curve: errorCurve, ds: rising, budgets: []int{-1},
+			wantErr: "mlfit: forward selection found no usable feature"},
+		{name: "AccuracyCurve/zero budget", curve: AccuracyCurve, ds: rising, budgets: []int{0, 2},
+			wantErr: "pmgmt: proxy needs at least one counter"},
+		{name: "AccuracyCurve/negative budget", curve: AccuracyCurve, ds: rising, budgets: []int{1, -3},
+			wantErr: "pmgmt: proxy needs at least one counter"},
+		{name: "ErrorCurve/budget above feature count", curve: errorCurve, ds: rising, budgets: []int{1, 4, 9},
+			same: [][2]int{{4, 9}}},
+		{name: "AccuracyCurve/budget above early stop", curve: AccuracyCurve, ds: rising, budgets: []int{1, 2, 3, 16},
+			same: [][2]int{{2, 3}, {2, 16}}},
+		{name: "AccuracyCurve/no counter passes the strict rule", curve: AccuracyCurve, ds: falling, budgets: []int{1, 4},
+			wantErr: "pmgmt: no implementable counter set found"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			curve, err := tc.curve(tc.ds, tc.budgets)
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Fatalf("err %v, want %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(curve) != len(tc.budgets) {
+				t.Fatalf("curve %v for budgets %v", curve, tc.budgets)
+			}
+			for _, p := range tc.same {
+				if curve[p[0]] != curve[p[1]] {
+					t.Errorf("budget %d reads %v, budget %d reads %v; want the same step", p[1], curve[p[1]], p[0], curve[p[0]])
+				}
+			}
+		})
+	}
+	// The falling corpus still has a non-negative Fig. 11 curve: that
+	// selection accepts refits that pruned columns.
+	if _, err := powermodel.ErrorCurve(falling, []int{1, 4}, mlfit.Options{Intercept: true, NonNegative: true}); err != nil {
+		t.Errorf("non-negative error curve on the falling corpus: %v", err)
 	}
 }

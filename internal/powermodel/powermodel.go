@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
@@ -160,15 +161,24 @@ func FitTopDown(ds *Dataset, nInputs int, opt mlfit.Options) (*TopDown, error) {
 func (t *TopDown) Predict(row []float64) float64 { return t.Model.Predict(row) }
 
 // ErrorCurve produces Fig. 11: active-power error versus input budget, for a
-// given modeling constraint set.
+// given modeling constraint set. Every budget reads one greedy path walked
+// to the largest budget.
 func ErrorCurve(ds *Dataset, inputCounts []int, opt mlfit.Options) (map[int]float64, error) {
 	out := map[int]float64{}
+	if len(inputCounts) == 0 {
+		return out, nil
+	}
+	g, err := mlfit.NewGram(ds.X())
+	if err != nil {
+		return nil, err
+	}
+	path := g.Target(ds.ActiveY()).Path(slices.Max(inputCounts), mlfit.Selection{Options: opt})
 	for _, n := range inputCounts {
-		td, err := FitTopDown(ds, n, opt)
+		s, err := path.At(n)
 		if err != nil {
 			return nil, err
 		}
-		out[n] = td.TrainError
+		out[n] = s.Error
 	}
 	return out, nil
 }
@@ -188,8 +198,11 @@ func FitBottomUp(ds *Dataset, maxPerComponent int, opt mlfit.Options) (*BottomUp
 	if len(ds.Samples) == 0 {
 		return nil, errors.New("powermodel: empty dataset")
 	}
+	g, err := mlfit.NewGram(ds.X())
+	if err != nil {
+		return nil, err
+	}
 	bu := &BottomUp{}
-	X := ds.X()
 	events := map[int]bool{}
 	for ci := range power.ComponentNames {
 		y := ds.componentY(ci)
@@ -204,12 +217,12 @@ func FitBottomUp(ds *Dataset, maxPerComponent int, opt mlfit.Options) (*BottomUp
 			bu.Components = append(bu.Components, nil)
 			continue
 		}
-		m, err := mlfit.ForwardSelect(X, y, maxPerComponent, opt)
+		s, err := g.Target(y).Path(maxPerComponent, mlfit.Selection{Options: opt}).At(maxPerComponent)
 		if err != nil {
 			return nil, fmt.Errorf("powermodel: component %s: %w", power.ComponentNames[ci], err)
 		}
-		bu.Components = append(bu.Components, m)
-		for _, f := range m.Features {
+		bu.Components = append(bu.Components, s.Model)
+		for _, f := range s.Model.Features {
 			events[f] = true
 		}
 	}
