@@ -18,7 +18,6 @@ import (
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/power"
-	"power10sim/internal/rtl"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -41,27 +40,12 @@ func main() {
 		cliutil.Usagef("-top %d: must be >= 1", *topN)
 	}
 
-	var w *workloads.Workload
-	catalog := workloads.SPECintSuite()
-	catalog = append(catalog, workloads.Stressmark(true), workloads.ActiveIdle(),
-		workloads.Daxpy(4096, 6))
-	for _, cand := range catalog {
-		if cand.Name == *wlName {
-			w = cand
-		}
-	}
-	if w == nil {
+	w, ok := workloads.Catalog()[*wlName]
+	if !ok {
 		cliutil.Usagef("unknown workload %q", *wlName)
 	}
-	var cfg *uarch.Config
-	switch *cfgName {
-	case "POWER9", "p9":
-		cfg = uarch.POWER9()
-	case "POWER10", "p10":
-		cfg = uarch.POWER10()
-	case "POWER10-noMMA":
-		cfg = uarch.POWER10NoMMA()
-	default:
+	cfg := uarch.ConfigByName(*cfgName)
+	if cfg == nil {
 		cliutil.Usagef("unknown config %q", *cfgName)
 	}
 
@@ -113,5 +97,4 @@ func main() {
 	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
 		fmt.Printf("  %-12s %5.1f%%\n", u, a.BusyFraction(u)*100)
 	}
-	_ = rtl.AccessEnergy // package reference for doc linkage
 }

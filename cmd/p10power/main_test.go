@@ -10,12 +10,19 @@ func TestMain(m *testing.M) { clitest.Main(m, "p10power", main) }
 
 func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
 
-func TestCompressGolden(t *testing.T) {
-	out, stderr, code := clitest.Run(t, "-workload", "compress")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
+// TestReportGoldens pins the full report per workload. Names resolve
+// through workloads.Catalog, so daxpy is the same Daxpy(4096, 12) that
+// p10sim and the fabric submit API run.
+func TestReportGoldens(t *testing.T) {
+	for _, wl := range []string{"compress", "daxpy"} {
+		t.Run(wl, func(t *testing.T) {
+			out, stderr, code := clitest.Run(t, "-workload", wl)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			clitest.Golden(t, wl, out)
+		})
 	}
-	clitest.Golden(t, "compress", out)
 }
 
 // TestUsageErrors covers the flag and name checks that must exit 2 before
