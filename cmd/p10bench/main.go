@@ -14,7 +14,6 @@
 //	                         # /debug/pprof/*
 //	p10bench -runlog dir     # append a campaign-ledger record per completed
 //	                         # simulation (query with p10query)
-//	p10bench -runlog dir -runlog-series 64   # plus downsampled time series
 //	p10bench -surrogate m.json               # serve low-uncertainty points
 //	                                         # from a trained surrogate model
 //	p10bench -list
@@ -49,14 +48,13 @@ import (
 
 func main() {
 	obs := cliutil.Register(cliutil.Help{
-		Metrics:      "write a metrics-registry JSON snapshot to this file",
-		Trace:        "write a Chrome trace_event JSON file to this file",
-		FlightRec:    "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain",
-		Serve:        "serve the live observability endpoints on this address (e.g. :9090, 127.0.0.1:0)",
-		CacheDir:     "persist simulation results under this directory (shared across runs)",
-		RunLog:       "append one campaign-ledger record per completed simulation under this directory",
-		RunLogSeries: "with -runlog, also record a downsampled time series per executed sim, decimated to at most N frames (0 = off)",
-		Jobs:         "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)",
+		Metrics:   "write a metrics-registry JSON snapshot to this file",
+		Trace:     "write a Chrome trace_event JSON file to this file",
+		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, watchdog kill, or drain",
+		Serve:     "serve the live observability endpoints on this address (e.g. :9090, 127.0.0.1:0)",
+		CacheDir:  "persist simulation results under this directory (shared across runs)",
+		RunLog:    "append one campaign-ledger record per completed simulation under this directory",
+		Jobs:      "max concurrent simulations (0 = GOMAXPROCS, 1 = serial)",
 	})
 	var (
 		expName    = flag.String("exp", "", "experiment to run (default: all)")

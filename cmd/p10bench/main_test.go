@@ -43,11 +43,13 @@ func TestUsageErrors(t *testing.T) {
 		{"-trace", bad},
 		{"-flightrec", bad},
 		{"-jobs", "-1"},
-		{"-runlog-series", "4"},
 		{"-sample-mode", "nope"},
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
 	// There is no -pprof flag: -serve mounts /debug/pprof/* instead.
 	clitest.UsageError(t, "-pprof", "127.0.0.1:0", "-list")
+	// There is no -runlog-series flag: the ledger keeps one record per run
+	// and no time series beside it.
+	clitest.UsageError(t, "-runlog", t.TempDir(), "-runlog-series", "4", "-list")
 }

@@ -50,13 +50,12 @@ import (
 
 func main() {
 	obs := cliutil.Register(cliutil.Help{
-		Metrics:      "write a metrics-registry JSON snapshot to this file (federated: includes worker-pushed series)",
-		Trace:        "write the merged fleet Chrome trace (clock-corrected unit lifecycles) to this file",
-		FlightRec:    "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain",
-		CacheDir:     "persist simulation results under this directory (shared across runs and with p10bench)",
-		RunLog:       "append one campaign-ledger record per completed simulation under this directory",
-		RunLogSeries: "with -runlog, also record a downsampled time series per executed sim (0 = off)",
-		Jobs:         "max simulation points in flight (0 = GOMAXPROCS)",
+		Metrics:   "write a metrics-registry JSON snapshot to this file (federated: includes worker-pushed series)",
+		Trace:     "write the merged fleet Chrome trace (clock-corrected unit lifecycles) to this file",
+		FlightRec: "arm the flight recorder; dump its ring to this file on panic, SIGQUIT, or drain",
+		CacheDir:  "persist simulation results under this directory (shared across runs and with p10bench)",
+		RunLog:    "append one campaign-ledger record per completed simulation under this directory",
+		Jobs:      "max simulation points in flight (0 = GOMAXPROCS)",
 	})
 	var (
 		listenAddr  = flag.String("listen", "127.0.0.1:9170", "serve the fabric worker API and observability endpoints on this address")

@@ -38,11 +38,13 @@ func TestUsageErrors(t *testing.T) {
 		{"-trace", bad},
 		{"-flightrec", bad},
 		{"-jobs", "-1"},
-		{"-runlog-series", "4"},
 		{"-min-workers", "-1"},
 		{"-max-attempts", "0"},
 		{"-listen", ""},
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
+	// There is no -runlog-series flag: the ledger keeps one record per run
+	// and no time series beside it.
+	clitest.UsageError(t, "-runlog", t.TempDir(), "-runlog-series", "4", "-list")
 }

@@ -21,8 +21,7 @@
 //   - runlog: a pristine ledger (no corrupt/foreign/torn lines), at least
 //     -min-records records, strictly increasing sequence numbers, 64-hex
 //     content keys, known tiers, and the error/measurement exclusivity
-//     invariant; when a series file is present, every series joins a
-//     ledger record by key with non-empty frames.
+//     invariant.
 //   - flightrec: the p10flightrec-v1 schema, a non-empty command and reason,
 //     strictly increasing entry sequence numbers, well-formed event/note
 //     entries, and no zero counter deltas.

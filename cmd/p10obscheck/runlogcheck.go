@@ -69,37 +69,7 @@ func checkRunlog(dir string, minRecords int) {
 			fail("runlog: %s: surrogate record without the predicted mark", where)
 		}
 	}
-	msg := fmt.Sprintf("p10obscheck: runlog ok (%d records", len(recs))
-	// series.jsonl is optional; when present every series must be well-formed
-	// and joinable to the ledger by content key.
-	if _, err := os.Stat(dir + "/" + runlog.SeriesFile); err == nil {
-		series, sst, err := runlog.ScanSeries(dir)
-		if err != nil {
-			fail("runlog: series: %v", err)
-		}
-		if sst.Corrupt > 0 || sst.WrongSchema > 0 || sst.UnterminatedTail {
-			fail("runlog: series degraded: %+v", sst)
-		}
-		keys := map[string]bool{}
-		for i := range recs {
-			keys[recs[i].Key] = true
-		}
-		for i, s := range series {
-			if !keys[s.Key] {
-				fail("runlog: series %d: key %q matches no ledger record", i, s.Key)
-			}
-			if len(s.Frames) == 0 || s.FrameCycles == 0 {
-				fail("runlog: series %d: empty frames", i)
-			}
-			for j, f := range s.Frames {
-				if f.Cycles == 0 || f.EndCycle == 0 {
-					fail("runlog: series %d frame %d: zero extent", i, j)
-				}
-			}
-		}
-		msg += fmt.Sprintf(", %d series", len(series))
-	}
-	fmt.Fprintln(os.Stderr, msg+")")
+	fmt.Fprintf(os.Stderr, "p10obscheck: runlog ok (%d records)\n", len(recs))
 }
 
 func isHex(s string) bool {

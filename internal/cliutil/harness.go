@@ -23,13 +23,13 @@ import (
 // command's own help text for each. An empty entry leaves that flag
 // unregistered and its Flags field at the zero value.
 type Help struct {
-	Metrics, Trace, FlightRec, Serve, CacheDir, RunLog, RunLogSeries, Jobs string
+	Metrics, Trace, FlightRec, Serve, CacheDir, RunLog, Jobs string
 }
 
 // Flags holds the parsed values of the shared observability flags.
 type Flags struct {
 	Metrics, Trace, FlightRec, Serve, CacheDir, RunLog string
-	RunLogSeries, Jobs                                 int
+	Jobs                                               int
 	pool                                               bool
 }
 
@@ -50,9 +50,6 @@ func Register(h Help) *Flags {
 			flag.StringVar(s.p, s.name, "", s.help)
 		}
 	}
-	if h.RunLogSeries != "" {
-		flag.IntVar(&f.RunLogSeries, "runlog-series", 0, h.RunLogSeries)
-	}
 	if h.Jobs != "" {
 		flag.IntVar(&f.Jobs, "jobs", 0, h.Jobs)
 	}
@@ -60,17 +57,10 @@ func Register(h Help) *Flags {
 }
 
 // Check validates the parsed flags, exiting 2 on a usage error: output files
-// need an existing parent directory, -jobs and -runlog-series must not be
-// negative, and -runlog-series needs -runlog.
+// need an existing parent directory and -jobs must not be negative.
 func (f *Flags) Check() {
 	if f.Jobs < 0 {
 		Usagef("-jobs %d: must be >= 0", f.Jobs)
-	}
-	if f.RunLogSeries < 0 {
-		Usagef("-runlog-series %d: must be >= 0", f.RunLogSeries)
-	}
-	if f.RunLogSeries != 0 && f.RunLog == "" {
-		Usagef("-runlog-series needs -runlog")
 	}
 	for _, o := range [][2]string{{"metrics", f.Metrics}, {"trace", f.Trace}, {"flightrec", f.FlightRec}} {
 		if err := CheckOutputPath(o[0], o[1]); err != nil {
@@ -144,7 +134,7 @@ func Start(f *Flags, o Options) *Harness {
 		}
 	}
 	if f.RunLog != "" {
-		led, err := runlog.Open(f.RunLog, runlog.Options{Command: o.Command, SeriesFrames: f.RunLogSeries})
+		led, err := runlog.Open(f.RunLog, runlog.Options{Command: o.Command})
 		if err != nil {
 			Usagef("%v", err)
 		}
@@ -261,11 +251,7 @@ func (h *Harness) Close(exit int) int {
 			fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
 			exit = 1
 		}
-		line := fmt.Sprintf("runlog: %d records (%d B)", recs, n)
-		if f.RunLogSeries != 0 {
-			line += fmt.Sprintf(", %d series", h.Led.SeriesAppended())
-		}
-		fmt.Fprintf(os.Stderr, "%s appended under %s\n", line, f.RunLog)
+		fmt.Fprintf(os.Stderr, "runlog: %d records (%d B) appended under %s\n", recs, n, f.RunLog)
 	}
 	if h.Server != nil {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)

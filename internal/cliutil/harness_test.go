@@ -162,7 +162,7 @@ func TestUnsetGroupsAreNoOps(t *testing.T) {
 	// Every group registered but left unset: only the pool (which -jobs
 	// sizes) exists.
 	f = parse(t, Help{Metrics: "m", Trace: "t", FlightRec: "f", Serve: "s",
-		CacheDir: "c", RunLog: "r", RunLogSeries: "n", Jobs: "j"})
+		CacheDir: "c", RunLog: "r", Jobs: "j"})
 	h = Start(f, Options{})
 	if h.Pool == nil || h.Reg != nil || h.Tr != nil || h.Led != nil || h.Rec != nil || h.Server != nil {
 		t.Errorf("unset flags, yet Start built %+v", h)

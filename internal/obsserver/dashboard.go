@@ -307,7 +307,7 @@ function poll() {
     var rl = st.runlog;
     document.getElementById("t-led").textContent = rl ? rl.records_appended : "off";
     document.getElementById("t-led-note").textContent =
-      rl ? (rl.bytes_appended + " B · " + rl.series_appended + " series") : "start with -runlog DIR";
+      rl ? (rl.bytes_appended + " B") : "start with -runlog DIR";
     if (exps.length) {
       var h = "<table><tr><th>experiment</th><th>state</th><th class=num>elapsed</th></tr>";
       for (i = 0; i < exps.length; i++) {

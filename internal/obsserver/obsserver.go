@@ -298,7 +298,6 @@ type runlogStatus struct {
 	Dir             string `json:"dir"`
 	RecordsAppended uint64 `json:"records_appended"`
 	BytesAppended   uint64 `json:"bytes_appended"`
-	SeriesAppended  uint64 `json:"series_appended"`
 }
 
 // statusPayload is the /status JSON document; DESIGN.md documents the shape.
@@ -364,7 +363,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			Dir:             l.Dir(),
 			RecordsAppended: recs,
 			BytesAppended:   bytes,
-			SeriesAppended:  l.SeriesAppended(),
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -22,11 +22,6 @@
 //   - The schema version is embedded in every record; readers reject (skip
 //     and count) records from other schema generations instead of
 //     misinterpreting them. Nothing is ever rewritten in place.
-//
-// The optional time-series recorder (series.go) sits alongside the ledger:
-// a downsampled, fixed-frame-count capture of IPC / unit occupancy /
-// per-component power per executed simulation, keyed by the same content key
-// as the ledger record it accompanies.
 package runlog
 
 import (
@@ -51,10 +46,6 @@ const Schema = "p10runlog-v1"
 
 // LedgerFile is the ledger's file name inside a runlog directory.
 const LedgerFile = "ledger.jsonl"
-
-// SeriesFile is the time-series recorder's file name inside a runlog
-// directory.
-const SeriesFile = "series.jsonl"
 
 // Cache tiers a record can carry: an actually executed simulation, a
 // persistent disk-cache load, an in-process memoization hit, an execution
@@ -189,13 +180,6 @@ func (r *Record) Measure(a *uarch.Activity, rep *power.Report) {
 type Options struct {
 	// Command stamps records whose Command field is empty.
 	Command string
-	// SeriesFrames enables the time-series recorder when > 0: each executed
-	// simulation's capture is decimated to at most this many frames (values
-	// are rounded up to an even minimum of 16). 0 disables the recorder.
-	SeriesFrames int
-	// SeriesEvery is the base sampling interval in cycles for the recorder
-	// (default 4096).
-	SeriesEvery uint64
 	// RecentCap bounds the in-memory ring of recent records served to the
 	// observability server's /runs endpoint (default 512). The ring is
 	// preloaded with the ledger tail on open, so a fresh process's dashboard
@@ -204,8 +188,7 @@ type Options struct {
 }
 
 // Ledger is an open runlog directory: the append handle for the JSONL
-// ledger (and, when enabled, the series file) plus the in-memory recent
-// ring. All methods are safe for concurrent use; every method on a nil
+// ledger plus the in-memory recent ring. All methods are safe for concurrent use; every method on a nil
 // *Ledger is a no-op, so call sites instrument unconditionally.
 type Ledger struct {
 	dir  string
@@ -220,12 +203,8 @@ type Ledger struct {
 	recent    []Record // ring, oldest-first once rotated
 	recentCap int
 
-	sf       *os.File // series file, opened lazily
-	sfNeedNL bool
-	series   uint64
-
 	// Telemetry (nil-safe): the runlog_* counter family.
-	recCtr, byteCtr, seriesCtr *telemetry.Counter
+	recCtr, byteCtr *telemetry.Counter
 }
 
 // Open opens (creating if needed) the runlog directory and its ledger for
@@ -242,15 +221,6 @@ func Open(dir string, opts Options) (*Ledger, error) {
 	}
 	if opts.RecentCap <= 0 {
 		opts.RecentCap = 512
-	}
-	if opts.SeriesFrames > 0 {
-		if opts.SeriesFrames < 16 {
-			opts.SeriesFrames = 16
-		}
-		opts.SeriesFrames += opts.SeriesFrames % 2 // decimation merges pairs
-		if opts.SeriesEvery == 0 {
-			opts.SeriesEvery = 4096
-		}
 	}
 	l := &Ledger{dir: dir, opts: opts, recentCap: opts.RecentCap}
 	path := filepath.Join(dir, LedgerFile)
@@ -288,7 +258,6 @@ func (l *Ledger) Dir() string {
 //
 //	runlog_records_total  ledger records appended this process
 //	runlog_bytes_total    ledger bytes appended this process
-//	runlog_series_total   time-series captures appended this process
 //
 // A nil registry (or ledger) leaves the counters off.
 func (l *Ledger) Instrument(reg *telemetry.Registry) {
@@ -297,7 +266,6 @@ func (l *Ledger) Instrument(reg *telemetry.Registry) {
 	}
 	l.recCtr = reg.Counter("runlog_records_total")
 	l.byteCtr = reg.Counter("runlog_bytes_total")
-	l.seriesCtr = reg.Counter("runlog_series_total")
 }
 
 // Append stamps the record (Schema, Seq, Time and Command when unset) and
@@ -320,7 +288,7 @@ func (l *Ledger) Append(rec Record) error {
 	if err != nil {
 		return fmt.Errorf("runlog: marshal: %w", err)
 	}
-	if err := appendLine(l.f, &l.needNL, data); err != nil {
+	if err := l.appendLine(data); err != nil {
 		return fmt.Errorf("runlog: append: %w", err)
 	}
 	l.nextSeq++
@@ -334,18 +302,18 @@ func (l *Ledger) Append(rec Record) error {
 
 // appendLine writes one newline-terminated line in a single Write call
 // (atomic under O_APPEND for line-sized payloads), sealing a previously
-// detected unterminated tail first.
-func appendLine(f *os.File, needNL *bool, data []byte) error {
-	if *needNL {
-		if _, err := f.Write([]byte("\n")); err != nil {
+// detected unterminated tail first. The caller holds mu.
+func (l *Ledger) appendLine(data []byte) error {
+	if l.needNL {
+		if _, err := l.f.Write([]byte("\n")); err != nil {
 			return err
 		}
-		*needNL = false
+		l.needNL = false
 	}
 	line := make([]byte, 0, len(data)+1)
 	line = append(line, data...)
 	line = append(line, '\n')
-	_, err := f.Write(line)
+	_, err := l.f.Write(line)
 	return err
 }
 
@@ -376,8 +344,8 @@ func (l *Ledger) Recent(n int) []Record {
 	return out
 }
 
-// Appended returns the records and bytes appended by this process (series
-// captures excluded). Safe on nil.
+// Appended returns the records and bytes appended by this process. Safe on
+// nil.
 func (l *Ledger) Appended() (records, bytes uint64) {
 	if l == nil {
 		return 0, 0
@@ -387,74 +355,18 @@ func (l *Ledger) Appended() (records, bytes uint64) {
 	return l.records, l.bytes
 }
 
-// SeriesEnabled reports whether the time-series recorder is configured.
-// Safe on nil.
-func (l *Ledger) SeriesEnabled() bool {
-	return l != nil && l.opts.SeriesFrames > 0
-}
-
-// SeriesAppended returns the series captures appended by this process.
-// Safe on nil.
-func (l *Ledger) SeriesAppended() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.series
-}
-
-// AppendSeries appends one completed capture to the series file (opened on
-// first use, with the same torn-tail discipline as the ledger). Safe on nil
-// and with a nil/empty series (no-op).
-func (l *Ledger) AppendSeries(s *Series) error {
-	if l == nil || s == nil || len(s.Frames) == 0 {
-		return nil
-	}
-	s.Schema = SeriesSchema
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("runlog: marshal series: %w", err)
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.sf == nil {
-		path := filepath.Join(l.dir, SeriesFile)
-		if prev, err := os.ReadFile(path); err == nil && len(prev) > 0 {
-			l.sfNeedNL = prev[len(prev)-1] != '\n'
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("runlog: open series: %w", err)
-		}
-		l.sf = f
-	}
-	if err := appendLine(l.sf, &l.sfNeedNL, data); err != nil {
-		return fmt.Errorf("runlog: append series: %w", err)
-	}
-	l.series++
-	l.seriesCtr.Inc()
-	return nil
-}
-
-// Close closes the ledger (and series) file handles. Safe on nil.
+// Close closes the ledger file handle. Safe on nil.
 func (l *Ledger) Close() error {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var err error
-	if l.sf != nil {
-		err = l.sf.Close()
-		l.sf = nil
+	if l.f == nil {
+		return nil
 	}
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
-		l.f = nil
-	}
+	err := l.f.Close()
+	l.f = nil
 	return err
 }
 

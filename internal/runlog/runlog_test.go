@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"power10sim/internal/telemetry"
-	"power10sim/internal/uarch"
 )
 
 func testRecord(i int) Record {
@@ -269,74 +268,14 @@ func TestNilLedgerIsOff(t *testing.T) {
 	if err := l.Append(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.AppendSeries(&Series{Frames: []Frame{{}}}); err != nil {
-		t.Fatal(err)
-	}
-	if l.SeriesEnabled() || l.Recent(5) != nil || l.Dir() != "" {
+	if l.Recent(5) != nil || l.Dir() != "" {
 		t.Fatal("nil ledger not inert")
 	}
 	if r, b := l.Appended(); r != 0 || b != 0 {
 		t.Fatal("nil ledger accounted appends")
 	}
-	if c := l.NewCapture(uarch.POWER10()); c != nil {
-		t.Fatal("nil ledger produced a capture")
-	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestSeriesCaptureDecimation drives a capture far past its frame budget
-// and asserts the bound holds, widths double, and the totals (instructions,
-// energy) are preserved exactly by merging.
-func TestSeriesCaptureDecimation(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(dir, Options{SeriesFrames: 16, SeriesEvery: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	cap := l.NewCapture(uarch.POWER10())
-	if cap == nil {
-		t.Fatal("recorder enabled but no capture")
-	}
-	const windows = 100 // >> 16 frames: forces three halvings
-	var wantInsts uint64
-	for i := 1; i <= windows; i++ {
-		var d uarch.Activity
-		d.Cycles = 100
-		d.Instructions = uint64(i)
-		wantInsts += uint64(i)
-		cap.observe(uarch.CycleSample{Cycle: uint64(i * 100), Delta: d})
-	}
-	s := cap.Finish("k", "POWER10", "wl", 1)
-	if s == nil || len(s.Frames) == 0 || len(s.Frames) > 16 {
-		t.Fatalf("frames = %v", s)
-	}
-	if s.FrameCycles != 800 { // 100 windows -> width 8 base windows of 100 cycles
-		t.Errorf("FrameCycles = %d, want 800", s.FrameCycles)
-	}
-	var gotInsts float64
-	for _, f := range s.Frames {
-		gotInsts += f.IPC * float64(f.Cycles)
-	}
-	if d := gotInsts - float64(wantInsts); d > 1e-6 || d < -1e-6 {
-		t.Errorf("instructions not preserved by decimation: got %.3f want %d", gotInsts, wantInsts)
-	}
-	if err := l.AppendSeries(s); err != nil {
-		t.Fatal(err)
-	}
-	series, st, err := ScanSeries(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 1 || len(series) != 1 || series[0].Key != "k" {
-		t.Fatalf("series scan = %+v / %+v", series, st)
-	}
-	// Reset must discard everything for a retried attempt.
-	cap.Reset()
-	if got := cap.Finish("k", "c", "w", 1); got != nil {
-		t.Fatalf("Finish after Reset = %+v, want nil", got)
 	}
 }
 

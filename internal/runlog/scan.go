@@ -3,7 +3,6 @@ package runlog
 import (
 	"bufio"
 	"io"
-	"os"
 	"path/filepath"
 )
 
@@ -40,49 +39,4 @@ func ScanDir(dir string) ([]Record, ScanStats, error) {
 // ScanReader is ScanDir over an arbitrary stream (tests, pipes).
 func ScanReader(r io.Reader) ([]Record, ScanStats, error) {
 	return scanReader(bufio.NewReader(r))
-}
-
-// ScanSeries reads the series file under a runlog directory, skipping (and
-// counting as Corrupt) unparseable or wrong-schema lines. A missing series
-// file returns an os.IsNotExist error; a runlog without the recorder enabled
-// simply has none.
-func ScanSeries(dir string) ([]Series, ScanStats, error) {
-	f, err := os.Open(filepath.Join(dir, SeriesFile))
-	if err != nil {
-		return nil, ScanStats{}, err
-	}
-	defer f.Close()
-	br := bufio.NewReader(f)
-	var out []Series
-	var st ScanStats
-	for {
-		line, err := br.ReadBytes('\n')
-		terminated := err == nil
-		if len(line) > 0 {
-			st.Lines++
-			st.Bytes += int64(len(line))
-			if !terminated {
-				// Reported even for a tail that parses — see scanReader.
-				st.UnterminatedTail = true
-			}
-			var s Series
-			switch uerr := unmarshalSeries(line, &s); {
-			case uerr != nil:
-				if terminated {
-					st.Corrupt++
-				}
-			case s.Schema != SeriesSchema:
-				st.WrongSchema++
-			default:
-				out = append(out, s)
-				st.Records++
-			}
-		}
-		if err == io.EOF {
-			return out, st, nil
-		}
-		if err != nil {
-			return out, st, err
-		}
-	}
 }

@@ -11,10 +11,8 @@ import (
 // This file feeds the persistent campaign ledger (internal/runlog): when a
 // ledger is attached, every request the runner completes — executed, served
 // from the persistent disk cache, or served from the in-process memo cache —
-// appends one provenance record, and (when the recorder is enabled) every
-// executed full-timing simulation also appends a downsampled IPC/occupancy/
-// power time series. Chaos self-test requests are excluded: their forced
-// failures are harness noise, not campaign history.
+// appends one provenance record. Chaos self-test requests are excluded: their
+// forced failures are harness noise, not campaign history.
 
 // SetRunLog attaches a campaign ledger; nil detaches it (the default). Call
 // before submitting requests; SetRunLog is not synchronized with Do.
@@ -34,20 +32,6 @@ func ContentKey(req Request) (string, bool) {
 // runlogEligible reports whether the request belongs in the campaign ledger.
 func (r *Runner) runlogEligible(req Request) bool {
 	return r.runlog != nil && req.Chaos == nil
-}
-
-// seriesFor creates a time-series capture for a request about to execute,
-// or nil when recording does not apply: the recorder is off, or the run is
-// sampled (many short windows, no single cycle-resolved timeline) or
-// upset-injected (the corrupted tail would poison the track).
-func (r *Runner) seriesFor(req Request) *runlog.SeriesCapture {
-	if !r.runlogEligible(req) || !r.runlog.SeriesEnabled() {
-		return nil
-	}
-	if req.Sample != nil || req.Upset != nil {
-		return nil
-	}
-	return r.runlog.NewCapture(req.Cfg)
 }
 
 // logRecord appends one ledger record for a completed request. Best-effort:
@@ -95,14 +79,6 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 		rec.Measure(res.Activity, res.Report)
 	}
 	r.runlog.Append(rec)
-}
-
-// logSeries appends a successful execution's recorded time series.
-func (r *Runner) logSeries(k key, req Request, cap *runlog.SeriesCapture) {
-	if cap == nil {
-		return
-	}
-	r.runlog.AppendSeries(cap.Finish(diskKey(k), req.Cfg.Name, req.W.Name, max(req.SMT, 1)))
 }
 
 // faultOutcome renders an upset outcome for the ledger's fault_outcome

@@ -80,41 +80,6 @@ func TestRunLogTiers(t *testing.T) {
 	}
 }
 
-// TestRunLogSeriesCapture: with the recorder enabled, an executed run
-// appends a series keyed like its ledger record; cache hits do not.
-func TestRunLogSeriesCapture(t *testing.T) {
-	logDir := t.TempDir()
-	led, err := runlog.Open(logDir, runlog.Options{SeriesFrames: 32, SeriesEvery: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(1)
-	r.SetRunLog(led)
-	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
-	if res := r.Do(req); res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res := r.Do(req); res.Err != nil { // memo hit: no second series
-		t.Fatal(res.Err)
-	}
-	if n := led.SeriesAppended(); n != 1 {
-		t.Fatalf("SeriesAppended = %d, want 1", n)
-	}
-	led.Close()
-	series, st, err := runlog.ScanSeries(logDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Records != 1 || len(series) != 1 {
-		t.Fatalf("series scan = %+v", st)
-	}
-	s := series[0]
-	key, _ := ContentKey(req)
-	if s.Key != key || s.Workload != req.W.Name || len(s.Frames) == 0 || len(s.Frames) > 32 {
-		t.Fatalf("series = %+v", s)
-	}
-}
-
 // TestRunLogRecordsFailures: a failed execution still lands in the ledger
 // with its error and tier, so campaigns account their losses.
 func TestRunLogRecordsFailures(t *testing.T) {

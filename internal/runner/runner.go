@@ -65,11 +65,6 @@ type Request struct {
 	// an Upset always run full: fault injection targets a specific cycle of
 	// the complete run, which a sampled run never reaches.
 	Sample *sampling.Spec
-
-	// series is the runner-attached time-series capture for this execution
-	// (see SetRunLog); it never joins the cache key — recording is an
-	// observation, not a different simulation.
-	series *runlog.SeriesCapture
 }
 
 // Result is one simulation's outcome. Activity and Report are private copies:
@@ -153,9 +148,6 @@ func (r Request) runCtx(ctx context.Context) Result {
 		streams = append(streams, trace.NewVMStream(r.W.Prog, r.Budget))
 	}
 	opts = append(opts, uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit())
-	if r.series != nil {
-		opts = append(opts, r.series.Option())
-	}
 	if r.Upset != nil {
 		opts = append(opts, uarch.WithUpset(r.Upset))
 	}
@@ -606,7 +598,6 @@ func (r *Runner) run(ctx context.Context, k key, req Request) Result {
 		}
 	}
 	if !done {
-		req.series = r.seriesFor(req)
 		res = r.execute(ctx, req)
 		r.setInflight(-1)
 		<-r.sem
@@ -630,9 +621,6 @@ func (r *Runner) run(ctx context.Context, k key, req Request) Result {
 			ev.Power = res.Report.Total
 		}
 	})
-	if res.Err == nil {
-		r.logSeries(k, req, req.series)
-	}
 	r.logRecord(k, req, res, tier, elapsed)
 	return res
 }
@@ -719,9 +707,6 @@ func (r *Runner) attempt(ctx context.Context, req Request) (res Result) {
 			res = Result{Err: &PanicError{Value: p, Stack: debug.Stack()}}
 		}
 	}()
-	// A retried attempt re-records its time series from scratch: frames
-	// from the failed attempt would otherwise pollute the track.
-	req.series.Reset()
 	res = req.runCtx(actx)
 	if res.Sampling != nil {
 		r.obs.samplingIntervals.Add(uint64(res.Sampling.Intervals))
