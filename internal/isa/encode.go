@@ -44,7 +44,15 @@ const (
 
 func encReg(r Reg) uint32 { return uint32(r.File)<<6 | uint32(r.Idx)&0x3F }
 
-func decReg(v uint32) Reg { return Reg{File: RegFile(v >> 6 & 3), Idx: uint8(v & 0x3F)} }
+// decReg decodes a register field. A field naming no register file is
+// NoReg whatever its index bits hold, so an accepted image decodes to the
+// instructions it re-encodes to.
+func decReg(v uint32) Reg {
+	if RegFile(v>>6&3) == FileNone {
+		return NoReg
+	}
+	return Reg{File: RegFile(v >> 6 & 3), Idx: uint8(v & 0x3F)}
+}
 
 // EncodeInst encodes one instruction at code index idx into one or two
 // 32-bit words. Large immediates fall back to the literal pool via
@@ -289,6 +297,14 @@ func DecodeProgram(data []byte) (*Program, error) {
 		off += 8
 		return v, nil
 	}
+	// fits rejects a header count whose entries the rest of the image cannot
+	// hold, before anything is allocated for them.
+	fits := func(count uint32, size int) error {
+		if uint64(count)*uint64(size) > uint64(len(data)-off) {
+			return errors.New("isa: truncated image")
+		}
+		return nil
+	}
 	magic, err := u32()
 	if err != nil {
 		return nil, err
@@ -311,6 +327,9 @@ func DecodeProgram(data []byte) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := fits(nWords, 4); err != nil {
+		return nil, err
+	}
 	words := make([]uint32, nWords)
 	for i := range words {
 		if words[i], err = u32(); err != nil {
@@ -319,6 +338,9 @@ func DecodeProgram(data []byte) (*Program, error) {
 	}
 	nPool, err := u32()
 	if err != nil {
+		return nil, err
+	}
+	if err := fits(nPool, 8); err != nil {
 		return nil, err
 	}
 	pool := make([]uint64, nPool)

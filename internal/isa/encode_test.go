@@ -166,6 +166,11 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	if _, err := DecodeProgram(nil); err == nil {
 		t.Error("empty decoded")
 	}
+	// 0xFFFFFFFF code words declared in a 16-byte image must fail, not
+	// allocate.
+	if _, err := DecodeProgram([]byte("A01P\x01\x00\x00\x00\x01\x00\x00\x00\xff\xff\xff\xff")); err == nil {
+		t.Error("image declaring 2^32-1 code words decoded")
+	}
 	if _, _, err := DecodeInst([]uint32{uint32(prefixOpcode) << 26}, 0, nil); err == nil {
 		t.Error("dangling prefix decoded")
 	}
@@ -243,4 +248,20 @@ func TestEncodeRoundTripProperty(t *testing.T) {
 // quickCheck wraps testing/quick with a higher iteration count.
 func quickCheck(f interface{}) error {
 	return quick.Check(f, &quick.Config{MaxCount: 400})
+}
+
+// FuzzDecodeProgram feeds arbitrary bytes to the object-image decoder that
+// p10trace -mode emit reads back. It must never panic, and an image it
+// accepts must re-encode to an image that decodes to the same program. The
+// committed corpus under testdata/fuzz/FuzzDecodeProgram holds an encoded
+// program, a truncation, and header counts far beyond the image: 0xFFFFFFFF
+// code words in 16 bytes and 0xFFFFFFFF pool entries in 20.
+func FuzzDecodeProgram(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, err := DecodeProgram(data)
+		if err != nil {
+			return
+		}
+		programsEqual(t, p, roundTripProgram(t, p))
+	})
 }

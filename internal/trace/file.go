@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"power10sim/internal/isa"
 )
@@ -18,6 +19,11 @@ import (
 // stored — they are reconstructed from the program.
 
 const traceMagic = "P10T"
+
+// maxPrealloc caps the records ReadTrace allocates from the header count
+// before reading any: a longer trace grows by append, so a count the file
+// cannot back fails at end of input instead of exhausting memory.
+const maxPrealloc = 1 << 16
 
 // WriteTrace serializes records to w. The program is identified by name
 // only; callers pair trace files with program images (isa.EncodeProgram).
@@ -90,15 +96,18 @@ func ReadTrace(r io.Reader, prog *isa.Program) (string, []isa.DynInst, error) {
 	if err != nil {
 		return "", nil, err
 	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, nameBuf); err != nil {
+	nameBuf, err := io.ReadAll(io.LimitReader(br, int64(min(nameLen, math.MaxInt64))))
+	if err != nil {
 		return "", nil, err
+	}
+	if uint64(len(nameBuf)) != nameLen {
+		return "", nil, fmt.Errorf("trace: name: %w", io.ErrUnexpectedEOF)
 	}
 	count, err := binary.ReadUvarint(br)
 	if err != nil {
 		return "", nil, err
 	}
-	recs := make([]isa.DynInst, 0, count)
+	recs := make([]isa.DynInst, 0, min(count, maxPrealloc))
 	var prevIdx int64
 	var prevEA uint64
 	for i := uint64(0); i < count; i++ {

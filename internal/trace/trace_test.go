@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"slices"
+	"strings"
 	"testing"
 
 	"power10sim/internal/isa"
@@ -248,6 +250,45 @@ func TestTraceFileRejectsGarbage(t *testing.T) {
 	if _, _, err := ReadTrace(bytes.NewReader(nil), p); err == nil {
 		t.Error("empty accepted")
 	}
+	// Header counts that no input backs must fail, not allocate: 2^40
+	// records, a name length of 2^64-1, and one past the end of the file.
+	for _, data := range []string{
+		"P10T\x00\x80\x80\x80\x80\x80\x20",
+		"P10T\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
+		"P10T\x80\x80\x40counted",
+	} {
+		if _, _, err := ReadTrace(strings.NewReader(data), p); err == nil {
+			t.Errorf("%q accepted", data)
+		}
+	}
+}
+
+// FuzzReadTrace feeds arbitrary bytes to the trace-file reader that
+// p10trace -mode emit reads back. It must never panic, and a trace it
+// accepts must re-encode to a file that reads back to the same name and
+// records. The committed corpus under testdata/fuzz/FuzzReadTrace holds a
+// captured trace, a truncation, a bad magic, and header counts no input
+// backs: 2^40 records in 11 bytes, a name length of 2^64-1, and a name
+// length past the end of the file.
+func FuzzReadTrace(f *testing.F) {
+	p := countedLoop(3)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		name, recs, err := ReadTrace(bytes.NewReader(data), p)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteTrace(&buf, name, recs); err != nil {
+			t.Fatal(err)
+		}
+		name2, recs2, err := ReadTrace(&buf, p)
+		if err != nil {
+			t.Fatalf("re-encoded trace does not read back: %v", err)
+		}
+		if name2 != name || !slices.Equal(recs2, recs) {
+			t.Fatalf("round trip changed the trace: %q %+v, then %q %+v", name, recs, name2, recs2)
+		}
+	})
 }
 
 func TestVMStreamSurfacesExecutionErrors(t *testing.T) {
