@@ -280,13 +280,9 @@ func PFLYJobs(cfg Config, rep *power.Report, s float64, trials, jobs int) float6
 	return float64(pass) / float64(eligible)
 }
 
-// SortPoint finds the highest frequency scale (in steps of 0.01) with at
-// least the target PFLY — how a deterministic product sort is chosen.
-func SortPoint(cfg Config, rep *power.Report, targetYield float64, trials int) float64 {
-	return SortPointJobs(cfg, rep, targetYield, trials, 1)
-}
-
-// SortPointJobs is SortPoint with the frequency sweep's trials parallelized.
+// SortPointJobs finds the highest frequency scale (in steps of 0.01) with at
+// least the target PFLY — how a deterministic product sort is chosen — with
+// each step's Monte Carlo trials spread across up to jobs goroutines.
 func SortPointJobs(cfg Config, rep *power.Report, targetYield float64, trials, jobs int) float64 {
 	best := 0.0
 	for s := 0.70; s <= 1.40; s += 0.01 {
@@ -306,16 +302,10 @@ type Efficiency struct {
 	Gain       float64 // PerfRatio / PowerRatio
 }
 
-// CompareEfficiency computes the socket-level efficiency gain of cfgB over
-// cfgA given each configuration's per-core IPC and power report on the same
-// workload, both evaluated at their yield-safe sort points.
-func CompareEfficiency(cfgA Config, ipcA float64, repA *power.Report,
-	cfgB Config, ipcB float64, repB *power.Report, trials int) (Efficiency, error) {
-	return CompareEfficiencyJobs(cfgA, ipcA, repA, cfgB, ipcB, repB, trials, 1)
-}
-
-// CompareEfficiencyJobs is CompareEfficiency with the Monte Carlo sort-point
-// searches parallelized across up to jobs goroutines.
+// CompareEfficiencyJobs computes the socket-level efficiency gain of cfgB
+// over cfgA given each configuration's per-core IPC and power report on the
+// same workload, both evaluated at their yield-safe sort points. The Monte
+// Carlo sort-point searches run across up to jobs goroutines.
 func CompareEfficiencyJobs(cfgA Config, ipcA float64, repA *power.Report,
 	cfgB Config, ipcB float64, repB *power.Report, trials, jobs int) (Efficiency, error) {
 	sA := SortPointJobs(cfgA, repA, 0.9, trials, jobs)

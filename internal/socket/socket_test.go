@@ -100,8 +100,8 @@ func TestWOFHeadroomRaisesSortPoint(t *testing.T) {
 	cfg := POWER10Socket()
 	_, heavy := coreReport(t, uarch.POWER10(), workloads.Stressmark(true))
 	_, light := coreReport(t, uarch.POWER10(), workloads.GraphOpt())
-	sHeavy := SortPoint(cfg, heavy, 0.9, 200)
-	sLight := SortPoint(cfg, light, 0.9, 200)
+	sHeavy := SortPointJobs(cfg, heavy, 0.9, 200, 1)
+	sLight := SortPointJobs(cfg, light, 0.9, 200, 1)
 	if sLight <= sHeavy {
 		t.Errorf("light workload sort %.2f <= heavy %.2f", sLight, sHeavy)
 	}
@@ -129,7 +129,7 @@ func TestSocketEfficiencyUpTo3x(t *testing.T) {
 	w := workloads.Compress()
 	ipc9, rep9 := coreReport(t, uarch.POWER9(), w)
 	ipc10, rep10 := coreReport(t, uarch.POWER10(), w)
-	eff, err := CompareEfficiency(POWER9Socket(), ipc9, rep9, POWER10Socket(), ipc10, rep10, 200)
+	eff, err := CompareEfficiencyJobs(POWER9Socket(), ipc9, rep9, POWER10Socket(), ipc10, rep10, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,12 +24,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"power10sim/internal/mlfit"
+	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 )
 
@@ -709,8 +711,9 @@ func (m *Model) predictLog(buf *PredictBuf, cfg *uarch.Config, workload string, 
 	}
 }
 
-// Save atomically persists the model as JSON: write to a temp file in the
-// destination directory, fsync, rename. A reader never observes a torn model.
+// Save atomically persists the model as JSON through
+// telemetry.WriteFileAtomic, syncing the temp file before it is renamed
+// into place. A reader never observes a torn model.
 func (m *Model) Save(path string) error {
 	if err := m.Valid(); err != nil {
 		return err
@@ -719,28 +722,20 @@ func (m *Model) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("surrogate: marshal model: %w", err)
 	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("surrogate: %w", err)
 	}
-	tmp, err := os.CreateTemp(dir, ".surrogate-*.tmp")
+	err = telemetry.WriteFileAtomic(path, func(w io.Writer) error {
+		if _, err := w.Write(append(data, '\n')); err != nil {
+			return fmt.Errorf("write model: %w", err)
+		}
+		if err := w.(*os.File).Sync(); err != nil {
+			return fmt.Errorf("sync model: %w", err)
+		}
+		return nil
+	})
 	if err != nil {
 		return fmt.Errorf("surrogate: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return fmt.Errorf("surrogate: write model: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("surrogate: sync model: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("surrogate: close model: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("surrogate: rename model: %w", err)
 	}
 	return nil
 }

@@ -240,6 +240,46 @@ func TestTrainSaveLoadBitIdentical(t *testing.T) {
 	}
 }
 
+// TestSaveReplacesExistingModel saves over an existing model: the second
+// model replaces the first whole, as a 0644 artifact, and no temp file is
+// left in the directory.
+func TestSaveReplacesExistingModel(t *testing.T) {
+	m, err := Train(SyntheticCorpus(160, 11), TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	m.TrainRows++
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TrainRows != m.TrainRows {
+		t.Errorf("TrainRows = %d, want the second save's %d", got.TrainRows, m.TrainRows)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "model.json" {
+		t.Errorf("directory holds %v, want only model.json", entries)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Mode().Perm() != 0o644 {
+		t.Errorf("model mode = %v, want 0644", st.Mode().Perm())
+	}
+}
+
 func indexOfWorkload(c *Corpus, w string) int {
 	for i := range c.Rows {
 		if c.Rows[i].Workload == w {
