@@ -48,10 +48,11 @@ func encReg(r Reg) uint32 { return uint32(r.File)<<6 | uint32(r.Idx)&0x3F }
 // NoReg whatever its index bits hold, so an accepted image decodes to the
 // instructions it re-encodes to.
 func decReg(v uint32) Reg {
-	if RegFile(v>>6&3) == FileNone {
+	f := RegFile(v >> 6 & 3)
+	if f == FileNone {
 		return NoReg
 	}
-	return Reg{File: RegFile(v >> 6 & 3), Idx: uint8(v & 0x3F)}
+	return Reg{File: f, Idx: uint8(v & 0x3F)}
 }
 
 // EncodeInst encodes one instruction at code index idx into one or two

@@ -188,8 +188,9 @@ type Options struct {
 }
 
 // Ledger is an open runlog directory: the append handle for the JSONL
-// ledger plus the in-memory recent ring. All methods are safe for concurrent use; every method on a nil
-// *Ledger is a no-op, so call sites instrument unconditionally.
+// ledger plus the in-memory recent ring. All methods are safe for
+// concurrent use; every method on a nil *Ledger is a no-op, so call sites
+// instrument unconditionally.
 type Ledger struct {
 	dir  string
 	opts Options
