@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"power10sim/internal/clitest"
 	"power10sim/internal/runlog"
 )
 
@@ -94,6 +95,7 @@ func TestTrainValidateExplore(t *testing.T) {
 	if !strings.Contains(vout, "cpi") || !strings.Contains(vout, "mape%") {
 		t.Errorf("validate table missing:\n%s", vout)
 	}
+	clitest.Golden(t, "validate", vout)
 
 	eout := runTwice(t, []string{"-op", "explore", "-model", model, "-points", "200", "-k", "10", "-workload", "daxpy", "-seed", "3"})
 	if !strings.Contains(eout, "space: 200 points, seed 3, workload daxpy, rank epi") {
@@ -105,6 +107,18 @@ func TestTrainValidateExplore(t *testing.T) {
 	if strings.Count(eout, "pred") < 10 {
 		t.Errorf("expected 10 predicted rows:\n%s", eout)
 	}
+	clitest.Golden(t, "explore", eout)
+}
+
+// TestHelpGolden pins -help: every flag with its default and help text.
+// flag reports -help as a parse error, so the command exits 2 as for any
+// other usage error.
+func TestHelpGolden(t *testing.T) {
+	var out, errw bytes.Buffer
+	if code := run([]string{"-help"}, &out, &errw); code != 2 {
+		t.Fatalf("-help: exit %d, want 2", code)
+	}
+	clitest.Golden(t, "help", errw.String())
 }
 
 // TestValidateGate checks the exit-3 contract the CI gate scripts on: an

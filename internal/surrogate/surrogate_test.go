@@ -2,6 +2,7 @@ package surrogate
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"power10sim/internal/clitest"
 	"power10sim/internal/power"
 	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
@@ -238,6 +240,39 @@ func TestTrainSaveLoadBitIdentical(t *testing.T) {
 			t.Fatalf("point %d: reloaded model diverged:\n  trained: %+v\n  loaded:  %+v", i, p1, p2)
 		}
 	}
+}
+
+// TestTrainGolden pins what training selects on a fixed corpus: per target,
+// the global model's features, ridge strength and LOO RMSE (printed exactly)
+// and how many workloads earned a residual ridge model, plus the SHA-256 of
+// the saved model. A solver change that moves any digit of any model shows
+// up here. Regenerate with -update only for an intended change.
+func TestTrainGolden(t *testing.T) {
+	m, err := Train(SyntheticCorpus(120, 1), TrainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, tm := range m.Targets {
+		models := 0
+		for _, wm := range tm.PerWorkload {
+			if wm.Model != nil {
+				models++
+			}
+		}
+		fmt.Fprintf(&sb, "%s\n  features: %s\n  lambda: %.17g\n  loo_rmse: %.17g\n  workload_models: %d of %d\n",
+			tm.Name, strings.Join(tm.Model.Names, " "), tm.Model.Lambda, tm.Model.LOORMSE, models, len(tm.PerWorkload))
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&sb, "model_sha256: %x\n", sha256.Sum256(b))
+	clitest.Golden(t, "train", sb.String())
 }
 
 // TestSaveReplacesExistingModel saves over an existing model: the second
