@@ -541,6 +541,13 @@ func (m *Model) Valid() error {
 	}
 	width := m.Featurizer().NumFeatures()
 	subWidth := m.Featurizer().SubWidth()
+	// Predict measures any workload's sub-row against its box, corrected or
+	// not, so every box must match the sub-row width.
+	for w, b := range m.WlBoxes {
+		if b == nil || len(b.Lo) != subWidth || len(b.Hi) != subWidth {
+			return fmt.Errorf("surrogate: workload %q training envelope is not %d wide", w, subWidth)
+		}
+	}
 	for i, t := range m.Targets {
 		if t.Name != TargetNames[i] {
 			return fmt.Errorf("surrogate: target %d is %q, want %q", i, t.Name, TargetNames[i])
@@ -560,8 +567,8 @@ func (m *Model) Valid() error {
 			if !m.Featurizer().Knows(w) {
 				return fmt.Errorf("surrogate: target %q corrects workload %q outside the vocabulary", t.Name, w)
 			}
-			if b := m.WlBoxes[w]; b == nil || len(b.Lo) != subWidth || len(b.Hi) != subWidth {
-				return fmt.Errorf("surrogate: workload %q has no %d-wide training envelope", w, subWidth)
+			if m.WlBoxes[w] == nil {
+				return fmt.Errorf("surrogate: workload %q has no training envelope", w)
 			}
 			if wm == nil || wm.Rows < 1 {
 				return fmt.Errorf("surrogate: target %q workload %q correction is empty", t.Name, w)
@@ -746,6 +753,11 @@ func Load(path string) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("surrogate: %w", err)
 	}
+	return decodeModel(path, data)
+}
+
+// decodeModel parses and validates the model bytes Load read from path.
+func decodeModel(path string, data []byte) (*Model, error) {
 	var m Model
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("surrogate: parse model %s: %w", path, err)

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"power10sim/internal/clitest"
+	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
 	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
@@ -341,6 +342,76 @@ func TestLoadRejectsBadModels(t *testing.T) {
 	if _, err := Load(bad); err == nil {
 		t.Error("Load accepted unparseable JSON")
 	}
+}
+
+// tinyModel is the smallest model Load accepts for a one-workload
+// vocabulary: intercept-only global fits, one intercept-shift correction,
+// and the workload's training envelope.
+func tinyModel() *Model {
+	m := &Model{Schema: ModelSchema, Workloads: []string{"w"}, TrainRows: 3}
+	fz := m.Featurizer()
+	m.Features = fz.NumFeatures()
+	for _, name := range TargetNames {
+		m.Targets = append(m.Targets, TargetModel{
+			Name:        name,
+			Model:       &mlfit.RidgeModel{R: [][]float64{{1}}, Sigma2: 0.01, N: 3},
+			PerWorkload: map[string]*WorkloadModel{"w": {Rows: 3, Shift: 0.1, LOORMSE: 0.02}},
+		})
+	}
+	lo := make([]float64, fz.SubWidth())
+	hi := make([]float64, fz.SubWidth())
+	for j := range hi {
+		hi[j] = 1
+	}
+	m.WlBoxes = map[string]*WlBox{"w": {Lo: lo, Hi: hi}}
+	return m
+}
+
+// TestLoadRejectsShortEnvelope: a workload without corrections still has
+// its sub-row measured against its box, so a box whose Hi is shorter than
+// its Lo must fail to load instead of panicking in Predict.
+func TestLoadRejectsShortEnvelope(t *testing.T) {
+	load := func(m *Model) (*Model, error) {
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "model.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return Load(path)
+	}
+	if _, err := load(tinyModel()); err != nil {
+		t.Fatalf("tiny model: %v", err)
+	}
+	m := tinyModel()
+	for i := range m.Targets {
+		m.Targets[i].PerWorkload = nil
+	}
+	m.WlBoxes["w"].Hi = m.WlBoxes["w"].Hi[:1]
+	if _, err := load(m); err == nil || !strings.Contains(err.Error(), "envelope") {
+		t.Fatalf("Load = %v, want a training-envelope error", err)
+	}
+}
+
+// FuzzLoad feeds arbitrary bytes to the decoder behind Load. A model either
+// fails to load or predicts, without panicking, for every workload in its
+// vocabulary. The committed corpus under testdata/fuzz/FuzzLoad holds
+// tinyModel and the short-envelope model TestLoadRejectsShortEnvelope builds.
+func FuzzLoad(f *testing.F) {
+	cfg := uarch.POWER10()
+	profile := make([]float64, sampling.ProfileLen)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := decodeModel("fuzz.json", data)
+		if err != nil {
+			return
+		}
+		var buf PredictBuf
+		for _, w := range m.Workloads {
+			m.Predict(&buf, cfg, w, profile, 2, 50000, 2000)
+		}
+	})
 }
 
 // TestValidateHeldOutAccuracy trains on a split of the synthetic corpus and
