@@ -1,10 +1,10 @@
 // ridge.go is the surrogate-grade half of mlfit: a Householder-QR least
-// squares core shared with the classic LinearModel path, plus RidgeModel — a
-// standardized ridge regression with leave-one-out cross-validation (exact,
-// via the hat-matrix diagonal), greedy forward feature selection scored by
-// LOO error, and leverage-based per-prediction uncertainty. RidgeModel is
-// fully exported-field so it serializes to JSON and reloads with bit-identical
-// predictions (encoding/json round-trips float64 exactly).
+// squares core, plus RidgeModel — a standardized ridge regression with
+// leave-one-out cross-validation (exact, via the hat-matrix diagonal), greedy
+// forward feature selection scored by LOO error, and leverage-based
+// per-prediction uncertainty. RidgeModel is fully exported-field so it
+// serializes to JSON and reloads with bit-identical predictions
+// (encoding/json round-trips float64 exactly).
 package mlfit
 
 import (
@@ -33,54 +33,69 @@ const (
 // not supply one. Features are standardized, so the scale is data-independent.
 var DefaultLambdas = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
-// qrLS solves the dense least-squares problem min ||a x - b||_2 in place by
-// Householder QR: a is m rows by n columns with m >= n, b has length m. On
-// return a's upper triangle (with rdiag on the diagonal) is the R factor and
-// the returned r is an explicit n-by-n upper-triangular copy of it. The
-// factorization fails with "mlfit: singular system" when R's diagonal ratio
-// exceeds condLimit (rank deficiency the caller's ridge did not cover).
-func qrLS(a [][]float64, b []float64, n int) (x []float64, r [][]float64, err error) {
-	m := len(a)
-	if m < n || len(b) != m {
-		return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+// errSingular reports a rank deficiency the caller's ridge did not cover.
+var errSingular = errors.New("mlfit: singular system")
+
+// The least-squares core is Householder QR over column-major storage: a[j]
+// is column j, and every column and b have the same row count m. Step k
+// turns column k, rows k and below, into its Householder vector; the rows
+// above it keep R's entries. A step reads only the columns to its left, which
+// is what lets ForwardSelectRidgeCV factor a shared prefix once per step.
+
+// householder runs step k's reduction of column v and returns R's diagonal
+// entry. The column norm is accumulated with hypot for range. A zero column
+// is left as is and yields a zero diagonal.
+func householder(v []float64, k int) float64 {
+	nrm := 0.0
+	for _, e := range v[k:] {
+		nrm = math.Hypot(nrm, e)
 	}
-	rdiag := make([]float64, n)
-	for k := 0; k < n; k++ {
-		// Column norm below the diagonal, accumulated with hypot for range.
-		nrm := 0.0
-		for i := k; i < m; i++ {
-			nrm = math.Hypot(nrm, a[i][k])
+	if nrm != 0 {
+		if v[k] < 0 {
+			nrm = -nrm
 		}
-		if nrm != 0 {
-			if a[k][k] < 0 {
-				nrm = -nrm
-			}
-			for i := k; i < m; i++ {
-				a[i][k] /= nrm
-			}
-			a[k][k] += 1
-			// Apply the reflection to the remaining columns and to b.
-			for j := k + 1; j < n; j++ {
-				s := 0.0
-				for i := k; i < m; i++ {
-					s += a[i][k] * a[i][j]
-				}
-				s = -s / a[k][k]
-				for i := k; i < m; i++ {
-					a[i][j] += s * a[i][k]
-				}
-			}
-			s := 0.0
-			for i := k; i < m; i++ {
-				s += a[i][k] * b[i]
-			}
-			s = -s / a[k][k]
-			for i := k; i < m; i++ {
-				b[i] += s * a[i][k]
-			}
+		vk := v[k:]
+		for i := range vk {
+			vk[i] /= nrm
 		}
-		rdiag[k] = -nrm
+		vk[0] += 1
 	}
+	return -nrm
+}
+
+// reflect applies the reflection householder stored in v at step k to
+// column c. v[k] is zero only when step k had a zero column, which reflects
+// nothing.
+func reflect(v, c []float64, k int) {
+	if v[k] == 0 {
+		return
+	}
+	vk, ck := v[k:], c[k:len(v)]
+	s := 0.0
+	for i, e := range vk {
+		s += e * ck[i]
+	}
+	s = -s / vk[0]
+	for i, e := range vk {
+		ck[i] += s * e
+	}
+}
+
+// factor runs Householder steps from..to-1 on the column-major a, recording
+// R's diagonal in rdiag: step k reflects every column to its right and b.
+func factor(a [][]float64, b, rdiag []float64, from, to int) {
+	for k := from; k < to; k++ {
+		rdiag[k] = householder(a[k], k)
+		for _, c := range a[k+1:] {
+			reflect(a[k], c, k)
+		}
+		reflect(a[k], b, k)
+	}
+}
+
+// checkCond fails with errSingular when R's diagonal ratio exceeds
+// condLimit, rather than solving with garbage digits.
+func checkCond(rdiag []float64) error {
 	rmin, rmax := math.Inf(1), 0.0
 	for _, d := range rdiag {
 		ad := math.Abs(d)
@@ -92,23 +107,49 @@ func qrLS(a [][]float64, b []float64, n int) (x []float64, r [][]float64, err er
 		}
 	}
 	if rmin == 0 || rmax/rmin > condLimit {
-		return nil, nil, errors.New("mlfit: singular system")
+		return errSingular
 	}
-	// Back-substitute R x = (Q'b)[:n].
-	x = make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
+	return nil
+}
+
+// backSubstitute solves R x = (Q'b)[:n] into x for a factored column-major
+// a of n columns.
+func backSubstitute(x []float64, a [][]float64, rdiag, b []float64) {
+	for i := len(a) - 1; i >= 0; i-- {
 		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * x[j]
+		for j := i + 1; j < len(a); j++ {
+			s -= a[j][i] * x[j]
 		}
 		x[i] = s / rdiag[i]
 	}
+}
+
+// qrLS solves the dense least-squares problem min ||a x - b||_2 in place:
+// a holds n columns of m >= n rows, b has length m. The returned r is an
+// explicit n-by-n upper-triangular copy of the R factor.
+func qrLS(a [][]float64, b []float64) (x []float64, r [][]float64, err error) {
+	n, m := len(a), len(b)
+	if m < n {
+		return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+	}
+	for _, c := range a {
+		if len(c) != m {
+			return nil, nil, errors.New("mlfit: bad least-squares dimensions")
+		}
+	}
+	rdiag := make([]float64, n)
+	factor(a, b, rdiag, 0, n)
+	if err := checkCond(rdiag); err != nil {
+		return nil, nil, err
+	}
+	x = make([]float64, n)
+	backSubstitute(x, a, rdiag, b)
 	r = make([][]float64, n)
 	for i := range r {
 		r[i] = make([]float64, n)
 		r[i][i] = rdiag[i]
 		for j := i + 1; j < n; j++ {
-			r[i][j] = a[i][j]
+			r[i][j] = a[j][i]
 		}
 	}
 	return x, r, nil
@@ -251,54 +292,70 @@ func standardize(X [][]float64, cols []int) (mean, scale []float64) {
 	return mean, scale
 }
 
-// buildZ renders the standardized design matrix for the selected columns,
-// with a trailing ones column for the intercept.
+// buildZ renders the standardized design matrix for the selected columns in
+// column-major order, with a trailing ones column for the intercept.
 func buildZ(X [][]float64, cols []int, mean, scale []float64) [][]float64 {
-	dim := len(cols) + 1
-	Z := make([][]float64, len(X))
-	for s, row := range X {
-		z := make([]float64, dim)
-		for j, c := range cols {
-			z[j] = (row[c] - mean[j]) / scale[j]
+	Z := make([][]float64, len(cols)+1)
+	for j, c := range cols {
+		z := make([]float64, len(X))
+		for s, row := range X {
+			z[s] = (row[c] - mean[j]) / scale[j]
 		}
-		z[dim-1] = 1
-		Z[s] = z
+		Z[j] = z
 	}
+	ones := make([]float64, len(X))
+	for s := range ones {
+		ones[s] = 1
+	}
+	Z[len(cols)] = ones
 	return Z
 }
 
-// ridgeLOO fits coef on the standardized design Z (ones column last, not
-// shrunk) at the given lambda and returns the exact leave-one-out RMSE via
-// the hat-matrix diagonal: h_i = ||R^-T z_i||^2 and e_loo = e_i / (1 - h_i).
-// When wantR is true the explicit R factor is also returned.
-func ridgeLOO(Z [][]float64, y []float64, lambda float64, wantR bool) (coef []float64, r [][]float64, looRMSE float64, err error) {
-	n := len(Z)
+// ridgeEntry is a design column's entry on its own ridge row: the square
+// root of its ridge, with the intercept column getting only the jitter.
+func ridgeEntry(lambda float64, intercept bool) float64 {
+	if intercept {
+		lambda = 0
+	}
+	return math.Sqrt(lambda + ridgeJitter)
+}
+
+// ridgeColumn extends design column z to the m rows of the ridge-augmented
+// system, with d on ridge row r and zero on the others.
+func ridgeColumn(z []float64, m, r int, d float64) []float64 {
+	c := make([]float64, m)
+	copy(c, z)
+	c[r] = d
+	return c
+}
+
+// ridgeLOO fits coef on the standardized column-major design Z (ones column
+// last, not shrunk) at the given lambda and returns the explicit R factor and
+// the exact leave-one-out RMSE via the hat-matrix diagonal:
+// h_i = ||R^-T z_i||^2 and e_loo = e_i / (1 - h_i).
+func ridgeLOO(Z [][]float64, y []float64, lambda float64) (coef []float64, r [][]float64, looRMSE float64, err error) {
+	n := len(y)
 	if n == 0 {
 		return nil, nil, 0, errors.New("mlfit: no samples")
 	}
-	dim := len(Z[0])
-	a := make([][]float64, n+dim)
+	dim := len(Z)
+	a := make([][]float64, dim)
+	for j, z := range Z {
+		a[j] = ridgeColumn(z, n+dim, n+j, ridgeEntry(lambda, j == dim-1))
+	}
 	b := make([]float64, n+dim)
-	for i, z := range Z {
-		a[i] = append([]float64(nil), z...)
-		b[i] = y[i]
-	}
-	for j := 0; j < dim; j++ {
-		row := make([]float64, dim)
-		l := lambda
-		if j == dim-1 {
-			l = 0 // intercept column
-		}
-		row[j] = math.Sqrt(l + ridgeJitter)
-		a[n+j] = row
-	}
-	coef, r, err = qrLS(a, b, dim)
+	copy(b, y)
+	coef, r, err = qrLS(a, b)
 	if err != nil {
 		return nil, nil, 0, err
 	}
+	z := make([]float64, dim)
 	u := make([]float64, dim)
 	var sse float64
-	for i, z := range Z {
+	for i := 0; i < n; i++ {
+		for p, col := range Z {
+			z[p] = col[i]
+		}
 		// Forward-substitute R' u = z for the leverage.
 		for p := 0; p < dim; p++ {
 			s := z[p]
@@ -320,9 +377,6 @@ func ridgeLOO(Z [][]float64, y []float64, lambda float64, wantR bool) (coef []fl
 		sse += e * e
 	}
 	looRMSE = math.Sqrt(sse / float64(n))
-	if !wantR {
-		r = nil
-	}
 	return coef, r, looRMSE, nil
 }
 
@@ -339,7 +393,7 @@ func fitRidgeModel(X [][]float64, y []float64, cols []int, names []string, lambd
 		bestRMSE = math.Inf(1)
 	)
 	for _, l := range lambdas {
-		coef, r, rmse, err := ridgeLOO(Z, y, l, true)
+		coef, r, rmse, err := ridgeLOO(Z, y, l)
 		if err != nil {
 			continue
 		}
@@ -387,6 +441,87 @@ func FitRidgeCV(X [][]float64, y []float64, cols []int, names []string, lambdas 
 	return fitRidgeModel(X, y, cols, names, lambdas)
 }
 
+// stepScorer scores the candidates of one forward-selection step by their
+// training SSE at one lambda. A candidate's design is the chosen columns, the
+// candidate, then the ones column, ridge-augmented as in ridgeLOO. Its first
+// k Householder steps read only the chosen columns, so they are factored
+// once, in this step's row layout, and applied to y and the ones column once.
+// A candidate then costs its own column's k reflections, the last two steps,
+// the condition check and back-substitution. Every sum runs over the same
+// rows in the same order as qrLS on the candidate's full design, so each
+// score is bit-identical to fitting that design from scratch.
+type stepScorer struct {
+	design [][]float64 // standardized columns: chosen, candidate, ones
+	y      []float64
+	cols   [][]float64 // factored chosen columns, then candidate and ones work columns
+	ones   []float64   // ridge-augmented ones column after the chosen steps
+	b, bw  []float64   // y after the chosen steps, and its per-candidate copy
+	rdiag  []float64
+	x      []float64
+	shrink float64
+}
+
+// newStepScorer factors the chosen columns of the column-major standardized
+// matrix Z, whose last column is the ones column.
+func newStepScorer(Z [][]float64, y []float64, chosen []int, lambda float64) *stepScorer {
+	n, k := len(y), len(chosen)
+	dim := k + 2
+	m := n + dim
+	s := &stepScorer{
+		design: make([][]float64, dim),
+		y:      y,
+		cols:   make([][]float64, dim),
+		b:      make([]float64, m),
+		bw:     make([]float64, m),
+		rdiag:  make([]float64, dim),
+		x:      make([]float64, dim),
+		shrink: ridgeEntry(lambda, false),
+	}
+	for j, c := range chosen {
+		s.design[j] = Z[c]
+		s.cols[j] = ridgeColumn(Z[c], m, n+j, s.shrink)
+	}
+	s.design[k+1] = Z[len(Z)-1]
+	s.cols[k] = make([]float64, m)
+	s.ones = ridgeColumn(Z[len(Z)-1], m, n+k+1, ridgeEntry(lambda, true))
+	s.cols[k+1] = make([]float64, m)
+	copy(s.b, y)
+	factor(append(s.cols[:k:k], s.ones), s.b, s.rdiag, 0, k)
+	return s
+}
+
+// score returns the training SSE of the design with candidate column z, or
+// false when that system is singular.
+func (s *stepScorer) score(z []float64) (float64, bool) {
+	k := len(s.cols) - 2
+	n := len(s.y)
+	c, o := s.cols[k], s.cols[k+1]
+	copy(c, z)
+	clear(c[n:])
+	c[n+k] = s.shrink
+	for j, v := range s.cols[:k] {
+		reflect(v, c, j)
+	}
+	copy(o, s.ones)
+	copy(s.bw, s.b)
+	factor(s.cols, s.bw, s.rdiag, k, k+2)
+	if checkCond(s.rdiag) != nil {
+		return 0, false
+	}
+	backSubstitute(s.x, s.cols, s.rdiag, s.bw)
+	s.design[k] = z
+	var sse float64
+	for i, yi := range s.y {
+		var pred float64
+		for p, col := range s.design {
+			pred += s.x[p] * col[i]
+		}
+		d := yi - pred
+		sse += d * d
+	}
+	return sse, true
+}
+
 // ForwardSelectRidgeCV greedily grows a feature set for a standardized ridge
 // model: each step adds the candidate with the lowest training RMSE at a
 // mid-grid lambda, then keeps it only if the step's LOO RMSE improves on the
@@ -418,6 +553,7 @@ func ForwardSelectRidgeCV(X [][]float64, y []float64, names []string, maxFeature
 		allCols[i] = i
 	}
 	fullMean, fullScale := standardize(X, allCols)
+	Z := buildZ(X, allCols, fullMean, fullScale) // Z[nf] is the ones column
 	var (
 		chosen   []int
 		used     = make([]bool, nf)
@@ -425,48 +561,25 @@ func ForwardSelectRidgeCV(X [][]float64, y []float64, names []string, maxFeature
 		haveBest = false
 	)
 	for len(chosen) < maxFeatures {
+		scorer := newStepScorer(Z, y, chosen, lambdaMid)
 		stepErr := math.Inf(1)
 		stepF := -1
-		cand := append(append([]int(nil), chosen...), -1)
 		for f := 0; f < nf; f++ {
 			if used[f] {
 				continue
 			}
-			cand[len(cand)-1] = f
-			mean := make([]float64, len(cand))
-			scale := make([]float64, len(cand))
-			for j, c := range cand {
-				mean[j], scale[j] = fullMean[c], fullScale[c]
-			}
-			Z := buildZ(X, cand, mean, scale)
-			coef, _, _, err := ridgeLOO(Z, y, lambdaMid, false)
-			if err != nil {
-				continue
-			}
-			var sse float64
-			for i, z := range Z {
-				var pred float64
-				for p, c := range coef {
-					pred += c * z[p]
-				}
-				d := y[i] - pred
-				sse += d * d
-			}
-			if sse < stepErr {
+			if sse, ok := scorer.score(Z[f]); ok && sse < stepErr {
 				stepErr, stepF = sse, f
 			}
 		}
 		if stepF < 0 {
 			break
 		}
-		cand[len(cand)-1] = stepF
-		mean := make([]float64, len(cand))
-		scale := make([]float64, len(cand))
-		for j, c := range cand {
-			mean[j], scale[j] = fullMean[c], fullScale[c]
+		design := make([][]float64, 0, len(chosen)+2)
+		for _, c := range chosen {
+			design = append(design, Z[c])
 		}
-		Z := buildZ(X, cand, mean, scale)
-		_, _, loo, err := ridgeLOO(Z, y, lambdaMid, false)
+		_, _, loo, err := ridgeLOO(append(design, Z[stepF], Z[nf]), y, lambdaMid)
 		if err != nil {
 			break
 		}
