@@ -195,6 +195,19 @@ func BenchmarkSurrogatePredict(b *testing.B) {
 	b.ReportMetric(p.RelStd*100, "relstd-%")
 }
 
+// BenchmarkSurrogateTrain times one full surrogate training on the same
+// synthetic corpus BenchmarkSurrogatePredict serves from: forward-selected
+// global and per-workload ridge fits for every target, then the conformal
+// calibration folds, each of which trains again.
+func BenchmarkSurrogateTrain(b *testing.B) {
+	c := surrogate.SyntheticCorpus(480, 1)
+	for i := 0; i < b.N; i++ {
+		if _, err := surrogate.Train(c, surrogate.TrainOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.TableI(quick)

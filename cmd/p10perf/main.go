@@ -13,7 +13,7 @@
 // The benchmark tier is fixed on purpose: the zero-cost guards
 // (CoreTelemetryOff vs CoreTelemetryOn, PublishNoSubscribers) are exactly
 // the paths this repo promises stay free when observability is off.
-// End-to-end wall-clock jobs (sweeps, surrogate training) are measured with
+// End-to-end wall-clock jobs (sweeps, explore campaigns) are measured with
 // paired statistics by the bench/ module, not here.
 package main
 
@@ -33,12 +33,12 @@ import (
 )
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
-// measure both ends honestly: the heavy tier (whole-core simulations and the
-// power-model fits, 50ms-14s per op) runs a fixed few iterations, while the
-// fast tier (nanosecond-to-microsecond ops) needs real iteration counts — at 3
-// iterations a 100ns op is timer noise, and noise was tripping the
-// regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits)$"
+// measure both ends honestly: the heavy tier (whole-core simulations, the
+// power-model fits and surrogate training, 50ms-14s per op) runs a fixed few
+// iterations, while the fast tier (nanosecond-to-microsecond ops) needs real
+// iteration counts — at 3 iterations a 100ns op is timer noise, and noise was
+// tripping the regression gate on code that had not changed.
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the
