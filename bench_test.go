@@ -201,6 +201,7 @@ func BenchmarkSurrogatePredict(b *testing.B) {
 // calibration folds, each of which trains again.
 func BenchmarkSurrogateTrain(b *testing.B) {
 	c := surrogate.SyntheticCorpus(480, 1)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := surrogate.Train(c, surrogate.TrainOptions{}); err != nil {
 			b.Fatal(err)

@@ -125,17 +125,13 @@ func backSubstitute(x []float64, a [][]float64, rdiag, b []float64) {
 }
 
 // qrLS solves the dense least-squares problem min ||a x - b||_2 in place:
-// a holds n columns of m >= n rows, b has length m. The returned r is an
-// explicit n-by-n upper-triangular copy of the R factor.
+// a holds n columns of m >= n rows and b has length m. It fails where
+// checkCond does. The returned r is an explicit n-by-n upper-triangular copy
+// of the R factor.
 func qrLS(a [][]float64, b []float64) (x []float64, r [][]float64, err error) {
-	n, m := len(a), len(b)
-	if m < n {
+	n := len(a)
+	if len(b) < n {
 		return nil, nil, errors.New("mlfit: bad least-squares dimensions")
-	}
-	for _, c := range a {
-		if len(c) != m {
-			return nil, nil, errors.New("mlfit: bad least-squares dimensions")
-		}
 	}
 	rdiag := make([]float64, n)
 	factor(a, b, rdiag, 0, n)
@@ -451,7 +447,7 @@ func FitRidgeCV(X [][]float64, y []float64, cols []int, names []string, lambdas 
 // rows in the same order as qrLS on the candidate's full design, so each
 // score is bit-identical to fitting that design from scratch.
 type stepScorer struct {
-	design [][]float64 // standardized columns: chosen, candidate, ones
+	design [][]float64 // standardized columns: chosen, last candidate, ones
 	y      []float64
 	cols   [][]float64 // factored chosen columns, then candidate and ones work columns
 	ones   []float64   // ridge-augmented ones column after the chosen steps
@@ -482,9 +478,8 @@ func newStepScorer(Z [][]float64, y []float64, chosen []int, lambda float64) *st
 		s.cols[j] = ridgeColumn(Z[c], m, n+j, s.shrink)
 	}
 	s.design[k+1] = Z[len(Z)-1]
-	s.cols[k] = make([]float64, m)
 	s.ones = ridgeColumn(Z[len(Z)-1], m, n+k+1, ridgeEntry(lambda, true))
-	s.cols[k+1] = make([]float64, m)
+	s.cols[k], s.cols[k+1] = make([]float64, m), make([]float64, m)
 	copy(s.b, y)
 	factor(append(s.cols[:k:k], s.ones), s.b, s.rdiag, 0, k)
 	return s
@@ -575,11 +570,8 @@ func ForwardSelectRidgeCV(X [][]float64, y []float64, names []string, maxFeature
 		if stepF < 0 {
 			break
 		}
-		design := make([][]float64, 0, len(chosen)+2)
-		for _, c := range chosen {
-			design = append(design, Z[c])
-		}
-		_, _, loo, err := ridgeLOO(append(design, Z[stepF], Z[nf]), y, lambdaMid)
+		scorer.design[len(chosen)] = Z[stepF]
+		_, _, loo, err := ridgeLOO(scorer.design, y, lambdaMid)
 		if err != nil {
 			break
 		}
