@@ -325,25 +325,6 @@ func indexOfWorkload(c *Corpus, w string) int {
 	return 0
 }
 
-// TestLoadRejectsBadModels checks the loader's validation: foreign schemas
-// and structurally broken models are refused, not misread.
-func TestLoadRejectsBadModels(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"other-v1"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Error("Load accepted a foreign-schema model")
-	}
-	if err := os.WriteFile(bad, []byte(`{not json`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Error("Load accepted unparseable JSON")
-	}
-}
-
 // tinyModel is the smallest model Load accepts for a one-workload
 // vocabulary: intercept-only global fits, one intercept-shift correction,
 // and the workload's training envelope.
@@ -367,38 +348,54 @@ func tinyModel() *Model {
 	return m
 }
 
-// TestLoadRejectsShortEnvelope: a workload without corrections still has
-// its sub-row measured against its box, so a box whose Hi is shorter than
-// its Lo must fail to load instead of panicking in Predict.
-func TestLoadRejectsShortEnvelope(t *testing.T) {
-	load := func(m *Model) (*Model, error) {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "model.json")
+// TestLoadRejectsBadModels checks the loader's validation: foreign schemas
+// and structurally broken models are refused, not misread, and the minimal
+// valid model loads.
+func TestLoadRejectsBadModels(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "model.json")
+	load := func(data []byte) error {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return Load(path)
+		_, err := Load(path)
+		return err
 	}
-	if _, err := load(tinyModel()); err != nil {
+	marshal := func(m *Model) []byte {
+		b, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if err := load(marshal(tinyModel())); err != nil {
 		t.Fatalf("tiny model: %v", err)
 	}
-	m := tinyModel()
-	for i := range m.Targets {
-		m.Targets[i].PerWorkload = nil
+	// A workload without corrections still has its sub-row measured against
+	// its box, so a box whose Hi is shorter than its Lo must fail to load
+	// instead of panicking in Predict.
+	short := tinyModel()
+	for i := range short.Targets {
+		short.Targets[i].PerWorkload = nil
 	}
-	m.WlBoxes["w"].Hi = m.WlBoxes["w"].Hi[:1]
-	if _, err := load(m); err == nil || !strings.Contains(err.Error(), "envelope") {
-		t.Fatalf("Load = %v, want a training-envelope error", err)
+	short.WlBoxes["w"].Hi = short.WlBoxes["w"].Hi[:1]
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"foreign-schema", []byte(`{"schema":"other-v1"}`)},
+		{"unparseable", []byte(`{not json`)},
+		{"short-envelope", marshal(short)},
+	} {
+		if err := load(c.data); err == nil {
+			t.Errorf("Load accepted the %s model", c.name)
+		}
 	}
 }
 
 // FuzzLoad feeds arbitrary bytes to the decoder behind Load. A model either
 // fails to load or predicts, without panicking, for every workload in its
 // vocabulary. The committed corpus under testdata/fuzz/FuzzLoad holds
-// tinyModel and the short-envelope model TestLoadRejectsShortEnvelope builds.
+// tinyModel and the short-envelope model TestLoadRejectsBadModels builds.
 func FuzzLoad(f *testing.F) {
 	cfg := uarch.POWER10()
 	profile := make([]float64, sampling.ProfileLen)
