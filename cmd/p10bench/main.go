@@ -14,8 +14,6 @@
 //	                         # /debug/pprof/*
 //	p10bench -runlog dir     # append a campaign-ledger record per completed
 //	                         # simulation (query with p10query)
-//	p10bench -surrogate m.json               # serve low-uncertainty points
-//	                                         # from a trained surrogate model
 //	p10bench -list
 //
 // Simulations fan out across a bounded worker pool with a memoization cache,
@@ -42,7 +40,6 @@ import (
 	"power10sim/internal/obsserver"
 	"power10sim/internal/progress"
 	"power10sim/internal/sampling"
-	"power10sim/internal/surrogate"
 	"power10sim/internal/sweep"
 )
 
@@ -60,15 +57,13 @@ func main() {
 		expName    = flag.String("exp", "", "experiment to run (default: all)")
 		quick      = flag.Bool("quick", false, "reduced budgets")
 		list       = flag.Bool("list", false, "list experiments")
-		surModel   = flag.String("surrogate", "", "serve low-uncertainty points from this trained surrogate model (see p10explore -op train) instead of simulating them")
-		surThresh  = flag.Float64("surrogate-threshold", 0, "with -surrogate, the relative-error confidence gate (0 = the 5% default)")
-		sampleMode = flag.String("sample-mode", "full", "full | sampled | validate: time every instruction, estimate every point with the SimPoint-style sampling engine, or run the sampled-vs-full error-bound sweep")
+		sampleMode = flag.String("sample-mode", "full", "full | validate: time every instruction, or run the sampled-vs-full error-bound sweep")
 		sampleWl   = flag.String("sample-workloads", "", "comma-separated workload families for -sample-mode=validate (default: all families)")
 	)
 	flag.Parse()
 	obs.Check()
 	switch *sampleMode {
-	case "full", "sampled":
+	case "full":
 		if *sampleWl != "" {
 			cliutil.Usagef("-sample-workloads requires -sample-mode=validate")
 		}
@@ -79,7 +74,7 @@ func main() {
 			cliutil.Usagef("-exp cannot be combined with -sample-mode=validate")
 		}
 	default:
-		cliutil.Usagef("-sample-mode %q: must be full | sampled | validate", *sampleMode)
+		cliutil.Usagef("-sample-mode %q: must be full | validate", *sampleMode)
 	}
 	cat := sweep.Catalog()
 	if *list {
@@ -92,19 +87,6 @@ func main() {
 	// stdout, so the byte-identical contract holds with any of it enabled.
 	h := cliutil.Start(obs, cliutil.Options{Command: "p10bench"})
 	defer h.Rec.DumpOnPanic()
-	// The surrogate tier changes what the numbers ARE (model estimates with
-	// error bars instead of simulation), so it is strictly opt-in: with the
-	// flag unset, stdout is byte-identical to a surrogate-free build.
-	if *surModel != "" {
-		m, err := surrogate.Load(*surModel)
-		if err != nil {
-			cliutil.Usagef("%v", err)
-		}
-		tier := surrogate.NewTier(m, *surThresh)
-		h.Pool.SetPredictor(tier.Predict)
-		fmt.Fprintf(os.Stderr, "surrogate: %s (%d training rows, gate %.1f%%)\n",
-			*surModel, m.TrainRows, 100*tier.Threshold())
-	}
 	// The progress bus narrates the sweep to every consumer: the stderr
 	// console lines, the /events SSE stream, and the /status aggregation.
 	console := progress.NewConsole(h.Bus, os.Stderr)
@@ -115,14 +97,7 @@ func main() {
 	h.Serve(obs.Serve, obsserver.Options{Failures: failures.Count})
 	opt := experiments.Options{Quick: *quick, Jobs: h.Pool.Workers(), Runner: h.Pool,
 		Metrics: h.Reg, Trace: h.Tr, Failures: failures, Progress: h.Bus}
-	switch *sampleMode {
-	case "sampled":
-		// Every simulation point in every experiment runs through the
-		// sampling engine instead of the full timing model. Results carry
-		// distinct cache keys, so a sampled sweep never poisons full runs.
-		spec := sampling.DefaultSpec()
-		opt.Sample = &spec
-	case "validate":
+	if *sampleMode == "validate" {
 		var only []string
 		if *sampleWl != "" {
 			for _, n := range strings.Split(*sampleWl, ",") {

@@ -18,7 +18,6 @@ import (
 	"power10sim/internal/power"
 	"power10sim/internal/progress"
 	"power10sim/internal/runner"
-	"power10sim/internal/sampling"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -54,13 +53,6 @@ type Options struct {
 	// fan-out (per-simulation events come from the Runner's own bus; see
 	// runner.SetBus). Nil — or a bus nobody subscribed to — is free.
 	Progress *progress.Bus
-	// Sample, when non-nil, routes every simulation issued through RunOn and
-	// the batched figure loops to the SimPoint-style sampling engine
-	// (internal/sampling): representative intervals are timed and the rest
-	// extrapolated. Fault-injection requests still run full (see
-	// runner.Request.Sample). Nil — the default — preserves the
-	// byte-identical full-simulation path.
-	Sample *sampling.Spec
 }
 
 // FailureLog accumulates per-point simulation failures across a tolerant
@@ -168,7 +160,7 @@ func (o Options) request(cfg *uarch.Config, w *workloads.Workload, smt int) runn
 		warmup = budget * uint64(smt) / 2
 	}
 	return runner.Request{Cfg: cfg, W: w, SMT: smt, Budget: budget, Warmup: warmup,
-		MaxCycles: maxSimCycles, Sample: o.Sample}
+		MaxCycles: maxSimCycles}
 }
 
 // RunOn simulates a workload on a config at an SMT level and returns the

@@ -327,15 +327,6 @@ type APEXResult struct {
 	Extractions    int
 	OnTheFlyPower  float64
 	ReferencePower float64
-	// Sampled flow, populated only under Options.Sample: the same
-	// extraction run through apex.SampledExtract, where only the sampling
-	// plan's representative windows are simulated. SampledSpeedup compounds
-	// the platform and sampling speedups; SampledPowerErr is the
-	// extrapolated average power against the full flow's cycle-weighted
-	// mean.
-	SampledSpeedup  float64
-	SampledWindows  int
-	SampledPowerErr float64
 }
 
 // APEXSpeedup measures the extraction speedup and cross-validates the fast
@@ -348,24 +339,13 @@ func APEXSpeedup(o Options) (*APEXResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &APEXResult{
+	return &APEXResult{
 		Speedup:        run.Speedup(),
 		SignalsTracked: run.SignalsTracked,
 		Extractions:    len(run.Extractions),
 		OnTheFlyPower:  run.AveragePower(),
 		ReferencePower: run.ReferencePower(),
-	}
-	if o.Sample != nil {
-		srun, est, err := apex.SampledExtract(uarch.POWER10(), w.Prog, o.scale(w.Budget),
-			o.scaleWarmup(w.Warmup), 1, 5000, maxSimCycles, *o.Sample)
-		if err != nil {
-			return nil, err
-		}
-		r.SampledSpeedup = srun.Speedup()
-		r.SampledWindows = est.Meta.Windows
-		r.SampledPowerErr = relErr(est.Meta.AvgPower, run.AveragePower())
-	}
-	return r, nil
+	}, nil
 }
 
 // Table renders the APEX study.
@@ -376,10 +356,5 @@ func (r *APEXResult) Table() string {
 	t.add("batch extractions", fmt.Sprintf("%d", r.Extractions), "configurable interval")
 	t.add("on-the-fly power", f3(r.OnTheFlyPower), "identical accuracy")
 	t.add("reference-flow power", f3(r.ReferencePower), "identical accuracy")
-	if r.SampledWindows > 0 {
-		t.add("sampled-APEX speedup", fmt.Sprintf("%.0fx", r.SampledSpeedup), "compounds w/ sampling")
-		t.add("sampled windows", fmt.Sprintf("%d", r.SampledWindows), "-")
-		t.add("sampled power err", pct(r.SampledPowerErr), "bounded by sampling CI")
-	}
 	return t.String()
 }

@@ -167,11 +167,9 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 	smts := []int{1, 4, 8}
 
 	v := &SampleValidation{Spec: spec}
-	oFull, oSamp := o, o
-	oFull.Sample = nil
-	oSamp.Sample = &spec
 	// Interleaved full/sampled request pairs, one pair per point, in render
-	// order. RunAll memoizes and fans out across the pool.
+	// order: the sampled twin is the full request with the spec attached.
+	// RunAll memoizes and fans out across the pool.
 	var reqs []runner.Request
 	for _, fam := range fams {
 		for _, cfg := range configs {
@@ -181,7 +179,10 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 			}
 			for _, smt := range smts {
 				v.Points = append(v.Points, SamplePoint{Workload: w.Name, Config: cfg.Name, SMT: smt})
-				reqs = append(reqs, oFull.request(cfg, w, smt), oSamp.request(cfg, w, smt))
+				full := o.request(cfg, w, smt)
+				samp := full
+				samp.Sample = &spec
+				reqs = append(reqs, full, samp)
 			}
 		}
 	}

@@ -100,7 +100,6 @@ footer { color: var(--muted); font-size: 11px; margin-top: 10px; }
   <div class="tile"><div class="label">Cache hit rate</div><div class="value" id="t-hit">–</div><div class="note" id="t-hit-note"></div><div class="meter"><div id="t-hit-bar"></div></div></div>
   <div class="tile"><div class="label">Failures</div><div class="value" id="t-fail">–</div><div class="note" id="t-fail-note"></div></div>
   <div class="tile"><div class="label">Ledger records</div><div class="value" id="t-led">–</div><div class="note" id="t-led-note"></div></div>
-  <div class="tile" id="t-sur-tile" style="display:none"><div class="label">Surrogate predictions</div><div class="value" id="t-sur">–</div><div class="note" id="t-sur-note"></div></div>
   <div class="tile" id="t-fab-tile" style="display:none"><div class="label">Fabric workers</div><div class="value" id="t-fab">–</div><div class="note" id="t-fab-note"></div></div>
   <div class="tile" id="t-rec-tile" style="display:none"><div class="label">Fabric recovery</div><div class="value" id="t-rec">–</div><div class="note" id="t-rec-note"></div></div>
 </div>
@@ -315,16 +314,6 @@ function poll() {
           esc(exps[i].state) + "</span></td><td class=num>" + fmt(exps[i].elapsed_seconds, 1) + "s</td></tr>";
       }
       document.getElementById("exp-holder").innerHTML = h + "</table>";
-    }
-    /* surrogate tile only appears once the learned tier has served or
-       declined at least one request (a runner without a model never shows it) */
-    var pred = (run.surrogate_predictions || 0), fell = (run.surrogate_fallthroughs || 0);
-    if (pred + fell > 0) {
-      document.getElementById("t-sur-tile").style.display = "";
-      document.getElementById("t-sur").textContent = pred;
-      var gated = pred + fell;
-      document.getElementById("t-sur-note").textContent =
-        fell + " fell through · " + (100 * pred / gated).toFixed(1) + "% served";
     }
     /* fleet tile + worker table only appear when a fabric coordinator is
        wired into this server (p10coord); plain p10bench never shows them */

@@ -260,8 +260,6 @@ type runnerStats struct {
 	DiskCorrupt      uint64  `json:"disk_corrupt"`
 	DiskReadBytes    uint64  `json:"disk_read_bytes"`
 	DiskWrittenBytes uint64  `json:"disk_written_bytes"`
-	Predicted        uint64  `json:"surrogate_predictions"`
-	PredictDeclined  uint64  `json:"surrogate_fallthroughs"`
 }
 
 // buildInfo is the /status rendering of the binary's embedded build
@@ -344,7 +342,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 			DiskHits:         st.DiskHits, DiskMisses: st.DiskMisses,
 			DiskCorrupt:   st.DiskCorrupt,
 			DiskReadBytes: st.DiskReadBytes, DiskWrittenBytes: st.DiskWrittenBytes,
-			Predicted: st.Predicted, PredictDeclined: st.PredictDeclined,
 		}
 	}
 	if s.opts.Fleet != nil {

@@ -67,7 +67,6 @@ func counterDelta(a, b Stats) Stats {
 		Uncached: b.Uncached - a.Uncached, Remote: b.Remote - a.Remote,
 		DiskHits: b.DiskHits - a.DiskHits, DiskMisses: b.DiskMisses - a.DiskMisses,
 		DiskCorrupt: b.DiskCorrupt - a.DiskCorrupt,
-		Predicted:   b.Predicted - a.Predicted, PredictDeclined: b.PredictDeclined - a.PredictDeclined,
 	}
 }
 
@@ -76,11 +75,6 @@ func counterDelta(a, b Stats) Stats {
 // it opens, whether it persists a cache entry, and how it moves the Stats
 // counters.
 func TestRequestLifecycle(t *testing.T) {
-	predicted := func(req Request) (Result, bool) {
-		res := req.runCtx(context.Background())
-		res.Predicted = &PredictionMeta{CPIRelStd: 0.01, PowerRelStd: 0.02}
-		return res, true
-	}
 	handled := func(ctx context.Context, req Request) (Result, bool) {
 		res := req.runCtx(ctx)
 		res.Attempts = 1
@@ -125,13 +119,6 @@ func TestRequestLifecycle(t *testing.T) {
 			events: []progress.Kind{progress.KindCacheHit},
 			tier:   runlog.TierDisk,
 			delta:  Stats{Misses: 1, DiskHits: 1},
-		},
-		{
-			name:   "surrogate hit",
-			setup:  func(t *testing.T, g *lifecycleRig, _ Request) { g.r.SetPredictor(predicted) },
-			events: []progress.Kind{progress.KindCacheHit},
-			tier:   runlog.TierSurrogate,
-			delta:  Stats{Misses: 1, DiskMisses: 1, Predicted: 1},
 		},
 		{
 			name:    "executor handled",

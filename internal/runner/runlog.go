@@ -65,11 +65,6 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 		rec.Upset = true
 		rec.FaultOutcome = faultOutcome(res.Upset)
 	}
-	if res.Predicted != nil {
-		rec.Predicted = true
-		rec.CPIRelStd = res.Predicted.CPIRelStd
-		rec.PowerRelStd = res.Predicted.PowerRelStd
-	}
 	if uarch.ResolveConfigName(req.Cfg.Name) == nil {
 		rec.Spec = req.Cfg
 	}

@@ -81,25 +81,13 @@ type Result struct {
 	// confidence intervals, effective speedup) for sampled runs; nil for
 	// full simulations.
 	Sampling *sampling.Meta
-	// Predicted carries the surrogate's uncertainty estimate when the result
-	// was served by an installed Predictor instead of simulated; nil for real
-	// (executed or cache-served) results.
-	Predicted *PredictionMeta
-}
-
-// PredictionMeta is the error-bar metadata attached to a surrogate-served
-// result: the model's relative standard errors for the headline metrics
-// (log-space std, which for small values is the relative error).
-type PredictionMeta struct {
-	CPIRelStd   float64
-	PowerRelStd float64
 }
 
 // clone returns a caller-owned copy of the result so cached values can never
 // be mutated through a returned pointer.
 func (r Result) clone() Result {
 	out := Result{Err: r.Err, Attempts: r.Attempts, Activity: copyOf(r.Activity),
-		Upset: copyOf(r.Upset), Sampling: copyOf(r.Sampling), Predicted: copyOf(r.Predicted)}
+		Upset: copyOf(r.Upset), Sampling: copyOf(r.Sampling)}
 	if r.Report != nil {
 		rep := *r.Report
 		rep.Components = append([]float64(nil), r.Report.Components...)
@@ -209,12 +197,6 @@ type Stats struct {
 	// DiskReadBytes / DiskWrittenBytes account persistent-cache I/O.
 	DiskReadBytes    uint64
 	DiskWrittenBytes uint64
-	// Predicted counts requests served by the installed surrogate Predictor
-	// (see SetPredictor); PredictDeclined counts requests the predictor was
-	// offered but passed on (unsupported shape or uncertainty above the
-	// confidence gate), which then fell through to real execution.
-	Predicted       uint64
-	PredictDeclined uint64
 }
 
 // obs holds the runner's counters, its only record of what it did: Stats
@@ -237,8 +219,6 @@ type obs struct {
 	samplingIntervals       *telemetry.Counter
 	samplingSimulated       *telemetry.Counter
 	samplingSpeedup         *telemetry.Gauge
-	predicted               *telemetry.Counter
-	predictDeclined         *telemetry.Counter
 	tracer                  *telemetry.Tracer
 }
 
@@ -265,8 +245,6 @@ func newObs(reg *telemetry.Registry, tr *telemetry.Tracer) obs {
 		samplingIntervals: reg.Counter("sampling_intervals_total"),
 		samplingSimulated: reg.Counter("sampling_simulated_total"),
 		samplingSpeedup:   reg.Gauge("sampling_speedup"),
-		predicted:         reg.Counter("surrogate_predictions_total"),
-		predictDeclined:   reg.Counter("surrogate_fallthrough_total"),
 		tracer:            tr,
 	}
 }
@@ -312,10 +290,6 @@ type Runner struct {
 	// completed request (see SetRunLog in runlog.go).
 	runlog *runlog.Ledger
 
-	// pred, when non-nil, offers disk-miss requests to a learned surrogate
-	// before any real execution (see SetPredictor).
-	pred Predictor
-
 	obs obs
 	bus *progress.Bus
 }
@@ -358,24 +332,6 @@ type Executor func(ctx context.Context, req Request) (res Result, handled bool)
 // SetExecutor is not synchronized with Do.
 func (r *Runner) SetExecutor(e Executor) { r.exec = e }
 
-// Predictor is a learned surrogate for simulation requests: it either serves
-// a predicted Result with error-bar metadata (ok true) or declines (ok false)
-// — an unsupported request shape, or predicted uncertainty above its
-// confidence gate — in which case the request falls through to real
-// execution. A predictor must be deterministic and safe for concurrent use.
-type Predictor func(req Request) (res Result, ok bool)
-
-// SetPredictor installs a learned surrogate as a cache tier; nil detaches it
-// (the default). The tier sits after the exact tiers and before any real
-// execution: memo -> disk -> surrogate -> fabric/local pool, so a prediction
-// is only consulted for simulations nothing has ever actually run. Predicted
-// results are memoized in-process (identical requests predict once) but are
-// never written to the persistent disk cache and are ledger-tagged with the
-// "surrogate" tier plus their error bars — a prediction must never be
-// mistaken for, or retrain on, ground truth. Chaos self-tests stay real.
-// Call before submitting requests; SetPredictor is not synchronized with Do.
-func (r *Runner) SetPredictor(p Predictor) { r.pred = p }
-
 // SetContext sets the base context Do and RunAll derive executions from,
 // threading external cancellation (SIGINT) through every simulation. Call
 // before submitting requests; SetContext is not synchronized with Do.
@@ -410,9 +366,6 @@ func (r *Runner) SetContext(ctx context.Context) {
 //	sampling_intervals_total          intervals phase-classified by sampled runs
 //	sampling_simulated_total          instructions actually timed by sampled runs
 //	sampling_speedup                  gauge: last sampled run's effective speedup
-//	surrogate_predictions_total       requests served by the surrogate Predictor
-//	surrogate_fallthrough_total       requests the predictor declined (shape or
-//	                                  uncertainty gate) that ran for real
 //
 // With a tracer attached, every executed (cache-miss) simulation also emits
 // a span named sim:<workload>@<config>/smt<N>. Call before submitting
@@ -468,8 +421,6 @@ func (r *Runner) Stats() Stats {
 		DiskCorrupt:      o.diskCorrupt.Value(),
 		DiskReadBytes:    o.diskReadBytes.Value(),
 		DiskWrittenBytes: o.diskWrittenBytes.Value(),
-		Predicted:        o.predicted.Value(),
-		PredictDeclined:  o.predictDeclined.Value(),
 	}
 }
 
@@ -483,8 +434,8 @@ func (r *Runner) Do(req Request) Result { return r.DoCtx(r.base, req) }
 // failures (panics, timeouts, tagged errors) and cancellations are returned
 // but never cached, so the next identical request re-executes.
 //
-// After the memo check a request takes one of two steps: a tier serves it
-// without executing (serve), or it executes (run).
+// After the memo check a request takes one of two steps: the disk cache
+// serves it without executing (serve), or it executes (run).
 func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	if ctx == nil {
 		ctx = context.Background()
@@ -519,10 +470,10 @@ func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	defer close(e.ready)
 
 	start := time.Now()
-	if res, tier, ok := r.serve(k, req); ok {
+	if res, ok := r.serve(k, req); ok {
 		e.res = res
 		r.publish(progress.KindCacheHit, req, nil)
-		r.logRecord(k, req, res, tier, time.Since(start))
+		r.logRecord(k, req, res, runlog.TierDisk, time.Since(start))
 		return res.clone()
 	}
 	e.res = r.run(ctx, k, req)
@@ -541,27 +492,14 @@ func (r *Runner) DoCtx(ctx context.Context, req Request) Result {
 	return e.res.clone()
 }
 
-// serve answers a memo miss from a tier that does not execute: the
-// persistent disk cache, which an earlier process filled, then the learned
-// surrogate. Both are consulted before taking a worker slot. A prediction
-// stays in the memo cache (identical requests predict once) but is never
-// persisted, so the exact tiers keep winning for anything that has run. A
-// decline falls through to execution, which is the active-learning signal:
-// the points the model is unsure about are the ones worth simulating.
-func (r *Runner) serve(k key, req Request) (res Result, tier string, ok bool) {
-	if r.diskUsable(req) {
-		if res, ok := r.diskLoad(k, req); ok {
-			return res, runlog.TierDisk, true
-		}
+// serve answers a memo miss without executing, from the persistent disk
+// cache an earlier process filled. It is consulted before taking a worker
+// slot, so a cached result never waits behind running simulations.
+func (r *Runner) serve(k key, req Request) (Result, bool) {
+	if !r.diskUsable(req) {
+		return Result{}, false
 	}
-	if r.pred != nil && req.Chaos == nil {
-		if res, ok := r.pred(req); ok {
-			r.obs.predicted.Inc()
-			return res, runlog.TierSurrogate, true
-		}
-		r.obs.predictDeclined.Inc()
-	}
-	return Result{}, "", false
+	return r.diskLoad(k, req)
 }
 
 // run executes a request no tier served: on the installed Executor (the

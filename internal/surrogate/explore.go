@@ -30,7 +30,7 @@ type ExploreOptions struct {
 	MaxSims int
 	// Runner executes the fallback simulations (required when MaxSims > 0).
 	// Attach its ledger/caches before calling; explorer simulations flow
-	// through the full tier stack like any other request.
+	// through the memo and disk caches like any other request.
 	Runner *runner.Runner
 	// Corpus is the training corpus behind Model — the retraining base.
 	// Required when MaxSims > 0.
@@ -83,7 +83,7 @@ type ExploreResult struct {
 	// MeanRelStd / MaxRelStd summarize the final prediction pass's
 	// uncertainty over non-simulated points; WithinGate counts the predicted
 	// points whose RelStd clears Options.Threshold — the share of the space
-	// the surrogate tier would have served without any simulation.
+	// ranked on a served prediction, without any simulation.
 	MeanRelStd float64
 	MaxRelStd  float64
 	WithinGate int

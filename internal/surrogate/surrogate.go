@@ -1,22 +1,21 @@
 // Package surrogate is the learned cycle/power prediction layer: it turns the
 // campaign ledger (internal/runlog) into training data for per-target ridge
-// models (internal/mlfit) and serves predictions with error bars as the
-// fastest — and only approximate — tier of the runner's cache hierarchy
-// (memo -> disk -> surrogate -> fabric/execution). The NeuroScalar
-// observation transplanted onto this codebase: a learned model stands in for
-// cycle-level simulation at orders-of-magnitude lower cost, and an
-// uncertainty gate decides per request whether the stand-in is good enough.
+// models (internal/mlfit) and predicts with error bars for p10explore's
+// design-space ranking. The NeuroScalar observation transplanted onto this
+// codebase: a learned model stands in for cycle-level simulation at
+// orders-of-magnitude lower cost, and an uncertainty gate decides per point
+// whether the stand-in is good enough to rank without simulating. No figure
+// and no runner result comes from a prediction.
 //
 // Targets are fit in log space (CPI and the power components are positive
 // and multiplicative: doubling memory latency scales CPI, it does not shift
 // it), which also makes each prediction's standard error directly a relative
-// error — what the runner's confidence gate thresholds on.
+// error — what the confidence gate thresholds on.
 //
 // Determinism contract: training is a pure function of the corpus (sorted
 // vocabulary, fixed feature layout, deterministic solver), models persist as
 // JSON (which round-trips float64 exactly, so a reloaded model predicts
-// bit-identically), and prediction is pure. Everything downstream — the
-// p10explore tables, the ledger records of predicted runs — inherits
+// bit-identically), and prediction is pure. The p10explore tables inherit
 // byte-stability from this.
 package surrogate
 
@@ -39,6 +38,13 @@ import (
 // other generations rather than misreading them. v2 moved the
 // activity-driven power targets to energy-per-instruction fit space.
 const ModelSchema = "p10surrogate-v2"
+
+// DefaultThreshold is the default confidence gate: a prediction is served
+// (p10explore ranks it without simulating) only when both the CPI and power
+// relative standard errors are at or below 5% — the same bound the sampling
+// engine promises for power and the validation gate (make explore-check)
+// enforces for held-out CPI.
+const DefaultThreshold = 0.05
 
 // Target names, in the fixed order Model.Targets uses.
 var TargetNames = []string{
@@ -75,7 +81,8 @@ const (
 // enough training rows, otherwise just an intercept shift. LOORMSE is the
 // workload's own cross-validated error — the number the confidence gate
 // prices this workload's predictions with, so a workload the model handles
-// badly gets declined (and simulated for real) instead of served wrong.
+// badly falls outside the gate (and is simulated first) instead of served
+// wrong.
 type WorkloadModel struct {
 	Rows int `json:"rows"`
 	// Shift is the log-space intercept correction applied when Model is nil.

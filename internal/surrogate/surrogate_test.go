@@ -14,9 +14,7 @@ import (
 
 	"power10sim/internal/clitest"
 	"power10sim/internal/mlfit"
-	"power10sim/internal/power"
 	"power10sim/internal/runlog"
-	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -443,7 +441,7 @@ func TestValidateHeldOutAccuracy(t *testing.T) {
 
 // daxpyCorpus builds a training corpus over generated design points with the
 // real daxpy profile and smooth analytic targets — a model whose vocabulary
-// contains a catalog workload, for exercising the runner-facing tier.
+// contains a catalog workload, for exercising the explorer.
 func daxpyCorpus(t *testing.T, n int) (*Corpus, *workloads.Workload) {
 	t.Helper()
 	w := workloads.Catalog()["daxpy"]
@@ -476,69 +474,6 @@ func daxpyCorpus(t *testing.T, n int) (*Corpus, *workloads.Workload) {
 		})
 	}
 	return c, w
-}
-
-// TestTierGates covers the tier's decline paths and the shape of an accepted
-// prediction.
-func TestTierGates(t *testing.T) {
-	c, w := daxpyCorpus(t, 120)
-	m, err := Train(c, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := NewTier(m, 1.0) // wide-open gate: accept any finite prediction
-	base := runner.Request{Cfg: uarch.POWER10(), W: w, SMT: 2, Budget: 5000, Warmup: 500}
-
-	res, ok := tier.Predict(base)
-	if !ok {
-		t.Fatal("wide-open tier declined an in-vocabulary request")
-	}
-	if res.Predicted == nil {
-		t.Fatal("accepted prediction has no PredictionMeta")
-	}
-	if res.Activity == nil || res.Report == nil {
-		t.Fatal("accepted prediction missing Activity or Report")
-	}
-	wantInsts := base.Budget * uint64(base.SMT)
-	if res.Activity.Instructions != wantInsts {
-		t.Errorf("instructions = %d, want budget*smt = %d", res.Activity.Instructions, wantInsts)
-	}
-	cpi := float64(res.Activity.Cycles) / float64(res.Activity.Instructions)
-	if cpi <= 0 || math.Abs(cpi-res.Activity.CPI()) > 1e-12 {
-		t.Errorf("synthesized activity CPI inconsistent: %v vs %v", cpi, res.Activity.CPI())
-	}
-	if len(res.Report.Components) != power.NumComponents {
-		t.Errorf("component vector length %d, want %d", len(res.Report.Components), power.NumComponents)
-	}
-	if res.Report.Total <= 0 {
-		t.Error("non-positive predicted power")
-	}
-
-	decline := func(name string, req runner.Request) {
-		if _, ok := tier.Predict(req); ok {
-			t.Errorf("%s: tier served a request it must decline", name)
-		}
-	}
-	up := base
-	up.Upset = &uarch.Upset{}
-	decline("upset", up)
-	sa := base
-	sa.Sample = &sampling.Spec{}
-	decline("sampled", sa)
-	ch := base
-	ch.Chaos = &runner.ChaosSpec{}
-	decline("chaos", ch)
-	unknown := base
-	other := *w
-	other.Name = "not-in-vocab"
-	unknown.W = &other
-	decline("unknown workload", unknown)
-
-	// A vanishing threshold declines everything: real uncertainty is never 0.
-	strict := NewTier(m, 1e-12)
-	if _, ok := strict.Predict(base); ok {
-		t.Error("near-zero threshold still served a prediction")
-	}
 }
 
 // TestSpaceDeterminism checks the design space is a pure function of
@@ -574,87 +509,6 @@ func TestSpaceDeterminism(t *testing.T) {
 		if !pt.Cfg.HasMMA && (pt.Cfg.MMAThroughput != 0 || pt.Cfg.MMAAccumForwarding) {
 			t.Errorf("point %d: MMA-less config keeps MMA parameters", i)
 		}
-	}
-}
-
-// TestRunnerSurrogateTier drives a prediction through the real runner: the
-// surrogate serves the first request, the ledger records it as tier
-// "surrogate" with the predicted flag, the memo cache restates it, and the
-// disk cache never stores it.
-func TestRunnerSurrogateTier(t *testing.T) {
-	c, w := daxpyCorpus(t, 120)
-	m, err := Train(c, TrainOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tier := NewTier(m, 1.0)
-
-	ledgerDir := t.TempDir()
-	led, err := runlog.Open(ledgerDir, runlog.Options{Command: "test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cacheDir := t.TempDir()
-	r := runner.New(1)
-	if err := r.SetCacheDir(cacheDir); err != nil {
-		t.Fatal(err)
-	}
-	r.SetRunLog(led)
-	r.SetPredictor(tier.Predict)
-
-	req := runner.Request{Cfg: uarch.POWER10(), W: w, SMT: 1, Budget: 5000, Warmup: 500, MaxCycles: 10_000_000}
-	res := r.Do(req)
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Predicted == nil {
-		t.Fatal("first request was not surrogate-served")
-	}
-	res2 := r.Do(req)
-	if res2.Predicted == nil {
-		t.Fatal("memo restatement lost the prediction mark")
-	}
-	st := r.Stats()
-	if st.Predicted != 1 {
-		t.Errorf("stats.Predicted = %d, want 1", st.Predicted)
-	}
-	if st.Hits != 1 {
-		t.Errorf("stats.Hits = %d, want 1 (memo restatement)", st.Hits)
-	}
-	if err := led.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	recs, _, err := runlog.ScanDir(ledgerDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("ledger has %d records, want 2", len(recs))
-	}
-	if recs[0].Tier != runlog.TierSurrogate || !recs[0].Predicted {
-		t.Errorf("first record tier=%q predicted=%v, want surrogate/true", recs[0].Tier, recs[0].Predicted)
-	}
-	if recs[1].Tier != runlog.TierMemo || !recs[1].Predicted {
-		t.Errorf("second record tier=%q predicted=%v, want memo/true", recs[1].Tier, recs[1].Predicted)
-	}
-
-	// Predictions must never enter the persistent cache.
-	entries, err := os.ReadDir(cacheDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("disk cache has %d entries; predictions must not persist", len(entries))
-	}
-
-	// A corpus loaded from this ledger must reject both records.
-	lc, err := LoadCorpus(ledgerDir, CorpusOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lc.Stats.Used != 0 || lc.Stats.SkippedPredicted != 2 {
-		t.Errorf("predicted records leaked into training: %+v", lc.Stats)
 	}
 }
 

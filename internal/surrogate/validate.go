@@ -8,8 +8,7 @@ import (
 
 // TargetError is one target's held-out accuracy, over every scoreable row
 // and over the served subset (rows whose prediction clears the confidence
-// gate — the only predictions the runner's surrogate tier ever returns;
-// everything else falls through to real simulation).
+// gate — the only predictions p10explore ranks without simulating).
 type TargetError struct {
 	Name string `json:"name"`
 	// MAPE is the mean absolute percent error on held-out ground truth.
