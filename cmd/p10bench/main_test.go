@@ -52,4 +52,9 @@ func TestUsageErrors(t *testing.T) {
 	// There is no -runlog-series flag: the ledger keeps one record per run
 	// and no time series beside it.
 	clitest.UsageError(t, "-runlog", t.TempDir(), "-runlog-series", "4", "-list")
+	// Every figure comes from simulation: there is no surrogate tier to
+	// serve points from a model, and no sweep-wide sampled mode.
+	clitest.UsageError(t, "-surrogate", "m.json", "-list")
+	clitest.UsageError(t, "-surrogate-threshold", "0.1", "-list")
+	clitest.UsageError(t, "-sample-mode", "sampled", "-list")
 }

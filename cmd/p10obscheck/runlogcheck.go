@@ -61,10 +61,11 @@ func checkRunlog(dir string, minRecords int) {
 		} else if r.Cycles == 0 || r.Instructions == 0 {
 			fail("runlog: %s: successful record missing measurements", where)
 		}
-		// A surrogate-served record must carry the predicted mark (memo
-		// restatements of a prediction keep the mark at their own tier, which
-		// is fine — but a surrogate record without it would let model output
-		// masquerade as ground truth to a later training pass).
+		// A surrogate-served record, which only earlier builds wrote, must
+		// carry the predicted mark (memo restatements of a prediction keep
+		// the mark at their own tier, which is fine — but a surrogate record
+		// without it would let model output masquerade as ground truth to a
+		// later training pass).
 		if r.Tier == runlog.TierSurrogate && !r.Predicted {
 			fail("runlog: %s: surrogate record without the predicted mark", where)
 		}

@@ -48,11 +48,12 @@ const Schema = "p10runlog-v1"
 const LedgerFile = "ledger.jsonl"
 
 // Cache tiers a record can carry: an actually executed simulation, a
-// persistent disk-cache load, an in-process memoization hit, an execution
-// served remotely by the distributed sweep fabric (internal/fabric), or a
-// learned-surrogate prediction (internal/surrogate) — the only tier whose
-// records are estimates rather than ground truth (Predicted is set and the
-// rel-std fields carry the model's error bars).
+// persistent disk-cache load, an in-process memoization hit, or an execution
+// served remotely by the distributed sweep fabric (internal/fabric).
+// TierSurrogate marks a learned-surrogate prediction. Earlier builds wrote
+// it when the runner could serve predictions; no build writes it now, and
+// readers keep it so that old ledgers still load and their predicted records
+// never train a model or pass validation unmarked.
 const (
 	TierRun       = "run"
 	TierDisk      = "disk"
@@ -129,10 +130,12 @@ type Record struct {
 	// efficiency metric (what p10query's top-k and trend modes rank by).
 	EPI float64 `json:"energy_per_inst,omitempty"`
 
-	// Predicted marks a surrogate-served record (tier "surrogate"): its
-	// measurements are model estimates, not simulation output, and must be
-	// excluded from any training corpus. CPIRelStd / PowerRelStd are the
-	// model's relative standard errors for the estimate.
+	// Predicted marks a surrogate-served record: its measurements are model
+	// estimates, not simulation output. CPIRelStd / PowerRelStd are the
+	// model's relative standard errors for the estimate. Earlier builds
+	// wrote these fields (tier "surrogate", and memo restatements of it);
+	// readers keep them so that old ledgers still load and their predicted
+	// records are never used as training data.
 	Predicted   bool    `json:"predicted,omitempty"`
 	CPIRelStd   float64 `json:"cpi_rel_std,omitempty"`
 	PowerRelStd float64 `json:"power_rel_std,omitempty"`

@@ -45,7 +45,7 @@ type CorpusStats struct {
 	// Skip reasons, disjoint and checked in this order.
 	SkippedFailed          int // records with a terminal error
 	SkippedUpset           int // fault-injection runs (corrupted timing)
-	SkippedPredicted       int // surrogate-served records: never train on model output
+	SkippedPredicted       int // predicted records from earlier builds: never train on model output
 	SkippedDuplicate       int // same content key seen again (cache-tier restatements)
 	SkippedUnknownConfig   int // config name the resolver cannot reconstruct
 	SkippedUnknownWorkload int // workload name the profiler cannot reconstruct
@@ -64,23 +64,15 @@ type Corpus struct {
 // CorpusOptions configures ledger loading.
 type CorpusOptions struct {
 	// Configs resolves a ledger config name to its full parameter set. The
-	// default covers every named config the experiment harness uses; an
-	// explorer that generates hypothetical configs supplies a resolver that
-	// also knows its generated names. Records whose name does not resolve
-	// are skipped and counted (the ledger stores names, not geometries — a
-	// documented limitation of name-keyed training).
+	// default, uarch.ResolveConfigName, covers every named config the
+	// experiment harness uses. A record whose name does not resolve falls
+	// back to the spec it carries inline (explorer design-space points); one
+	// with neither is skipped and counted.
 	Configs func(name string) *uarch.Config
 	// Profiles resolves a workload name to its sampling.Profile vector. The
 	// default functionally executes the catalog workload at ProfileBudget
 	// (cached per name).
 	Profiles func(name string) ([]float64, bool)
-}
-
-// DefaultConfigResolver resolves every named configuration the experiment
-// harness sweeps: the paper baselines, the Fig. 4 ablation ladder, and the
-// Fig. 10 infinite-L2 "core model" variants.
-func DefaultConfigResolver() func(name string) *uarch.Config {
-	return uarch.ResolveConfigName
 }
 
 // CatalogProfiler profiles workloads from the standard catalog, caching each
@@ -112,11 +104,12 @@ func CatalogProfiler() func(name string) ([]float64, bool) {
 
 // LoadCorpus reads a p10runlog-v1 ledger directory into a training corpus.
 // Only executed ground truth qualifies: failed, fault-injected, and
-// surrogate-predicted records are skipped (the last so the model can never
-// train on its own output), cache-tier records and repeated content keys are
-// deduplicated, and unresolvable config or workload names are counted out.
-// Corrupt lines, wrong-schema records, and a torn tail are tolerated by the
-// underlying scanner and surface in Stats.Scan.
+// predicted records are skipped (the last, which only earlier builds wrote,
+// so the model can never train on its own output), cache-tier records and
+// repeated content keys are deduplicated, and unresolvable config or
+// workload names are counted out. Corrupt lines, wrong-schema records, and a
+// torn tail are tolerated by the underlying scanner and surface in
+// Stats.Scan.
 func LoadCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 	recs, scan, err := runlog.ScanDir(dir)
 	if err != nil {
@@ -132,7 +125,7 @@ func LoadCorpus(dir string, opts CorpusOptions) (*Corpus, error) {
 // different model on every replay.
 func CorpusFromRecords(recs []runlog.Record, scan runlog.ScanStats, opts CorpusOptions) *Corpus {
 	if opts.Configs == nil {
-		opts.Configs = DefaultConfigResolver()
+		opts.Configs = uarch.ResolveConfigName
 	}
 	if opts.Profiles == nil {
 		opts.Profiles = CatalogProfiler()

@@ -44,9 +44,10 @@ type cachePoint struct {
 // paper's design levers: out-of-order window, issue/rename capacity, cache
 // geometry, pipe and port counts, memory latency, MMA presence and width,
 // and the SMT level. Names are "dse<seed>-<index>", so a config's name is
-// reproducible across processes for a given (n, seed) — which is what lets
-// ledger records of explorer fallback simulations be resolved back to their
-// geometry by a later training run (see SpaceResolver).
+// reproducible across processes for a given (n, seed). The names resolve in
+// no catalog: ledger records of explorer fallback simulations carry their
+// full spec inline (runlog.Record.Spec), which is what a later training run
+// reads the geometry back from.
 func Space(n int, seed uint64) []Point {
 	pts := make([]Point, 0, n)
 	for i := 0; i < n; i++ {
@@ -96,21 +97,4 @@ func Space(n int, seed uint64) []Point {
 		pts = append(pts, Point{Cfg: c, SMT: smt})
 	}
 	return pts
-}
-
-// SpaceResolver returns a config resolver that knows the generated names of
-// this space on top of the default named configs — what lets a training pass
-// consume ledger records appended by an explorer's fallback simulations.
-func SpaceResolver(pts []Point) func(name string) *uarch.Config {
-	base := DefaultConfigResolver()
-	byName := make(map[string]*uarch.Config, len(pts))
-	for _, p := range pts {
-		byName[p.Cfg.Name] = p.Cfg
-	}
-	return func(name string) *uarch.Config {
-		if c, ok := byName[name]; ok {
-			return c
-		}
-		return base(name)
-	}
 }

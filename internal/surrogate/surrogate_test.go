@@ -75,11 +75,23 @@ func TestLedgerToCorpusRoundTrip(t *testing.T) {
 	upset.Upset = true
 	line(upset)
 
+	// Earlier builds served predictions from the runner and ledgered them as
+	// tier "surrogate" with the predicted mark, and their memo restatements
+	// with the mark alone. A surrogate-tier record without the mark is
+	// malformed (p10obscheck rejects it), but it must not train either. Each
+	// record below is caught by one half of the loader's test only.
 	predicted := validRecord(5, "key-predicted", "POWER10", "daxpy", 4, 0.8, 8.0)
 	predicted.Tier = runlog.TierSurrogate
 	predicted.Predicted = true
 	predicted.CPIRelStd = 0.02
 	line(predicted)
+	predictedMemo := validRecord(12, "key-predicted-memo", "POWER10", "daxpy", 8, 0.7, 8.5)
+	predictedMemo.Tier = runlog.TierMemo
+	predictedMemo.Predicted = true
+	line(predictedMemo)
+	unmarkedSurrogate := validRecord(13, "key-unmarked-surrogate", "POWER9", "daxpy", 4, 1.2, 5.5)
+	unmarkedSurrogate.Tier = runlog.TierSurrogate
+	line(unmarkedSurrogate)
 
 	// Cache-tier restatement of good1: same content key, different tier.
 	dup := good1
@@ -136,10 +148,10 @@ func TestLedgerToCorpusRoundTrip(t *testing.T) {
 		}
 	}
 	st := c.Stats
-	if st.SkippedFailed != 1 || st.SkippedUpset != 1 || st.SkippedPredicted != 1 ||
+	if st.SkippedFailed != 1 || st.SkippedUpset != 1 || st.SkippedPredicted != 3 ||
 		st.SkippedDuplicate != 1 || st.SkippedUnknownConfig != 1 ||
 		st.SkippedUnknownWorkload != 1 || st.SkippedDegenerate != 1 {
-		t.Errorf("skip counters = %+v, want one of each", st)
+		t.Errorf("skip counters = %+v, want three predicted and one of each other reason", st)
 	}
 	if st.Scanned != st.Used+st.SkippedFailed+st.SkippedUpset+st.SkippedPredicted+
 		st.SkippedDuplicate+st.SkippedUnknownConfig+st.SkippedUnknownWorkload+st.SkippedDegenerate {
