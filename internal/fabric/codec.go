@@ -140,6 +140,9 @@ func EncodeRequest(req runner.Request) (payload []byte, key string, err error) {
 // verifies its content key against the unit's: the program fingerprint is
 // content-based, so a faithful round trip reproduces the key bit-for-bit and
 // any divergence proves the payload does not describe the unit it claims to.
+// It also refuses a unit the worker cannot run before any simulation state
+// is built: a config the core cannot be built from, an SMT level above the
+// config's SMTMax, or a malformed program.
 func DecodeRequest(payload []byte, wantKey string) (runner.Request, error) {
 	var wr WireRequest
 	if err := json.Unmarshal(payload, &wr); err != nil {
@@ -172,6 +175,15 @@ func DecodeRequest(payload []byte, wantKey string) (runner.Request, error) {
 		MaxCycles: wr.MaxCycles,
 		Upset:     wr.Upset,
 		Sample:    wr.Sample,
+	}
+	if err := cfg.Validate(); err != nil {
+		return runner.Request{}, fmt.Errorf("fabric: decode request: %w", err)
+	}
+	if wr.SMT > cfg.SMTMax {
+		return runner.Request{}, fmt.Errorf("fabric: decode request: SMT%d exceeds config %q SMTMax %d", wr.SMT, cfg.Name, cfg.SMTMax)
+	}
+	if err := req.W.Prog.Validate(); err != nil {
+		return runner.Request{}, fmt.Errorf("fabric: decode request: %w", err)
 	}
 	got, ok := runner.ContentKey(req)
 	if !ok {

@@ -338,6 +338,53 @@ var opTable = [256]opInfo{
 	OpLxvwsx: {class: ClassVSXLoad, size: 4},
 }
 
+// operandFiles lists, per opcode, the register file the functional VM
+// indexes each operand slot (Dst, A, B) with; FileNone marks a slot the VM
+// ignores. Validate holds every instruction to it, so no register index can
+// leave its file at run time.
+var operandFiles = [numOpcodes][3]RegFile{
+	OpLi:   {FileGPR},
+	OpAdd:  {FileGPR, FileGPR, FileGPR},
+	OpAddi: {FileGPR, FileGPR},
+	OpSub:  {FileGPR, FileGPR, FileGPR},
+	OpMul:  {FileGPR, FileGPR, FileGPR},
+	OpDiv:  {FileGPR, FileGPR, FileGPR},
+	OpAnd:  {FileGPR, FileGPR, FileGPR},
+	OpOr:   {FileGPR, FileGPR, FileGPR},
+	OpXor:  {FileGPR, FileGPR, FileGPR},
+	OpShl:  {FileGPR, FileGPR},
+	OpShr:  {FileGPR, FileGPR},
+
+	OpBc: {FileNone, FileGPR, FileGPR},
+	OpBr: {FileNone, FileGPR},
+
+	OpLd:  {FileGPR, FileGPR},
+	OpSt:  {FileNone, FileGPR, FileGPR},
+	OpLw:  {FileGPR, FileGPR},
+	OpStw: {FileNone, FileGPR, FileGPR},
+
+	OpLxv:    {FileVSR, FileGPR},
+	OpStxv:   {FileNone, FileGPR, FileVSR},
+	OpLxvp:   {FileVSR, FileGPR},
+	OpStxvp:  {FileNone, FileGPR, FileVSR},
+	OpLxvdsx: {FileVSR, FileGPR},
+	OpLxvwsx: {FileVSR, FileGPR},
+
+	OpXvadddp:   {FileVSR, FileVSR, FileVSR},
+	OpXvmuldp:   {FileVSR, FileVSR, FileVSR},
+	OpXvmaddadp: {FileVSR, FileVSR, FileVSR},
+	OpXvmaddasp: {FileVSR, FileVSR, FileVSR},
+	OpXxlxor:    {FileVSR, FileVSR, FileVSR},
+	OpXxperm:    {FileVSR, FileVSR},
+
+	OpXxsetaccz:  {FileACC},
+	OpXxmtacc:    {FileACC, FileVSR},
+	OpXxmfacc:    {FileVSR, FileACC},
+	OpXvf64gerpp: {FileACC, FileVSR, FileVSR},
+	OpXvf32gerpp: {FileACC, FileVSR, FileVSR},
+	OpXvi8ger4pp: {FileACC, FileVSR, FileVSR},
+}
+
 // ClassOf returns the execution class of an opcode.
 func ClassOf(o Opcode) Class { return opTable[o].class }
 
@@ -440,8 +487,11 @@ func (p *Program) buildPCs() {
 	p.pcs[len(p.Code)] = addr
 }
 
-// Validate checks that the program is well-formed: branch targets in range,
-// registers within their files, entry in range.
+// Validate checks that the program is well-formed: defined opcodes, branch
+// targets in range, every operand the opcode reads or writes in the file it
+// expects, registers within their files, initial registers and entry in
+// range. A valid program runs on the VM and the timing model without any
+// index leaving its bounds.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {
 		return fmt.Errorf("program %q: empty code", p.Name)
@@ -449,15 +499,26 @@ func (p *Program) Validate() error {
 	if p.Entry < 0 || p.Entry >= len(p.Code) {
 		return fmt.Errorf("program %q: entry %d out of range", p.Name, p.Entry)
 	}
+	for r := range p.InitGPR {
+		if r < 0 || r >= NumGPR {
+			return fmt.Errorf("program %q: initial value for r%d out of range", p.Name, r)
+		}
+	}
 	for i := range p.Code {
 		in := &p.Code[i]
+		if int(in.Op) >= NumOpcodes {
+			return fmt.Errorf("program %q: @%d undefined opcode %v", p.Name, i, in.Op)
+		}
 		c := in.Class()
 		if c == ClassBranch || c == ClassCondBranch {
 			if in.Target < 0 || in.Target >= len(p.Code) {
 				return fmt.Errorf("program %q: @%d %s target %d out of range", p.Name, i, in.Op, in.Target)
 			}
 		}
-		for _, r := range [...]Reg{in.Dst, in.A, in.B} {
+		for slot, r := range [...]Reg{in.Dst, in.A, in.B} {
+			if want := operandFiles[in.Op][slot]; want != FileNone && r.File != want {
+				return fmt.Errorf("program %q: @%d %s operand %d is %v, in the wrong register file", p.Name, i, in.Op, slot, r)
+			}
 			if r.File != FileNone && !r.Valid() {
 				return fmt.Errorf("program %q: @%d %s invalid register %v", p.Name, i, in.Op, r)
 			}

@@ -151,6 +151,24 @@ func TestValidateCatchesBadPrograms(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("out-of-range entry validated")
 	}
+	bad = &Program{Name: "init", Code: []Inst{{Op: OpNop}}, InitGPR: map[int]uint64{NumGPR: 1}}
+	if err := bad.Validate(); err == nil {
+		t.Error("out-of-range initial register validated")
+	}
+	bad = &Program{Name: "opcode", Code: []Inst{{Op: numOpcodes}}}
+	if err := bad.Validate(); err == nil {
+		t.Error("undefined opcode validated")
+	}
+	// The VM indexes an add's operands as GPRs whatever file they name: a
+	// VSR or an absent operand there would read past the GPR file.
+	bad = &Program{Name: "file", Code: []Inst{{Op: OpAdd, Dst: GPR(1), A: VSR(40), B: GPR(2)}}}
+	if err := bad.Validate(); err == nil {
+		t.Error("VSR operand to an integer add validated")
+	}
+	bad = &Program{Name: "absent", Code: []Inst{{Op: OpLd, Dst: GPR(1), A: Reg{FileNone, 99}}}}
+	if err := bad.Validate(); err == nil {
+		t.Error("absent base register on a load validated")
+	}
 }
 
 func TestBuilderLabelResolution(t *testing.T) {

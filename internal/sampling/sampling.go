@@ -157,9 +157,14 @@ func (p *Plan) K() int { return len(p.Clusters) }
 // BuildPlan functionally executes prog for up to budget instructions
 // (pass 1: no timing, no record storage), featurizes fixed-size intervals,
 // and clusters them into phases. The trace ends at the program's halt when
-// that comes before the budget.
+// that comes before the budget. A spec whose cluster, representative or
+// signature counts exceed 1<<16 is refused: those size the plan's
+// allocations, and no useful plan comes near them.
 func BuildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, error) {
 	spec = spec.Normalized()
+	if max(spec.MaxK, spec.RepsPerCluster, spec.SignatureDims) > 1<<16 {
+		return nil, fmt.Errorf("sampling: spec %+v sizes a plan beyond 1<<16", spec)
+	}
 	stream := trace.NewVMStream(prog, budget)
 	var (
 		intervals []Interval

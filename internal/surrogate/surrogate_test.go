@@ -521,6 +521,11 @@ func TestSpaceDeterminism(t *testing.T) {
 		if !pt.Cfg.HasMMA && (pt.Cfg.MMAThroughput != 0 || pt.Cfg.MMAAccumForwarding) {
 			t.Errorf("point %d: MMA-less config keeps MMA parameters", i)
 		}
+		// Explorer fallback simulations may run on a fleet, whose decoder
+		// refuses configs the core cannot build.
+		if err := pt.Cfg.Validate(); err != nil {
+			t.Errorf("point %d: %v", i, err)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@
 package uarch
 
 import (
+	"fmt"
 	"sync"
 
 	"power10sim/internal/isa"
@@ -113,6 +114,93 @@ type Config struct {
 	// circuits). Zero means "infer from the structural markers".
 	CircuitGrade float64
 }
+
+// Validate reports whether a core can be built from c and run: every width,
+// queue and table is positive, every latency is non-negative, SMTMax fits
+// the per-thread activity counters, L1I and L1D are real caches, and L2 and
+// L3 are real or absent (SizeBytes 0). The upper bounds sit far above any
+// modeled design; they keep a config decoded from the wire from making a
+// worker allocate without limit.
+func (c *Config) Validate() error {
+	const (
+		maxWidth   = 64
+		maxEntries = 1 << 16
+		maxTable   = 1 << 20
+		maxLatency = 1 << 16
+	)
+	type field struct {
+		name      string
+		v, lo, hi int
+	}
+	mmaMin := 0
+	if c.HasMMA {
+		mmaMin = 1
+	}
+	fields := []field{
+		{"FetchWidth", c.FetchWidth, 1, maxWidth},
+		{"DecodeWidth", c.DecodeWidth, 1, maxWidth},
+		{"RetireWidth", c.RetireWidth, 1, maxWidth},
+		{"IntPipes", c.IntPipes, 1, maxWidth},
+		{"VSXPipes", c.VSXPipes, 1, maxWidth},
+		{"BranchPipes", c.BranchPipes, 1, maxWidth},
+		{"LoadPorts", c.LoadPorts, 1, maxWidth},
+		{"StorePorts", c.StorePorts, 1, maxWidth},
+		{"MMAThroughput", c.MMAThroughput, mmaMin, maxWidth},
+		{"FetchBufEntries", c.FetchBufEntries, 1, maxEntries},
+		{"InstrTableEntries", c.InstrTableEntries, 1, maxEntries},
+		{"IssueQueueEntries", c.IssueQueueEntries, 1, maxEntries},
+		{"RenameRegs", c.RenameRegs, 1, maxEntries},
+		{"LoadQueueEntries", c.LoadQueueEntries, 1, maxEntries},
+		{"StoreQueueEntries", c.StoreQueueEntries, 1, maxEntries},
+		{"LoadMissQueue", c.LoadMissQueue, 1, maxEntries},
+		{"ERATEntries", c.ERATEntries, 1, maxEntries},
+		{"TLBEntries", c.TLBEntries, 1, maxEntries},
+		{"PrefetchStreams", c.PrefetchStreams, 0, maxEntries},
+		{"BPred.DirEntries", c.BPred.DirEntries, 0, maxTable},
+		{"BPred.SecondEntries", c.BPred.SecondEntries, 0, maxTable},
+		{"BPred.BTBEntries", c.BPred.BTBEntries, 0, maxTable},
+		{"BPred.IndirEntries", c.BPred.IndirEntries, 0, maxTable},
+		{"BPred.HistoryBits", c.BPred.HistoryBits, 0, 64},
+		{"BranchResolveLatency", c.BranchResolveLatency, 0, maxLatency},
+		{"MMALatency", c.MMALatency, 0, maxLatency},
+		{"MemLatency", c.MemLatency, 0, maxLatency},
+		{"TLBLatency", c.TLBLatency, 0, maxLatency},
+		{"WalkLatency", c.WalkLatency, 0, maxLatency},
+		{"SMTMax", c.SMTMax, 1, len(Activity{}.PerThread)},
+	}
+	for i, l := range c.Latency {
+		fields = append(fields, field{fmt.Sprintf("Latency[%v]", isa.Class(i)), l, 0, maxLatency})
+	}
+	for _, f := range fields {
+		if f.v < f.lo || f.v > f.hi {
+			return fmt.Errorf("uarch: config %q: %s = %d, want %d..%d", c.Name, f.name, f.v, f.lo, f.hi)
+		}
+	}
+	if !pow2In(c.PageBytes, 1<<30) {
+		return fmt.Errorf("uarch: config %q: PageBytes = %d, want a power of two up to 1 GiB", c.Name, c.PageBytes)
+	}
+	if !(c.CircuitGrade >= 0) {
+		return fmt.Errorf("uarch: config %q: CircuitGrade = %v, want >= 0", c.Name, c.CircuitGrade)
+	}
+	for _, lv := range []struct {
+		name     string
+		p        CacheParams
+		required bool
+	}{{"L1I", c.L1I, true}, {"L1D", c.L1D, true}, {"L2", c.L2, false}, {"L3", c.L3, false}} {
+		p := lv.p
+		if p.SizeBytes == 0 && !lv.required {
+			continue
+		}
+		if !pow2In(p.LineBytes, 1<<12) || p.Assoc < 1 || p.Assoc > maxTable || p.SizeBytes < p.LineBytes*p.Assoc ||
+			p.SizeBytes/p.LineBytes > maxTable || p.Latency < 0 || p.Latency > maxLatency {
+			return fmt.Errorf("uarch: config %q: %s geometry %+v cannot be built", c.Name, lv.name, p)
+		}
+	}
+	return nil
+}
+
+// pow2In reports whether v is a power of two no larger than hi.
+func pow2In(v, hi int) bool { return v > 0 && v <= hi && v&(v-1) == 0 }
 
 // defaultLatencies fills per-class execute latencies.
 func defaultLatencies(vsxLat, mulLat, divLat int) [isa.NumClasses]int {

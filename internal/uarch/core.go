@@ -941,7 +941,7 @@ func (c *core) addDeps(e *robEntry, thread int, in *isa.Inst) {
 		add(lookup(in.Dst))
 	case isa.OpXxmtacc:
 		for r := 1; r < 4 && e.ndeps < len(e.deps); r++ {
-			add(lookup(isa.VSR(int(in.A.Idx) + r)))
+			add(lookup(isa.VSR((int(in.A.Idx) + r) % isa.NumVSR)))
 		}
 	}
 }
@@ -968,7 +968,7 @@ func (c *core) rename(thread int, in *isa.Inst, slot int, seq uint64) {
 		set(isa.VSR(int(in.Dst.Idx+1) % isa.NumVSR))
 	case isa.OpXxmfacc:
 		for r := 1; r < 4; r++ {
-			set(isa.VSR(int(in.Dst.Idx) + r))
+			set(isa.VSR((int(in.Dst.Idx) + r) % isa.NumVSR))
 		}
 	}
 }
