@@ -139,6 +139,18 @@ func TestBuildPlanEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestBuildPlanRejectsOversizedSpec: the signature width sizes every
+// interval's feature vector, so a spec decoded from the wire must not be
+// able to ask for an unbounded one.
+func TestBuildPlanRejectsOversizedSpec(t *testing.T) {
+	w := workloads.Daxpy(64, 1)
+	spec := DefaultSpec()
+	spec.SignatureDims = 1 << 17
+	if _, err := BuildPlan(w.Prog, w.Budget, spec); err == nil {
+		t.Fatal("plan built with a 1<<17-bucket signature")
+	}
+}
+
 // TestRunSingleIntervalMatchesFull: when the whole trace fits in one
 // interval, the sampled run times every instruction and the estimate must
 // reproduce the full simulation exactly.

@@ -30,6 +30,17 @@ func simOne(t *testing.T, cfg *Config, p *isa.Program, budget uint64) *Result {
 	return res
 }
 
+// TestVSRQuadWraps: an accumulator move names four consecutive VSRs, and
+// the VM wraps them modulo the file; the timing model's rename must too.
+func TestVSRQuadWraps(t *testing.T) {
+	p := isa.NewBuilder("quad").
+		Xxmtacc(isa.ACC(0), isa.VSR(62)).
+		Xxmfacc(isa.VSR(62), isa.ACC(0)).
+		Halt().
+		MustBuild()
+	simOne(t, POWER10(), p, 100)
+}
+
 func TestSimulateRetiresEverything(t *testing.T) {
 	p := simpleLoop(500)
 	recs, err := trace.Capture(p, 1<<20)
