@@ -72,12 +72,12 @@ ledger-check:
 fabric-check:
 	bash scripts/fabric_check.sh
 
-# explore-check is the end-to-end gate for the surrogate cache tier and the
-# p10explore design-space explorer: seed a ledger with the quick Fig. 4
-# sweep, run three active-learning enrichment rounds, then require held-out
-# served CPI/power MAPE within 5% (with a served-coverage floor, so an
-# over-cautious model cannot pass vacuously) and a byte-stable 5,000-point
-# pure-prediction sweep.
+# explore-check is the end-to-end gate for the surrogate and the p10explore
+# design-space explorer (no figure comes from a prediction): seed a ledger
+# with the quick Fig. 4 sweep, run three active-learning enrichment rounds,
+# then require held-out served CPI/power MAPE within 5% (with a
+# served-coverage floor, so an over-cautious model cannot pass vacuously)
+# and a byte-stable 5,000-point pure-prediction sweep.
 explore-check:
 	bash scripts/explore_check.sh
 

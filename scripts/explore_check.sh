@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# explore-check: end-to-end gate for the surrogate cache tier and the
-# p10explore design-space explorer. Seeds a campaign ledger with the quick
-# Fig. 4 ablation sweep, trains a surrogate, runs two active-learning
-# enrichment rounds (each simulating only the most uncertain design points),
-# then enforces the two properties the tier promises:
+# explore-check: end-to-end gate for the surrogate and the p10explore
+# design-space explorer. Seeds a campaign ledger with the quick Fig. 4
+# ablation sweep, trains a surrogate, runs three active-learning enrichment
+# rounds (each simulating only the most uncertain design points), then
+# enforces the two properties the explorer relies on:
 #
 #   1. Honesty: on a deterministic held-out split, the predictions that clear
-#      the confidence gate ("served" — the only ones the runner tier returns)
-#      have CPI and power MAPE within 5%, with a floor on how many rows must
-#      be served so an over-cautious model cannot pass vacuously.
+#      the confidence gate ("served" — the ones p10explore ranks without
+#      simulating) have CPI and power MAPE within 5%, with a floor on how
+#      many rows must be served so an over-cautious model cannot pass
+#      vacuously. No figure and no runner result comes from a prediction.
 #   2. Determinism: a 5,000-point pure-prediction sweep is byte-identical
 #      across two runs of the same binary.
 #
