@@ -170,9 +170,9 @@ func BenchmarkCoreP10Sampled(b *testing.B) {
 	b.ReportMetric(float64(est.Meta.Windows), "windows")
 }
 
-// BenchmarkSurrogatePredict times the surrogate cache tier's steady-state
-// prediction path — the per-request cost a runner pays before deciding to
-// serve a prediction or fall through to real simulation. The model is
+// BenchmarkSurrogatePredict times the surrogate's steady-state prediction
+// path — the per-point cost p10explore pays to rank a design point before
+// deciding which to simulate. The model is
 // trained once on a synthetic corpus (all cost in the surrogate, none in
 // the simulator); the timed loop is a single warmed Predict call, which
 // must stay allocation-free like the core hot loop.

@@ -188,7 +188,7 @@ func TestForwardSelectRidgeCV(t *testing.T) {
 }
 
 // TestPredictStdZeroAllocScratch guards the steady-state allocation contract
-// the surrogate tier depends on.
+// the surrogate's predict path depends on.
 func TestPredictStdZeroAllocScratch(t *testing.T) {
 	rng := &testRNG{state: 5}
 	const n = 40
