@@ -148,10 +148,19 @@ func SelectTracepoints(p *Profile, levels int) (*Selection, error) {
 			}
 		}
 	}
-	bins := map[string][]int{}
+	// Bins in order of their first epoch, so every call returns the same
+	// segments in the same order (ProjectedCPI sums them in that order).
+	var bins [][]int
+	binOf := map[string]int{}
 	for i := range p.Epochs {
 		k := binKey(feats[i], scale, levels)
-		bins[k] = append(bins[k], i)
+		b, ok := binOf[k]
+		if !ok {
+			b = len(bins)
+			binOf[k] = b
+			bins = append(bins, nil)
+		}
+		bins[b] = append(bins[b], i)
 	}
 	sel := &Selection{Method: "tracepoints", Profile: p}
 	total := float64(len(p.Epochs))

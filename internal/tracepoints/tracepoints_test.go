@@ -1,6 +1,7 @@
 package tracepoints
 
 import (
+	"reflect"
 	"testing"
 
 	"power10sim/internal/uarch"
@@ -59,6 +60,29 @@ func TestTracepointSelectionWeightsSumToOne(t *testing.T) {
 	}
 	if w < 0.999 || w > 1.001 {
 		t.Errorf("weights sum to %v", w)
+	}
+}
+
+// TestTracepointSelectionIsDeterministic: repeated selections on one profile
+// return the same segments in the same order, so the projected CPI, which
+// sums the segments in that order, is the same float on every call.
+func TestTracepointSelectionIsDeterministic(t *testing.T) {
+	p := collect(t, workloads.Compress())
+	first, err := SelectTracepoints(p, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Segments) < 2 {
+		t.Fatalf("%d segments: too few to show an order", len(first.Segments))
+	}
+	for i := 1; i < 20; i++ {
+		sel, err := SelectTracepoints(p, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sel.Segments, first.Segments) {
+			t.Fatalf("call %d: segments %v, first call %v", i+1, sel.Segments, first.Segments)
+		}
 	}
 }
 
