@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test perf verify bench bench-core sweep profile
+.PHONY: build test vet fmt race race-obs chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test perf verify bench bench-core sweep profile
 
 build:
 	$(GO) build ./...
@@ -12,6 +12,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when any Go file in the tree is not
+# gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -111,11 +117,11 @@ bench-test:
 perf:
 	$(GO) run ./cmd/p10perf
 
-# verify is the full gate: vet plus both normal and race-detector test
-# passes. The race pass matters because the experiment harness fans
+# verify is the full gate: gofmt and vet plus both normal and race-detector
+# test passes. The race pass matters because the experiment harness fans
 # simulations across a worker pool; race-obs fails fast on the telemetry
 # packages before the full-tree race run.
-verify: vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test
+verify: fmt vet build test race-obs race chaos serve-check sample-check ledger-check fabric-check trace-check explore-check fuzz bench-test
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$'
