@@ -15,12 +15,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"power10sim/internal/cliutil"
-	"power10sim/internal/isa"
 	"power10sim/internal/proxy"
-	"power10sim/internal/trace"
 	"power10sim/internal/tracepoints"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -29,22 +26,15 @@ import (
 func main() {
 	var (
 		wlName = flag.String("workload", "compress", "SPECint-like workload name")
-		mode   = flag.String("mode", "proxies", "proxies | tracepoints | emit")
-		outDir = flag.String("out", ".", "output directory for -mode emit")
+		mode   = flag.String("mode", "proxies", "proxies | tracepoints")
 	)
 	flag.Parse()
-	// Flag validation happens before any simulation work: a bad mode or a
-	// missing output directory is a usage error (exit 2), caught up front
-	// rather than after minutes of profiling.
+	// Flag validation happens before any simulation work: a bad mode is a
+	// usage error (exit 2), caught up front rather than after profiling.
 	switch *mode {
-	case "proxies", "tracepoints", "emit":
+	case "proxies", "tracepoints":
 	default:
-		cliutil.Usagef("unknown mode %q (proxies | tracepoints | emit)", *mode)
-	}
-	if *mode == "emit" {
-		if err := cliutil.CheckOutputPath("out", filepath.Join(*outDir, "x")); err != nil {
-			cliutil.Usagef("%v", err)
-		}
+		cliutil.Usagef("unknown mode %q (proxies | tracepoints)", *mode)
 	}
 
 	var w *workloads.Workload
@@ -105,62 +95,5 @@ func main() {
 		}
 		fmt.Printf("tracepoints: %2d segments, CPI projection error %.2f%%\n", len(tp.Segments), te*100)
 		fmt.Printf("simpoints:   %2d segments, CPI projection error %.2f%%\n", len(sp.Segments), se*100)
-	case "emit":
-		// Serialize the program object and its dynamic trace, then verify
-		// both by reading them back.
-		img, err := isa.EncodeProgram(w.Prog)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		objPath := *outDir + "/" + w.Name + ".p10a"
-		if err := os.WriteFile(objPath, img, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		recs, err := trace.Capture(w.Prog, w.Budget)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		trcPath := *outDir + "/" + w.Name + ".p10t"
-		tf, err := os.Create(trcPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := trace.WriteTrace(tf, w.Name, recs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := tf.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		// Verification pass.
-		prog2, err := isa.DecodeProgram(img)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		rf, err := os.Open(trcPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer rf.Close()
-		_, recs2, err := trace.ReadTrace(rf, prog2)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "verify:", err)
-			os.Exit(1)
-		}
-		if len(recs2) != len(recs) {
-			fmt.Fprintln(os.Stderr, "verify: record count mismatch")
-			os.Exit(1)
-		}
-		// Diagnostic: the command's product is the two files, so the status
-		// line goes to stderr and stdout stays empty/pipeable.
-		fmt.Fprintf(os.Stderr, "wrote %s (%d bytes) and %s (%d records), verified\n",
-			objPath, len(img), trcPath, len(recs2))
 	}
 }

@@ -37,4 +37,8 @@ func TestUsageErrors(t *testing.T) {
 	} {
 		clitest.UsageError(t, args...)
 	}
+	// There is no emit mode and no -out flag: nothing read the program
+	// image and trace files it wrote.
+	clitest.UsageError(t, "-mode", "emit")
+	clitest.UsageError(t, "-out", t.TempDir())
 }

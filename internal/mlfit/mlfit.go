@@ -2,15 +2,13 @@
 // methodology uses: linear counter-based power models fit by (ridge-)least
 // squares, greedy forward feature selection under input-count constraints
 // (how the M1-linked models and the hardware power proxy choose their
-// counters), and k-means clustering (the Simpoint baseline). Standard
-// library only.
+// counters), and ridge regression with cross-validation (the surrogate).
+// Standard library only.
 package mlfit
 
 import (
 	"errors"
-	"fmt"
 	"math"
-	"sort"
 )
 
 // LinearModel is y ~ intercept + sum_i coef[i] * x[features[i]].
@@ -322,86 +320,6 @@ func ForwardSelect(X [][]float64, y []float64, maxFeatures int, opt Options) (*L
 	}
 	s, err := g.Target(y).Path(maxFeatures, Selection{Options: opt}).At(maxFeatures)
 	return s.Model, err
-}
-
-// KMeans clusters rows into k clusters (deterministic k-means++ style
-// seeding using a fixed stride, Lloyd iterations until stable).
-// It returns the assignment and the centroids.
-func KMeans(X [][]float64, k int, maxIter int) ([]int, [][]float64, error) {
-	n := len(X)
-	if n == 0 || k <= 0 {
-		return nil, nil, fmt.Errorf("mlfit: kmeans with n=%d k=%d", n, k)
-	}
-	if k > n {
-		k = n
-	}
-	dim := len(X[0])
-	cent := make([][]float64, k)
-	// Deterministic spread seeding: evenly strided samples after sorting
-	// by vector norm.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	norm := func(v []float64) float64 {
-		var s float64
-		for _, x := range v {
-			s += x * x
-		}
-		return s
-	}
-	sort.Slice(idx, func(a, b int) bool { return norm(X[idx[a]]) < norm(X[idx[b]]) })
-	for c := 0; c < k; c++ {
-		cent[c] = append([]float64{}, X[idx[c*n/k]]...)
-	}
-	assign := make([]int, n)
-	dist := func(a, b []float64) float64 {
-		var s float64
-		for i := range a {
-			d := a[i] - b[i]
-			s += d * d
-		}
-		return s
-	}
-	for iter := 0; iter < maxIter; iter++ {
-		changed := false
-		for i, row := range X {
-			best, bd := 0, math.Inf(1)
-			for c := range cent {
-				if d := dist(row, cent[c]); d < bd {
-					best, bd = c, d
-				}
-			}
-			if assign[i] != best {
-				assign[i] = best
-				changed = true
-			}
-		}
-		if !changed && iter > 0 {
-			break
-		}
-		counts := make([]int, k)
-		sums := make([][]float64, k)
-		for c := range sums {
-			sums[c] = make([]float64, dim)
-		}
-		for i, row := range X {
-			c := assign[i]
-			counts[c]++
-			for j, v := range row {
-				sums[c][j] += v
-			}
-		}
-		for c := range cent {
-			if counts[c] == 0 {
-				continue // keep old centroid
-			}
-			for j := range cent[c] {
-				cent[c][j] = sums[c][j] / float64(counts[c])
-			}
-		}
-	}
-	return assign, cent, nil
 }
 
 // Correlation returns the Pearson correlation of two series.

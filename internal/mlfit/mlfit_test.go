@@ -123,51 +123,6 @@ func TestMeanAbsPctErrorZeroOnPerfectFit(t *testing.T) {
 	}
 }
 
-func TestKMeansSeparatesClusters(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var X [][]float64
-	for i := 0; i < 60; i++ {
-		X = append(X, []float64{rng.Float64() * 0.1, rng.Float64() * 0.1})
-	}
-	for i := 0; i < 60; i++ {
-		X = append(X, []float64{10 + rng.Float64()*0.1, 10 + rng.Float64()*0.1})
-	}
-	assign, cent, err := KMeans(X, 2, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cent) != 2 {
-		t.Fatalf("centroids %d", len(cent))
-	}
-	for i := 1; i < 60; i++ {
-		if assign[i] != assign[0] {
-			t.Fatal("cluster 1 split")
-		}
-	}
-	for i := 61; i < 120; i++ {
-		if assign[i] != assign[60] {
-			t.Fatal("cluster 2 split")
-		}
-	}
-	if assign[0] == assign[60] {
-		t.Fatal("clusters merged")
-	}
-}
-
-func TestKMeansDegenerateInputs(t *testing.T) {
-	if _, _, err := KMeans(nil, 2, 10); err == nil {
-		t.Error("empty input accepted")
-	}
-	X := [][]float64{{1, 2}, {3, 4}}
-	assign, cent, err := KMeans(X, 5, 10) // k > n clamps
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cent) != 2 || len(assign) != 2 {
-		t.Errorf("clamp failed: %d centroids", len(cent))
-	}
-}
-
 func TestCorrelationProperties(t *testing.T) {
 	a := []float64{1, 2, 3, 4, 5}
 	if c := Correlation(a, a); math.Abs(c-1) > 1e-12 {

@@ -8,6 +8,8 @@ import "math"
 // draws from an LCG seeded by Spec.Seed, assignment ties break on the lowest
 // cluster index, and the representative pick breaks ties on the lowest
 // interval index — so the same trace and spec always produce the same plan.
+// KMeans is exported because the Section III-A SimPoint baseline
+// (tracepoints.SelectSimpoints) clusters with it too.
 
 // maxLloydIters bounds the refinement loop; the interval counts here (tens
 // to low thousands) converge in a handful of iterations.
@@ -26,9 +28,13 @@ func (p *Plan) cluster() {
 		sse    float64
 		bic    float64
 	}
+	X := make([][]float64, n)
+	for i := range p.Intervals {
+		X[i] = p.Intervals[i].features
+	}
 	var best *solution
 	for k := 1; k <= maxK; k++ {
-		assign, cents, sse := p.kmeans(k)
+		assign, cents, sse := KMeans(X, k, p.Spec.Seed)
 		bic := bicScore(p.Intervals, assign, k, sse)
 		if best == nil || bic > best.bic {
 			best = &solution{assign: assign, cents: cents, sse: sse, bic: bic}
@@ -79,22 +85,26 @@ func (p *Plan) cluster() {
 	}
 }
 
-// kmeans runs one seeded k-means++ clustering at a fixed k and returns the
-// assignment, centroids and SSE.
-func (p *Plan) kmeans(k int) ([]int, [][]float64, float64) {
-	n := len(p.Intervals)
-	dim := len(p.Intervals[0].features)
-	rng := lcg{s: mix64(p.Spec.Seed ^ uint64(k)<<32)}
+// KMeans runs one seeded k-means++ clustering of the rows of X at a fixed k,
+// 1 <= k <= len(X), and returns each row's cluster, the centroids and the
+// SSE. The initialization draws from an LCG seeded by seed and k, Lloyd
+// refinement stops after maxLloydIters, and clusters that end empty are
+// dropped, so len(cents) can be below k and every returned cluster has a
+// member.
+func KMeans(X [][]float64, k int, seed uint64) (assign []int, cents [][]float64, sse float64) {
+	n := len(X)
+	dim := len(X[0])
+	rng := lcg{s: mix64(seed ^ uint64(k)<<32)}
 
 	// k-means++ initialization: first center from the LCG, each subsequent
 	// center drawn with probability proportional to squared distance.
-	cents := make([][]float64, 0, k)
-	cents = append(cents, clone(p.Intervals[rng.intn(n)].features))
+	cents = make([][]float64, 0, k)
+	cents = append(cents, clone(X[rng.intn(n)]))
 	d2 := make([]float64, n)
 	for len(cents) < k {
 		var sum float64
-		for i := range p.Intervals {
-			d2[i] = p.nearestSq(i, cents)
+		for i := range X {
+			d2[i] = nearestSq(X[i], cents)
 			sum += d2[i]
 		}
 		if sum == 0 {
@@ -113,22 +123,21 @@ func (p *Plan) kmeans(k int) ([]int, [][]float64, float64) {
 				break
 			}
 		}
-		cents = append(cents, clone(p.Intervals[pick].features))
+		cents = append(cents, clone(X[pick]))
 	}
 
-	assign := make([]int, n)
+	assign = make([]int, n)
 	prev := make([]int, n)
 	for i := range prev {
 		prev[i] = -1
 	}
-	var sse float64
 	for iter := 0; iter < maxLloydIters; iter++ {
 		sse = 0
 		changed := false
-		for i := range p.Intervals {
+		for i := range X {
 			bestC, bestD := 0, math.Inf(1)
 			for c := range cents {
-				if d := sqDist(p.Intervals[i].features, cents[c]); d < bestD {
+				if d := sqDist(X[i], cents[c]); d < bestD {
 					bestC, bestD = c, d
 				}
 			}
@@ -148,10 +157,10 @@ func (p *Plan) kmeans(k int) ([]int, [][]float64, float64) {
 		for c := range next {
 			next[c] = make([]float64, dim)
 		}
-		for i := range p.Intervals {
+		for i := range X {
 			c := assign[i]
 			counts[c]++
-			for j, v := range p.Intervals[i].features {
+			for j, v := range X[i] {
 				next[c][j] += v
 			}
 		}
@@ -168,7 +177,7 @@ func (p *Plan) kmeans(k int) ([]int, [][]float64, float64) {
 		cents = next
 	}
 	// Drop emptied clusters so downstream weights never divide by zero;
-	// reindex assignments compactly in first-appearance order.
+	// the survivors keep their order and are renumbered from 0.
 	counts := make([]int, len(cents))
 	for _, c := range assign {
 		counts[c]++
@@ -189,12 +198,12 @@ func (p *Plan) kmeans(k int) ([]int, [][]float64, float64) {
 	return assign, live, sse
 }
 
-// nearestSq returns the squared distance from interval i to its nearest
-// existing center.
-func (p *Plan) nearestSq(i int, cents [][]float64) float64 {
+// nearestSq returns the squared distance from x to its nearest existing
+// center.
+func nearestSq(x []float64, cents [][]float64) float64 {
 	best := math.Inf(1)
 	for _, c := range cents {
-		if d := sqDist(p.Intervals[i].features, c); d < best {
+		if d := sqDist(x, c); d < best {
 			best = d
 		}
 	}

@@ -1,9 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"slices"
-	"strings"
 	"testing"
 
 	"power10sim/internal/isa"
@@ -162,133 +159,6 @@ func TestEmptyStatsSafe(t *testing.T) {
 	if st.Mix(isa.ClassLoad) != 0 || st.GEMMRatio() != 0 {
 		t.Error("empty stats should report zero ratios")
 	}
-}
-
-func TestTraceFileRoundTrip(t *testing.T) {
-	p := countedLoop(50)
-	recs, err := Capture(p, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, p.Name, recs); err != nil {
-		t.Fatal(err)
-	}
-	name, got, err := ReadTrace(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != p.Name {
-		t.Errorf("name %q, want %q", name, p.Name)
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("length %d, want %d", len(got), len(recs))
-	}
-	for i := range recs {
-		if got[i].Idx != recs[i].Idx || got[i].Taken != recs[i].Taken ||
-			got[i].EA != recs[i].EA || got[i].PC != recs[i].PC {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, got[i], recs[i])
-		}
-	}
-	// NextPC reconstruction must match the original within the body.
-	for i := 0; i < len(recs)-1; i++ {
-		if got[i].NextPC != recs[i].NextPC {
-			t.Fatalf("record %d NextPC %#x vs %#x", i, got[i].NextPC, recs[i].NextPC)
-		}
-	}
-}
-
-func TestTraceFileReplaySimulatesIdentically(t *testing.T) {
-	// A trace read back from disk must drive the timing model to exactly
-	// the same cycle count as the original capture.
-	p := countedLoop(200)
-	recs, err := Capture(p, 100000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, p.Name, recs); err != nil {
-		t.Fatal(err)
-	}
-	_, got, err := ReadTrace(&buf, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(recs) {
-		t.Fatal("length mismatch")
-	}
-	// Compare the streams record by record (the timing model consumes
-	// exactly these fields).
-	for i := range recs {
-		if got[i] != recs[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, got[i], recs[i])
-		}
-	}
-}
-
-func TestTraceFileCompact(t *testing.T) {
-	p := countedLoop(5000)
-	recs, err := Capture(p, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, p.Name, recs); err != nil {
-		t.Fatal(err)
-	}
-	perRec := float64(buf.Len()) / float64(len(recs))
-	if perRec > 4.0 {
-		t.Errorf("trace uses %.1f bytes/record, want compact (<4)", perRec)
-	}
-}
-
-func TestTraceFileRejectsGarbage(t *testing.T) {
-	p := countedLoop(5)
-	if _, _, err := ReadTrace(bytes.NewReader([]byte("XXXX")), p); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, _, err := ReadTrace(bytes.NewReader(nil), p); err == nil {
-		t.Error("empty accepted")
-	}
-	// Header counts that no input backs must fail, not allocate: 2^40
-	// records, a name length of 2^64-1, and one past the end of the file.
-	for _, data := range []string{
-		"P10T\x00\x80\x80\x80\x80\x80\x20",
-		"P10T\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01",
-		"P10T\x80\x80\x40counted",
-	} {
-		if _, _, err := ReadTrace(strings.NewReader(data), p); err == nil {
-			t.Errorf("%q accepted", data)
-		}
-	}
-}
-
-// FuzzReadTrace feeds arbitrary bytes to the trace-file reader that
-// p10trace -mode emit reads back. It must never panic, and a trace it
-// accepts must re-encode to a file that reads back to the same name and
-// records. The committed corpus under testdata/fuzz/FuzzReadTrace holds a
-// captured trace, a truncation, a bad magic, and header counts no input
-// backs: 2^40 records in 11 bytes, a name length of 2^64-1, and a name
-// length past the end of the file.
-func FuzzReadTrace(f *testing.F) {
-	p := countedLoop(3)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		name, recs, err := ReadTrace(bytes.NewReader(data), p)
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := WriteTrace(&buf, name, recs); err != nil {
-			t.Fatal(err)
-		}
-		name2, recs2, err := ReadTrace(&buf, p)
-		if err != nil {
-			t.Fatalf("re-encoded trace does not read back: %v", err)
-		}
-		if name2 != name || !slices.Equal(recs2, recs) {
-			t.Fatalf("round trip changed the trace: %q %+v, then %q %+v", name, recs, name2, recs2)
-		}
-	})
 }
 
 func TestVMStreamSurfacesExecutionErrors(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 	"math"
 
 	"power10sim/internal/isa"
-	"power10sim/internal/mlfit"
+	"power10sim/internal/sampling"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -215,10 +215,11 @@ func bbv(prog *isa.Program, recs []isa.DynInst, dims int) []float64 {
 }
 
 // SelectSimpoints is the baseline: fixed-length instruction intervals
-// clustered on basic-block vectors with k-means; the representative of each
-// cluster is the interval closest to the centroid.
+// clustered on basic-block vectors with the interval sampler's k-means, at
+// most k clusters; the representative of each cluster is the interval
+// closest to the centroid.
 func SelectSimpoints(p *Profile, intervalInsts uint64, k int) (*Selection, error) {
-	if intervalInsts == 0 || len(p.Recs) == 0 {
+	if intervalInsts == 0 || len(p.Recs) == 0 || k <= 0 {
 		return nil, errors.New("simpoint: bad inputs")
 	}
 	nInt := (uint64(len(p.Recs)) + intervalInsts - 1) / intervalInsts
@@ -239,19 +240,16 @@ func SelectSimpoints(p *Profile, intervalInsts uint64, k int) (*Selection, error
 	if k > len(vecs) {
 		k = len(vecs)
 	}
-	assign, cent, err := mlfit.KMeans(vecs, k, 60)
-	if err != nil {
-		return nil, err
-	}
+	// Seeded like the sampler's default plan; clusters that end empty are
+	// dropped, so k is read back from the centroids.
+	assign, cent, _ := sampling.KMeans(vecs, k, sampling.DefaultSpec().Seed)
+	k = len(cent)
 	counts := make([]int, k)
 	for _, c := range assign {
 		counts[c]++
 	}
 	sel := &Selection{Method: "simpoint", Profile: p}
 	for c := 0; c < k; c++ {
-		if counts[c] == 0 {
-			continue
-		}
 		best, bestD := -1, math.Inf(1)
 		for i, a := range assign {
 			if a != c {

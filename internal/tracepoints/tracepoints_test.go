@@ -124,6 +124,24 @@ func TestSimpointSelectionBasics(t *testing.T) {
 	if w < 0.999 || w > 1.001 {
 		t.Errorf("weights sum to %v", w)
 	}
+
+	// Degenerate inputs: no records and k = 0 are errors, and a k above the
+	// interval count clamps to it.
+	if _, err := SelectSimpoints(&Profile{Name: p.Name, Prog: p.Prog}, 5000, 6); err == nil {
+		t.Error("profile with no records accepted")
+	}
+	if _, err := SelectSimpoints(p, 5000, 0); err == nil {
+		t.Error("k = 0 accepted")
+	}
+	const interval = 20_000
+	nInt := (len(p.Recs) + interval - 1) / interval
+	sel, err = SelectSimpoints(p, interval, nInt+3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.Segments) == 0 || len(sel.Segments) > nInt {
+		t.Errorf("k = %d over %d intervals: %d segments", nInt+3, nInt, len(sel.Segments))
+	}
 }
 
 // TestTracepointsBeatSimpointsOnInterpretedCode reproduces the paper's

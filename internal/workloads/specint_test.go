@@ -207,60 +207,3 @@ func TestStressmarkAndIdleBuild(t *testing.T) {
 		t.Error("stressmark missing MMA or VSX content")
 	}
 }
-
-func TestAllProgramsSurviveBinaryEncoding(t *testing.T) {
-	// Every workload program must round-trip through the Power-ISA-style
-	// binary object format and execute identically afterwards.
-	var progs []*Workload
-	progs = append(progs, SPECintSuite()...)
-	progs = append(progs, Stressmark(true), ActiveIdle(), Daxpy(256, 2))
-	gv, _, err := DGEMMVSU(GEMMSize{M: 8, N: 16, K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gm, _, err := DGEMMMMA(GEMMSize{M: 8, N: 16, K: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tv, _, err := TRSVUnitLower(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ai, err := ResNet50(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	progs = append(progs, gv, gm, tv, ai)
-	for _, w := range progs {
-		img, err := isa.EncodeProgram(w.Prog)
-		if err != nil {
-			t.Errorf("%s: encode: %v", w.Name, err)
-			continue
-		}
-		q, err := isa.DecodeProgram(img)
-		if err != nil {
-			t.Errorf("%s: decode: %v", w.Name, err)
-			continue
-		}
-		budget := uint64(20000)
-		a, err := trace.Capture(w.Prog, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := trace.Capture(q, budget)
-		if err != nil {
-			t.Errorf("%s: decoded program failed: %v", w.Name, err)
-			continue
-		}
-		if len(a) != len(b) {
-			t.Errorf("%s: trace lengths differ after round trip: %d vs %d", w.Name, len(a), len(b))
-			continue
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("%s: dynamic record %d differs after round trip", w.Name, i)
-				break
-			}
-		}
-	}
-}
