@@ -10,22 +10,23 @@ func TestMain(m *testing.M) { clitest.Main(m, "p10trace", main) }
 
 func TestHelpGolden(t *testing.T) { clitest.HelpGolden(t) }
 
-// TestInterpTracepointsGolden pins the Tracepoints-versus-SimPoint table on
-// the interpreter, the paper's motivating case.
-func TestInterpTracepointsGolden(t *testing.T) {
-	out, stderr, code := clitest.Run(t, "-workload", "interp", "-mode", "tracepoints")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
+// TestGoldens pins stdout for each mode: the Tracepoints-versus-Simpoint
+// table on the interpreter, the paper's motivating case, and compress's
+// proxies.
+func TestGoldens(t *testing.T) {
+	for _, args := range [][]string{
+		{"-workload", "interp", "-mode", "tracepoints"},
+		{"-workload", "compress", "-mode", "proxies"},
+	} {
+		name := args[1] + "-" + args[3]
+		t.Run(name, func(t *testing.T) {
+			out, stderr, code := clitest.Run(t, args...)
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			clitest.Golden(t, name, out)
+		})
 	}
-	clitest.Golden(t, "interp-tracepoints", out)
-}
-
-func TestCompressProxiesGolden(t *testing.T) {
-	out, stderr, code := clitest.Run(t, "-workload", "compress", "-mode", "proxies")
-	if code != 0 {
-		t.Fatalf("exit %d: %s", code, stderr)
-	}
-	clitest.Golden(t, "compress-proxies", out)
 }
 
 // TestUsageErrors covers the name checks that must exit 2 before any

@@ -2,8 +2,7 @@
 // methodology uses: linear counter-based power models fit by (ridge-)least
 // squares, greedy forward feature selection under input-count constraints
 // (how the M1-linked models and the hardware power proxy choose their
-// counters), and ridge regression with cross-validation (the surrogate).
-// Standard library only.
+// counters). Standard library only.
 package mlfit
 
 import (

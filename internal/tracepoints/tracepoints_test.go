@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -141,6 +142,20 @@ func TestSimpointSelectionBasics(t *testing.T) {
 	}
 	if len(sel.Segments) == 0 || len(sel.Segments) > nInt {
 		t.Errorf("k = %d over %d intervals: %d segments", nInt+3, nInt, len(sel.Segments))
+	}
+	// dsim's 80 intervals have 4 distinct basic-block vectors: the clusters
+	// k-means leaves empty are dropped, one segment per vector remains.
+	d := workloads.DSim()
+	recs, err := trace.Capture(d.Prog, d.Budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel, err = SelectSimpoints(&Profile{Name: d.Name, Prog: d.Prog, Recs: recs}, 5000, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sel.Segments) != 4 {
+		t.Errorf("dsim, k = 16: %d segments, want 4", len(sel.Segments))
 	}
 }
 
