@@ -12,10 +12,10 @@ import (
 
 // TestRunPinnedEstimates pins Run's complete output — every extrapolated
 // activity counter and the full sampling metadata — on a streaming kernel at
-// SMT1/2/4 and a SPECint-style program on POWER9. The estimator's cost
-// structure (how the trace is executed, recorded and replayed for capture and
-// functional warming) may change freely; its output may not. Any drift here
-// means a refactor changed a simulated statistic.
+// SMT1/2/4 and a SPECint-style program on POWER9 (SMT2) and POWER10 (SMT1).
+// The estimator's cost structure (how the trace is executed, recorded and
+// replayed for capture and functional warming) may change freely; its output
+// may not. Any drift here means a refactor changed a simulated statistic.
 func TestRunPinnedEstimates(t *testing.T) {
 	daxpy := workloads.Daxpy(4096, 12)
 	interp := workloads.Interp()
@@ -40,6 +40,12 @@ func TestRunPinnedEstimates(t *testing.T) {
 		{"interp/P9/smt2", uarch.POWER9(), interp, 2,
 			`"intervals":45,"k":6,"windows":38,"smt":2,"total_insts":180000,"roi_insts":155000,"simulated_insts":876000,"cpi":0.891040262720344,"cpi_half_width":0.012573750188613154,"avg_power":0.987528329243707,"power_half_width":0.0035858033832663395`,
 			"1583548cc6aba4f0"},
+		// 26 of this case's 44 windows are adaptive, and over half of those
+		// start before a window already simulated: the only case here that
+		// takes SMT1 windows out of start order.
+		{"interp/P10/smt1", uarch.POWER10(), interp, 1,
+			`"intervals":45,"k":6,"windows":44,"smt":1,"total_insts":90000,"roi_insts":65000,"simulated_insts":506000,"cpi":1.0920652541591824,"cpi_half_width":0.015993611992532374,"avg_power":0.4445951934189891,"power_half_width":0.0018698506093930642`,
+			"9a0b9165252da82f"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
