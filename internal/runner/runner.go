@@ -59,7 +59,7 @@ type Request struct {
 	Chaos *ChaosSpec
 	// Sample, when non-nil, runs the simulation through the SimPoint-style
 	// sampling engine instead of timing every instruction: phase-classify
-	// the trace, simulate one representative interval per phase, and
+	// the trace, simulate a few representative intervals per phase, and
 	// extrapolate (see internal/sampling). The normalized spec joins the
 	// cache key, so sampled and full results never collide. Requests with
 	// an Upset always run full: fault injection targets a specific cycle of

@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"power10sim/internal/isa"
 	"power10sim/internal/power"
@@ -18,8 +20,9 @@ type Meta struct {
 	Spec      Spec `json:"spec"`
 	Intervals int  `json:"intervals"`
 	K         int  `json:"k"`
-	// Windows is the number of representative windows actually simulated
-	// (up to Spec.RepsPerCluster per cluster with nonzero ROI weight).
+	// Windows is the number of representative windows actually simulated:
+	// Spec.RepsPerCluster per cluster with nonzero ROI weight (all members
+	// of a smaller cluster), plus every window adaptive refinement added.
 	Windows    int    `json:"windows"`
 	SMT        int    `json:"smt"`
 	TotalInsts uint64 `json:"total_insts"`
@@ -64,8 +67,8 @@ type Estimate struct {
 
 // Run phase-classifies prog's dynamic trace (budget instructions per thread)
 // and estimates the behavior of an smt-thread simulation on cfg by simulating
-// one representative interval per phase. warmup is the measurement warmup in
-// total instructions across threads (runner.Request.Warmup semantics): the
+// a few representative intervals per phase. warmup is the measurement warmup
+// in total instructions across threads (runner.Request.Warmup semantics): the
 // extrapolation covers only the region of interest after it, exactly like a
 // full run under uarch.WithWarmup. extra options (e.g. uarch.WithContext for
 // cancellation) are applied to every representative simulation before the
@@ -120,10 +123,17 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// Pass 2+3, interleaved: simulate representative windows and adaptively
 	// add more until the stratified confidence interval converges. A window
 	// is the representative interval plus a short timed-warmup prefix
-	// (WarmupIntervals intervals) plus a functional-warming pass over the
-	// whole prefix [0, lo) so caches, TLB and predictors hold their
-	// in-context state. Both come from one recorded functional pass, extended
-	// lazily to the furthest window end reached so far.
+	// (WarmupIntervals intervals), started from the functionally warmed
+	// state of the whole prefix [0, lo) so caches, TLB and predictors hold
+	// their in-context contents. Both come from one recorded functional
+	// pass, extended lazily to the furthest window end reached so far.
+	//
+	// Thread 0's warm state is advanced forward through the recording: fwd
+	// holds the state after [0, pos), and a window at lo >= pos warms only
+	// [pos, lo) into it. A window behind pos (only adaptive windows start
+	// there) restarts fwd from cold. At SMT>1, threads 1 and up warm their
+	// own full [0, lo) on a copy, after thread 0, each on a pseudo-clock
+	// starting at zero.
 	model := power.NewModel(cfg)
 	roiInsts := totalROI * uint64(smt)
 	var simulated uint64
@@ -133,7 +143,35 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	}
 	samples := make([][]meas, plan.K())
 	rec := newRecording(prog, plan.TotalInsts)
-	simWindow := func(c, ivIdx int) error {
+	var fwd, smtWarm *uarch.WarmState
+	var pos uint64
+	warmTo := func(lo uint64) (*uarch.WarmState, error) {
+		if fwd == nil {
+			fwd = uarch.NewWarmState(cfg)
+		}
+		if lo < pos {
+			fwd.Reset()
+			pos = 0
+		}
+		if err := fwd.Warm(rec.replay(pos, lo), 0); err != nil {
+			return nil, err
+		}
+		pos = lo
+		if smt == 1 {
+			return fwd, nil
+		}
+		if smtWarm == nil {
+			smtWarm = uarch.NewWarmState(cfg)
+		}
+		smtWarm.CopyFrom(fwd)
+		for t := 1; t < smt; t++ {
+			if err := smtWarm.Warm(rec.replay(0, lo), t); err != nil {
+				return nil, err
+			}
+		}
+		return smtWarm, nil
+	}
+	simWindow := func(c, ivIdx int) (meas, error) {
 		iv := plan.Intervals[ivIdx]
 		lo := iv.Start
 		if back := spec.IntervalInsts * uint64(spec.WarmupIntervals); back < lo {
@@ -150,7 +188,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		hi := min(iv.End+spec.IntervalInsts, plan.TotalInsts)
 		prefix, err := rec.upTo(hi)
 		if err != nil {
-			return err
+			return meas{}, err
 		}
 		recs := prefix[lo:]
 		// Thread stagger: a real SMT run's threads drift a few hundred
@@ -194,37 +232,51 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 			opts = append(opts, uarch.WithMeasureLimit(iv.Insts()*uint64(smt)))
 		}
 		if lo > 0 {
-			warms := make([]trace.Stream, smt)
-			for t := 0; t < smt; t++ {
-				warms[t] = rec.replay(0, lo)
+			ws, err := warmTo(lo)
+			if err != nil {
+				return meas{}, err
 			}
-			opts = append(opts, uarch.WithFunctionalWarming(warms))
+			opts = append(opts, uarch.WithWarmState(ws))
 		}
 		res, err := uarch.Simulate(cfg, streams, maxCycles, opts...)
 		if err != nil {
-			return fmt.Errorf("sampling: representative [%d,%d) of cluster %d: %w",
+			return meas{}, fmt.Errorf("sampling: representative [%d,%d) of cluster %d: %w",
 				iv.Start, iv.End, c, err)
 		}
 		simulated += uint64(len(recs)) * uint64(smt)
 		a := &res.Activity
 		if a.Instructions == 0 {
-			return fmt.Errorf("sampling: representative [%d,%d) of cluster %d retired nothing",
+			return meas{}, fmt.Errorf("sampling: representative [%d,%d) of cluster %d retired nothing",
 				iv.Start, iv.End, c)
 		}
-		samples[c] = append(samples[c], meas{act: res.Activity, cpi: a.CPI(), pow: model.Report(a).Total})
-		return nil
+		return meas{act: res.Activity, cpi: a.CPI(), pow: model.Report(a).Total}, nil
 	}
 
-	// Initial allocation: RepsPerCluster windows per live cluster.
+	// Initial allocation: RepsPerCluster windows per live cluster, simulated
+	// in order of window start so the forward warm state never restarts.
+	// Each measurement lands in its cluster-and-rep slot, so every sum below
+	// runs in cluster order.
+	type slot struct{ c, rep, ivIdx int }
+	var initial []slot
 	for c, cl := range plan.Clusters {
 		if roiIns[c] == 0 {
 			continue // a phase living entirely in warmup is never simulated
 		}
-		for _, ivIdx := range cl.Reps[:min(spec.RepsPerCluster, len(cl.Reps))] {
-			if err := simWindow(c, ivIdx); err != nil {
-				return nil, err
-			}
+		n := min(spec.RepsPerCluster, len(cl.Reps))
+		samples[c] = make([]meas, n)
+		for rep, ivIdx := range cl.Reps[:n] {
+			initial = append(initial, slot{c, rep, ivIdx})
 		}
+	}
+	slices.SortFunc(initial, func(a, b slot) int {
+		return cmp.Compare(plan.Intervals[a.ivIdx].Start, plan.Intervals[b.ivIdx].Start)
+	})
+	for _, s := range initial {
+		m, err := simWindow(s.c, s.ivIdx)
+		if err != nil {
+			return nil, err
+		}
+		samples[s.c][s.rep] = m
 	}
 
 	// Adaptive refinement: while the CPI or power confidence interval is
@@ -275,9 +327,11 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		if best < 0 || bestScore == 0 {
 			break // nothing left to sample (or no estimated variance remains)
 		}
-		if err := simWindow(best, plan.Clusters[best].Reps[len(samples[best])]); err != nil {
+		m, err := simWindow(best, plan.Clusters[best].Reps[len(samples[best])])
+		if err != nil {
 			return nil, err
 		}
+		samples[best] = append(samples[best], m)
 	}
 
 	// Extrapolate: each cluster's measured windows share its ROI weight

@@ -1,9 +1,10 @@
 // Package sampling is the SimPoint-style statistical sampling engine: it
 // phase-classifies a workload's dynamic instruction stream into fixed-size
-// intervals, clusters the intervals by behavioral signature, simulates only
-// one representative interval per cluster (with a functional-warming prefix),
-// and extrapolates whole-run CPI, activity counts, and power with
-// cluster-weight aggregation and per-metric confidence intervals.
+// intervals, clusters the intervals by behavioral signature, simulates a few
+// member intervals per cluster (RepsPerCluster to start, then more wherever
+// the confidence interval is still too wide), each from a functionally
+// warmed state, and extrapolates whole-run CPI, activity counts, and power
+// with cluster-weight aggregation and per-metric confidence intervals.
 //
 // The economics mirror the paper's methodology: pre-silicon energy sweeps are
 // simulation-bound (the paper leaned on AWAN hardware acceleration for
@@ -14,9 +15,12 @@
 // (BuildPlan) and once, lazily, into a compact recording that every window's
 // timed records and every thread's functional-warming prefix are sliced from
 // (Run). The VM retires instructions several times faster than the timing
-// core, so the two passes together cost a fraction of one full simulation;
-// what grows with the window count is functional warming, which replays each
-// window's prefix through the cache and predictor models.
+// core, so the two passes together cost a fraction of one full simulation.
+// Functional warming is paid about once per run too: one warm state of the
+// cache and predictor models is advanced forward through the recording and
+// copied in at each window start. Two cases still replay from zero: an
+// adaptive window that starts behind the state re-warms it from cold, and
+// at SMT>1 every thread after the first replays its window's whole prefix.
 //
 // Determinism: featurization is a pure function of the trace, k-means uses a
 // seeded LCG for initialization, ties break on lowest index, and the
@@ -58,9 +62,10 @@ type Spec struct {
 	// the feature space cannot explain, which is what keeps the CPI error
 	// bounded on heterogeneous workloads.
 	RepsPerCluster int
-	// WarmupIntervals is the functional-warming prefix replayed before each
-	// representative: caches, branch predictors and queues warm during it,
-	// its statistics are discarded (uarch.WithWarmup).
+	// WarmupIntervals is the timed-warmup prefix simulated before each
+	// representative: pipeline and queue occupancy warm during it, and its
+	// statistics are discarded (uarch.WithWarmup). Caches and predictors are
+	// warmed functionally over everything before it.
 	WarmupIntervals int
 	// SignatureDims is the number of hash buckets in the PC/basic-block
 	// signature half of the feature vector.

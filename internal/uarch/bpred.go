@@ -254,6 +254,21 @@ func (b *BPred) Reset() {
 	b.DirMispredicts, b.TgtMispredicts, b.SecondHits = 0, 0, 0
 }
 
+// copyFrom copies src's trained state and histories into b (same
+// parameters), not its counters.
+func (b *BPred) copyFrom(src *BPred) {
+	copy(b.dir, src.dir)
+	copy(b.tagTags, src.tagTags)
+	copy(b.tagCtr, src.tagCtr)
+	copy(b.tagUse, src.tagUse)
+	copy(b.btbTags, src.btbTags)
+	copy(b.btbTgt, src.btbTgt)
+	copy(b.indTags, src.indTags)
+	copy(b.indTgt, src.indTgt)
+	b.hist = src.hist
+	b.tgtHist = src.tgtHist
+}
+
 // ResetStats clears prediction counters, leaving trained state warm.
 func (b *BPred) ResetStats() {
 	b.Lookups, b.Mispredicts = 0, 0

@@ -139,6 +139,15 @@ func (c *Cache) Reset() {
 	c.Accesses, c.Misses = 0, 0
 }
 
+// copyFrom copies src's contents into c (same geometry), not its counters.
+func (c *Cache) copyFrom(src *Cache) {
+	if c == nil {
+		return
+	}
+	copy(c.tags, src.tags)
+	copy(c.valid, src.valid)
+}
+
 // Hierarchy bundles the data-side cache levels and memory latency into one
 // lookup that returns total load-to-use latency and the level serviced.
 type Hierarchy struct {
@@ -239,6 +248,13 @@ func (h *Hierarchy) Reset() {
 	h.L2Accesses, h.L2Misses = 0, 0
 	h.L3Accesses, h.L3Misses = 0, 0
 	h.MemAccesses = 0
+}
+
+// copyFrom copies src's contents into every level, not its counters.
+func (h *Hierarchy) copyFrom(src *Hierarchy) {
+	h.L1D.copyFrom(src.L1D)
+	h.L2.copyFrom(src.L2)
+	h.L3.copyFrom(src.L3)
 }
 
 // InsertLine installs a line into L1D and L2 (prefetch fill path).

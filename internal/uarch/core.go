@@ -104,11 +104,7 @@ type core struct {
 	cfgVal Config
 	act    Activity
 
-	bp   *BPred
-	l1i  *Cache
-	hier *Hierarchy
-	mmu  *MMU
-	pf   *Prefetcher
+	components // bp, l1i, hier, mmu, pf: what functional warming trains
 
 	rob       []robEntry
 	head      int
@@ -177,7 +173,7 @@ type SimOption func(*simOptions)
 type simOptions struct {
 	warmupInsts  uint64
 	measureLimit uint64
-	warmStreams  []trace.Stream
+	warm         *WarmState
 	sampleEvery  uint64
 	sampleFn     func(CycleSample)
 	upset        *Upset
@@ -280,10 +276,13 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 
 func (c *core) run(maxCycles uint64) error {
 	o := &c.opts
-	if len(o.warmStreams) > 0 {
-		if err := c.functionalWarm(o.warmStreams); err != nil {
-			return err
+	if ws := o.warm; ws != nil {
+		if ws.cfg != c.cfgVal {
+			return fmt.Errorf("uarch: warm state built for a different config (%s) than the simulated %s",
+				ws.cfg.Name, c.cfg.Name)
 		}
+		c.components.copyFrom(&ws.components)
+		c.resetStats() // warming is stat-free: only the state survives
 	}
 	lastProgress := uint64(0)
 	lastRetired := uint64(0)
@@ -397,12 +396,7 @@ func (c *core) syncActivity() {
 // leaving cache, predictor and queue state warm.
 func (c *core) resetStats() {
 	c.act = Activity{}
-	c.l1i.ResetStats()
-	c.hier.ResetStats()
-	c.mmu.ResetStats()
-	c.bp.ResetStats()
-	c.pf.Prefetches = 0
-	c.pf.Trained = 0
+	c.components.resetStats()
 }
 
 func (c *core) finished() bool {

@@ -48,6 +48,12 @@ func (m *MMU) Reset() {
 	m.TLBLookups, m.TLBMisses = 0, 0
 }
 
+// copyFrom copies src's translation state into m, not its counters.
+func (m *MMU) copyFrom(src *MMU) {
+	m.erat.copyFrom(src.erat)
+	m.tlb.copyFrom(src.tlb)
+}
+
 // ResetStats clears lookup counters, leaving translation state warm.
 func (m *MMU) ResetStats() {
 	m.ERATLookups, m.ERATMisses = 0, 0

@@ -50,11 +50,7 @@ func newCore(cfg *Config) *core {
 	c := &core{
 		cfg:        cfg,
 		cfgVal:     *cfg,
-		bp:         NewBPred(cfg.BPred),
-		l1i:        NewCache(cfg.L1I),
-		hier:       NewHierarchy(cfg),
-		mmu:        NewMMU(cfg),
-		pf:         NewPrefetcher(cfg.PrefetchStreams),
+		components: newComponents(cfg),
 		rob:        make([]robEntry, cfg.InstrTableEntries),
 		drainQ:     make([]drainEntry, cfg.StoreQueueEntries+cfg.RetireWidth),
 		lmq:        make([]uint64, 0, cfg.LoadMissQueue),
@@ -90,11 +86,7 @@ func newCore(cfg *Config) *core {
 // and un-issued producers never retire.
 func (c *core) reset(nthreads int) {
 	c.act = Activity{}
-	c.bp.Reset()
-	c.l1i.Reset()
-	c.hier.Reset()
-	c.mmu.Reset()
-	c.pf.Reset()
+	c.components.reset()
 	c.head, c.count = 0, 0
 	c.seq = 0
 	c.notIssued = 0

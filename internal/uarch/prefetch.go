@@ -36,6 +36,9 @@ func (p *Prefetcher) Reset() {
 	p.Trained, p.Prefetches = 0, 0
 }
 
+// copyFrom copies src's stream training into p, not its counters.
+func (p *Prefetcher) copyFrom(src *Prefetcher) { copy(p.streams, src.streams) }
+
 // OnMiss records a demand miss of the given cache line number and returns
 // line numbers to prefetch (possibly none).
 func (p *Prefetcher) OnMiss(line uint64, now uint64) []uint64 {

@@ -6,62 +6,147 @@ import (
 	"power10sim/internal/trace"
 )
 
-// WithFunctionalWarming replays the given streams through the core's stateful
-// structures — I-cache, branch predictor, data-cache hierarchy, TLB and
-// prefetcher — before cycle 0, without running the timing model. This is the
-// sampling engine's long-range warmup: architectural state at an interval's
-// position in the full run is reproduced at functional-execution cost (orders
-// of magnitude cheaper than timed simulation), so a representative window can
-// start from in-context cache and predictor contents instead of cold arrays.
-//
-// Streams are warmed in order, one per hardware thread (stream i warms thread
-// i's predictor context; cache state is shared). All statistics accumulated
-// during warming are discarded; WithWarmup composes on top for a short timed
-// warmup of pipeline and queue occupancy.
-func WithFunctionalWarming(streams []trace.Stream) SimOption {
-	return func(o *simOptions) { o.warmStreams = streams }
+// components are the core structures whose contents outlive the
+// instructions in flight: the I-cache, the data hierarchy, the ERAT/TLB, the
+// branch predictors and the prefetcher streams. Functional warming trains
+// exactly these, so the core and WarmState share the type and reset and copy
+// are written once.
+type components struct {
+	bp   *BPred
+	l1i  *Cache
+	hier *Hierarchy
+	mmu  *MMU
+	pf   *Prefetcher
 }
 
-// functionalWarm drains the warm streams through the stateful components.
-// The pseudo-clock (one tick per record) exists only to age prefetcher
-// streams consistently; no cycle-accurate state is touched.
-func (c *core) functionalWarm(streams []trace.Stream) error {
-	lineBytes := uint64(c.cfg.L1D.LineBytes)
-	for i, s := range streams {
-		t := i
-		if t >= len(c.threads) {
-			t = len(c.threads) - 1
+func newComponents(cfg *Config) components {
+	return components{
+		bp:   NewBPred(cfg.BPred),
+		l1i:  NewCache(cfg.L1I),
+		hier: NewHierarchy(cfg),
+		mmu:  NewMMU(cfg),
+		pf:   NewPrefetcher(cfg.PrefetchStreams),
+	}
+}
+
+// reset restores the just-constructed state: cold contents, zero counters.
+func (s *components) reset() {
+	s.bp.Reset()
+	s.l1i.Reset()
+	s.hier.Reset()
+	s.mmu.Reset()
+	s.pf.Reset()
+}
+
+// resetStats clears every counter, leaving the contents warm.
+func (s *components) resetStats() {
+	s.l1i.ResetStats()
+	s.hier.ResetStats()
+	s.mmu.ResetStats()
+	s.bp.ResetStats()
+	s.pf.Prefetches = 0
+	s.pf.Trained = 0
+}
+
+// copyFrom makes s's contents equal to src's, in place; counters are not
+// copied. Both sides must be built from the same Config.
+func (s *components) copyFrom(src *components) {
+	s.bp.copyFrom(src.bp)
+	s.l1i.copyFrom(src.l1i)
+	s.hier.copyFrom(src.hier)
+	s.mmu.copyFrom(src.mmu)
+	s.pf.copyFrom(src.pf)
+}
+
+// WarmState is functional-warming state for one Config: the I-cache, data
+// hierarchy, ERAT/TLB, branch predictor and prefetcher contents a core would
+// hold after executing the warmed instructions, trained at functional cost
+// (orders of magnitude cheaper than timed simulation) and without the timing
+// model. It is the sampling engine's long-range warmup: a representative
+// window simulated WithWarmState starts from in-context cache and predictor
+// contents instead of cold arrays.
+//
+// Warming is incremental: Warm(a) then Warm(b) on the same thread leaves the
+// state Warm(a followed by b) would, so one state can be advanced forward
+// through a trace and copied at each window start.
+type WarmState struct {
+	cfg Config
+	components
+	// clock is each thread's pseudo-clock: one tick per record warmed on
+	// that thread. It only ages prefetcher streams consistently.
+	clock [len(Activity{}.PerThread)]uint64
+}
+
+// NewWarmState returns a cold warm state for cfg, holding what a freshly
+// built core holds.
+func NewWarmState(cfg *Config) *WarmState {
+	return &WarmState{cfg: *cfg, components: newComponents(cfg)}
+}
+
+// Reset returns w to the cold state NewWarmState built.
+func (w *WarmState) Reset() {
+	w.components.reset()
+	clear(w.clock[:])
+}
+
+// CopyFrom makes w equal to src without allocating; warming either one
+// afterwards leaves the other unchanged. It panics if src was built from a
+// different Config, whose structures have other sizes.
+func (w *WarmState) CopyFrom(src *WarmState) {
+	if w.cfg != src.cfg {
+		panic("uarch: WarmState.CopyFrom between different configs")
+	}
+	w.components.copyFrom(&src.components)
+	w.clock = src.clock
+}
+
+// Warm drains s through the stateful structures as hardware thread thread:
+// every record touches the I-cache, branches train that thread's predictor
+// context, and memory operations translate, access the data hierarchy and
+// train the prefetcher. Cache and prefetcher state is shared by all threads.
+func (w *WarmState) Warm(s trace.Stream, thread int) error {
+	if thread < 0 || thread >= w.cfg.SMTMax {
+		return fmt.Errorf("uarch: warming thread %d of SMT%d", thread, w.cfg.SMTMax)
+	}
+	lineBytes := uint64(w.cfg.L1D.LineBytes)
+	prog := s.Program()
+	now := w.clock[thread]
+	for {
+		d, ok := s.Next()
+		if !ok {
+			break
 		}
-		prog := s.Program()
-		var now uint64
-		for {
-			d, ok := s.Next()
-			if !ok {
-				break
-			}
-			now++
-			cls := prog.Code[d.Idx].Class()
-			c.l1i.Access(d.PC)
-			if cls.IsBranch() {
-				c.bp.Observe(t, d.PC, cls, d.Taken, d.NextPC)
-				continue
-			}
-			if cls.IsMem() {
-				c.mmu.Translate(d.EA)
-				if _, lvl := c.hier.Access(d.EA); lvl != LvlL1 && cls.IsLoad() {
-					for _, pl := range c.pf.OnMiss(d.EA/lineBytes, now) {
-						c.hier.InsertLine(pl * lineBytes)
-					}
+		now++
+		cls := prog.Code[d.Idx].Class()
+		w.l1i.Access(d.PC)
+		if cls.IsBranch() {
+			w.bp.Observe(thread, d.PC, cls, d.Taken, d.NextPC)
+			continue
+		}
+		if cls.IsMem() {
+			w.mmu.Translate(d.EA)
+			if _, lvl := w.hier.Access(d.EA); lvl != LvlL1 && cls.IsLoad() {
+				for _, pl := range w.pf.OnMiss(d.EA/lineBytes, now) {
+					w.hier.InsertLine(pl * lineBytes)
 				}
 			}
 		}
-		if es, ok := s.(interface{ Err() error }); ok {
-			if err := es.Err(); err != nil {
-				return fmt.Errorf("uarch: functional warming stream %d: %w", i, err)
-			}
+	}
+	w.clock[thread] = now
+	if es, ok := s.(interface{ Err() error }); ok {
+		if err := es.Err(); err != nil {
+			return fmt.Errorf("uarch: functional warming thread %d: %w", thread, err)
 		}
 	}
-	// Warming is stat-free by contract: only the state survives.
-	c.resetStats()
 	return nil
+}
+
+// WithWarmState starts the run from ws's contents instead of cold
+// structures: the core copies ws in at cycle 0 and discards the counters
+// warming accumulated, so only the state survives. ws is read, never
+// written, so one state can seed many runs. Simulate fails if ws was built
+// from a different Config. WithWarmup composes on top for a short timed
+// warmup of pipeline and queue occupancy.
+func WithWarmState(ws *WarmState) SimOption {
+	return func(o *simOptions) { o.warm = ws }
 }
