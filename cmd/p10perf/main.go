@@ -38,7 +38,7 @@ import (
 // iterations, while the fast tier (nanosecond-to-microsecond ops) needs real
 // iteration counts — at 3 iterations a 100ns op is timer noise, and noise was
 // tripping the regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreP10Full|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the

@@ -73,7 +73,8 @@ type WarmState struct {
 	cfg Config
 	components
 	// clock is each thread's pseudo-clock: one tick per record warmed on
-	// that thread. It only ages prefetcher streams consistently.
+	// that thread, so a thread's first record ticks 1 whatever the other
+	// threads warmed before it. It only ages prefetcher streams.
 	clock [len(Activity{}.PerThread)]uint64
 }
 
@@ -100,10 +101,11 @@ func (w *WarmState) CopyFrom(src *WarmState) {
 	w.clock = src.clock
 }
 
-// Warm drains s through the stateful structures as hardware thread thread:
-// every record touches the I-cache, branches train that thread's predictor
-// context, and memory operations translate, access the data hierarchy and
-// train the prefetcher. Cache and prefetcher state is shared by all threads.
+// Warm drains s through the stateful structures on the given hardware
+// thread: every record touches the I-cache, branches train that thread's
+// predictor context, and memory operations translate, access the data
+// hierarchy and train the prefetcher. Cache and prefetcher state is shared
+// by all threads.
 func (w *WarmState) Warm(s trace.Stream, thread int) error {
 	if thread < 0 || thread >= w.cfg.SMTMax {
 		return fmt.Errorf("uarch: warming thread %d of SMT%d", thread, w.cfg.SMTMax)
