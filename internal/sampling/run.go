@@ -143,12 +143,13 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	}
 	samples := make([][]meas, plan.K())
 	rec := newRecording(prog, plan.TotalInsts)
-	var fwd, smtWarm *uarch.WarmState
+	fwd := uarch.NewWarmState(cfg)
+	var smtWarm *uarch.WarmState
+	if smt > 1 {
+		smtWarm = uarch.NewWarmState(cfg)
+	}
 	var pos uint64
 	warmTo := func(lo uint64) (*uarch.WarmState, error) {
-		if fwd == nil {
-			fwd = uarch.NewWarmState(cfg)
-		}
 		if lo < pos {
 			fwd.Reset()
 			pos = 0
@@ -157,11 +158,8 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 			return nil, err
 		}
 		pos = lo
-		if smt == 1 {
-			return fwd, nil
-		}
 		if smtWarm == nil {
-			smtWarm = uarch.NewWarmState(cfg)
+			return fwd, nil
 		}
 		smtWarm.CopyFrom(fwd)
 		for t := 1; t < smt; t++ {
@@ -234,7 +232,8 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		if lo > 0 {
 			ws, err := warmTo(lo)
 			if err != nil {
-				return meas{}, err
+				return meas{}, fmt.Errorf("sampling: warming representative [%d,%d) of cluster %d: %w",
+					iv.Start, iv.End, c, err)
 			}
 			opts = append(opts, uarch.WithWarmState(ws))
 		}
