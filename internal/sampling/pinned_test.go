@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"testing"
 
 	"power10sim/internal/uarch"
@@ -13,8 +14,9 @@ import (
 // TestRunPinnedEstimates pins Run's complete output — every extrapolated
 // activity counter and the full sampling metadata — on a streaming kernel at
 // SMT1/2/4 and a SPECint-style program on POWER9 (SMT2) and POWER10 (SMT1).
-// The estimator's cost structure (how the trace is executed, recorded and
-// replayed for capture and functional warming) may change freely; its output
+// Every case runs at GOMAXPROCS 1 and 4. The estimator's cost structure (how
+// the trace is executed, recorded and replayed for capture and functional
+// warming, and how many windows run at once) may change freely; its output
 // may not. Any drift here means a refactor changed a simulated statistic.
 func TestRunPinnedEstimates(t *testing.T) {
 	daxpy := workloads.Daxpy(4096, 12)
@@ -49,26 +51,33 @@ func TestRunPinnedEstimates(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			est, err := Run(tc.cfg, tc.w.Prog, tc.w.Budget, tc.w.Warmup, tc.smt, 40_000_000, DefaultSpec())
-			if err != nil {
-				t.Fatal(err)
-			}
-			meta, err := json.Marshal(est.Meta)
-			if err != nil {
-				t.Fatal(err)
-			}
-			act, err := json.Marshal(est.Activity)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum := sha256.Sum256(act)
-			activity := hex.EncodeToString(sum[:8])
-			if want := `{"spec":{"IntervalInsts":2000,"MaxK":8,"RepsPerCluster":3,"WarmupIntervals":4,"SignatureDims":32,"Seed":1},` + tc.meta + "}"; string(meta) != want {
-				t.Errorf("Meta drifted:\n got %s\nwant %s", meta, want)
-			}
-			if activity != tc.activity {
-				t.Errorf("Activity digest %s, want %s (cycles %d, CPI %.6f)",
-					activity, tc.activity, est.Activity.Cycles, est.Activity.CPI())
+			// One core and more cores than windows in flight: the estimate
+			// must not depend on how many windows run at once.
+			for _, procs := range []int{1, 4} {
+				func() {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					est, err := Run(tc.cfg, tc.w.Prog, tc.w.Budget, tc.w.Warmup, tc.smt, 40_000_000, DefaultSpec())
+					if err != nil {
+						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+					}
+					meta, err := json.Marshal(est.Meta)
+					if err != nil {
+						t.Fatal(err)
+					}
+					act, err := json.Marshal(est.Activity)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sum := sha256.Sum256(act)
+					activity := hex.EncodeToString(sum[:8])
+					if want := `{"spec":{"IntervalInsts":2000,"MaxK":8,"RepsPerCluster":3,"WarmupIntervals":4,"SignatureDims":32,"Seed":1},` + tc.meta + "}"; string(meta) != want {
+						t.Errorf("GOMAXPROCS %d: Meta drifted:\n got %s\nwant %s", procs, meta, want)
+					}
+					if activity != tc.activity {
+						t.Errorf("GOMAXPROCS %d: Activity digest %s, want %s (cycles %d, CPI %.6f)",
+							procs, activity, tc.activity, est.Activity.Cycles, est.Activity.CPI())
+					}
+				}()
 			}
 		})
 	}

@@ -39,66 +39,139 @@ func (r *record) dynInst(pcs []uint64) isa.DynInst {
 	}
 }
 
-// recording is a sampled run's single functional pass: one VM, executed on
-// demand and recorded compactly, from which every representative window's
-// records and every thread's functional-warming prefix are sliced.
+// A recording is stored in fixed-size blocks of blockLen records (1 MiB), so
+// it grows without copying what is already recorded and is never sized from
+// the budget, which may far exceed the program's length. Every block but the
+// last is full, so record i lives at blocks[i>>blockShift][i&blockMask].
+const (
+	blockShift = 16
+	blockLen   = 1 << blockShift
+	blockMask  = blockLen - 1
+)
+
+// recording is a sampled run's single functional pass: the whole trace,
+// recorded compactly once, from which every representative window's records
+// and every thread's functional-warming prefix are read. It is complete and
+// read-only once fill returns, so any number of goroutines may replay it.
 type recording struct {
-	prog *isa.Program
-	pcs  []uint64 // Program.PC for every static index, plus the end address
-	vm   *isa.VM
-	recs []record
+	prog   *isa.Program
+	pcs    []uint64 // Program.PC for every static index, plus the end address
+	blocks [][]record
 }
 
-// newRecording prepares a recording of at most n instructions. The buffer is
-// sized once, so extending it never copies what is already recorded.
-func newRecording(prog *isa.Program, n uint64) *recording {
-	pcs := make([]uint64, len(prog.Code)+1)
-	for i := range pcs {
-		pcs[i] = prog.PC(i)
+// newRecording returns an empty recording of prog.
+func newRecording(prog *isa.Program) *recording {
+	r := &recording{prog: prog, pcs: make([]uint64, len(prog.Code)+1)}
+	for i := range r.pcs {
+		r.pcs[i] = prog.PC(i)
 	}
-	return &recording{prog: prog, pcs: pcs, vm: isa.NewVM(prog), recs: make([]record, 0, n)}
+	return r
 }
 
-// upTo returns the first n records, executing the VM as far as needed (the
-// recording stops short of n only where the program halts first).
-func (r *recording) upTo(n uint64) ([]record, error) {
-	for uint64(len(r.recs)) < n {
-		d, ok, err := r.vm.Step()
-		if err != nil {
-			return nil, fmt.Errorf("sampling: functional pass: %w", err)
+// fill executes the program for up to budget instructions (fewer where it
+// halts first) into r. The VM runs on a second goroutine and hands each
+// finished block to use, in trace order, on the caller's goroutine, so the
+// caller's work on one block overlaps recording the next. A panic in the VM
+// panics again on the caller's goroutine. That goroutine has exited by the
+// time fill returns, on every path.
+func (r *recording) fill(budget uint64, use func([]record)) error {
+	full := make(chan []record, 1)
+	stop := make(chan struct{})
+	var (
+		err     error
+		vmPanic any
+	)
+	go func() {
+		defer close(full)
+		defer func() { vmPanic = recover() }()
+		err = execute(r.prog, budget, full, stop)
+	}()
+	defer func() {
+		// Unblock a pending send if use panicked, then wait for the close.
+		close(stop)
+		for range full {
 		}
-		if !ok {
-			break
-		}
-		r.recs = append(r.recs, pack(d, r.vm.PC()))
+	}()
+	for blk := range full {
+		r.blocks = append(r.blocks, blk)
+		use(blk)
 	}
-	return r.recs[:min(n, uint64(len(r.recs)))], nil
+	if vmPanic != nil {
+		panic(vmPanic)
+	}
+	if err != nil {
+		return fmt.Errorf("sampling: functional pass: %w", err)
+	}
+	return nil
 }
 
-// replay returns a stream over the already recorded records [from, to).
+// execute runs prog's VM for up to budget instructions, sending each block
+// of records on out as it fills, until the program halts, the budget is
+// spent, the VM fails, or stop is closed.
+func execute(prog *isa.Program, budget uint64, out chan<- []record, stop <-chan struct{}) error {
+	vm := isa.NewVM(prog)
+	for n := uint64(0); n < budget; n += blockLen {
+		blk := make([]record, 0, min(blockLen, budget-n))
+		for len(blk) < cap(blk) {
+			d, ok, err := vm.Step()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			blk = append(blk, pack(d, vm.PC()))
+		}
+		if len(blk) == 0 {
+			return nil
+		}
+		select {
+		case out <- blk:
+		case <-stop:
+			return nil
+		}
+		if len(blk) < cap(blk) {
+			return nil // the program halted
+		}
+	}
+	return nil
+}
+
+// at returns record i.
+func (r *recording) at(i uint64) *record {
+	return &r.blocks[i>>blockShift][i&blockMask]
+}
+
+// replay returns a stream over the records [from, to).
 func (r *recording) replay(from, to uint64) *replay {
-	return &replay{prog: r.prog, pcs: r.pcs, recs: r.recs[from:to]}
+	return &replay{rec: r, from: from, to: to, pos: from}
 }
 
-// replay is a trace.Stream over a slice of a recording.
+// replay is a trace.Stream over a range of a recording.
 type replay struct {
-	prog *isa.Program
-	pcs  []uint64
-	recs []record
-	pos  int
+	rec           *recording
+	from, to, pos uint64
+	cur           []record // the records from pos to the end of its block or to
 }
 
 // Next implements trace.Stream.
 func (s *replay) Next() (isa.DynInst, bool) {
-	if s.pos >= len(s.recs) {
-		return isa.DynInst{}, false
+	if len(s.cur) == 0 {
+		if s.pos >= s.to {
+			return isa.DynInst{}, false
+		}
+		b := s.pos >> blockShift
+		end := min(uint64(len(s.rec.blocks[b])), s.to-b<<blockShift)
+		s.cur = s.rec.blocks[b][s.pos&blockMask : end]
 	}
+	r := &s.cur[0]
+	s.cur = s.cur[1:]
 	s.pos++
-	return s.recs[s.pos-1].dynInst(s.pcs), true
+	return r.dynInst(s.rec.pcs), true
 }
 
 // Program implements trace.Stream.
-func (s *replay) Program() *isa.Program { return s.prog }
+func (s *replay) Program() *isa.Program { return s.rec.prog }
 
 // Reset implements trace.Stream.
-func (s *replay) Reset() { s.pos = 0 }
+func (s *replay) Reset() { s.pos, s.cur = s.from, nil }

@@ -4,7 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"power10sim/internal/isa"
 	"power10sim/internal/power"
@@ -65,19 +68,6 @@ type Estimate struct {
 	Plan   *Plan
 }
 
-// Run phase-classifies prog's dynamic trace (budget instructions per thread)
-// and estimates the behavior of an smt-thread simulation on cfg by simulating
-// a few representative intervals per phase. warmup is the measurement warmup
-// in total instructions across threads (runner.Request.Warmup semantics): the
-// extrapolation covers only the region of interest after it, exactly like a
-// full run under uarch.WithWarmup. extra options (e.g. uarch.WithContext for
-// cancellation) are applied to every representative simulation before the
-// engine's own warmup option.
-//
-// The SMT model mirrors the experiment harness: smt hardware threads each
-// run an identical copy of the workload, so one per-thread trace classifies
-// all of them and each representative is simulated at the requested SMT
-// level with smt copies of its window.
 // staggerMinPCs gates the SMT thread stagger on the measured interval's
 // static footprint: intervals touching fewer distinct PCs are tight loops
 // whose lockstep copies replay a real run faithfully, and staggering them
@@ -86,11 +76,34 @@ type Estimate struct {
 // 2k-instruction interval) and phase-structured code (dgemm 48, resnet 131).
 const staggerMinPCs = 32
 
+// Run phase-classifies prog's dynamic trace (budget instructions per thread)
+// and estimates the behavior of an smt-thread simulation on cfg by simulating
+// a few representative intervals per phase. warmup is the measurement warmup
+// in total instructions across threads (runner.Request.Warmup semantics): the
+// extrapolation covers only the region of interest after it, exactly like a
+// full run under uarch.WithWarmup. extra options (e.g. uarch.WithContext for
+// cancellation) are applied to every representative simulation before the
+// engine's own warmup option, from several goroutines at once.
+//
+// The SMT model mirrors the experiment harness: smt hardware threads each
+// run an identical copy of the workload, so one per-thread trace classifies
+// all of them and each representative is simulated at the requested SMT
+// level with smt copies of its window.
+//
+// Run uses every core it is given. The trace is recorded on a second
+// goroutine while the caller's goroutine featurizes it, and the initial
+// windows are timed concurrently while the caller's goroutine warms the next
+// one's state. Window simulations hold one of runtime.GOMAXPROCS(0) slots
+// shared by every Run in the process. A window's measurement depends only on
+// its interval, so the estimate does not depend on GOMAXPROCS or on which
+// window finishes first. The error returned is the first failing window's
+// in start order; a panic in a window panics again on the caller's goroutine
+// with the same value. No goroutine Run starts outlives it.
 func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, maxCycles uint64, spec Spec, extra ...uarch.SimOption) (*Estimate, error) {
 	if smt < 1 {
 		smt = 1
 	}
-	plan, err := BuildPlan(prog, budget, spec)
+	plan, rec, err := buildPlan(prog, budget, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -125,15 +138,15 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// is the representative interval plus a short timed-warmup prefix
 	// (WarmupIntervals intervals), started from the functionally warmed
 	// state of the whole prefix [0, lo) so caches, TLB and predictors hold
-	// their in-context contents. Both come from one recorded functional
-	// pass, extended lazily to the furthest window end reached so far.
+	// their in-context contents. Both come from the plan's recording.
 	//
-	// Thread 0's warm state is advanced forward through the recording: fwd
-	// holds the state after [0, pos), and a window at lo >= pos warms only
-	// [pos, lo) into it. A window behind pos (only adaptive windows start
-	// there) restarts fwd from cold. At SMT>1, threads 1 and up warm their
-	// own full [0, lo) on a copy, after thread 0, each on a pseudo-clock
-	// starting at zero.
+	// Thread 0's warm state is advanced forward through the recording on
+	// Run's goroutine: fwd holds the state after [0, pos), and a window at
+	// lo >= pos warms only [pos, lo) into it. A window behind pos (only
+	// adaptive windows start there) restarts fwd from cold. Each window is
+	// simulated from its own snapshot of fwd. At SMT>1, threads 1 and up warm
+	// their own full [0, lo) on the snapshot, after thread 0, each on a
+	// pseudo-clock starting at zero.
 	model := power.NewModel(cfg)
 	roiInsts := totalROI * uint64(smt)
 	var simulated uint64
@@ -142,40 +155,10 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		cpi, pow float64
 	}
 	samples := make([][]meas, plan.K())
-	rec := newRecording(prog, plan.TotalInsts)
-	fwd := uarch.NewWarmState(cfg)
-	var smtWarm *uarch.WarmState
-	if smt > 1 {
-		smtWarm = uarch.NewWarmState(cfg)
-	}
-	var pos uint64
-	warmTo := func(lo uint64) (*uarch.WarmState, error) {
-		if lo < pos {
-			fwd.Reset()
-			pos = 0
-		}
-		if err := fwd.Warm(rec.replay(pos, lo), 0); err != nil {
-			return nil, err
-		}
-		pos = lo
-		if smtWarm == nil {
-			return fwd, nil
-		}
-		smtWarm.CopyFrom(fwd)
-		for t := 1; t < smt; t++ {
-			if err := smtWarm.Warm(rec.replay(0, lo), t); err != nil {
-				return nil, err
-			}
-		}
-		return smtWarm, nil
-	}
-	simWindow := func(c, ivIdx int) (meas, error) {
-		iv := plan.Intervals[ivIdx]
-		lo := iv.Start
-		if back := spec.IntervalInsts * uint64(spec.WarmupIntervals); back < lo {
-			lo -= back
-		} else {
-			lo = 0
+	bounds := func(ivIdx int) (lo, hi uint64) {
+		iv := &plan.Intervals[ivIdx]
+		if back := spec.IntervalInsts * uint64(spec.WarmupIntervals); back < iv.Start {
+			lo = iv.Start - back
 		}
 		// The window is warmup prefix + measured interval + cooldown suffix.
 		// The suffix (the successor interval, when one exists) keeps the
@@ -183,12 +166,19 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		// counting at the interval's end with successors still in flight, so
 		// the window does not pay a whole-pipeline drain that in-context
 		// execution overlaps with downstream work.
-		hi := min(iv.End+spec.IntervalInsts, plan.TotalInsts)
-		prefix, err := rec.upTo(hi)
-		if err != nil {
-			return meas{}, err
-		}
-		recs := prefix[lo:]
+		return lo, min(iv.End+spec.IntervalInsts, plan.TotalInsts)
+	}
+	warmErr := func(c, ivIdx int, err error) error {
+		iv := &plan.Intervals[ivIdx]
+		return fmt.Errorf("sampling: warming representative [%d,%d) of cluster %d: %w",
+			iv.Start, iv.End, c, err)
+	}
+	// simWindow times one window from ws, thread 0's warm state at the
+	// window's lo, or from cold when ws is nil (lo is 0). It warms threads 1
+	// and up into ws, which it owns; concurrent calls need distinct states.
+	simWindow := func(c, ivIdx int, ws *uarch.WarmState) (meas, error) {
+		iv := plan.Intervals[ivIdx]
+		lo, hi := bounds(ivIdx)
 		// Thread stagger: a real SMT run's threads drift a few hundred
 		// instructions apart (measured: spreads of 100-400 at SMT4), so their
 		// resource demands decorrelate. Perfectly phase-locked copies issue
@@ -207,11 +197,8 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		// Distinct static indices are distinct PCs.
 		skew := spec.IntervalInsts / uint64(4*smt)
 		pcs := make(map[int32]struct{}, staggerMinPCs)
-		for i := iv.Start - lo; i < uint64(len(recs)) && i < iv.End-lo; i++ {
-			pcs[recs[i].idx] = struct{}{}
-			if len(pcs) >= staggerMinPCs {
-				break
-			}
+		for i := iv.Start; i < iv.End && len(pcs) < staggerMinPCs; i++ {
+			pcs[rec.at(i).idx] = struct{}{}
 		}
 		if len(pcs) < staggerMinPCs {
 			skew = 0
@@ -229,11 +216,11 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 			// with a drain in context, so the natural run-out is the truth.
 			opts = append(opts, uarch.WithMeasureLimit(iv.Insts()*uint64(smt)))
 		}
-		if lo > 0 {
-			ws, err := warmTo(lo)
-			if err != nil {
-				return meas{}, fmt.Errorf("sampling: warming representative [%d,%d) of cluster %d: %w",
-					iv.Start, iv.End, c, err)
+		if ws != nil {
+			for t := 1; t < smt; t++ {
+				if err := ws.Warm(rec.replay(0, lo), t); err != nil {
+					return meas{}, warmErr(c, ivIdx, err)
+				}
 			}
 			opts = append(opts, uarch.WithWarmState(ws))
 		}
@@ -242,7 +229,6 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 			return meas{}, fmt.Errorf("sampling: representative [%d,%d) of cluster %d: %w",
 				iv.Start, iv.End, c, err)
 		}
-		simulated += uint64(len(recs)) * uint64(smt)
 		a := &res.Activity
 		if a.Instructions == 0 {
 			return meas{}, fmt.Errorf("sampling: representative [%d,%d) of cluster %d retired nothing",
@@ -250,11 +236,47 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		}
 		return meas{act: res.Activity, cpi: a.CPI(), pow: model.Report(a).Total}, nil
 	}
+	fwd := getWarm(cfg)
+	fwd.Reset()
+	defer putWarm(cfg, fwd)
+	var pos uint64
+	// begin readies a window on Run's goroutine: it warms fwd to the
+	// window's lo, takes a core slot, and copies fwd into a pooled snapshot
+	// (nil at lo 0). The caller owes the slot back; simulate returns it.
+	begin := func(c, ivIdx int) (*uarch.WarmState, error) {
+		lo, hi := bounds(ivIdx)
+		if lo > 0 {
+			if lo < pos {
+				fwd.Reset()
+				pos = 0
+			}
+			if err := fwd.Warm(rec.replay(pos, lo), 0); err != nil {
+				return nil, warmErr(c, ivIdx, err)
+			}
+			pos = lo
+		}
+		simulated += (hi - lo) * uint64(smt)
+		cores.acquire()
+		if lo == 0 {
+			return nil, nil
+		}
+		ws := getWarm(cfg)
+		ws.CopyFrom(fwd)
+		return ws, nil
+	}
+	simulate := func(c, ivIdx int, ws *uarch.WarmState) (meas, error) {
+		defer cores.release()
+		m, err := simWindow(c, ivIdx, ws)
+		if ws != nil {
+			putWarm(cfg, ws)
+		}
+		return m, err
+	}
 
-	// Initial allocation: RepsPerCluster windows per live cluster, simulated
-	// in order of window start so the forward warm state never restarts.
-	// Each measurement lands in its cluster-and-rep slot, so every sum below
-	// runs in cluster order.
+	// Initial allocation: RepsPerCluster windows per live cluster, begun in
+	// order of window start so the forward warm state never restarts, and
+	// simulated concurrently. Each measurement lands in its cluster-and-rep
+	// slot, so every sum below runs in cluster order.
 	type slot struct{ c, rep, ivIdx int }
 	var initial []slot
 	for c, cl := range plan.Clusters {
@@ -270,19 +292,58 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	slices.SortFunc(initial, func(a, b slot) int {
 		return cmp.Compare(plan.Intervals[a.ivIdx].Start, plan.Intervals[b.ivIdx].Start)
 	})
-	for _, s := range initial {
-		m, err := simWindow(s.c, s.ivIdx)
+	var (
+		wg     sync.WaitGroup
+		failed atomic.Bool
+		errs   = make([]error, len(initial))
+		panics = make([]any, len(initial))
+	)
+	defer wg.Wait()
+	for i, s := range initial {
+		ws, err := begin(s.c, s.ivIdx)
 		if err != nil {
-			return nil, err
+			errs[i] = err
+			break
 		}
-		samples[s.c][s.rep] = m
+		if failed.Load() {
+			cores.release()
+			break
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panics[i] = p
+					failed.Store(true)
+				}
+			}()
+			m, err := simulate(s.c, s.ivIdx, ws)
+			if err != nil {
+				errs[i] = err
+				failed.Store(true)
+				return
+			}
+			samples[s.c][s.rep] = m
+		}()
+	}
+	wg.Wait()
+	for i := range initial {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 	}
 
 	// Adaptive refinement: while the CPI or power confidence interval is
 	// wider than half the published error bound, simulate one more member of
 	// the cluster contributing the most estimator variance. Terminates at
 	// full coverage in the worst case (each fully simulated cluster has zero
-	// variance contribution by the finite-population correction).
+	// variance contribution by the finite-population correction). Each pick
+	// depends on the measurements before it, so these windows run one at a
+	// time on Run's goroutine.
 	strata := func(metric func(*meas) float64) []stratum {
 		out := make([]stratum, plan.K())
 		for c := range samples {
@@ -326,7 +387,12 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		if best < 0 || bestScore == 0 {
 			break // nothing left to sample (or no estimated variance remains)
 		}
-		m, err := simWindow(best, plan.Clusters[best].Reps[len(samples[best])])
+		ivIdx := plan.Clusters[best].Reps[len(samples[best])]
+		ws, err := begin(best, ivIdx)
+		if err != nil {
+			return nil, err
+		}
+		m, err := simulate(best, ivIdx, ws)
 		if err != nil {
 			return nil, err
 		}
@@ -621,4 +687,62 @@ func unflatten(in *[activityFields]uint64, a *uarch.Activity) {
 	for j := range a.UnitBusy {
 		a.UnitBusy[j] = get()
 	}
+}
+
+// cores bounds the window simulations running at once to
+// runtime.GOMAXPROCS(0) across the process: a runner pool of N workers
+// running sampled requests then shares the machine's cores instead of
+// holding N times as many window simulations and warm states. It reads
+// GOMAXPROCS at every acquire, so a changed setting takes effect at once.
+var cores = newSemaphore()
+
+type semaphore struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	held int
+}
+
+func newSemaphore() *semaphore {
+	s := &semaphore{}
+	s.cond.L = &s.mu
+	return s
+}
+
+func (s *semaphore) acquire() {
+	s.mu.Lock()
+	for s.held >= runtime.GOMAXPROCS(0) {
+		s.cond.Wait()
+	}
+	s.held++
+	s.mu.Unlock()
+}
+
+func (s *semaphore) release() {
+	s.mu.Lock()
+	s.held--
+	s.mu.Unlock()
+	s.cond.Signal()
+}
+
+// warmPool recycles warm states (about 1 MB each) across windows and runs.
+// Like uarch's core pool, a pooled state is reused only for the Config it
+// was built from, and dropped otherwise.
+var warmPool sync.Pool
+
+type pooledWarm struct {
+	cfg uarch.Config
+	ws  *uarch.WarmState
+}
+
+// getWarm returns a warm state for cfg with arbitrary contents: the caller
+// resets it or copies another state over it.
+func getWarm(cfg *uarch.Config) *uarch.WarmState {
+	if p, ok := warmPool.Get().(*pooledWarm); ok && p.cfg == *cfg {
+		return p.ws
+	}
+	return uarch.NewWarmState(cfg)
+}
+
+func putWarm(cfg *uarch.Config, ws *uarch.WarmState) {
+	warmPool.Put(&pooledWarm{cfg: *cfg, ws: ws})
 }

@@ -11,16 +11,18 @@
 // exactly this reason), and representative-interval execution buys another
 // 10-100x on top of any hot-loop speedup by simulating *fewer* instructions
 // rather than simulating them faster. The engine executes the program
-// functionally twice per run, whatever the window count: once to featurize
-// (BuildPlan) and once, lazily, into a compact recording that every window's
-// timed records and every thread's functional-warming prefix are sliced from
-// (Run). The VM retires instructions several times faster than the timing
-// core, so the two passes together cost a fraction of one full simulation.
-// Functional warming is paid about once per run too: one warm state of the
-// cache and predictor models is advanced forward through the recording and
-// copied in at each window start. Two cases still replay from zero: an
-// adaptive window that starts behind the state re-warms it from cold, and
-// at SMT>1 every thread after the first replays its window's whole prefix.
+// functionally once per run, whatever the window count: one VM records the
+// whole trace compactly on a second goroutine while BuildPlan featurizes it,
+// and every window's timed records and every thread's functional-warming
+// prefix are read from that recording (Run). The VM retires instructions
+// several times faster than the timing core, so the pass costs a fraction
+// of one full simulation. Functional warming is paid about once per run too:
+// one warm state of the cache and predictor models is advanced forward
+// through the recording and copied into a snapshot at each window start, so
+// the initial windows can be timed concurrently, on up to GOMAXPROCS cores.
+// Two cases still replay from zero: an adaptive window that starts behind
+// the state re-warms it from cold, and at SMT>1 every thread after the first
+// replays its window's whole prefix.
 //
 // Determinism: featurization is a pure function of the trace, k-means uses a
 // seeded LCG for initialization, ties break on lowest index, and the
@@ -34,7 +36,6 @@ import (
 	"fmt"
 
 	"power10sim/internal/isa"
-	"power10sim/internal/trace"
 )
 
 // Error bounds the validation harness (and `make sample-check`) asserts:
@@ -159,18 +160,25 @@ type Plan struct {
 // K returns the chosen cluster count.
 func (p *Plan) K() int { return len(p.Clusters) }
 
-// BuildPlan functionally executes prog for up to budget instructions
-// (pass 1: no timing, no record storage), featurizes fixed-size intervals,
-// and clusters them into phases. The trace ends at the program's halt when
-// that comes before the budget. A spec whose cluster, representative or
-// signature counts exceed 1<<16 is refused: those size the plan's
-// allocations, and no useful plan comes near them.
+// BuildPlan functionally executes prog for up to budget instructions into a
+// recording, featurizes fixed-size intervals of it, and clusters them into
+// phases. The trace ends at the program's halt when that comes before the
+// budget. A spec whose cluster, representative or signature counts exceed
+// 1<<16 is refused: those size the plan's allocations, and no useful plan
+// comes near them.
 func BuildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, error) {
+	plan, _, err := buildPlan(prog, budget, spec)
+	return plan, err
+}
+
+// buildPlan is BuildPlan returning the recording too: the plan's intervals
+// index into it, and Run times its windows from it. Each block of records is
+// featurized while the VM records the next.
+func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *recording, error) {
 	spec = spec.Normalized()
 	if max(spec.MaxK, spec.RepsPerCluster, spec.SignatureDims) > 1<<16 {
-		return nil, fmt.Errorf("sampling: spec %+v sizes a plan beyond 1<<16", spec)
+		return nil, nil, fmt.Errorf("sampling: spec %+v sizes a plan beyond 1<<16", spec)
 	}
-	stream := trace.NewVMStream(prog, budget)
 	var (
 		intervals []Interval
 		n         uint64
@@ -182,41 +190,40 @@ func BuildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, error) {
 	seenLines := make(map[uint64]struct{})
 	seenPages := make(map[uint64]struct{})
 	start := uint64(0)
-	for {
-		d, ok := stream.Next()
-		if !ok {
-			break
-		}
-		in := &prog.Code[d.Idx]
-		cls := in.Class()
-		cur.observe(cls, d.PC)
-		if cls.IsMem() {
-			// First-touch rates are the microarchitectural half of the
-			// signature: behaviorally identical code runs at a very
-			// different CPI while its working set is still being faulted
-			// in, and the class mix + PC signature cannot see that. A
-			// cold-footprint feature separates the warmup ramp into its
-			// own phase so its representative carries its true weight.
-			if line := d.EA / lineBytes; !member(seenLines, line) {
-				cur.newLines++
+	rec := newRecording(prog)
+	err := rec.fill(budget, func(blk []record) {
+		for i := range blk {
+			r := &blk[i]
+			cls := prog.Code[r.idx].Class()
+			cur.observe(cls, rec.pcs[r.idx])
+			if cls.IsMem() {
+				// First-touch rates are the microarchitectural half of the
+				// signature: behaviorally identical code runs at a very
+				// different CPI while its working set is still being faulted
+				// in, and the class mix + PC signature cannot see that. A
+				// cold-footprint feature separates the warmup ramp into its
+				// own phase so its representative carries its true weight.
+				if line := r.ea / lineBytes; !member(seenLines, line) {
+					cur.newLines++
+				}
+				if page := r.ea / pageBytes; !member(seenPages, page) {
+					cur.newPages++
+				}
 			}
-			if page := d.EA / pageBytes; !member(seenPages, page) {
-				cur.newPages++
+			n++
+			if n-start >= spec.IntervalInsts {
+				intervals = append(intervals, Interval{Start: start, End: n, features: cur.vector()})
+				prev, cur = cur, prev
+				cur.reset()
+				start = n
 			}
 		}
-		n++
-		if n-start >= spec.IntervalInsts {
-			intervals = append(intervals, Interval{Start: start, End: n, features: cur.vector()})
-			prev, cur = cur, prev
-			cur.reset()
-			start = n
-		}
-	}
-	if err := stream.Err(); err != nil {
-		return nil, fmt.Errorf("sampling: functional pass: %w", err)
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	if n == 0 {
-		return nil, errors.New("sampling: empty dynamic trace")
+		return nil, nil, errors.New("sampling: empty dynamic trace")
 	}
 	if n > start {
 		// The partial tail's instructions must be accounted for or short
@@ -237,7 +244,7 @@ func BuildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, error) {
 	}
 	plan := &Plan{Spec: spec, Intervals: intervals, TotalInsts: n}
 	plan.cluster()
-	return plan, nil
+	return plan, rec, nil
 }
 
 // lineBytes/pageBytes are the footprint-tracking granularities for the

@@ -1,10 +1,15 @@
 package sampling
 
 import (
+	"context"
+	"errors"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
+	"power10sim/internal/isa"
 	"power10sim/internal/power"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
@@ -249,6 +254,98 @@ func TestRunWarmupROI(t *testing.T) {
 	if _, err := Run(cfg, w.Prog, w.Budget, w.Budget, 1, 40_000_000, DefaultSpec()); err == nil {
 		t.Error("warmup consuming the whole trace should fail")
 	}
+}
+
+// panicCtx is a context whose Err panics: the first window simulation to
+// poll it panics with errPanic.
+type panicCtx struct{ context.Context }
+
+type panicValue struct{ why string }
+
+var errPanic = &panicValue{"context Err exploded"}
+
+func (panicCtx) Err() error { panic(errPanic) }
+
+// TestRunFailurePaths: a canceled run, a panicking window, a failed
+// functional pass and a panicking VM each end cleanly. Run and BuildPlan
+// return the error, or panic on the caller's goroutine with the original
+// value. Afterwards no goroutine they started is left and no core slot is
+// held.
+func TestRunFailurePaths(t *testing.T) {
+	w := workloads.Daxpy(4096, 12)
+	cfg := uarch.POWER10()
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A goroutine leaves the count just after the event its waiter
+		// sees, so wait for the count to come back.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cores.mu.Lock()
+		held := cores.held
+		cores.mu.Unlock()
+		if held != 0 {
+			t.Fatalf("%s: %d core slots still held", what, held)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Run(cfg, w.Prog, w.Budget, w.Warmup, 2, 40_000_000, DefaultSpec(), uarch.WithContext(ctx)); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled run: err = %v, want one wrapping context.Canceled", err)
+	}
+	settled("canceled run")
+
+	func() {
+		defer func() {
+			if p := recover(); p != errPanic {
+				t.Errorf("panicking window: recovered %v, want %v", p, errPanic)
+			}
+		}()
+		Run(cfg, w.Prog, w.Budget, w.Warmup, 2, 40_000_000, DefaultSpec(), uarch.WithContext(panicCtx{context.Background()}))
+		t.Error("panicking window: Run returned")
+	}()
+	settled("panicking window")
+
+	// r1 counts a two-instruction loop down from 40000, so the VM records
+	// more than one block before the indirect branch leaves the code.
+	bad := isa.NewBuilder("runaway").
+		Li(isa.GPR(1), 40_000).
+		Li(isa.GPR(2), 0).
+		Li(isa.GPR(3), 9999).
+		Label("loop").
+		Addi(isa.GPR(1), isa.GPR(1), -1).
+		Bc(isa.CondNE, isa.GPR(1), isa.GPR(2), "loop").
+		Br(isa.GPR(3)).
+		Halt().
+		MustBuild()
+	const wantErr = "sampling: functional pass: runaway @5: indirect target 9999 out of range"
+	if _, err := BuildPlan(bad, 1<<20, DefaultSpec()); err == nil || err.Error() != wantErr {
+		t.Errorf("BuildPlan: err = %v, want %q", err, wantErr)
+	}
+	settled("BuildPlan's functional pass")
+	if _, err := Run(cfg, bad, 1<<20, 0, 1, 40_000_000, DefaultSpec()); err == nil || err.Error() != wantErr {
+		t.Errorf("Run: err = %v, want %q", err, wantErr)
+	}
+	settled("Run's functional pass")
+
+	// A register the VM does not have (Program.Validate would refuse it):
+	// the recording goroutine panics.
+	badReg := &isa.Program{Name: "badreg", Code: []isa.Inst{{Op: isa.OpLi, Dst: isa.GPR(200), Imm: 1}, {Op: isa.OpHalt}}}
+	func() {
+		defer func() {
+			if _, ok := recover().(runtime.Error); !ok {
+				t.Error("VM panic: no runtime error reached the caller's goroutine")
+			}
+		}()
+		BuildPlan(badReg, 100, DefaultSpec())
+		t.Error("VM panic: BuildPlan returned")
+	}()
+	settled("VM panic")
 }
 
 func relErr(got, want float64) float64 {
