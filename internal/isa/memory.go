@@ -112,11 +112,13 @@ func (m *Memory) Write128(addr uint64, v [2]uint64) {
 	m.Write(addr+8, v[1], 8)
 }
 
-// LoadImage copies an initial memory image.
+// LoadImage copies an initial memory image, one page-sized chunk at a time.
 func (m *Memory) LoadImage(img map[uint64][]byte) {
 	for addr, data := range img {
-		for i, b := range data {
-			m.SetByte(addr+uint64(i), b)
+		for len(data) > 0 {
+			n := copy(m.pageFor(addr, true)[addr&(pageSize-1):], data)
+			addr += uint64(n)
+			data = data[n:]
 		}
 	}
 }

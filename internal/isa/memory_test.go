@@ -34,13 +34,16 @@ func (r refMemory) hash() uint64 {
 
 // TestMemoryMatchesByteModel drives Memory and the byte-map model with the
 // same seeded random operations — every access width, 128-bit accesses,
-// page-straddling addresses, reads of untouched pages, interleaved Resets —
-// and requires identical reads and hashes throughout.
+// page-straddling addresses, reads of untouched pages, image loads that
+// start and end mid-page and cross pages, interleaved Resets — and requires
+// identical reads and hashes throughout.
 func TestMemoryMatchesByteModel(t *testing.T) {
 	// Three adjacent pages (so accesses straddle both inner boundaries) and
 	// one distant page; reads also probe pages no operation ever writes.
 	written := []uint64{0x2000_0000, 0x2000_1000, 0x2000_2000, 0x7fff_f000}
 	untouched := []uint64{0x2000_3000, 0x5000_0000}
+	// An image stays inside one run of adjacent written pages.
+	regions := [][2]uint64{{0x2000_0000, 0x2000_3000}, {0x7fff_f000, 0x8000_0000}}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		addr := func(pages []uint64) uint64 {
@@ -73,11 +76,29 @@ func TestMemoryMatchesByteModel(t *testing.T) {
 				m.Write128(a, v)
 				ref.write(a, v[0], 8)
 				ref.write(a+8, v[1], 8)
-			case k < 94:
+			case k < 92:
 				got := m.Read128(a)
 				if want := [2]uint64{ref.read(a, 8), ref.read(a+8, 8)}; got != want {
 					t.Fatalf("seed %d op %d: Read128(%#x) = %#x, want %#x", seed, op, a, got, want)
 				}
+			case k < 96:
+				// One image per region, of 1 byte to a little over two
+				// pages, so most start and end mid-page and many cross one
+				// or two page boundaries.
+				img := map[uint64][]byte{}
+				for _, r := range regions {
+					if rng.Intn(2) == 0 {
+						continue
+					}
+					start := r[0] + uint64(rng.Intn(int(r[1]-r[0])))
+					data := make([]byte, 1+rng.Intn(int(min(r[1]-start, 2*pageSize+64))))
+					rng.Read(data)
+					img[start] = data
+					for i, b := range data {
+						ref[start+uint64(i)] = b
+					}
+				}
+				m.LoadImage(img)
 			case k < 99:
 				if got, want := m.Hash(), ref.hash(); got != want {
 					t.Fatalf("seed %d op %d: Hash = %#x, want %#x", seed, op, got, want)
