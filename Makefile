@@ -25,8 +25,11 @@ race:
 # race-obs is the focused race gate for the observability plumbing: the
 # telemetry registry/tracer, the progress bus, the HTTP server, the
 # instrumented runner, and the sim-sampling glue are all exercised from many
-# goroutines. isa and sampling ride along because isa.Memory mutates its
-# page cache on reads: a Memory shared across goroutines would race here.
+# goroutines. isa and sampling ride along: isa.Memory mutates its page cache
+# on reads, so a Memory shared across goroutines would race here, and
+# sampling records the trace on one goroutine while another featurizes it,
+# then times windows on several goroutines over that one read-only recording,
+# each from its own warm-state snapshot.
 race-obs:
 	$(GO) test -race ./internal/telemetry ./internal/progress ./internal/obsserver \
 		./internal/runner ./internal/simobs ./internal/runlog ./internal/fabric \

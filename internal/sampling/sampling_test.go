@@ -257,14 +257,14 @@ func TestRunWarmupROI(t *testing.T) {
 }
 
 // panicCtx is a context whose Err panics: the first window simulation to
-// poll it panics with errPanic.
+// poll it panics with ctxPanic.
 type panicCtx struct{ context.Context }
 
 type panicValue struct{ why string }
 
-var errPanic = &panicValue{"context Err exploded"}
+var ctxPanic = &panicValue{"context Err exploded"}
 
-func (panicCtx) Err() error { panic(errPanic) }
+func (panicCtx) Err() error { panic(ctxPanic) }
 
 // TestRunFailurePaths: a canceled run, a panicking window, a failed
 // functional pass and a panicking VM each end cleanly. Run and BuildPlan
@@ -302,8 +302,8 @@ func TestRunFailurePaths(t *testing.T) {
 
 	func() {
 		defer func() {
-			if p := recover(); p != errPanic {
-				t.Errorf("panicking window: recovered %v, want %v", p, errPanic)
+			if p := recover(); p != ctxPanic {
+				t.Errorf("panicking window: recovered %v, want %v", p, ctxPanic)
 			}
 		}()
 		Run(cfg, w.Prog, w.Budget, w.Warmup, 2, 40_000_000, DefaultSpec(), uarch.WithContext(panicCtx{context.Background()}))
