@@ -242,7 +242,8 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	var pos uint64
 	// begin readies a window on Run's goroutine: it warms fwd to the
 	// window's lo, takes a core slot, and copies fwd into a pooled snapshot
-	// (nil at lo 0). The caller owes the slot back; simulate returns it.
+	// (nil at lo 0). The caller owes the slot back once it has recorded the
+	// window's outcome.
 	begin := func(c, ivIdx int) (*uarch.WarmState, error) {
 		lo, hi := bounds(ivIdx)
 		if lo > 0 {
@@ -265,7 +266,6 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		return ws, nil
 	}
 	simulate := func(c, ivIdx int, ws *uarch.WarmState) (meas, error) {
-		defer cores.release()
 		m, err := simWindow(c, ivIdx, ws)
 		if ws != nil {
 			putWarm(cfg, ws)
@@ -312,6 +312,9 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// The slot goes back after a failure is recorded, so the
+			// begin that takes it next sees the failure.
+			defer cores.release()
 			defer func() {
 				if p := recover(); p != nil {
 					panics[i] = p
@@ -392,7 +395,10 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		if err != nil {
 			return nil, err
 		}
-		m, err := simulate(best, ivIdx, ws)
+		m, err := func() (meas, error) {
+			defer cores.release()
+			return simulate(best, ivIdx, ws)
+		}()
 		if err != nil {
 			return nil, err
 		}
