@@ -266,11 +266,11 @@ var ctxPanic = &panicValue{"context Err exploded"}
 
 func (panicCtx) Err() error { panic(ctxPanic) }
 
-// TestRunFailurePaths: a canceled run, a panicking window, a failed
-// functional pass and a panicking VM each end cleanly. Run and BuildPlan
-// return the error, or panic on the caller's goroutine with the original
-// value. Afterwards no goroutine they started is left and no core slot is
-// held.
+// TestRunFailurePaths: a canceled run, a panicking window, windows over
+// their cycle limit, a failed functional pass and a panicking VM each end
+// cleanly. Run and BuildPlan return the error, or panic on the caller's
+// goroutine with the original value. Afterwards no goroutine they started is
+// left and no core slot is held.
 func TestRunFailurePaths(t *testing.T) {
 	w := workloads.Daxpy(4096, 12)
 	cfg := uarch.POWER10()
@@ -310,6 +310,28 @@ func TestRunFailurePaths(t *testing.T) {
 		t.Error("panicking window: Run returned")
 	}()
 	settled("panicking window")
+
+	// Under a strict 1500-cycle limit the short windows at the trace's
+	// start finish and the full-length ones fail. At GOMAXPROCS 1 one
+	// window runs at a time and the first failure stops the run; with more
+	// cores several fail at once, and Run must still report the first
+	// failing window in start order.
+	var strictErrs []string
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			_, err := Run(cfg, w.Prog, w.Budget, w.Warmup, 1, 1500, DefaultSpec(), uarch.WithStrictCycleLimit())
+			var hang *uarch.HangError
+			if !errors.As(err, &hang) {
+				t.Fatalf("GOMAXPROCS %d: err = %v, want a cycle-limit HangError", procs, err)
+			}
+			strictErrs = append(strictErrs, err.Error())
+		}()
+	}
+	if strictErrs[0] != strictErrs[1] {
+		t.Errorf("cycle-limit failure depends on GOMAXPROCS:\n 1: %s\n 4: %s", strictErrs[0], strictErrs[1])
+	}
+	settled("cycle-limit failure")
 
 	// r1 counts a two-instruction loop down from 40000, so the VM records
 	// more than one block before the indirect branch leaves the code.
