@@ -34,11 +34,12 @@ import (
 
 // The benchmark tier is split by op cost, because one -benchtime cannot
 // measure both ends honestly: the heavy tier (whole-core simulations, the
-// power-model fits and surrogate training, 50ms-14s per op) runs a fixed few
-// iterations, while the fast tier (nanosecond-to-microsecond ops) needs real
-// iteration counts — at 3 iterations a 100ns op is timer noise, and noise was
-// tripping the regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreP10Full|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain)$"
+// power-model fits, surrogate training, the socket yield analysis and proxy
+// extraction, 10ms-14s per op) runs a fixed few iterations, while the fast
+// tier (nanosecond-to-microsecond ops) needs real iteration counts — at 3
+// iterations a 100ns op is timer noise, and noise was tripping the
+// regression gate on code that had not changed.
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreP10Full|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain|BenchmarkSocket|BenchmarkProxyExtraction)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the

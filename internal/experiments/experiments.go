@@ -28,9 +28,11 @@ type Options struct {
 	// Quick halves workload budgets (subject to the 4096-instruction
 	// floor) for fast benchmark runs.
 	Quick bool
-	// Jobs bounds parallel fan-out in loops that do not go through the
-	// simulation runner (the socket Monte Carlo, the APEX figure sweep):
-	// 0 means GOMAXPROCS, 1 forces serial execution.
+	// Jobs bounds parallel fan-out in the loops that do not go through the
+	// simulation runner: the socket Monte Carlo, Fig. 10's epoch runs, the
+	// power-model corpus collection, proxy extraction and Fig. 6's GEMM
+	// instruction counts. 0 means GOMAXPROCS, 1 forces serial execution.
+	// When Runner is set, its worker count overrides Jobs.
 	Jobs int
 	// Runner executes and memoizes every simulation issued through RunOn
 	// and the batched figure loops. When nil, a process-wide shared runner

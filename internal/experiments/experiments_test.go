@@ -161,6 +161,28 @@ func TestProxyExperiment(t *testing.T) {
 	if !strings.Contains(r.Table(), "TOTAL") {
 		t.Error("table missing totals row")
 	}
+	assertSameTableAtAnyWidth(t, func(o Options) (tabler, error) { return ProxyStats(o) })
+}
+
+// tabler is an experiment result that renders a table.
+type tabler interface{ Table() string }
+
+// assertSameTableAtAnyWidth renders an experiment on a one-worker and a
+// four-worker runner and requires identical text: the loops that fan out
+// over the runner's width must not change any number.
+func assertSameTableAtAnyWidth(t *testing.T, run func(Options) (tabler, error)) {
+	t.Helper()
+	var tables [2]string
+	for i, workers := range []int{1, 4} {
+		r, err := run(Options{Quick: true, Runner: runner.New(workers)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables[i] = r.Table()
+	}
+	if tables[0] != tables[1] {
+		t.Errorf("table differs between 1 and 4 workers:\n%s\nvs\n%s", tables[0], tables[1])
+	}
 }
 
 func TestFig13Fig14Experiments(t *testing.T) {
@@ -314,4 +336,5 @@ func TestSocketExperiment(t *testing.T) {
 	if !strings.Contains(r.Table(), "CLY") {
 		t.Error("table missing CLY rows")
 	}
+	assertSameTableAtAnyWidth(t, func(o Options) (tabler, error) { return Socket(o) })
 }

@@ -129,50 +129,72 @@ type Fig6Result struct {
 }
 
 // Fig6 runs ResNet-50 and BERT-Large models on POWER9, POWER10 without MMA
-// (VSU coding) and POWER10 with MMA.
+// (VSU coding) and POWER10 with MMA. All eight simulations go through the
+// runner as one batch, and each of the four distinct model programs is run
+// once more on the VM to count its GEMM instructions.
 func Fig6(o Options) (*Fig6Result, error) {
 	res := &Fig6Result{SocketFP32: map[string]float64{}, SocketINT8: map[string]float64{}}
-	type build struct {
-		model string
-		mk    func(bool) (*workloads.Workload, error)
+	type model struct {
+		name string
+		w    [2]*workloads.Workload // the VSU and the MMA coding
+		gemm [2]float64             // their GEMM instruction ratios
 	}
-	for _, b := range []build{{"ResNet-50", workloads.ResNet50}, {"BERT-Large", workloads.BERTLarge}} {
-		vsu, err := b.mk(false)
-		if err != nil {
-			return nil, err
-		}
-		mma, err := b.mk(true)
-		if err != nil {
-			return nil, err
-		}
-		type rr struct {
-			name string
-			cfg  *uarch.Config
-			w    *workloads.Workload
-		}
-		runs := []rr{
-			{"POWER9 (baseline)", uarch.POWER9(), vsu},
-			{"POWER10 (w/o MMA)", uarch.POWER10NoMMA(), vsu},
-			{"POWER10 (w/ MMA)", uarch.POWER10(), mma},
-		}
-		reqs := make([]runner.Request, len(runs))
-		for i, run := range runs {
-			reqs[i] = o.request(run.cfg, run.w, 1)
-		}
-		batch, err := runBatch(o, reqs)
-		if err != nil {
-			return nil, err
-		}
-		fm := Fig6Model{Model: b.model}
-		var baseCycles, baseInsts, baseCPI, baseGEMM float64
-		for i, run := range runs {
-			a := batch[i].Activity
-			recs, err := trace.Capture(run.w.Prog, o.scale(run.w.Budget))
-			if err != nil {
+	models := []*model{{name: "ResNet-50"}, {name: "BERT-Large"}}
+	for i, mk := range []func(bool) (*workloads.Workload, error){workloads.ResNet50, workloads.BERTLarge} {
+		for c, mma := range []bool{false, true} {
+			var err error
+			if models[i].w[c], err = mk(mma); err != nil {
 				return nil, err
 			}
-			st := trace.Summarize(run.w.Prog, recs)
-			gemm := st.GEMMRatio()
+		}
+	}
+	// INT8: measure the int8 vs fp32 MMA throughput on the GEMM kernels.
+	i8, err := workloads.GEMMInt8MMA(workloads.GEMMSize{M: 32, N: 64, K: 64})
+	if err != nil {
+		return nil, err
+	}
+	f32, _, err := workloads.SGEMMMMA(workloads.GEMMSize{M: 32, N: 64, K: 64})
+	if err != nil {
+		return nil, err
+	}
+	runs := []struct {
+		name   string
+		cfg    *uarch.Config
+		coding int // index into model.w
+	}{
+		{"POWER9 (baseline)", uarch.POWER9(), 0},
+		{"POWER10 (w/o MMA)", uarch.POWER10NoMMA(), 0},
+		{"POWER10 (w/ MMA)", uarch.POWER10(), 1},
+	}
+	var reqs []runner.Request
+	for _, m := range models {
+		for _, run := range runs {
+			reqs = append(reqs, o.request(run.cfg, m.w[run.coding], 1))
+		}
+	}
+	p10 := uarch.POWER10()
+	reqs = append(reqs, o.request(p10, i8, 1), o.request(p10, f32, 1))
+	batch, err := runBatch(o, reqs)
+	if err != nil {
+		return nil, err
+	}
+	errs := make([]error, 2*len(models))
+	runner.ForEach(o.jobs(), len(errs), func(i int) {
+		m, c := models[i/2], i%2
+		m.gemm[c], errs[i] = trace.GEMMRatio(m.w[c].Prog, o.scale(m.w[c].Budget))
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	for mi, m := range models {
+		fm := Fig6Model{Model: m.name}
+		var baseCycles, baseInsts, baseCPI, baseGEMM float64
+		for i, run := range runs {
+			a := batch[mi*len(runs)+i].Activity
+			gemm := m.gemm[run.coding]
 			cycles := float64(a.Cycles)
 			insts := float64(a.Instructions)
 			cpi := a.CPI()
@@ -191,42 +213,19 @@ func Fig6(o Options) (*Fig6Result, error) {
 		res.Models = append(res.Models, fm)
 		core := fm.Rows[2].Speedup
 		socket := core * 2.5 * 1.1
-		res.SocketFP32[b.model] = socket
+		res.SocketFP32[m.name] = socket
 	}
-	// INT8: measure the int8 vs fp32 MMA throughput on the GEMM kernels.
-	i8, err := workloads.GEMMInt8MMA(workloads.GEMMSize{M: 32, N: 64, K: 64})
-	if err != nil {
-		return nil, err
-	}
-	f32, _, err := workloads.SGEMMMMA(workloads.GEMMSize{M: 32, N: 64, K: 64})
-	if err != nil {
-		return nil, err
-	}
-	p10 := uarch.POWER10()
-	i8f32, err := runBatch(o, []runner.Request{o.request(p10, i8, 1), o.request(p10, f32, 1)})
-	if err != nil {
-		return nil, err
-	}
-	aI8, aF32 := i8f32[0].Activity, i8f32[1].Activity
+	aI8, aF32 := batch[len(batch)-2].Activity, batch[len(batch)-1].Activity
 	// Ops per cycle: INT8 MACs vs FP32 MACs (flops/2).
 	int8Ops := float64(aI8.IntMACs) / float64(aI8.Cycles)
 	fp32Ops := float64(aF32.Flops) / 2 / float64(aF32.Cycles)
 	res.INT8Advantage = int8Ops / fp32Ops
 	// The kernel-level INT8 advantage only applies to the GEMM share of the
 	// end-to-end run (Amdahl): the non-GEMM phases are precision-agnostic.
-	for mi, m := range res.Models {
-		mmaW, err := []func(bool) (*workloads.Workload, error){workloads.ResNet50, workloads.BERTLarge}[mi](true)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := trace.Capture(mmaW.Prog, o.scale(mmaW.Budget))
-		if err != nil {
-			return nil, err
-		}
-		st := trace.Summarize(mmaW.Prog, recs)
-		g := st.GEMMRatio()
+	for _, m := range models {
+		g := m.gemm[1]
 		core := 1 / ((1 - g) + g/res.INT8Advantage)
-		res.SocketINT8[m.Model] = res.SocketFP32[m.Model] * core
+		res.SocketINT8[m.name] = res.SocketFP32[m.name] * core
 	}
 	return res, nil
 }

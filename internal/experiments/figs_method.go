@@ -289,7 +289,7 @@ func ProxyStats(o Options) (*ProxyStatsResult, error) {
 	if o.Quick {
 		opt.ProfileBudget = 150_000
 	}
-	sr, err := proxy.ExtractSuite(workloads.SPECintSuite(), opt)
+	sr, err := proxy.ExtractSuite(workloads.SPECintSuite(), opt, o.jobs())
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"sort"
 
 	"power10sim/internal/isa"
+	"power10sim/internal/runner"
 	"power10sim/internal/trace"
 	"power10sim/internal/workloads"
 )
@@ -222,13 +223,20 @@ type SuiteResult struct {
 	MaxCoverage  float64
 }
 
-// ExtractSuite runs Extract over each workload.
-func ExtractSuite(suite []*workloads.Workload, opt Options) (*SuiteResult, error) {
+// ExtractSuite runs Extract over each workload, fanned across up to jobs
+// goroutines, and aggregates the results in suite order, so the summary is
+// identical for any jobs value. The first failure in suite order is
+// returned.
+func ExtractSuite(suite []*workloads.Workload, opt Options, jobs int) (*SuiteResult, error) {
+	results := make([]*Result, len(suite))
+	errs := make([]error, len(suite))
+	runner.ForEach(jobs, len(suite), func(i int) {
+		results[i], errs[i] = Extract(suite[i], opt)
+	})
 	out := &SuiteResult{MinCoverage: 1}
-	for _, w := range suite {
-		r, err := Extract(w, opt)
-		if err != nil {
-			return nil, err
+	for i, r := range results {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		out.PerBenchmark = append(out.PerBenchmark, r)
 		out.TotalProxies += len(r.Proxies)

@@ -3,6 +3,7 @@ package proxy
 import (
 	"testing"
 
+	"power10sim/internal/isa"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -78,8 +79,11 @@ func TestProxyPreservesBehaviourMix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := trace.Summarize(w.Prog, res.Proxies[0].Recs)
-	if st.Flops == 0 {
+	var flops int
+	for _, d := range res.Proxies[0].Recs {
+		flops += isa.FlopsOf(w.Prog.Code[d.Idx].Op)
+	}
+	if flops == 0 {
 		t.Error("mediavec proxy lost its SIMD content")
 	}
 }
@@ -87,7 +91,7 @@ func TestProxyPreservesBehaviourMix(t *testing.T) {
 func TestSuiteExtractionCoverageShape(t *testing.T) {
 	// Paper: per-benchmark coverage between ~41% and ~99%, averaging ~70%,
 	// with a rich proxy population.
-	sr, err := ExtractSuite(workloads.SPECintSuite(), DefaultOptions())
+	sr, err := ExtractSuite(workloads.SPECintSuite(), DefaultOptions(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,53 +225,53 @@ func PFLY(cfg Config, rep *power.Report, s float64, trials int) float64 {
 	return PFLYJobs(cfg, rep, s, trials, 1)
 }
 
-// pflyOutcome is one Monte Carlo trial's classification.
-type pflyOutcome uint8
-
-const (
-	pflyScreened pflyOutcome = iota // too few cores: screened before the sort
-	pflyFail
-	pflyPass
-)
-
-// pflyTrial classifies one seeded socket build.
-func pflyTrial(cfg Config, rep *power.Report, s float64, t int) pflyOutcome {
-	dies := make([]Die, cfg.ChipsPerSocket)
-	freqOK := true
-	for ci := range dies {
-		dies[ci] = SimulateDie(cfg, uint64(t*cfg.ChipsPerSocket+ci)+1)
-		fs, enough := sortScale(cfg, &dies[ci])
-		if !enough {
-			return pflyScreened
-		}
-		if fs < s {
-			freqOK = false
-		}
-	}
-	if freqOK && SocketPower(cfg, rep, dies, s) <= cfg.TDP {
-		return pflyPass
-	}
-	return pflyFail
+// build is one seeded socket build, made once per call and then tested
+// at every frequency scale the call asks about.
+type build struct {
+	dies []Die
+	// screened marks a build with a die too short of cores to sort.
+	screened bool
+	// scale is the slowest die's sort scale: the build runs at s only if
+	// no die sorts below it.
+	scale float64
 }
 
-// PFLYJobs is PFLY with trials fanned across up to jobs goroutines; results
-// are identical for any jobs value because every trial is seeded by index.
-func PFLYJobs(cfg Config, rep *power.Report, s float64, trials, jobs int) float64 {
+// buildTrials makes trials seeded socket builds, fanned across up to jobs
+// goroutines. A screened build stops at its first short die.
+func buildTrials(cfg Config, trials, jobs int) []build {
 	if trials <= 0 {
-		return 0
+		return nil
 	}
-	outcomes := make([]pflyOutcome, trials)
+	builds := make([]build, trials)
 	runner.ForEach(jobs, trials, func(t int) {
-		outcomes[t] = pflyTrial(cfg, rep, s, t)
+		b := &builds[t]
+		b.dies = make([]Die, cfg.ChipsPerSocket)
+		b.scale = math.Inf(1)
+		for ci := range b.dies {
+			b.dies[ci] = SimulateDie(cfg, uint64(t*cfg.ChipsPerSocket+ci)+1)
+			fs, enough := sortScale(cfg, &b.dies[ci])
+			if !enough {
+				b.screened = true
+				return
+			}
+			b.scale = min(b.scale, fs)
+		}
 	})
+	return builds
+}
+
+// pflyAt is the PFLY of builds at frequency scale s: the passing share of
+// the builds the core screen kept.
+func pflyAt(cfg Config, rep *power.Report, builds []build, s float64) float64 {
 	pass, eligible := 0, 0
-	for _, oc := range outcomes {
-		switch oc {
-		case pflyPass:
+	for i := range builds {
+		b := &builds[i]
+		if b.screened {
+			continue
+		}
+		eligible++
+		if b.scale >= s && SocketPower(cfg, rep, b.dies, s) <= cfg.TDP {
 			pass++
-			eligible++
-		case pflyFail:
-			eligible++
 		}
 	}
 	if eligible == 0 {
@@ -280,17 +280,27 @@ func PFLYJobs(cfg Config, rep *power.Report, s float64, trials, jobs int) float6
 	return float64(pass) / float64(eligible)
 }
 
-// SortPointJobs finds the highest frequency scale (in steps of 0.01) with at
-// least the target PFLY — how a deterministic product sort is chosen — with
-// each step's Monte Carlo trials spread across up to jobs goroutines.
+// PFLYJobs is PFLY with trials fanned across up to jobs goroutines; results
+// are identical for any jobs value because every trial is seeded by index.
+func PFLYJobs(cfg Config, rep *power.Report, s float64, trials, jobs int) float64 {
+	return pflyAt(cfg, rep, buildTrials(cfg, trials, jobs), s)
+}
+
+// Sort-point search range, in hundredths of nominal frequency.
+const sortStepLo, sortStepHi = 70, 140
+
+// SortPointJobs finds the highest frequency scale (in steps of 0.01 from
+// 0.70 to 1.40) with at least the target PFLY — how a deterministic product
+// sort is chosen. The trials are built once, across up to jobs goroutines,
+// and the steps are tested against those builds from the top down.
 func SortPointJobs(cfg Config, rep *power.Report, targetYield float64, trials, jobs int) float64 {
-	best := 0.0
-	for s := 0.70; s <= 1.40; s += 0.01 {
-		if PFLYJobs(cfg, rep, s, trials, jobs) >= targetYield {
-			best = s
+	builds := buildTrials(cfg, trials, jobs)
+	for k := sortStepHi; k >= sortStepLo; k-- {
+		if s := float64(k) / 100; pflyAt(cfg, rep, builds, s) >= targetYield {
+			return s
 		}
 	}
-	return best
+	return 0
 }
 
 // Efficiency compares two socket offerings on a workload: relative

@@ -152,3 +152,86 @@ func TestSortScaleRequiresEnoughCores(t *testing.T) {
 		t.Error("sortScale accepted a dead die")
 	}
 }
+
+// refPFLY is the per-step search the build-once path replaced, kept as the
+// reference: it re-simulates every trial's dies at the scale it tests.
+func refPFLY(cfg Config, rep *power.Report, s float64, trials int) float64 {
+	pass, eligible := 0, 0
+trial:
+	for t := 0; t < trials; t++ {
+		dies := make([]Die, cfg.ChipsPerSocket)
+		freqOK := true
+		for ci := range dies {
+			dies[ci] = SimulateDie(cfg, uint64(t*cfg.ChipsPerSocket+ci)+1)
+			fs, enough := sortScale(cfg, &dies[ci])
+			if !enough {
+				continue trial
+			}
+			if fs < s {
+				freqOK = false
+			}
+		}
+		eligible++
+		if freqOK && SocketPower(cfg, rep, dies, s) <= cfg.TDP {
+			pass++
+		}
+	}
+	if eligible == 0 {
+		return 0
+	}
+	return float64(pass) / float64(eligible)
+}
+
+// refSortPoint is the reference sort search over the same 0.01 steps.
+func refSortPoint(cfg Config, rep *power.Report, targetYield float64, trials int) float64 {
+	best := 0.0
+	for k := sortStepLo; k <= sortStepHi; k++ {
+		if s := float64(k) / 100; refPFLY(cfg, rep, s, trials) >= targetYield {
+			best = s
+		}
+	}
+	return best
+}
+
+// TestSearchMatchesPerStepReference holds the build-once search to the
+// per-step one: the same PFLY at every step and the same sort point, for
+// any worker count.
+func TestSearchMatchesPerStepReference(t *testing.T) {
+	noSpare := POWER10Socket()
+	noSpare.FunctionalCores = 16
+	cfgs := []Config{POWER10Socket(), noSpare, POWER9Socket()}
+	p10 := uarch.POWER10()
+	reps := map[string]*power.Report{}
+	for _, w := range []*workloads.Workload{workloads.Stressmark(true), workloads.GraphOpt(), workloads.Compress()} {
+		_, reps[w.Name] = coreReport(t, p10, w)
+	}
+	const trials = 100
+	for _, cfg := range cfgs {
+		for name, rep := range reps {
+			want := refSortPoint(cfg, rep, 0.9, trials)
+			for _, jobs := range []int{1, 4} {
+				if got := SortPointJobs(cfg, rep, 0.9, trials, jobs); got != want {
+					t.Errorf("%s/%s jobs=%d: sort point %v, reference %v", cfg.Name, name, jobs, got, want)
+				}
+			}
+			for k := sortStepLo; k <= sortStepHi; k += 5 {
+				s := float64(k) / 100
+				want := refPFLY(cfg, rep, s, trials)
+				for _, jobs := range []int{1, 4} {
+					if got := PFLYJobs(cfg, rep, s, trials, jobs); got != want {
+						t.Errorf("%s/%s jobs=%d: PFLY(%v) = %v, reference %v", cfg.Name, name, jobs, s, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSortPointReachesTopStep: with no yield target every step qualifies,
+// so the search must land exactly on its documented top step.
+func TestSortPointReachesTopStep(t *testing.T) {
+	_, rep := coreReport(t, uarch.POWER10(), workloads.GraphOpt())
+	if got := SortPointJobs(POWER10Socket(), rep, 0, 50, 2); got != 1.40 {
+		t.Errorf("sort point with target 0 = %v, want 1.4", got)
+	}
+}

@@ -137,71 +137,28 @@ func Capture(prog *isa.Program, budget uint64) ([]isa.DynInst, error) {
 	return recs, nil
 }
 
-// Stats summarizes a dynamic instruction stream.
-type Stats struct {
-	Instructions uint64
-	ByClass      [isa.NumClasses]uint64
-	Flops        uint64
-	IntMACs      uint64
-	Branches     uint64
-	Taken        uint64
-	LoadBytes    uint64
-	StoreBytes   uint64
-	UniqueLines  int // distinct 64B cache lines touched by data accesses
-	UniquePCs    int
-}
-
-// Mix returns the fraction of instructions in class c.
-func (st *Stats) Mix(c isa.Class) float64 {
-	if st.Instructions == 0 {
-		return 0
+// GEMMRatio functionally executes prog for up to budget instructions and
+// returns the fraction of them in the MMA or VSX-FMA classes — the "GEMM
+// instruction ratio" panel of Fig. 6. It counts the classes as the VM runs
+// and records nothing.
+func GEMMRatio(prog *isa.Program, budget uint64) (float64, error) {
+	gemm := make([]bool, len(prog.Code))
+	for i := range prog.Code {
+		c := prog.Code[i].Class()
+		gemm[i] = c == isa.ClassMMA || c == isa.ClassVSXFMA
 	}
-	return float64(st.ByClass[c]) / float64(st.Instructions)
-}
-
-// GEMMRatio returns the fraction of instructions in MMA or VSX-FMA classes —
-// the "GEMM instruction ratio" panel of Fig. 6.
-func (st *Stats) GEMMRatio() float64 {
-	if st.Instructions == 0 {
-		return 0
-	}
-	g := st.ByClass[isa.ClassMMA] + st.ByClass[isa.ClassVSXFMA]
-	return float64(g) / float64(st.Instructions)
-}
-
-// Summarize computes stream statistics from captured records.
-func Summarize(prog *isa.Program, recs []isa.DynInst) Stats {
-	var st Stats
-	lines := map[uint64]struct{}{}
-	pcs := map[uint64]struct{}{}
-	for i := range recs {
-		d := &recs[i]
-		in := &prog.Code[d.Idx]
-		c := in.Class()
-		st.Instructions++
-		st.ByClass[c]++
-		st.Flops += uint64(isa.FlopsOf(in.Op))
-		st.IntMACs += uint64(isa.IntOpsOf(in.Op))
-		pcs[d.PC] = struct{}{}
-		if c.IsBranch() {
-			st.Branches++
-			if d.Taken {
-				st.Taken++
-			}
+	var g uint64
+	n, err := isa.NewVM(prog).Run(budget, func(d isa.DynInst) bool {
+		if gemm[d.Idx] {
+			g++
 		}
-		if c.IsMem() {
-			n := uint64(isa.MemBytesOf(in.Op))
-			if c.IsLoad() {
-				st.LoadBytes += n
-			} else {
-				st.StoreBytes += n
-			}
-			for a := d.EA &^ 63; a < d.EA+n; a += 64 {
-				lines[a] = struct{}{}
-			}
-		}
+		return true
+	})
+	if err != nil {
+		return 0, fmt.Errorf("gemm ratio %q: %w", prog.Name, err)
 	}
-	st.UniqueLines = len(lines)
-	st.UniquePCs = len(pcs)
-	return st
+	if n == 0 {
+		return 0, nil
+	}
+	return float64(g) / float64(n), nil
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"power10sim/internal/isa"
+	"power10sim/internal/workloads"
 )
 
 func countedLoop(n int64) *isa.Program {
@@ -106,33 +107,6 @@ func TestLoopStreamWrapsAndHonorsBudget(t *testing.T) {
 	}
 }
 
-func TestSummarizeCounts(t *testing.T) {
-	p := countedLoop(10)
-	recs, err := Capture(p, 10000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Summarize(p, recs)
-	if st.Instructions != uint64(len(recs)) {
-		t.Errorf("instructions = %d, want %d", st.Instructions, len(recs))
-	}
-	if st.ByClass[isa.ClassLoad] != 10 || st.ByClass[isa.ClassStore] != 10 {
-		t.Errorf("load/store = %d/%d, want 10/10", st.ByClass[isa.ClassLoad], st.ByClass[isa.ClassStore])
-	}
-	if st.Branches != 10 || st.Taken != 9 {
-		t.Errorf("branches=%d taken=%d, want 10/9", st.Branches, st.Taken)
-	}
-	if st.LoadBytes != 80 || st.StoreBytes != 80 {
-		t.Errorf("bytes = %d/%d, want 80/80", st.LoadBytes, st.StoreBytes)
-	}
-	if st.UniqueLines != 1 {
-		t.Errorf("unique lines = %d, want 1 (single 64B line)", st.UniqueLines)
-	}
-	if st.Mix(isa.ClassLoad) <= 0 || st.Mix(isa.ClassLoad) >= 1 {
-		t.Errorf("load mix = %v out of range", st.Mix(isa.ClassLoad))
-	}
-}
-
 func TestGEMMRatio(t *testing.T) {
 	p := isa.NewBuilder("gemmish").
 		Xvf64gerpp(isa.ACC(0), isa.VSR(0), isa.VSR(2)).
@@ -141,23 +115,62 @@ func TestGEMMRatio(t *testing.T) {
 		Addi(isa.GPR(1), isa.GPR(1), 1).
 		Halt().
 		MustBuild()
-	recs, err := Capture(p, 100)
+	got, err := GEMMRatio(p, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := Summarize(p, recs)
-	if got := st.GEMMRatio(); got != 0.4 {
+	if got != 0.4 {
 		t.Errorf("GEMM ratio = %v, want 0.4", got)
 	}
-	if st.Flops != 16+4 {
-		t.Errorf("flops = %d, want 20", st.Flops)
+	if got, err := GEMMRatio(p, 0); got != 0 || err != nil {
+		t.Errorf("zero budget: ratio %v, err %v; want 0, nil", got, err)
 	}
 }
 
-func TestEmptyStatsSafe(t *testing.T) {
-	var st Stats
-	if st.Mix(isa.ClassLoad) != 0 || st.GEMMRatio() != 0 {
-		t.Error("empty stats should report zero ratios")
+// TestGEMMRatioMatchesCapture holds the counting pass to a captured trace:
+// the same MMA and VSX-FMA share, exactly, on Fig. 6's four programs at the
+// quick budget.
+func TestGEMMRatioMatchesCapture(t *testing.T) {
+	for _, mk := range []func(bool) (*workloads.Workload, error){workloads.ResNet50, workloads.BERTLarge} {
+		for _, mma := range []bool{false, true} {
+			w, err := mk(mma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			budget := max(w.Budget/2, 4096)
+			recs, err := Capture(w.Prog, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var g int
+			for i := range recs {
+				if c := w.Prog.Code[recs[i].Idx].Class(); c == isa.ClassMMA || c == isa.ClassVSXFMA {
+					g++
+				}
+			}
+			want := float64(g) / float64(len(recs))
+			got, err := GEMMRatio(w.Prog, budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want || got == 0 {
+				t.Errorf("%s: GEMMRatio %v, captured trace %v (%d of %d)", w.Name, got, want, g, len(recs))
+			}
+		}
+	}
+}
+
+// TestGEMMRatioSurfacesExecutionErrors: a program that fails mid-run
+// returns its error, not a ratio over the instructions before it.
+func TestGEMMRatioSurfacesExecutionErrors(t *testing.T) {
+	p := isa.NewBuilder("boom").
+		Xvmaddadp(isa.VSR(4), isa.VSR(5), isa.VSR(6)).
+		Li(isa.GPR(1), 9999).
+		Br(isa.GPR(1)).
+		Halt().
+		MustBuild()
+	if got, err := GEMMRatio(p, 100); err == nil {
+		t.Errorf("GEMMRatio = %v with no error", got)
 	}
 }
 
@@ -212,19 +225,6 @@ func TestSliceStreamEmptyAndBudgetless(t *testing.T) {
 	}
 }
 
-func TestSummarizeEmptyRecords(t *testing.T) {
-	p := countedLoop(1)
-	for _, recs := range [][]isa.DynInst{nil, {}} {
-		st := Summarize(p, recs)
-		if st != (Stats{}) {
-			t.Errorf("Summarize(%d records) = %+v, want zero Stats", len(recs), st)
-		}
-		if st.Mix(isa.ClassLoad) != 0 || st.GEMMRatio() != 0 {
-			t.Error("empty summary reports nonzero ratios")
-		}
-	}
-}
-
 func TestCaptureZeroBudget(t *testing.T) {
 	recs, err := Capture(countedLoop(1000), 0)
 	if err != nil {
@@ -232,38 +232,5 @@ func TestCaptureZeroBudget(t *testing.T) {
 	}
 	if len(recs) != 0 {
 		t.Errorf("zero budget captured %d records", len(recs))
-	}
-}
-
-func TestSummarizeSingleClassMix(t *testing.T) {
-	// A straight-line ALU-only body: the entire mix lands in one class, every
-	// other class reads exactly zero, and the fractions sum to one.
-	p := isa.NewBuilder("aluonly").
-		Li(isa.GPR(1), 0).
-		Addi(isa.GPR(1), isa.GPR(1), 1).
-		Addi(isa.GPR(1), isa.GPR(1), 1).
-		Add(isa.GPR(2), isa.GPR(1), isa.GPR(1)).
-		Halt().
-		MustBuild()
-	recs, err := Capture(p, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := Summarize(p, recs[:len(recs)-1]) // drop the trailing Halt record
-	if got := st.Mix(isa.ClassIntALU); got != 1 {
-		t.Errorf("single-class mix = %v, want 1", got)
-	}
-	var sum float64
-	for c := 0; c < isa.NumClasses; c++ {
-		if cl := isa.Class(c); cl != isa.ClassIntALU && st.Mix(cl) != 0 {
-			t.Errorf("class %v has mix %v, want 0", cl, st.Mix(cl))
-		}
-		sum += st.Mix(isa.Class(c))
-	}
-	if sum != 1 {
-		t.Errorf("mixes sum to %v, want 1", sum)
-	}
-	if st.Branches != 0 || st.LoadBytes != 0 || st.StoreBytes != 0 || st.UniqueLines != 0 {
-		t.Errorf("ALU-only stats leaked mem/branch counts: %+v", st)
 	}
 }

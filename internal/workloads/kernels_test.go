@@ -143,9 +143,8 @@ func TestGEMMFlopCountsMatchTheory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := trace.Summarize(w.Prog, recs)
-		if st.Flops != want {
-			t.Errorf("%s flops = %d, want %d", w.Name, st.Flops, want)
+		if st := summarize(w.Prog, recs); st.flops != want {
+			t.Errorf("%s flops = %d, want %d", w.Name, st.flops, want)
 		}
 	}
 }
@@ -184,11 +183,11 @@ func TestInt8GEMMBuildsAndRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := trace.Summarize(w.Prog, recs)
-	if st.IntMACs == 0 {
+	st := summarize(w.Prog, recs)
+	if st.intMACs == 0 {
 		t.Error("int8 kernel produced no MAC ops")
 	}
-	if st.Flops != 0 {
+	if st.flops != 0 {
 		t.Error("int8 kernel counted flops")
 	}
 }

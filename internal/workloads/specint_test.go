@@ -37,38 +37,73 @@ func TestSuiteBuildsAndRuns(t *testing.T) {
 	}
 }
 
+// traceStats is what the behaviour tests count in a captured trace.
+type traceStats struct {
+	insts, branches, flops, intMACs, loadBytes uint64
+	byClass                                    [isa.NumClasses]uint64
+	lines                                      int // distinct 64 B lines touched by data accesses
+}
+
+func summarize(prog *isa.Program, recs []isa.DynInst) traceStats {
+	var st traceStats
+	lines := map[uint64]struct{}{}
+	for i := range recs {
+		d := &recs[i]
+		in := &prog.Code[d.Idx]
+		c := in.Class()
+		st.insts++
+		st.byClass[c]++
+		st.flops += uint64(isa.FlopsOf(in.Op))
+		st.intMACs += uint64(isa.IntOpsOf(in.Op))
+		if c.IsBranch() {
+			st.branches++
+		}
+		if c.IsMem() {
+			n := uint64(isa.MemBytesOf(in.Op))
+			if c.IsLoad() {
+				st.loadBytes += n
+			}
+			for a := d.EA &^ 63; a < d.EA+n; a += 64 {
+				lines[a] = struct{}{}
+			}
+		}
+	}
+	st.lines = len(lines)
+	return st
+}
+
 func TestSuiteBehaviouralDiversity(t *testing.T) {
 	// The suite must cover distinct regions of behaviour space: branch
 	// density, memory traffic, SIMD content, footprint.
-	stats := map[string]trace.Stats{}
+	stats := map[string]traceStats{}
 	for _, w := range SPECintSuite() {
 		recs, err := trace.Capture(w.Prog, w.Budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats[w.Name] = trace.Summarize(w.Prog, recs)
+		stats[w.Name] = summarize(w.Prog, recs)
 	}
-	if s := stats["interp"]; s.ByClass[isa.ClassIndirBranch] == 0 {
+	if s := stats["interp"]; s.byClass[isa.ClassIndirBranch] == 0 {
 		t.Error("interp has no indirect branches")
 	}
-	if s := stats["mediavec"]; s.Flops == 0 {
+	if s := stats["mediavec"]; s.flops == 0 {
 		t.Error("mediavec has no SIMD flops")
 	}
-	if s := stats["intcompute"]; s.LoadBytes != 0 {
+	if s := stats["intcompute"]; s.loadBytes != 0 {
 		t.Error("intcompute touches memory; want pure integer")
 	}
 	g := stats["graphopt"]
-	if g.UniqueLines < 8000 {
-		t.Errorf("graphopt working set %d lines, want >8000 (1.5 MiB chase)", g.UniqueLines)
+	if g.lines < 8000 {
+		t.Errorf("graphopt working set %d lines, want >8000 (1.5 MiB chase)", g.lines)
 	}
 	small := stats["boardeval"]
-	if small.UniqueLines > 100 {
-		t.Errorf("boardeval working set %d lines, want tiny", small.UniqueLines)
+	if small.lines > 100 {
+		t.Errorf("boardeval working set %d lines, want tiny", small.lines)
 	}
 	// Branch densities must span a wide range.
 	brMin, brMax := 1.0, 0.0
 	for _, s := range stats {
-		d := float64(s.Branches) / float64(s.Instructions)
+		d := float64(s.branches) / float64(s.insts)
 		if d < brMin {
 			brMin = d
 		}
@@ -131,14 +166,14 @@ func TestAIModelsBuildAndHaveGEMMCharacter(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
 			}
-			st := trace.Summarize(w.Prog, recs)
-			if st.GEMMRatio() < 0.2 {
-				t.Errorf("%s: GEMM ratio %.2f too low", w.Name, st.GEMMRatio())
+			st := summarize(w.Prog, recs)
+			if g := float64(st.byClass[isa.ClassMMA]+st.byClass[isa.ClassVSXFMA]) / float64(st.insts); g < 0.2 {
+				t.Errorf("%s: GEMM ratio %.2f too low", w.Name, g)
 			}
-			if mma && st.ByClass[isa.ClassMMA] == 0 {
+			if mma && st.byClass[isa.ClassMMA] == 0 {
 				t.Errorf("%s: no MMA ops in MMA build", w.Name)
 			}
-			if !mma && st.ByClass[isa.ClassMMA] != 0 {
+			if !mma && st.byClass[isa.ClassMMA] != 0 {
 				t.Errorf("%s: MMA ops in VSU build", w.Name)
 			}
 		}
@@ -175,12 +210,9 @@ func TestBERTHasHigherGEMMRatioThanResNet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		recs, err := trace.Capture(w.Prog, w.Budget)
-		if err != nil {
+		if ratios[w.Name], err = trace.GEMMRatio(w.Prog, w.Budget); err != nil {
 			t.Fatal(err)
 		}
-		st := trace.Summarize(w.Prog, recs)
-		ratios[w.Name] = st.GEMMRatio()
 	}
 	if ratios["bertlarge-vsu"] <= ratios["resnet50-vsu"] {
 		t.Errorf("GEMM ratios: bert %.3f <= resnet %.3f, want higher for BERT",
@@ -202,8 +234,8 @@ func TestStressmarkAndIdleBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := trace.Summarize(Stressmark(true).Prog, sm)
-	if st.ByClass[isa.ClassMMA] == 0 || st.ByClass[isa.ClassVSXFMA] == 0 {
+	st := summarize(Stressmark(true).Prog, sm)
+	if st.byClass[isa.ClassMMA] == 0 || st.byClass[isa.ClassVSXFMA] == 0 {
 		t.Error("stressmark missing MMA or VSX content")
 	}
 }
