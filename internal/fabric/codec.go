@@ -30,9 +30,10 @@ import (
 //     byte-identical merged output.
 
 // WireRequest is the encoded simulation request. Program fields are copied
-// into wireProgram rather than embedding *isa.Program: the program's lazy PC
-// index (a sync.Once) must not be copied or serialized, and the exported
-// subset is exactly the content the fingerprint covers.
+// into wireProgram rather than embedding *isa.Program: the program's two
+// lazy fields, the PC table and the Fingerprint, each behind a sync.Once,
+// must not be copied or serialized, and the exported subset is exactly the
+// content the fingerprint covers. The decoded program computes both afresh.
 type WireRequest struct {
 	Schema    string         `json:"schema"`
 	Config    uarch.Config   `json:"config"`

@@ -101,9 +101,8 @@ type Worker struct {
 	ttl      time.Duration
 	executed int // completed units, for chaos triggers
 
-	mu      sync.Mutex
-	inKeys  []string // keys currently being executed (heartbeat set)
-	inUnits []Unit   // the leased units behind inKeys (flight-recorder context)
+	mu     sync.Mutex
+	inKeys []string // keys currently being executed (heartbeat set)
 
 	// Clock-offset estimate against the coordinator, refreshed by every
 	// register/heartbeat exchange and kept at the minimum-RTT sample (the
@@ -137,14 +136,6 @@ func NewWorker(pool *runner.Runner, opts WorkerOptions) *Worker {
 		opts.Exit = os.Exit
 	}
 	return &Worker{pool: pool, opts: opts, client: &http.Client{}}
-}
-
-// InFlight returns the units the worker is currently executing — the
-// flight-recorder context for a lost lease or a chaos kill.
-func (w *Worker) InFlight() []Unit {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return append([]Unit(nil), w.inUnits...)
 }
 
 // updateClock folds one NTP-style sample into the offset estimate: the
@@ -319,7 +310,6 @@ func (w *Worker) executeBatch(ctx context.Context, units []Unit) []WireResult {
 	}
 	w.mu.Lock()
 	w.inKeys = keys
-	w.inUnits = append([]Unit(nil), units...)
 	w.mu.Unlock()
 
 	hbStop := make(chan struct{})
@@ -377,7 +367,6 @@ func (w *Worker) executeBatch(ctx context.Context, units []Unit) []WireResult {
 	hbDone.Wait()
 	w.mu.Lock()
 	w.inKeys = nil
-	w.inUnits = nil
 	w.mu.Unlock()
 
 	out := make([]WireResult, len(units))

@@ -12,7 +12,9 @@
 package isa
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"sync"
 )
 
@@ -459,6 +461,8 @@ type Program struct {
 
 	pcsOnce sync.Once
 	pcs     []uint64 // lazily built PC table
+	fpOnce  sync.Once
+	fp      uint64 // lazily computed Fingerprint
 }
 
 // DefaultCodeBase is used when a program does not set CodeBase.
@@ -485,6 +489,69 @@ func (p *Program) buildPCs() {
 		addr += p.Code[j].Bytes()
 	}
 	p.pcs[len(p.Code)] = addr
+}
+
+// Fingerprint returns a content hash of everything that determines the
+// program's functional behavior: name, code, entry point, code base, and the
+// initial register and memory images. Separately built programs with equal
+// content share it, which is what lets content-keyed caches collapse
+// rebuilt workloads. It is computed once, on first use, and like the PC
+// table it is guarded for concurrent callers and assumes the program is not
+// modified afterwards.
+func (p *Program) Fingerprint() uint64 {
+	p.fpOnce.Do(p.fingerprint)
+	return p.fp
+}
+
+// fingerprint computes Fingerprint with FNV-1a. Map-valued images are combined
+// commutatively so the result does not depend on map iteration order.
+func (p *Program) fingerprint() {
+	h := fnv.New64a()
+	var buf [8]byte
+	w64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	h.Write([]byte(p.Name))
+	h.Write([]byte{0})
+	w64(uint64(p.Entry))
+	w64(p.CodeBase)
+	w64(uint64(len(p.Code)))
+	for i := range p.Code {
+		in := &p.Code[i]
+		packed := uint64(in.Op) |
+			uint64(in.Cond)<<8 |
+			uint64(in.Dst.File)<<16 | uint64(in.Dst.Idx)<<24 |
+			uint64(in.A.File)<<32 | uint64(in.A.Idx)<<40 |
+			uint64(in.B.File)<<48 | uint64(in.B.Idx)<<56
+		w64(packed)
+		w64(uint64(in.Imm))
+		tgt := uint64(in.Target) << 1
+		if in.Prefixed {
+			tgt |= 1
+		}
+		w64(tgt)
+	}
+	var regs uint64
+	for i, v := range p.InitGPR {
+		regs ^= mix(uint64(i)*0x9E3779B97F4A7C15 ^ v)
+	}
+	w64(regs)
+	var mem uint64
+	for addr, bytes := range p.InitMem {
+		bh := fnv.New64a()
+		bh.Write(bytes)
+		mem ^= mix(addr*0x9E3779B97F4A7C15 ^ bh.Sum64())
+	}
+	w64(mem)
+	p.fp = h.Sum64()
+}
+
+// mix is a splitmix64-style finalizer used for the commutative combines.
+func mix(z uint64) uint64 {
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
 }
 
 // Validate checks that the program is well-formed: defined opcodes, branch

@@ -155,10 +155,6 @@ func (r *Record) SimLabel() string {
 	return fmt.Sprintf("%s@%s/smt%d", r.Workload, r.Config, r.SMT)
 }
 
-// Hit reports whether the record was served from a cache tier rather than
-// executed.
-func (r *Record) Hit() bool { return r.Tier == TierDisk || r.Tier == TierMemo }
-
 // Measure fills the measurement fields from a finished run's activity and
 // power report, integrating the average power over the run's cycles into
 // per-category energy.

@@ -31,7 +31,7 @@ func WorkloadFingerprint(w *workloads.Workload) string {
 		return "nil"
 	}
 	return fmt.Sprintf("%s|%d|%#x|%d|%d",
-		w.Name, len(w.Prog.Code), fingerprint(w.Prog), w.Budget, w.Warmup)
+		w.Name, len(w.Prog.Code), w.Prog.Fingerprint(), w.Budget, w.Warmup)
 }
 
 // CachedJSON memoizes a deterministic computation in the runner's persistent

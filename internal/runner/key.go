@@ -1,19 +1,14 @@
 package runner
 
 import (
-	"encoding/binary"
-	"hash/fnv"
-	"sync"
-
-	"power10sim/internal/isa"
 	"power10sim/internal/sampling"
 	"power10sim/internal/uarch"
 )
 
 // progID identifies a program by content, not pointer: the workload builders
 // construct a fresh *isa.Program on every call, so two experiments that run
-// "the same" workload hold distinct pointers to identical code. Keying on a
-// content fingerprint is what lets the cache collapse them.
+// "the same" workload hold distinct pointers to identical code. Keying on
+// the program's content Fingerprint is what lets the cache collapse them.
 type progID struct {
 	name string
 	code int
@@ -55,7 +50,7 @@ func keyOf(req Request) (key, bool) {
 	p := req.W.Prog
 	k := key{
 		cfg:       *req.Cfg,
-		prog:      progID{name: p.Name, code: len(p.Code), hash: fingerprint(p)},
+		prog:      progID{name: p.Name, code: len(p.Code), hash: p.Fingerprint()},
 		smt:       max(req.SMT, 1),
 		budget:    req.Budget,
 		warmup:    req.Warmup,
@@ -73,66 +68,4 @@ func keyOf(req Request) (key, bool) {
 		k.hasSample = true
 	}
 	return k, true
-}
-
-// fingerprints memoizes per-pointer fingerprints: a batch resubmits the same
-// *isa.Program dozens of times, and programs are immutable once built.
-var fingerprints sync.Map // *isa.Program -> uint64
-
-// fingerprint hashes everything that determines a program's functional
-// behavior: code, entry point, code base, and the initial register/memory
-// images. Map-valued images are combined commutatively so the fingerprint is
-// independent of iteration order.
-func fingerprint(p *isa.Program) uint64 {
-	if v, ok := fingerprints.Load(p); ok {
-		return v.(uint64)
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	w64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(buf[:], v)
-		h.Write(buf[:])
-	}
-	h.Write([]byte(p.Name))
-	h.Write([]byte{0})
-	w64(uint64(p.Entry))
-	w64(p.CodeBase)
-	w64(uint64(len(p.Code)))
-	for i := range p.Code {
-		in := &p.Code[i]
-		packed := uint64(in.Op) |
-			uint64(in.Cond)<<8 |
-			uint64(in.Dst.File)<<16 | uint64(in.Dst.Idx)<<24 |
-			uint64(in.A.File)<<32 | uint64(in.A.Idx)<<40 |
-			uint64(in.B.File)<<48 | uint64(in.B.Idx)<<56
-		w64(packed)
-		w64(uint64(in.Imm))
-		tgt := uint64(in.Target) << 1
-		if in.Prefixed {
-			tgt |= 1
-		}
-		w64(tgt)
-	}
-	var regs uint64
-	for i, v := range p.InitGPR {
-		regs ^= mix(uint64(i)*0x9E3779B97F4A7C15 ^ v)
-	}
-	w64(regs)
-	var mem uint64
-	for addr, bytes := range p.InitMem {
-		bh := fnv.New64a()
-		bh.Write(bytes)
-		mem ^= mix(addr*0x9E3779B97F4A7C15 ^ bh.Sum64())
-	}
-	w64(mem)
-	sum := h.Sum64()
-	fingerprints.Store(p, sum)
-	return sum
-}
-
-// mix is a splitmix64-style finalizer used for the commutative combines.
-func mix(z uint64) uint64 {
-	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-	z = (z ^ z>>27) * 0x94D049BB133111EB
-	return z ^ z>>31
 }

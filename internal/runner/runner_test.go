@@ -3,9 +3,13 @@ package runner
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"power10sim/internal/isa"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -138,16 +142,27 @@ func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 	}
 }
 
-func TestFingerprintDistinguishesPrograms(t *testing.T) {
-	a := workloads.Compress()
-	b := workloads.Interp()
-	if fingerprint(a.Prog) == fingerprint(b.Prog) {
-		t.Error("different programs share a fingerprint")
+// TestKeyedProgramIsFreed: keying a program must not keep it alive. Every
+// experiment call builds its workloads afresh, so a key path that held on to
+// the programs it saw would grow with every call a sweep makes.
+func TestKeyedProgramIsFreed(t *testing.T) {
+	const programs = 8
+	var freed atomic.Int32
+	for i := 0; i < programs; i++ {
+		w := workloads.GraphOpt()
+		runtime.SetFinalizer(w.Prog, func(*isa.Program) { freed.Add(1) })
+		if _, ok := ContentKey(testRequest(uarch.POWER10(), w, 1)); !ok {
+			t.Fatal("request is unkeyable")
+		}
 	}
-	// Identical content from separate constructions must collide (that is
-	// the point of content keying).
-	if fingerprint(workloads.Compress().Prog) != fingerprint(a.Prog) {
-		t.Error("identical program content fingerprints differently")
+	// Finalizers run on their own goroutine after the collection that
+	// finds the program unreachable, so give each GC a moment.
+	for gc := 0; gc < 20 && freed.Load() < programs; gc++ {
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := freed.Load(); n != programs {
+		t.Fatalf("%d of %d keyed programs were freed after 20 GCs", n, programs)
 	}
 }
 

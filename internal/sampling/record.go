@@ -144,14 +144,14 @@ func (r *recording) at(i uint64) *record {
 
 // replay returns a stream over the records [from, to).
 func (r *recording) replay(from, to uint64) *replay {
-	return &replay{rec: r, from: from, to: to, pos: from}
+	return &replay{rec: r, to: to, pos: from}
 }
 
 // replay is a trace.Stream over a range of a recording.
 type replay struct {
-	rec           *recording
-	from, to, pos uint64
-	cur           []record // the records from pos to the end of its block or to
+	rec     *recording
+	to, pos uint64
+	cur     []record // the records from pos to the end of its block or to
 }
 
 // Next implements trace.Stream.
@@ -172,6 +172,3 @@ func (s *replay) Next() (isa.DynInst, bool) {
 
 // Program implements trace.Stream.
 func (s *replay) Program() *isa.Program { return s.rec.prog }
-
-// Reset implements trace.Stream.
-func (s *replay) Reset() { s.pos, s.cur = s.from, nil }

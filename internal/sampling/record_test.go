@@ -14,9 +14,8 @@ import (
 // quick budget (half the full budget, floored at 4096 instructions, as the
 // experiment harness's quick mode runs it). A small daxpy run to completion
 // adds the halt record; the catalog's interpreter-style programs supply
-// indirect branches. Where a recording spans several blocks, a replay of a
-// range crossing a block boundary, and that replay after Reset, must match
-// the same records too.
+// indirect branches. Where a recording spans several blocks, two replays of
+// one range crossing a block boundary must each match the same records too.
 func TestRecordingReplaysVMStream(t *testing.T) {
 	type tc struct {
 		name   string
@@ -80,8 +79,8 @@ func TestRecordingReplaysVMStream(t *testing.T) {
 		}
 		crossings++
 		from, to := uint64(blockLen-7), min(n, 2*blockLen+3)
-		s := rec.replay(from, to)
 		for pass := 0; pass < 2; pass++ {
+			s := rec.replay(from, to)
 			for i := from; i < to; i++ {
 				if g, ok := s.Next(); !ok || g != all[i] {
 					t.Fatalf("%s: pass %d: replay [%d,%d) record %d: %+v (ok=%v), want %+v",
@@ -91,7 +90,6 @@ func TestRecordingReplaysVMStream(t *testing.T) {
 			if _, ok := s.Next(); ok {
 				t.Fatalf("%s: pass %d: replay [%d,%d) ran past its end", c.name, pass, from, to)
 			}
-			s.Reset()
 		}
 	}
 	if halts == 0 || takenBc == 0 || indirect == 0 || crossings == 0 {

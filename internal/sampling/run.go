@@ -540,159 +540,27 @@ func varOf(xs []float64) float64 {
 // rounds once at the end, so many small clusters do not each lose a fraction
 // to integer truncation.
 type extrapolator struct {
-	vals [activityFields]float64
+	vals [uarch.VectorLen]float64
 }
-
-// activityFields is the flattened counter count (see flatten): 45 scalar
-// counters plus the PerThread, IssueByClass and UnitBusy arrays. The
-// reflection round-trip test pins this against the Activity struct.
-const activityFields = 45 + 8 + int(isa.NumClasses) + int(uarch.NumUnits)
 
 // add accumulates f * every counter of a.
 func (e *extrapolator) add(a *uarch.Activity, f float64) {
-	var buf [activityFields]uint64
-	flatten(a, &buf)
-	for i, v := range buf {
+	for i, v := range a.Vector() {
 		e.vals[i] += f * float64(v)
 	}
 }
 
 // round renders the accumulated floats back into an Activity.
 func (e *extrapolator) round() uarch.Activity {
-	var buf [activityFields]uint64
-	for i, v := range e.vals {
-		if v > 0 {
-			buf[i] = uint64(math.Round(v))
+	var v [uarch.VectorLen]uint64
+	for i, x := range e.vals {
+		if x > 0 {
+			v[i] = uint64(math.Round(x))
 		}
 	}
 	var a uarch.Activity
-	unflatten(&buf, &a)
+	a.SetVector(v)
 	return a
-}
-
-// flatten serializes every Activity counter into a fixed-order array; its
-// inverse is unflatten. Keeping the pair adjacent (and covered by the
-// round-trip test) is what lets the extrapolator scale all counters without
-// a hand-written per-field scale function drifting from the struct.
-func flatten(a *uarch.Activity, out *[activityFields]uint64) {
-	i := 0
-	put := func(v uint64) { out[i] = v; i++ }
-	put(a.Cycles)
-	put(a.Instructions)
-	put(a.InternalOps)
-	for _, v := range a.PerThread {
-		put(v)
-	}
-	put(a.Flops)
-	put(a.IntMACs)
-	put(a.FetchSlots)
-	put(a.WrongPathSlots)
-	put(a.FlushedInsts)
-	put(a.FetchStallCycles)
-	put(a.ICacheAccesses)
-	put(a.ICacheMisses)
-	put(a.IERATLookups)
-	put(a.BranchObserved)
-	put(a.BranchMispredicts)
-	put(a.SecondPredHits)
-	put(a.DecodeSlots)
-	put(a.FusedPairs)
-	put(a.RenameOps)
-	put(a.DispatchStallCycles)
-	put(a.DispatchStallROB)
-	put(a.DispatchStallIQ)
-	put(a.DispatchStallLSQ)
-	for _, v := range a.IssueByClass {
-		put(v)
-	}
-	put(a.IssueQueueWrites)
-	put(a.RSWakeups)
-	put(a.RegReads)
-	put(a.RegWrites)
-	put(a.L1DAccesses)
-	put(a.L1DMisses)
-	put(a.L2Accesses)
-	put(a.L2Misses)
-	put(a.L3Accesses)
-	put(a.L3Misses)
-	put(a.MemAccesses)
-	put(a.DERATLookups)
-	put(a.TLBLookups)
-	put(a.TLBMisses)
-	put(a.LQAllocs)
-	put(a.SQAllocs)
-	put(a.SQGathered)
-	put(a.StoreForwards)
-	put(a.LMQFull)
-	put(a.Prefetches)
-	put(a.MMAOps)
-	put(a.MMAMoves)
-	put(a.MMAActiveCycles)
-	for _, v := range a.UnitBusy {
-		put(v)
-	}
-	if i != activityFields {
-		panic(fmt.Sprintf("sampling: flatten covered %d fields, want %d", i, activityFields))
-	}
-}
-
-func unflatten(in *[activityFields]uint64, a *uarch.Activity) {
-	i := 0
-	get := func() uint64 { v := in[i]; i++; return v }
-	a.Cycles = get()
-	a.Instructions = get()
-	a.InternalOps = get()
-	for j := range a.PerThread {
-		a.PerThread[j] = get()
-	}
-	a.Flops = get()
-	a.IntMACs = get()
-	a.FetchSlots = get()
-	a.WrongPathSlots = get()
-	a.FlushedInsts = get()
-	a.FetchStallCycles = get()
-	a.ICacheAccesses = get()
-	a.ICacheMisses = get()
-	a.IERATLookups = get()
-	a.BranchObserved = get()
-	a.BranchMispredicts = get()
-	a.SecondPredHits = get()
-	a.DecodeSlots = get()
-	a.FusedPairs = get()
-	a.RenameOps = get()
-	a.DispatchStallCycles = get()
-	a.DispatchStallROB = get()
-	a.DispatchStallIQ = get()
-	a.DispatchStallLSQ = get()
-	for j := range a.IssueByClass {
-		a.IssueByClass[j] = get()
-	}
-	a.IssueQueueWrites = get()
-	a.RSWakeups = get()
-	a.RegReads = get()
-	a.RegWrites = get()
-	a.L1DAccesses = get()
-	a.L1DMisses = get()
-	a.L2Accesses = get()
-	a.L2Misses = get()
-	a.L3Accesses = get()
-	a.L3Misses = get()
-	a.MemAccesses = get()
-	a.DERATLookups = get()
-	a.TLBLookups = get()
-	a.TLBMisses = get()
-	a.LQAllocs = get()
-	a.SQAllocs = get()
-	a.SQGathered = get()
-	a.StoreForwards = get()
-	a.LMQFull = get()
-	a.Prefetches = get()
-	a.MMAOps = get()
-	a.MMAMoves = get()
-	a.MMAActiveCycles = get()
-	for j := range a.UnitBusy {
-		a.UnitBusy[j] = get()
-	}
 }
 
 // cores bounds the window simulations running at once to

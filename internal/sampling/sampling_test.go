@@ -16,51 +16,6 @@ import (
 	"power10sim/internal/workloads"
 )
 
-// TestFlattenRoundTrip pins flatten/unflatten against the Activity struct via
-// reflection: every uint64 leaf must be covered exactly once, so a field
-// added to Activity without extending the pair fails here instead of silently
-// dropping out of the extrapolation.
-func TestFlattenRoundTrip(t *testing.T) {
-	var a uarch.Activity
-	leaves := 0
-	v := reflect.ValueOf(&a).Elem()
-	next := uint64(1)
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(next)
-			next++
-			leaves++
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				f.Index(j).SetUint(next)
-				next++
-				leaves++
-			}
-		default:
-			t.Fatalf("Activity field %s has unexpected kind %s", v.Type().Field(i).Name, f.Kind())
-		}
-	}
-	if leaves != activityFields {
-		t.Fatalf("Activity has %d uint64 leaves, activityFields = %d", leaves, activityFields)
-	}
-	var buf [activityFields]uint64
-	flatten(&a, &buf)
-	seen := map[uint64]bool{}
-	for _, x := range buf {
-		if x == 0 || seen[x] {
-			t.Fatalf("flatten dropped or duplicated a field (value %d)", x)
-		}
-		seen[x] = true
-	}
-	var back uarch.Activity
-	unflatten(&buf, &back)
-	if back != a {
-		t.Fatal("unflatten(flatten(a)) != a")
-	}
-}
-
 // TestExtrapolatorScales checks weighted accumulation and rounding.
 func TestExtrapolatorScales(t *testing.T) {
 	var a uarch.Activity

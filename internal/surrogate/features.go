@@ -197,9 +197,6 @@ func (f *Featurizer) subOffset() int {
 	return len(f.vocab) + sampling.ProfileLen
 }
 
-// Vocab returns the workload vocabulary (do not mutate).
-func (f *Featurizer) Vocab() []string { return f.vocab }
-
 // Knows reports whether the workload is in the one-hot vocabulary.
 func (f *Featurizer) Knows(workload string) bool {
 	_, ok := f.index[workload]

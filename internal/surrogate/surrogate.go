@@ -27,9 +27,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"power10sim/internal/mlfit"
+	"power10sim/internal/runner"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 )
@@ -215,41 +215,35 @@ func Train(c *Corpus, opt TrainOptions) (*Model, error) {
 		m.WlBoxes[w] = boxOf(subs)
 	}
 	// Targets are independent fits over shared read-only inputs, so they run
-	// concurrently; each goroutine writes only its own slot and the result is
+	// concurrently; each target writes only its own slot and the result is
 	// identical to the sequential loop.
 	m.Targets = make([]TargetModel, numTargets)
 	errs := make([]error, numTargets)
-	var wg sync.WaitGroup
-	for t := 0; t < numTargets; t++ {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			y := make([]float64, len(c.Rows))
-			for i, r := range c.Rows {
-				y[i] = fitTarget(&r, t)
+	runner.ForEach(numTargets, numTargets, func(t int) {
+		y := make([]float64, len(c.Rows))
+		for i, r := range c.Rows {
+			y[i] = fitTarget(&r, t)
+		}
+		rm, err := mlfit.ForwardSelectRidgeCV(X, y, fz.Names(), opt.MaxFeatures, opt.Lambdas)
+		if err != nil {
+			errs[t] = fmt.Errorf("surrogate: fit %s: %w", TargetNames[t], err)
+			return
+		}
+		tm := TargetModel{Name: TargetNames[t], Model: rm, PerWorkload: map[string]*WorkloadModel{}}
+		var pooledSq, pooledN float64
+		for _, w := range c.Vocab { // vocab order: deterministic training
+			rows := byWl[w]
+			if len(rows) == 0 {
+				continue
 			}
-			rm, err := mlfit.ForwardSelectRidgeCV(X, y, fz.Names(), opt.MaxFeatures, opt.Lambdas)
-			if err != nil {
-				errs[t] = fmt.Errorf("surrogate: fit %s: %w", TargetNames[t], err)
-				return
-			}
-			tm := TargetModel{Name: TargetNames[t], Model: rm, PerWorkload: map[string]*WorkloadModel{}}
-			var pooledSq, pooledN float64
-			for _, w := range c.Vocab { // vocab order: deterministic training
-				rows := byWl[w]
-				if len(rows) == 0 {
-					continue
-				}
-				wm := fitWorkload(X, y, rm, rows, subByWl[w], fz.SubNames(), opt)
-				tm.PerWorkload[w] = wm
-				pooledSq += wm.LOORMSE * wm.LOORMSE * float64(wm.Rows)
-				pooledN += float64(wm.Rows)
-			}
-			tm.LOORMSE = math.Sqrt(pooledSq / pooledN)
-			m.Targets[t] = tm
-		}(t)
-	}
-	wg.Wait()
+			wm := fitWorkload(X, y, rm, rows, subByWl[w], fz.SubNames(), opt)
+			tm.PerWorkload[w] = wm
+			pooledSq += wm.LOORMSE * wm.LOORMSE * float64(wm.Rows)
+			pooledN += float64(wm.Rows)
+		}
+		tm.LOORMSE = math.Sqrt(pooledSq / pooledN)
+		m.Targets[t] = tm
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -295,58 +289,52 @@ func calibrate(c *Corpus, opt TrainOptions, m *Model) {
 	// and merge their accumulators in fold order so the float sums (and the
 	// model) stay deterministic.
 	folds := make([]map[string]*wlAcc, calFolds)
-	var wg sync.WaitGroup
-	for f := 0; f < calFolds; f++ {
-		wg.Add(1)
-		go func(f int) {
-			defer wg.Done()
-			sub := &Corpus{}
-			var held []int
-			wl := map[string]bool{}
-			for i := range c.Rows {
-				if splitHash(c.Rows[i].Key, calSeed)%calFolds == uint64(f) {
-					held = append(held, i)
+	runner.ForEach(calFolds, calFolds, func(f int) {
+		sub := &Corpus{}
+		var held []int
+		wl := map[string]bool{}
+		for i := range c.Rows {
+			if splitHash(c.Rows[i].Key, calSeed)%calFolds == uint64(f) {
+				held = append(held, i)
+				continue
+			}
+			sub.Rows = append(sub.Rows, c.Rows[i])
+			wl[c.Rows[i].Workload] = true
+		}
+		for _, w := range c.Vocab { // preserve sorted vocab order
+			if wl[w] {
+				sub.Vocab = append(sub.Vocab, w)
+			}
+		}
+		fm, err := Train(sub, opt)
+		if err != nil {
+			return
+		}
+		acc := map[string]*wlAcc{}
+		folds[f] = acc
+		var buf PredictBuf
+		var logv, std [numTargets]float64
+		for _, i := range held {
+			r := &c.Rows[i]
+			if !fm.Featurizer().Knows(r.Workload) {
+				continue
+			}
+			fm.predictLog(&buf, r.Cfg, r.Workload, r.Profile, r.SMT, r.Budget, r.Warmup, &logv, &std)
+			a := acc[r.Workload]
+			if a == nil {
+				a = &wlAcc{}
+				acc[r.Workload] = a
+			}
+			for t := 0; t < numTargets; t++ {
+				if std[t] <= 0 {
 					continue
 				}
-				sub.Rows = append(sub.Rows, c.Rows[i])
-				wl[c.Rows[i].Workload] = true
+				z := math.Abs(logTarget(targetValue(r, t))-logv[t]) / std[t]
+				a.zabs[t] += z
+				a.zn[t]++
 			}
-			for _, w := range c.Vocab { // preserve sorted vocab order
-				if wl[w] {
-					sub.Vocab = append(sub.Vocab, w)
-				}
-			}
-			fm, err := Train(sub, opt)
-			if err != nil {
-				return
-			}
-			acc := map[string]*wlAcc{}
-			folds[f] = acc
-			var buf PredictBuf
-			var logv, std [numTargets]float64
-			for _, i := range held {
-				r := &c.Rows[i]
-				if !fm.Featurizer().Knows(r.Workload) {
-					continue
-				}
-				fm.predictLog(&buf, r.Cfg, r.Workload, r.Profile, r.SMT, r.Budget, r.Warmup, &logv, &std)
-				a := acc[r.Workload]
-				if a == nil {
-					a = &wlAcc{}
-					acc[r.Workload] = a
-				}
-				for t := 0; t < numTargets; t++ {
-					if std[t] <= 0 {
-						continue
-					}
-					z := math.Abs(logTarget(targetValue(r, t))-logv[t]) / std[t]
-					a.zabs[t] += z
-					a.zn[t]++
-				}
-			}
-		}(f)
-	}
-	wg.Wait()
+		}
+	})
 	var zabs, zn [numTargets]float64 // model-level pool, every scored row
 	byWl := map[string]*wlAcc{}
 	for _, acc := range folds {

@@ -15,8 +15,6 @@ type Stream interface {
 	Next() (rec isa.DynInst, ok bool)
 	// Program returns the static code the stream's records index into.
 	Program() *isa.Program
-	// Reset rewinds the stream to its beginning.
-	Reset()
 }
 
 // VMStream executes a program functionally, on demand, up to a budget of
@@ -54,7 +52,7 @@ func (s *VMStream) Next() (isa.DynInst, bool) {
 // Program implements Stream.
 func (s *VMStream) Program() *isa.Program { return s.prog }
 
-// Reset implements Stream. The VM is rewound in place (registers and memory
+// Reset rewinds the stream to its beginning. The VM is rewound in place (registers and memory
 // image restored without reallocation), so resetting and replaying a stream
 // is allocation-free once the program's memory footprint has been touched.
 func (s *VMStream) Reset() {
@@ -112,15 +110,6 @@ func (s *SliceStream) Next() (isa.DynInst, bool) {
 
 // Program implements Stream.
 func (s *SliceStream) Program() *isa.Program { return s.prog }
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0; s.delivered = 0 }
-
-// Len returns the number of captured records.
-func (s *SliceStream) Len() int { return len(s.recs) }
-
-// Records exposes the captured records (read-only by convention).
-func (s *SliceStream) Records() []isa.DynInst { return s.recs }
 
 // Capture functionally executes prog for up to budget instructions and
 // returns the dynamic trace.

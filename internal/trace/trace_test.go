@@ -201,9 +201,6 @@ func TestSliceStreamEmptyAndBudgetless(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Error("empty slice stream delivered")
 	}
-	if s.Len() != 0 {
-		t.Error("empty length")
-	}
 	recs, err := Capture(p, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -219,9 +216,6 @@ func TestSliceStreamEmptyAndBudgetless(t *testing.T) {
 	}
 	if n != len(recs) {
 		t.Errorf("delivered %d", n)
-	}
-	if got := ls.Records(); len(got) != len(recs) {
-		t.Error("records accessor mismatch")
 	}
 }
 

@@ -102,65 +102,74 @@ type Activity struct {
 	UnitBusy [NumUnits]uint64
 }
 
+// VectorLen is the number of counters in an Activity: 45 scalars plus the
+// PerThread, IssueByClass and UnitBusy arrays. Vector and SetVector use it.
+const VectorLen = 45 + 8 + isa.NumClasses + int(NumUnits)
+
+// counters returns a pointer to each of a's counters in declaration order,
+// array elements in index order. It is the one list of Activity's layout:
+// Sub, Vector and SetVector loop over it, and a reflection test pins it to
+// the struct, so a field added without a line here fails that test.
+func (a *Activity) counters() (c [VectorLen]*uint64) {
+	// Every store is to c directly: a store through a pointer or from a
+	// closure would move a, and so Sub's copy, to the heap.
+	n := 0
+	for _, p := range [...]*uint64{&a.Cycles, &a.Instructions, &a.InternalOps} {
+		c[n], n = p, n+1
+	}
+	for i := range a.PerThread {
+		c[n], n = &a.PerThread[i], n+1
+	}
+	for _, p := range [...]*uint64{&a.Flops, &a.IntMACs,
+		&a.FetchSlots, &a.WrongPathSlots, &a.FlushedInsts, &a.FetchStallCycles,
+		&a.ICacheAccesses, &a.ICacheMisses, &a.IERATLookups, &a.BranchObserved,
+		&a.BranchMispredicts, &a.SecondPredHits,
+		&a.DecodeSlots, &a.FusedPairs, &a.RenameOps, &a.DispatchStallCycles,
+		&a.DispatchStallROB, &a.DispatchStallIQ, &a.DispatchStallLSQ} {
+		c[n], n = p, n+1
+	}
+	for i := range a.IssueByClass {
+		c[n], n = &a.IssueByClass[i], n+1
+	}
+	for _, p := range [...]*uint64{&a.IssueQueueWrites, &a.RSWakeups, &a.RegReads, &a.RegWrites,
+		&a.L1DAccesses, &a.L1DMisses, &a.L2Accesses, &a.L2Misses,
+		&a.L3Accesses, &a.L3Misses, &a.MemAccesses, &a.DERATLookups,
+		&a.TLBLookups, &a.TLBMisses, &a.LQAllocs, &a.SQAllocs,
+		&a.SQGathered, &a.StoreForwards, &a.LMQFull, &a.Prefetches,
+		&a.MMAOps, &a.MMAMoves, &a.MMAActiveCycles} {
+		c[n], n = p, n+1
+	}
+	for i := range a.UnitBusy {
+		c[n], n = &a.UnitBusy[i], n+1
+	}
+	return c
+}
+
 // Sub returns the element-wise difference a - b: the activity of the
 // interval between two cumulative snapshots.
 func (a Activity) Sub(b *Activity) Activity {
-	d := a
-	d.Cycles -= b.Cycles
-	d.Instructions -= b.Instructions
-	d.InternalOps -= b.InternalOps
-	for i := range d.PerThread {
-		d.PerThread[i] -= b.PerThread[i]
+	bc := b.counters()
+	for i, p := range a.counters() {
+		*p -= *bc[i]
 	}
-	d.Flops -= b.Flops
-	d.IntMACs -= b.IntMACs
-	d.FetchSlots -= b.FetchSlots
-	d.WrongPathSlots -= b.WrongPathSlots
-	d.FlushedInsts -= b.FlushedInsts
-	d.FetchStallCycles -= b.FetchStallCycles
-	d.ICacheAccesses -= b.ICacheAccesses
-	d.ICacheMisses -= b.ICacheMisses
-	d.IERATLookups -= b.IERATLookups
-	d.BranchObserved -= b.BranchObserved
-	d.BranchMispredicts -= b.BranchMispredicts
-	d.SecondPredHits -= b.SecondPredHits
-	d.DecodeSlots -= b.DecodeSlots
-	d.FusedPairs -= b.FusedPairs
-	d.RenameOps -= b.RenameOps
-	d.DispatchStallCycles -= b.DispatchStallCycles
-	d.DispatchStallROB -= b.DispatchStallROB
-	d.DispatchStallIQ -= b.DispatchStallIQ
-	d.DispatchStallLSQ -= b.DispatchStallLSQ
-	for i := range d.IssueByClass {
-		d.IssueByClass[i] -= b.IssueByClass[i]
+	return a
+}
+
+// Vector returns every counter of a in declaration order; SetVector is its
+// inverse. Together they let a caller scale or accumulate all counters
+// without naming them.
+func (a *Activity) Vector() (v [VectorLen]uint64) {
+	for i, p := range a.counters() {
+		v[i] = *p
 	}
-	d.IssueQueueWrites -= b.IssueQueueWrites
-	d.RSWakeups -= b.RSWakeups
-	d.RegReads -= b.RegReads
-	d.RegWrites -= b.RegWrites
-	d.L1DAccesses -= b.L1DAccesses
-	d.L1DMisses -= b.L1DMisses
-	d.L2Accesses -= b.L2Accesses
-	d.L2Misses -= b.L2Misses
-	d.L3Accesses -= b.L3Accesses
-	d.L3Misses -= b.L3Misses
-	d.MemAccesses -= b.MemAccesses
-	d.DERATLookups -= b.DERATLookups
-	d.TLBLookups -= b.TLBLookups
-	d.TLBMisses -= b.TLBMisses
-	d.LQAllocs -= b.LQAllocs
-	d.SQAllocs -= b.SQAllocs
-	d.SQGathered -= b.SQGathered
-	d.StoreForwards -= b.StoreForwards
-	d.LMQFull -= b.LMQFull
-	d.Prefetches -= b.Prefetches
-	d.MMAOps -= b.MMAOps
-	d.MMAMoves -= b.MMAMoves
-	d.MMAActiveCycles -= b.MMAActiveCycles
-	for i := range d.UnitBusy {
-		d.UnitBusy[i] -= b.UnitBusy[i]
+	return v
+}
+
+// SetVector sets every counter of a from v, in Vector's order.
+func (a *Activity) SetVector(v [VectorLen]uint64) {
+	for i, p := range a.counters() {
+		*p = v[i]
 	}
-	return d
 }
 
 // IPC returns retired architectural instructions per cycle.

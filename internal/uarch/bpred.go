@@ -275,14 +275,6 @@ func (b *BPred) ResetStats() {
 	b.DirMispredicts, b.TgtMispredicts, b.SecondHits = 0, 0, 0
 }
 
-// MispredictRate returns mispredicts per observed branch.
-func (b *BPred) MispredictRate() float64 {
-	if b.Lookups == 0 {
-		return 0
-	}
-	return float64(b.Mispredicts) / float64(b.Lookups)
-}
-
 func boolBit(v bool) uint64 {
 	if v {
 		return 1

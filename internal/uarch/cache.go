@@ -7,12 +7,11 @@ package uarch
 // is two allocations regardless of geometry and a pooled core can Reset it
 // in place.
 type Cache struct {
-	params CacheParams
-	tags   []uint64 // assoc-sized groups; within a group index 0 is MRU
-	valid  []bool
-	assoc  int
-	mask   uint64
-	shift  uint
+	tags  []uint64 // assoc-sized groups; within a group index 0 is MRU
+	valid []bool
+	assoc int
+	mask  uint64
+	shift uint
 
 	Accesses uint64
 	Misses   uint64
@@ -24,7 +23,7 @@ func NewCache(p CacheParams) *Cache {
 	if p.Sets() == 0 {
 		return nil
 	}
-	c := &Cache{params: p, assoc: p.Assoc}
+	c := &Cache{assoc: p.Assoc}
 	nsets := p.Sets()
 	c.tags = make([]uint64, nsets*p.Assoc)
 	c.valid = make([]bool, nsets*p.Assoc)
@@ -34,9 +33,6 @@ func NewCache(p CacheParams) *Cache {
 	}
 	return c
 }
-
-// Params returns the cache geometry.
-func (c *Cache) Params() CacheParams { return c.params }
 
 // line returns (set index, tag) for an address.
 func (c *Cache) line(addr uint64) (uint64, uint64) {
