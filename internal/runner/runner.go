@@ -727,7 +727,8 @@ func (r *Runner) RunAllCtx(ctx context.Context, reqs []Request) []Result {
 
 // ForEach runs fn(i) for every i in [0, n) across at most workers
 // goroutines. It is the generic fan-out primitive for loops whose bodies do
-// not go through the runner (the socket Monte Carlo, proxy extraction).
+// not go through the runner (the socket Monte Carlo, proxy extraction,
+// surrogate training's targets and calibration folds).
 // workers <= 0 selects GOMAXPROCS. fn must be safe to call concurrently and
 // must write only to its own index's state.
 func ForEach(workers, n int, fn func(i int)) {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,22 +146,29 @@ func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 // the programs it saw would grow with every call a sweep makes.
 func TestKeyedProgramIsFreed(t *testing.T) {
 	const programs = 8
-	var freed atomic.Int32
+	freed := make(chan struct{}, programs) // one send per program
 	for i := 0; i < programs; i++ {
 		w := workloads.GraphOpt()
-		runtime.SetFinalizer(w.Prog, func(*isa.Program) { freed.Add(1) })
+		runtime.SetFinalizer(w.Prog, func(*isa.Program) { freed <- struct{}{} })
 		if _, ok := ContentKey(testRequest(uarch.POWER10(), w, 1)); !ok {
 			t.Fatal("request is unkeyable")
 		}
 	}
 	// Finalizers run on their own goroutine after the collection that
-	// finds the program unreachable, so give each GC a moment.
-	for gc := 0; gc < 20 && freed.Load() < programs; gc++ {
-		runtime.GC()
-		time.Sleep(5 * time.Millisecond)
+	// finds a program unreachable; collect again whenever none arrives.
+	const maxGCs = 20
+	got, gcs := 0, 0
+	for got < programs && gcs < maxGCs {
+		select {
+		case <-freed:
+			got++
+		case <-time.After(10 * time.Millisecond):
+			runtime.GC()
+			gcs++
+		}
 	}
-	if n := freed.Load(); n != programs {
-		t.Fatalf("%d of %d keyed programs were freed after 20 GCs", n, programs)
+	if got != programs {
+		t.Fatalf("%d of %d keyed programs were freed after %d GCs", got, programs, gcs)
 	}
 }
 
