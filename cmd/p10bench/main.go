@@ -96,7 +96,7 @@ func main() {
 	failures := new(experiments.FailureLog)
 	h.Serve(obs.Serve, obsserver.Options{Failures: failures.Count})
 	opt := experiments.Options{Quick: *quick, Jobs: h.Pool.Workers(), Runner: h.Pool,
-		Metrics: h.Reg, Trace: h.Tr, Failures: failures, Progress: h.Bus}
+		Trace: h.Tr, Failures: failures, Progress: h.Bus}
 	if *sampleMode == "validate" {
 		var only []string
 		if *sampleWl != "" {

@@ -128,7 +128,7 @@ func main() {
 	h.Ready()
 	outcome := sweep.Run(h.Ctx, os.Stdout, cat, *expName, experiments.Options{
 		Quick: *quick, Jobs: h.Pool.Workers(), Runner: h.Pool,
-		Metrics: h.Reg, Failures: failures, Progress: h.Bus,
+		Failures: failures, Progress: h.Bus,
 	}, h.Reg, nil)
 	console.Stop()
 	if outcome.Ran == 0 {

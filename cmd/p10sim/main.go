@@ -1,15 +1,26 @@
 // Command p10sim runs one workload on a core configuration and prints a
-// performance (and, when available, power) report.
+// performance and power report.
 //
 // Usage:
 //
 //	p10sim -workload dgemm-mma -config POWER10 -smt 1
 //	p10sim -workload dgemm-mma -trace t.json -sample 1000   # cycle-resolved
+//	p10sim -workload compress -top 15                       # power deep-dive
 //	p10sim -list
 //
-// With -trace, the simulation records IPC, unit occupancy, branch/cache and
+// Every run is a runner request on the harness pool, like a sweep point: it
+// obeys a strict cycle limit, joins the -runlog ledger under its content
+// key, and publishes its lifecycle to -serve and -flightrec. With -trace,
+// the simulation records IPC, unit occupancy, branch/cache and
 // component-power counter tracks every -sample cycles; load the file in
 // chrome://tracing or Perfetto. The stdout report is unchanged by telemetry.
+//
+// -top N follows the report with the designer deep-dive of the power
+// methodology: the Einspower categories, the N largest of the 39
+// components, the Powerminer-style latch switching statistics
+// (clock-enabled fraction, potential vs observed switching, ghost
+// switching), and the per-unit busy profile the clock-gating discipline is
+// judged by.
 package main
 
 import (
@@ -17,18 +28,13 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"power10sim/internal/cliutil"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/power"
-	"power10sim/internal/progress"
-	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
-	"power10sim/internal/simobs"
 	"power10sim/internal/telemetry"
-	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -49,28 +55,25 @@ func main() {
 		list       = flag.Bool("list", false, "list workloads and exit")
 		sample     = flag.Uint64("sample", 1000, "cycle-sampling interval for -trace counter tracks (0 = off)")
 		sampleMode = flag.String("sample-mode", "full", "full | sampled | validate: time every instruction, run the SimPoint-style sampling engine, or run both and compare")
+		top        = flag.Int("top", 0, "after the report, print the power deep-dive with the top N of the 39 components (0 = off)")
 	)
 	flag.Parse()
 	if *smt < 1 {
 		cliutil.Usagef("-smt %d: must be >= 1", *smt)
 	}
+	if *top < 0 {
+		cliutil.Usagef("-top %d: must be >= 0", *top)
+	}
 	switch *sampleMode {
 	case "full":
 	case "sampled", "validate":
-		// Cycle-resolved telemetry and the live server narrate one complete
-		// timed run; a sampled run is many short window simulations, so these
-		// integrations only exist on the full path.
+		// Cycle tracks and the deep-dive describe one complete timed run; a
+		// sampled run is many short window simulations.
 		if obs.Trace != "" {
 			cliutil.Usagef("-trace requires -sample-mode=full (sampled runs have no cycle-resolved trace)")
 		}
-		if obs.Serve != "" {
-			cliutil.Usagef("-serve requires -sample-mode=full")
-		}
-		if obs.RunLog != "" {
-			cliutil.Usagef("-runlog requires -sample-mode=full (the ledger keys one complete timed run)")
-		}
-		if obs.FlightRec != "" {
-			cliutil.Usagef("-flightrec requires -sample-mode=full (sampled runs publish no progress events to record)")
+		if *top > 0 {
+			cliutil.Usagef("-top requires -sample-mode=full (sampled runs extrapolate the component breakdown)")
 		}
 	default:
 		cliutil.Usagef("-sample-mode %q: must be full | sampled | validate", *sampleMode)
@@ -115,65 +118,61 @@ func main() {
 	if *budget > 0 {
 		bud = *budget
 	}
-	// A single simulation still publishes its lifecycle on the progress bus
-	// so -serve clients see the run on /events and /status; with no server
-	// (and thus no subscriber) every Publish is a single atomic load.
-	// SIGINT/SIGTERM cancel the simulation cooperatively through the core's
-	// context check; the error path below still appends the ledger record
-	// and publishes the failure event before the harness shuts down.
 	h := cliutil.Start(obs, cliutil.Options{Command: "p10sim"})
 	defer h.Rec.DumpOnPanic()
+	h.Pool.SetCycleTracks(*sample)
 	h.Serve(obs.Serve, obsserver.Options{})
 	h.Ready()
-	if *sampleMode != "full" {
-		os.Exit(h.Close(runSampled(w, cfg, *smt, bud, *sampleMode, h.Reg)))
-	}
-	var streams []trace.Stream
-	for i := 0; i < *smt; i++ {
-		streams = append(streams, trace.NewVMStream(w.Prog, bud))
-	}
-	simName := fmt.Sprintf("%s@%s/smt%d", w.Name, cfg.Name, *smt)
-	// Recorded before Simulate so /metrics has a sample while the (possibly
-	// long) simulation is still running, not only after it retires.
-	h.Reg.Counter("sims_started_total",
-		telemetry.L("workload", w.Name), telemetry.L("config", cfg.Name)).Add(1)
-	h.Bus.Publish(progress.Event{Kind: progress.KindSimStarted, Sim: simName})
-	simStart := time.Now()
-	sp := h.Tr.Begin("sim:"+simName, "p10sim")
-	res, err := uarch.Simulate(cfg, streams, 50_000_000,
-		uarch.WithWarmup(w.Warmup*uint64(*smt)),
-		uarch.WithContext(h.Ctx),
-		simobs.SampleOption(cfg, h.Tr, *sample, *smt))
-	sp.End()
-	// One-shot ledger append: the record carries the same content key the
-	// runner's cache and ledger would use for an identical request, so ad-hoc
-	// p10sim runs join sweep history in p10query.
-	req := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
+
+	// A sampled run is the full request with the default spec attached;
+	// validate mode also runs the full twin in the same batch. SIGINT and
+	// SIGTERM cancel both cooperatively.
+	full := runner.Request{Cfg: cfg, W: w, SMT: *smt, Budget: bud,
 		Warmup: w.Warmup * uint64(*smt), MaxCycles: 50_000_000}
-	key, _ := runner.ContentKey(req)
-	rec := runlog.Record{
-		Key: key, Config: cfg.Name, Workload: w.Name, SMT: *smt,
-		Budget: bud, Warmup: req.Warmup, MaxCycles: req.MaxCycles,
-		Tier: runlog.TierRun, Attempts: 1,
-		WallSeconds: time.Since(simStart).Seconds(),
+	reqs := []runner.Request{full}
+	if *sampleMode != "full" {
+		spec := sampling.DefaultSpec()
+		reqs[0].Sample = &spec
+		if *sampleMode == "validate" {
+			reqs = append(reqs, full)
+		}
 	}
-	if err != nil {
-		h.Bus.Publish(progress.Event{Kind: progress.KindSimFailed, Sim: simName,
-			Err: err.Error(), Elapsed: time.Since(simStart).Seconds()})
-		fmt.Fprintln(os.Stderr, err)
-		rec.Err = err.Error()
-		logRun(h.Led, rec)
-		h.Rec.Note("sim failed: %v", err)
-		os.Exit(h.Close(1))
+	results := h.Pool.RunAllCtx(h.Ctx, reqs)
+	for _, res := range results {
+		if res.Err != nil {
+			fmt.Fprintln(os.Stderr, res.Err)
+			os.Exit(h.Close(1))
+		}
 	}
-	a := &res.Activity
-	mdl := power.NewModel(cfg)
-	rep := mdl.Report(a)
-	h.Bus.Publish(progress.Event{Kind: progress.KindSimFinished, Sim: simName,
-		Elapsed: time.Since(simStart).Seconds(), IPC: a.IPC(), Power: rep.Total})
-	rec.Measure(a, rep)
-	logRun(h.Led, rec)
-	fmt.Printf("workload        %s (SMT%d) on %s\n", w.Name, *smt, cfg.Name)
+	res := results[0]
+	a, rep := res.Activity, res.Report
+	if res.Sampling == nil {
+		printFull(w, cfg, *smt, a, rep)
+	} else {
+		printSampled(w, cfg, *smt, a, rep, res.Sampling)
+	}
+	exit := 0
+	if len(results) == 2 {
+		exit = validate(res, results[1])
+	}
+	if *top > 0 {
+		deepDive(cfg, a, rep, *top)
+	}
+
+	labels := []telemetry.Label{
+		telemetry.L("workload", w.Name),
+		telemetry.L("config", cfg.Name),
+		telemetry.L("smt", fmt.Sprint(*smt)),
+	}
+	h.Reg.Counter("sim_cycles_total", labels...).Add(a.Cycles)
+	h.Reg.Counter("sim_instructions_total", labels...).Add(a.Instructions)
+	h.Reg.Gauge("sim_ipc", labels...).Set(a.IPC())
+	h.Reg.Gauge("sim_power_total", labels...).Set(rep.Total)
+	os.Exit(h.Close(exit))
+}
+
+func printFull(w *workloads.Workload, cfg *uarch.Config, smt int, a *uarch.Activity, rep *power.Report) {
+	fmt.Printf("workload        %s (SMT%d) on %s\n", w.Name, smt, cfg.Name)
 	fmt.Printf("cycles          %d\n", a.Cycles)
 	fmt.Printf("instructions    %d\n", a.Instructions)
 	fmt.Printf("internal ops    %d (fused pairs %d)\n", a.InternalOps, a.FusedPairs)
@@ -190,25 +189,6 @@ func main() {
 	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f]\n",
 		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage)
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
-
-	labels := []telemetry.Label{
-		telemetry.L("workload", w.Name),
-		telemetry.L("config", cfg.Name),
-		telemetry.L("smt", fmt.Sprint(*smt)),
-	}
-	h.Reg.Counter("sim_cycles_total", labels...).Add(a.Cycles)
-	h.Reg.Counter("sim_instructions_total", labels...).Add(a.Instructions)
-	h.Reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-	h.Reg.Gauge("sim_power_total", labels...).Set(rep.Total)
-	os.Exit(h.Close(0))
-}
-
-// logRun appends the run's one ledger record; the harness closes the ledger
-// and prints its summary. Safe on a nil ledger (-runlog unset).
-func logRun(led *runlog.Ledger, rec runlog.Record) {
-	if err := led.Append(rec); err != nil {
-		fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
-	}
 }
 
 func max1(v uint64) float64 {
@@ -218,21 +198,9 @@ func max1(v uint64) float64 {
 	return float64(v)
 }
 
-// runSampled is the -sample-mode=sampled|validate path: run the workload
-// through the SimPoint-style sampling engine and report the extrapolated
-// estimate; in validate mode also run the full simulation and compare against
-// the published error bounds (nonzero exit on violation). The estimate's
-// metrics go to reg (nil without -metrics). Returns the process exit code.
-func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, mode string, reg *telemetry.Registry) int {
-	spec := sampling.DefaultSpec()
-	warmup := w.Warmup * uint64(smt)
-	est, err := sampling.Run(cfg, w.Prog, bud, warmup, smt, 50_000_000, spec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 1
-	}
-	a := &est.Activity
-	m := &est.Meta
+// printSampled reports a sampling-engine estimate with its coverage and
+// confidence intervals.
+func printSampled(w *workloads.Workload, cfg *uarch.Config, smt int, a *uarch.Activity, rep *power.Report, m *sampling.Meta) {
 	fmt.Printf("workload        %s (SMT%d) on %s [sampled]\n", w.Name, smt, cfg.Name)
 	fmt.Printf("intervals       %d x %d insts, %d phases, %d windows simulated\n",
 		m.Intervals, m.Spec.IntervalInsts, m.K, m.Windows)
@@ -242,62 +210,64 @@ func runSampled(w *workloads.Workload, cfg *uarch.Config, smt int, bud uint64, m
 	fmt.Printf("instructions    %d\n", a.Instructions)
 	fmt.Printf("IPC             %.3f   CPI %.3f (95%% CI +/- %.4f)\n", a.IPC(), a.CPI(), m.CPIHalfWidth)
 	fmt.Printf("flops/cycle     %.2f   (total %d)\n", a.FlopsPerCycle(), a.Flops)
-	rep := est.Report
 	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f] (95%% CI +/- %.3f)\n",
 		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage, m.PowerHalfWidth)
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
-	exit := 0
-	if mode == "validate" {
-		var streams []trace.Stream
-		for i := 0; i < smt; i++ {
-			streams = append(streams, trace.NewVMStream(w.Prog, bud))
-		}
-		res, err := uarch.Simulate(cfg, streams, 50_000_000, uarch.WithWarmup(warmup))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		fullRep := power.NewModel(cfg).Report(&res.Activity)
-		cpiErr := relErr(a.CPI(), res.Activity.CPI())
-		powErr := relErr(rep.Total, fullRep.Total)
-		fmt.Printf("validate        full CPI %.4f sampled %.4f (err %.2f%%, bound %.0f%%)\n",
-			res.Activity.CPI(), a.CPI(), 100*cpiErr, 100*sampling.CPIErrBound)
-		fmt.Printf("                full power %.3f sampled %.3f (err %.2f%%, bound %.0f%%)\n",
-			fullRep.Total, rep.Total, 100*powErr, 100*sampling.PowerErrBound)
-		if cpiErr > sampling.CPIErrBound || powErr > sampling.PowerErrBound {
-			fmt.Println("validate        FAIL: error bound exceeded")
-			exit = 1
-		} else {
-			fmt.Println("validate        ok")
-		}
-	}
-	labels := []telemetry.Label{
-		telemetry.L("workload", w.Name),
-		telemetry.L("config", cfg.Name),
-		telemetry.L("smt", fmt.Sprint(smt)),
-	}
-	reg.Counter("sampling_intervals_total", labels...).Add(uint64(m.Intervals))
-	reg.Counter("sampling_simulated_total", labels...).Add(m.SimulatedInsts)
-	reg.Gauge("sampling_speedup", labels...).Set(m.Speedup())
-	reg.Gauge("sim_ipc", labels...).Set(a.IPC())
-	reg.Gauge("sim_power_total", labels...).Set(rep.Total)
-	return exit
 }
 
-// relErr is |got-want|/|want| (absolute error against a zero reference).
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
+// validate compares the sampled estimate with its full-run ground truth
+// against the published error bounds and returns the exit status: 1 when a
+// bound is exceeded.
+func validate(sampled, full runner.Result) int {
+	fullCPI, sampCPI := full.Activity.CPI(), sampled.Activity.CPI()
+	fullPow, sampPow := full.Report.Total, sampled.Report.Total
+	cpiErr, powErr, ok := sampling.Compare(sampCPI, fullCPI, sampPow, fullPow)
+	fmt.Printf("validate        full CPI %.4f sampled %.4f (err %.2f%%, bound %.0f%%)\n",
+		fullCPI, sampCPI, 100*cpiErr, 100*sampling.CPIErrBound)
+	fmt.Printf("                full power %.3f sampled %.3f (err %.2f%%, bound %.0f%%)\n",
+		fullPow, sampPow, 100*powErr, 100*sampling.PowerErrBound)
+	if !ok {
+		fmt.Println("validate        FAIL: error bound exceeded")
 		return 1
 	}
-	d := got - want
-	if d < 0 {
-		d = -d
+	fmt.Println("validate        ok")
+	return 0
+}
+
+// deepDive prints the Einspower-style view of a full run: power by
+// category, the top components, the latch switching statistics and the
+// per-unit busy fractions.
+func deepDive(cfg *uarch.Config, a *uarch.Activity, rep *power.Report, top int) {
+	fmt.Printf("\nEinspower categories: clock %.3f  switching %.3f (ghost %.4f)  array %.3f  leakage %.3f\n",
+		rep.Clock, rep.Switching, rep.Ghost, rep.Array, rep.Leakage)
+	fmt.Printf("active-idle floor %.3f, effective capacitance %.3f\n\n", rep.ActiveIdle, rep.EffCap)
+
+	type comp struct {
+		name string
+		p    float64
 	}
-	if want < 0 {
-		want = -want
+	var comps []comp
+	for i, n := range power.ComponentNames {
+		comps = append(comps, comp{n, rep.Components[i]})
 	}
-	return d / want
+	sort.Slice(comps, func(a, b int) bool { return comps[a].p > comps[b].p })
+	fmt.Printf("top %d of %d components:\n", top, len(comps))
+	for _, c := range comps[:min(top, len(comps))] {
+		fmt.Printf("  %-16s %8.4f  (%4.1f%%)\n", c.name, c.p, c.p/rep.Total*100)
+	}
+
+	latch := power.NewModel(cfg).Latch
+	lstats := latch.Analyze(a)
+	fmt.Printf("\nPowerminer latch statistics (%d latches):\n", lstats.TotalLatches)
+	fmt.Printf("  clock-enabled fraction   %.3f  (gating efficiency %.2f)\n",
+		lstats.ClockEnabledFraction, latch.GatingEff)
+	fmt.Printf("  potential switching      %.4f\n", lstats.PotentialSwitchRatio)
+	fmt.Printf("  observed switching       %.4f\n", lstats.ObservedSwitchRatio)
+	fmt.Printf("  ghost switching          %.5f (factor %.2f)\n",
+		lstats.GhostSwitchRatio, latch.GhostFactor)
+
+	fmt.Println("\nper-unit busy fractions:")
+	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
+		fmt.Printf("  %-12s %5.1f%%\n", u, a.BusyFraction(u)*100)
+	}
 }

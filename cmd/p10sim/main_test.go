@@ -8,6 +8,7 @@ import (
 	"power10sim/internal/clitest"
 	"power10sim/internal/runlog"
 	"power10sim/internal/runner"
+	"power10sim/internal/sampling"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -32,6 +33,21 @@ func TestDaxpySampledValidateGolden(t *testing.T) {
 	clitest.Golden(t, "daxpy-validate", out)
 }
 
+// TestTopGoldens pins the power deep-dive -top prints after the report.
+// Names resolve through workloads.Catalog, so daxpy is the same
+// Daxpy(4096, 12) that the fabric submit API runs.
+func TestTopGoldens(t *testing.T) {
+	for _, wl := range []string{"compress", "daxpy"} {
+		t.Run(wl, func(t *testing.T) {
+			out, stderr, code := clitest.Run(t, "-workload", wl, "-top", "15")
+			if code != 0 {
+				t.Fatalf("exit %d: %s", code, stderr)
+			}
+			clitest.Golden(t, wl+"-top", out)
+		})
+	}
+}
+
 // TestUsageErrors covers the flag checks that must exit 2 before the
 // simulation starts. Each case also passes -list so a check that stopped
 // firing costs a workload listing, not a simulation.
@@ -44,6 +60,8 @@ func TestUsageErrors(t *testing.T) {
 		{"-smt", "0"},
 		{"-budget", "0"},
 		{"-sample-mode", "sampled", "-trace", filepath.Join(t.TempDir(), "t.json")},
+		{"-top", "-1"},
+		{"-top", "1", "-sample-mode", "sampled"},
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
@@ -92,5 +110,35 @@ func TestRunLogRecordMatchesRunner(t *testing.T) {
 	}
 	if !reflect.DeepEqual(sim, pooled) {
 		t.Errorf("records differ:\np10sim %+v\nrunner %+v", sim, pooled)
+	}
+}
+
+// TestSampledRunLogKeys: a validate run logs the sampled request and its
+// full twin, each under the runner's content key for that request.
+func TestSampledRunLogKeys(t *testing.T) {
+	dir := t.TempDir()
+	if _, stderr, code := clitest.Run(t, "-workload", "daxpy", "-sample-mode", "validate", "-runlog", dir); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	recs, _, err := runlog.ScanDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := workloads.Catalog()["daxpy"]
+	full := runner.Request{Cfg: uarch.ConfigByName("POWER10"), W: w, SMT: 1,
+		Budget: w.Budget, Warmup: w.Warmup, MaxCycles: 50_000_000}
+	spec := sampling.DefaultSpec()
+	sampled := full
+	sampled.Sample = &spec
+	fullKey, _ := runner.ContentKey(full)
+	sampledKey, _ := runner.ContentKey(sampled)
+
+	got := map[string]bool{} // key -> record marked sampled
+	for _, r := range recs {
+		got[r.Key] = r.Sampled
+	}
+	want := map[string]bool{fullKey: false, sampledKey: true}
+	if len(recs) != 2 || !reflect.DeepEqual(got, want) {
+		t.Errorf("%d records with keys %v, want 2 with %v", len(recs), got, want)
 	}
 }

@@ -167,31 +167,29 @@ func Extract(cfg *uarch.Config, streams []trace.Stream, intervalCycles, maxCycle
 	// Instrumented signal groups: every latch bucket plus the counter set.
 	run.SignalsTracked = len(model.Latch.Buckets) + len(uarch.CounterNames)
 
-	// LFSR validation counters for a representative subset of events.
-	instLFSR := NewLFSR()
-	l1dLFSR := NewLFSR()
+	// LFSR validation counters for a representative subset of events:
+	// every extraction decodes each counter and checks it against the
+	// running event count modulo the LFSR period. The first mismatch fails
+	// the extraction.
+	instLFSR, l1dLFSR := NewLFSR(), NewLFSR()
 	var prevInst, prevL1D uint64
-
 	var cbErr error
-	opts = append(opts, uarch.WithSampler(intervalCycles, func(s uarch.CycleSample) {
-		d := s.Delta
-		instLFSR.TickN(d.Instructions)
-		l1dLFSR.TickN(d.L1DAccesses)
-		gotInst, err := instLFSR.Decode()
-		if err == nil {
-			wantInst := (prevInst + d.Instructions) % LFSRPeriod
-			if gotInst != wantInst {
-				err = fmt.Errorf("apex: LFSR decode mismatch: %d != %d", gotInst, wantInst)
-			}
+	tally := func(l *LFSR, prev *uint64, n uint64) {
+		l.TickN(n)
+		*prev = (*prev + n) % LFSRPeriod
+		got, err := l.Decode()
+		if err == nil && got != *prev {
+			err = fmt.Errorf("apex: LFSR decode mismatch: %d != %d", got, *prev)
 		}
 		if err != nil && cbErr == nil {
 			cbErr = err
 		}
-		prevInst = (prevInst + d.Instructions) % LFSRPeriod
-		if n, err := l1dLFSR.Decode(); err == nil {
-			_ = n
-		}
-		prevL1D += d.L1DAccesses
+	}
+
+	opts = append(opts, uarch.WithSampler(intervalCycles, func(s uarch.CycleSample) {
+		d := s.Delta
+		tally(instLFSR, &prevInst, d.Instructions)
+		tally(l1dLFSR, &prevL1D, d.L1DAccesses)
 
 		start := uint64(0)
 		if n := len(run.Extractions); n > 0 {

@@ -30,14 +30,12 @@ type Help struct {
 type Flags struct {
 	Metrics, Trace, FlightRec, Serve, CacheDir, RunLog string
 	Jobs                                               int
-	pool                                               bool
 }
 
 // Register registers the flags h declares on flag.CommandLine; call it
-// before flag.Parse. A command that exposes -jobs gets a runner pool from
-// Start.
+// before flag.Parse.
 func Register(h Help) *Flags {
-	f := &Flags{pool: h.Jobs != ""}
+	f := &Flags{}
 	for _, s := range []struct {
 		p          *string
 		name, help string
@@ -84,8 +82,9 @@ type Options struct {
 // Harness is the observability plumbing shared by the sweep and simulation
 // commands: the drain context, registry, tracer, progress bus, runner pool,
 // campaign ledger, flight recorder and server, and one ordered shutdown.
-// Fields for groups a command did not enable, or flags left unset, are nil;
-// every consumer treats nil as a no-op.
+// Every command gets the pool (GOMAXPROCS workers unless -jobs sizes it);
+// fields for groups a command did not enable, or flags left unset, are nil,
+// and every consumer treats nil as a no-op.
 type Harness struct {
 	// Ctx is canceled by SIGINT or SIGTERM: the cooperative drain.
 	Ctx    context.Context
@@ -124,14 +123,12 @@ func Start(f *Flags, o Options) *Harness {
 		h.Tr = telemetry.NewTracer()
 	}
 	h.Metrics, h.Trace = h.Reg.WriteJSON, h.Tr.WriteJSON
-	if f.pool {
-		h.Pool = runner.New(f.Jobs)
-		h.Pool.Instrument(h.Reg, h.Tr)
-		h.Pool.SetContext(h.Ctx)
-		h.Pool.SetBus(h.Bus)
-		if err := h.Pool.SetCacheDir(f.CacheDir); err != nil {
-			Usagef("%v", err)
-		}
+	h.Pool = runner.New(f.Jobs)
+	h.Pool.Instrument(h.Reg, h.Tr)
+	h.Pool.SetContext(h.Ctx)
+	h.Pool.SetBus(h.Bus)
+	if err := h.Pool.SetCacheDir(f.CacheDir); err != nil {
+		Usagef("%v", err)
 	}
 	if f.RunLog != "" {
 		led, err := runlog.Open(f.RunLog, runlog.Options{Command: o.Command})
@@ -139,9 +136,7 @@ func Start(f *Flags, o Options) *Harness {
 			Usagef("%v", err)
 		}
 		led.Instrument(h.Reg)
-		if h.Pool != nil {
-			h.Pool.SetRunLog(led)
-		}
+		h.Pool.SetRunLog(led)
 		h.Led = led
 	}
 	if f.FlightRec != "" {
@@ -159,10 +154,7 @@ func (h *Harness) Serve(addr string, o obsserver.Options) {
 	if addr == "" {
 		return
 	}
-	o.Command, o.Registry, o.Bus, o.RunLog = h.command, h.Reg, h.Bus, h.Led
-	if h.Pool != nil {
-		o.Stats = h.Pool.Stats
-	}
+	o.Command, o.Registry, o.Bus, o.RunLog, o.Stats = h.command, h.Reg, h.Bus, h.Led, h.Pool.Stats
 	s, err := obsserver.Start(addr, o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -237,7 +229,7 @@ func (h *Harness) Close(exit int) int {
 			fmt.Fprintf(os.Stderr, "flightrec: wrote %s\n", f.FlightRec)
 		}
 	}
-	if f.CacheDir != "" && h.Pool != nil {
+	if f.CacheDir != "" {
 		st := h.Pool.Stats()
 		fmt.Fprintf(os.Stderr, "diskcache: %d hits, %d misses, %d B read, %d B written (%s)\n",
 			st.DiskHits, st.DiskMisses, st.DiskReadBytes, st.DiskWrittenBytes, f.CacheDir)

@@ -149,8 +149,9 @@ func TestUnsetGroupsAreNoOps(t *testing.T) {
 	if n != 0 {
 		t.Errorf("empty Help registered %d flags", n)
 	}
+	// The pool is always built: every command submits through it.
 	h := Start(f, Options{})
-	if h.Reg != nil || h.Tr != nil || h.Pool != nil || h.Led != nil || h.Rec != nil {
+	if h.Pool == nil || h.Reg != nil || h.Tr != nil || h.Led != nil || h.Rec != nil {
 		t.Errorf("no groups, yet Start built %+v", h)
 	}
 	h.Serve(f.Serve, obsserver.Options{})
@@ -159,8 +160,7 @@ func TestUnsetGroupsAreNoOps(t *testing.T) {
 		t.Errorf("Close = %d, want 0", code)
 	}
 
-	// Every group registered but left unset: only the pool (which -jobs
-	// sizes) exists.
+	// Every group registered but left unset: again only the pool exists.
 	f = parse(t, Help{Metrics: "m", Trace: "t", FlightRec: "f", Serve: "s",
 		CacheDir: "c", RunLog: "r", Jobs: "j"})
 	h = Start(f, Options{})

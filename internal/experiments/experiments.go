@@ -39,9 +39,6 @@ type Options struct {
 	// (GOMAXPROCS workers) is used, so repeated baseline points are
 	// simulated once per process.
 	Runner *runner.Runner
-	// Metrics, when non-nil, receives per-batch request counters. Per-run
-	// metrics come from instrumenting the Runner directly.
-	Metrics *telemetry.Registry
 	// Trace, when non-nil, receives a span per batched fan-out so sweeps
 	// show where wall-clock goes. Nil disables tracing at zero cost.
 	Trace *telemetry.Tracer
@@ -51,8 +48,8 @@ type Options struct {
 	// run cannot void an entire sweep. Nil keeps the strict legacy
 	// behavior (first error aborts the batch).
 	Failures *FailureLog
-	// Progress, when non-nil, receives a batch_submitted event per batched
-	// fan-out (per-simulation events come from the Runner's own bus; see
+	// Progress, when non-nil, receives the sweep's experiment events
+	// (per-simulation events come from the Runner's own bus; see
 	// runner.SetBus). Nil — or a bus nobody subscribed to — is free.
 	Progress *progress.Bus
 }
@@ -175,23 +172,19 @@ func RunOn(cfg *uarch.Config, w *workloads.Workload, smt int, o Options) (*uarch
 }
 
 // submit fans one batch of independent simulation requests across the
-// runner under a batch span, counting the requests and publishing a
-// batch_submitted event (label, when set, names the experiment). Results
-// come back in request order, so batched figure loops render
-// byte-identically to their original serial form.
-func submit(o Options, label string, reqs []runner.Request) []runner.Result {
+// runner under a batch span. Results come back in request order, so batched
+// figure loops render byte-identically to their original serial form.
+func submit(o Options, reqs []runner.Request) []runner.Result {
 	if o.Trace != nil {
 		sp := o.Trace.Begin(fmt.Sprintf("batch:%d-reqs", len(reqs)), "experiments")
 		defer sp.End()
 	}
-	o.Metrics.Counter("experiments_batch_requests_total").Add(uint64(len(reqs)))
-	o.Progress.Publish(progress.Event{Kind: progress.KindBatchSubmitted, Experiment: label, Count: len(reqs)})
 	return o.pool().RunAll(reqs)
 }
 
 // runBatch submits a batch; the first error in request order aborts it.
 func runBatch(o Options, reqs []runner.Request) ([]runner.Result, error) {
-	results := submit(o, "", reqs)
+	results := submit(o, reqs)
 	for i := range results {
 		if results[i].Err != nil {
 			return nil, results[i].Err
@@ -209,7 +202,7 @@ func runBatchTolerant(o Options, label string, reqs []runner.Request) ([]runner.
 	if o.Failures == nil {
 		return runBatch(o, reqs)
 	}
-	results := submit(o, label, reqs)
+	results := submit(o, reqs)
 	for i := range results {
 		if results[i].Err != nil {
 			req := reqs[i]

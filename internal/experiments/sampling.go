@@ -186,7 +186,7 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 			}
 		}
 	}
-	results := submit(o, "sample-validate", reqs)
+	results := submit(o, reqs)
 
 	for i := range v.Points {
 		p := &v.Points[i]
@@ -204,24 +204,10 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 		p.FullPower = full.Report.Total
 		p.SampledCPI = samp.Activity.CPI()
 		p.SampledPower = samp.Report.Total
-		p.CPIErr = relErr(p.SampledCPI, p.FullCPI)
-		p.PowerErr = relErr(p.SampledPower, p.FullPower)
+		p.CPIErr, p.PowerErr, p.OK = sampling.Compare(p.SampledCPI, p.FullCPI, p.SampledPower, p.FullPower)
 		if samp.Sampling != nil {
 			p.Speedup = samp.Sampling.Speedup()
 		}
-		p.OK = p.CPIErr <= sampling.CPIErrBound && p.PowerErr <= sampling.PowerErrBound
 	}
 	return v, nil
-}
-
-// relErr is |got-want|/|want|, with a zero reference meaning "exact or
-// infinitely wrong".
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }

@@ -47,9 +47,6 @@ const (
 	// KindCacheHit fires when a request is served from the memoization
 	// cache (including coalescing onto an in-flight run).
 	KindCacheHit Kind = "cache_hit"
-	// KindBatchSubmitted fires when an experiment fans a batch of
-	// simulation requests into the runner; Count is the batch size.
-	KindBatchSubmitted Kind = "batch_submitted"
 	// KindExperimentBegun fires when a sweep starts an experiment.
 	KindExperimentBegun Kind = "experiment_begun"
 	// KindExperimentDone fires when an experiment completes successfully.
@@ -89,7 +86,7 @@ type Event struct {
 	Seq  uint64    `json:"seq"`
 	Time time.Time `json:"time"`
 	Kind Kind      `json:"kind"`
-	// Experiment is the experiment name for experiment/batch events.
+	// Experiment is the experiment name for experiment events.
 	Experiment string `json:"experiment,omitempty"`
 	// Sim is the "workload@config/smtN" label for simulation events.
 	Sim string `json:"sim,omitempty"`
@@ -100,7 +97,7 @@ type Event struct {
 	Elapsed float64 `json:"elapsed_seconds,omitempty"`
 	// Attempt is the execution attempt number for retry/finish events.
 	Attempt int `json:"attempt,omitempty"`
-	// Count is the request count for batch events.
+	// Count is the number of reclaimed units on worker_lost events.
 	Count int `json:"count,omitempty"`
 	// IPC and Power are the finished simulation's headline readings on
 	// sim_finished events — the live feed behind the dashboard sparklines.

@@ -30,6 +30,7 @@ import (
 	"power10sim/internal/progress"
 	"power10sim/internal/runlog"
 	"power10sim/internal/sampling"
+	"power10sim/internal/simobs"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
@@ -109,8 +110,9 @@ func copyOf[T any](p *T) *T {
 // experiments.RunOn body (including its error formatting), plus the hardened
 // execution options: cooperative cancellation, a strict cycle limit so a
 // wedged run surfaces as a diagnostic HangError instead of silently
-// truncated statistics, and optional fault injection.
-func (r Request) runCtx(ctx context.Context) Result {
+// truncated statistics, and optional fault injection. tracks are extra
+// options for a full simulation only (the runner's cycle tracks).
+func (r Request) runCtx(ctx context.Context, tracks ...uarch.SimOption) Result {
 	if r.Chaos != nil {
 		if err := r.Chaos.act(ctx); err != nil {
 			return Result{Err: err}
@@ -136,6 +138,7 @@ func (r Request) runCtx(ctx context.Context) Result {
 		streams = append(streams, trace.NewVMStream(r.W.Prog, r.Budget))
 	}
 	opts = append(opts, uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit())
+	opts = append(opts, tracks...)
 	if r.Upset != nil {
 		opts = append(opts, uarch.WithUpset(r.Upset))
 	}
@@ -290,6 +293,10 @@ type Runner struct {
 	// completed request (see SetRunLog in runlog.go).
 	runlog *runlog.Ledger
 
+	// trackEvery is the cycle-track sampling interval (see SetCycleTracks);
+	// 0 records none.
+	trackEvery uint64
+
 	obs obs
 	bus *progress.Bus
 }
@@ -376,6 +383,14 @@ func (r *Runner) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 	}
 	r.obs = newObs(reg, tr)
 }
+
+// SetCycleTracks makes every locally executed full simulation stream
+// simobs counter tracks (IPC, occupancy, cache health, component power) to
+// the tracer attached by Instrument, one sample every `every` cycles.
+// Sampled runs and cache hits record none; 0 (the default) or a nil tracer
+// turns the tracks off. Call before submitting requests; SetCycleTracks is
+// not synchronized with Do.
+func (r *Runner) SetCycleTracks(every uint64) { r.trackEvery = every }
 
 // SetBus attaches a progress bus: every cache hit, execution start/finish,
 // retry, and terminal failure is published as a typed event (the feed behind
@@ -645,7 +660,11 @@ func (r *Runner) attempt(ctx context.Context, req Request) (res Result) {
 			res = Result{Err: &PanicError{Value: p, Stack: debug.Stack()}}
 		}
 	}()
-	res = req.runCtx(actx)
+	if r.trackEvery > 0 && r.obs.tracer != nil {
+		res = req.runCtx(actx, simobs.SampleOption(req.Cfg, r.obs.tracer, r.trackEvery, req.SMT))
+	} else {
+		res = req.runCtx(actx)
+	}
 	if res.Sampling != nil {
 		r.obs.samplingIntervals.Add(uint64(res.Sampling.Intervals))
 		r.obs.samplingSimulated.Add(res.Sampling.SimulatedInsts)

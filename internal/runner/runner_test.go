@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"power10sim/internal/isa"
+	"power10sim/internal/sampling"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -272,6 +273,45 @@ func TestInstrumentedRunnerMetricsMatchStats(t *testing.T) {
 	// One span per executed simulation.
 	if got, want := tr.Len(), int(st.Misses); got != want {
 		t.Errorf("trace has %d events, want %d (one span per unique run)", got, want)
+	}
+}
+
+// TestCycleTracksOnFullRunsOnly: SetCycleTracks adds counter tracks to an
+// executed full simulation without changing its result; a cache hit and a
+// sampled run add only what they add without tracks (nothing, one span).
+func TestCycleTracksOnFullRunsOnly(t *testing.T) {
+	w := workloads.Daxpy(512, 24)
+	full := Request{Cfg: uarch.POWER10(), W: w, SMT: 1, Budget: w.Budget,
+		Warmup: w.Warmup, MaxCycles: 10_000_000}
+	spec := sampling.DefaultSpec()
+	sampled := full
+	sampled.Sample = &spec
+
+	tr := telemetry.NewTracer()
+	r := New(1)
+	r.Instrument(nil, tr)
+	r.SetCycleTracks(500)
+	tracked := r.Do(full)
+	if tracked.Err != nil {
+		t.Fatal(tracked.Err)
+	}
+	n := tr.Len()
+	if n <= 1 {
+		t.Fatalf("full run recorded %d trace events, want its span plus counter samples", n)
+	}
+	plain := New(1).Do(full)
+	if !reflect.DeepEqual(tracked.Activity, plain.Activity) {
+		t.Error("cycle tracks changed the simulated activity")
+	}
+	r.Do(full)
+	if got := tr.Len(); got != n {
+		t.Errorf("cache hit added %d trace events, want 0", got-n)
+	}
+	if res := r.Do(sampled); res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if got := tr.Len(); got != n+1 {
+		t.Errorf("sampled run added %d trace events, want 1 (its span)", got-n)
 	}
 }
 

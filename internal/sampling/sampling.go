@@ -34,6 +34,7 @@ package sampling
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"power10sim/internal/isa"
 )
@@ -46,6 +47,26 @@ const (
 	// PowerErrBound is the maximum tolerated relative average-power error.
 	PowerErrBound = 0.05
 )
+
+// Compare measures a sampled estimate against the full simulation of the
+// same request: the relative CPI and average-power errors, and whether both
+// are within CPIErrBound and PowerErrBound.
+func Compare(sampledCPI, fullCPI, sampledPower, fullPower float64) (cpiErr, powErr float64, ok bool) {
+	cpiErr, powErr = relErr(sampledCPI, fullCPI), relErr(sampledPower, fullPower)
+	return cpiErr, powErr, cpiErr <= CPIErrBound && powErr <= PowerErrBound
+}
+
+// relErr is |got-want|/|want|, with a zero reference meaning "exact or
+// infinitely wrong".
+func relErr(got, want float64) float64 {
+	if want == 0 {
+		if got == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return math.Abs(got-want) / math.Abs(want)
+}
 
 // Spec is the sampling configuration. It is a flat comparable struct on
 // purpose: the spec joins runner.Key (and the persistent disk-cache

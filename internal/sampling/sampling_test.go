@@ -324,10 +324,3 @@ func TestRunFailurePaths(t *testing.T) {
 	}()
 	settled("VM panic")
 }
-
-func relErr(got, want float64) float64 {
-	if want == 0 {
-		return math.Abs(got)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}

@@ -117,13 +117,13 @@ func TestWriteFileAtomic(t *testing.T) {
 	path := filepath.Join(dir, "metrics.json")
 	r := NewRegistry()
 	r.Counter("a_total").Inc()
-	if err := r.WriteFile(path); err != nil {
+	if err := WriteFileAtomic(path, r.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	// Overwrite with new state: readers must see old-complete or
 	// new-complete, and afterwards the new content.
 	r.Counter("a_total").Inc()
-	if err := r.WriteFile(path); err != nil {
+	if err := WriteFileAtomic(path, r.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -148,7 +148,7 @@ func TestWriteFileAtomicTracer(t *testing.T) {
 	path := filepath.Join(dir, "trace.json")
 	tr := NewTracerWithClock(func() int64 { return 0 })
 	tr.Instant("x", "test")
-	if err := tr.WriteFile(path); err != nil {
+	if err := WriteFileAtomic(path, tr.WriteJSON); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
@@ -168,7 +168,7 @@ func TestWriteFileAtomicFailureLeavesOldFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	errBoom := os.ErrInvalid
-	err := writeFileAtomic(path, func(w io.Writer) error {
+	err := WriteFileAtomic(path, func(w io.Writer) error {
 		w.Write([]byte("partial"))
 		return errBoom
 	})
@@ -188,7 +188,7 @@ func TestWriteFileAtomicFailureLeavesOldFile(t *testing.T) {
 func TestWriteFileAtomicMissingDirFails(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "no-such-dir", "out.json")
 	r := NewRegistry()
-	if err := r.WriteFile(path); err == nil {
+	if err := WriteFileAtomic(path, r.WriteJSON); err == nil {
 		t.Error("write into a missing directory succeeded")
 	}
 }

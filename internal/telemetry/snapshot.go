@@ -148,25 +148,9 @@ func (s Snapshot) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// WriteFile dumps the snapshot JSON to path atomically, the same guarantee
-// Registry.WriteFile gives; callers use it for derived snapshots (the
-// coordinator's federated fleet view) that never lived in one registry.
-func (s Snapshot) WriteFile(path string) error {
-	return writeFileAtomic(path, s.WriteJSON)
-}
-
 // WriteJSON writes the registry snapshot as indented JSON with stable key
 // order (struct fields are fixed; label maps marshal with sorted keys).
 // Safe on nil: writes an empty snapshot.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	return r.Snapshot().WriteJSON(w)
-}
-
-// WriteFile dumps the snapshot JSON to path atomically (temp file in the
-// target directory, then rename), so an interrupted or degraded run can
-// never leave a truncated snapshot behind. Safe on nil registries only in
-// the sense that an empty snapshot is written; callers normally gate on the
-// flag that created the registry.
-func (r *Registry) WriteFile(path string) error {
-	return writeFileAtomic(path, r.WriteJSON)
 }

@@ -163,44 +163,31 @@ type traceFile struct {
 	TraceEvents     []Event `json:"traceEvents"`
 }
 
-// WriteJSON writes the buffered events as a Chrome trace_event file. Events
-// are ordered by (ts, insertion order) and prefixed with process-name
-// metadata, so output is deterministic for a deterministic clock. Safe on
-// nil: writes an empty trace. The tracer remains usable afterwards.
+// WriteJSON writes the buffered events as a Chrome trace_event file through
+// WriteChromeTrace, with one process name per time domain, so output is
+// deterministic for a deterministic clock. Safe on nil: writes an empty
+// trace. The tracer remains usable afterwards.
 func (t *Tracer) WriteJSON(w io.Writer) error {
-	evs := []Event{
-		{Name: "process_name", Ph: "M", Pid: PidWall, Args: map[string]any{"name": "harness (wall clock)"}},
-		{Name: "process_name", Ph: "M", Pid: PidSimCycles, Args: map[string]any{"name": "core simulation (cycles as µs)"}},
-	}
+	var evs []Event
 	if t != nil {
 		t.mu.Lock()
-		body := append([]Event(nil), t.events...)
+		// events only grows by append, so this prefix stays intact after
+		// the lock is released.
+		evs = t.events[:len(t.events):len(t.events)]
 		t.mu.Unlock()
-		sort.SliceStable(body, func(i, j int) bool { return body[i].Ts < body[j].Ts })
-		evs = append(evs, body...)
 	}
-	b, err := json.MarshalIndent(traceFile{DisplayTimeUnit: "ms", TraceEvents: evs}, "", "  ")
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
-}
-
-// WriteFile dumps the trace JSON to path atomically (temp file in the
-// target directory, then rename), matching Registry.WriteFile's guarantee
-// that interrupted runs never leave truncated artifacts.
-func (t *Tracer) WriteFile(path string) error {
-	return writeFileAtomic(path, t.WriteJSON)
+	return WriteChromeTrace(w, map[int]string{
+		PidWall:      "harness (wall clock)",
+		PidSimCycles: "core simulation (cycles as µs)",
+	}, evs)
 }
 
 // WriteChromeTrace writes a caller-assembled event set as a Chrome
 // trace_event file: process-name metadata for each pid in procNames
-// (emitted in pid order), then the events sorted stably by timestamp. It is
-// the serialization half of Tracer.WriteJSON factored out for producers —
-// the fabric coordinator's merged fleet trace — that build their event set
-// from cross-process lifecycle records rather than live spans.
+// (emitted in pid order), then the events sorted stably by timestamp.
+// Tracer.WriteJSON writes through it, as do producers — the fabric
+// coordinator's merged fleet trace — that build their event set from
+// cross-process lifecycle records rather than live spans.
 func WriteChromeTrace(w io.Writer, procNames map[int]string, evs []Event) error {
 	pids := make([]int, 0, len(procNames))
 	for pid := range procNames {

@@ -4,7 +4,8 @@
 # ledger structurally with p10obscheck, then uses p10query to prove the
 # second pass was served entirely from cache (every record in the second
 # sequence range logs a disk/memo tier, so the summary's cache-tier hit rate
-# is exactly 100.0%).
+# is exactly 100.0%). Last, one p10sim validate run must append exactly its
+# two records (the sampled request and its full twin) to the same ledger.
 #
 # Run from the repository root (the `make ledger-check` target does).
 set -euo pipefail
@@ -24,6 +25,7 @@ fail() {
 $GO build -o "$TMP/p10bench" ./cmd/p10bench
 $GO build -o "$TMP/p10query" ./cmd/p10query
 $GO build -o "$TMP/p10obscheck" ./cmd/p10obscheck
+$GO build -o "$TMP/p10sim" ./cmd/p10sim
 
 RL="$TMP/runlog"
 CACHE="$TMP/cache"
@@ -53,6 +55,14 @@ echo "$SUMMARY" | grep -q 'cache-tier hit rate 100.0%' || {
     echo "$SUMMARY" >&2
     fail "second pass was not fully cache-served"
 }
+
+# A sampled run logged by a CLI: p10sim submits the sampled request and its
+# full twin through the runner, which writes one record for each.
+"$TMP/p10sim" -workload daxpy -sample-mode validate -runlog "$RL" \
+    >/dev/null 2>"$TMP/stderr3" || { cat "$TMP/stderr3" >&2; fail "p10sim validate run failed"; }
+AFTER=$("$TMP/p10query" -runlog "$RL" -op count)
+[ "$AFTER" -eq $((TOTAL + 2)) ] || fail "p10sim validate run appended $((AFTER - TOTAL)) records, want 2"
+"$TMP/p10obscheck" -runlog "$RL" -min-records "$AFTER" || fail "p10obscheck rejected the ledger with p10sim's records"
 
 # Aggregation smoke: top-k by energy-per-instruction over the whole campaign.
 "$TMP/p10query" -runlog "$RL" -op top -k 3 -by epi >/dev/null || fail "p10query -op top failed"
