@@ -60,13 +60,33 @@ func TestUsageErrors(t *testing.T) {
 		{"-smt", "0"},
 		{"-budget", "0"},
 		{"-sample-mode", "sampled", "-trace", filepath.Join(t.TempDir(), "t.json")},
-		{"-top", "-1"},
-		{"-top", "1", "-sample-mode", "sampled"},
 	} {
 		clitest.UsageError(t, append(args, "-list")...)
 	}
 	// There is no -pprof flag: -serve mounts /debug/pprof/* instead.
 	clitest.UsageError(t, "-pprof", "127.0.0.1:0", "-list")
+}
+
+// TestTopUsageErrors covers the -top checks that must exit 2 before the
+// simulation starts: a negative count, and a deep-dive asked of a sampled or
+// validate run, whose component breakdown is extrapolated. An unknown
+// -workload or -config name exits 1 before simulating, as p10sim always has.
+func TestTopUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-top", "-1"},
+		{"-top", "1", "-sample-mode", "sampled"},
+		{"-top", "1", "-sample-mode", "validate"},
+	} {
+		clitest.UsageError(t, append(args, "-list")...)
+	}
+	for _, args := range [][]string{
+		{"-top", "15", "-workload", "nope"},
+		{"-top", "15", "-config", "POWER8"},
+	} {
+		if _, stderr, code := clitest.Run(t, args...); code != 1 {
+			t.Errorf("%v: exit %d, want 1 (stderr %q)", args, code, stderr)
+		}
+	}
 }
 
 // TestRunLogRecordMatchesRunner: p10sim's -runlog record and the runner's
