@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
+	"power10sim/internal/isa"
+	"power10sim/internal/sampling"
 	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
@@ -293,4 +297,68 @@ func TestChaosTelemetryAccountsFailures(t *testing.T) {
 			t.Errorf("%s = %d, stats say %d", name, got, want)
 		}
 	}
+}
+
+// TestFunctionalFaultFailsFullRun: a program whose VM faults mid-run fails
+// its request on the full path, as it does on the sampled one, instead of
+// reporting the instructions retired before the fault as a complete run.
+// Fabric workers run wire-decoded programs whose indirect targets no static
+// check can bound.
+func TestFunctionalFaultFailsFullRun(t *testing.T) {
+	b := isa.NewBuilder("boom").Li(isa.GPR(3), 9999)
+	for i := 0; i < 50; i++ {
+		b.Addi(isa.GPR(1), isa.GPR(1), 1)
+	}
+	w := &workloads.Workload{Name: "boom", Prog: b.Br(isa.GPR(3)).Halt().MustBuild(), Budget: 1000}
+	const fault = "boom @51: indirect target 9999 out of range"
+	spec := sampling.DefaultSpec()
+	for _, sample := range []*sampling.Spec{nil, &spec} {
+		req := Request{Cfg: uarch.POWER10(), W: w, SMT: 1, Budget: w.Budget, MaxCycles: 1_000_000, Sample: sample}
+		if res := New(1).Do(req); res.Err == nil || !strings.Contains(res.Err.Error(), fault) {
+			t.Errorf("sampled=%v: err = %v, want one naming %q", sample != nil, res.Err, fault)
+		}
+	}
+}
+
+// canceledAtPoll reads as canceled only when polled: its Done channel stays
+// open, so the runner takes a worker slot and starts the simulation, whose
+// first poll then cancels it.
+type canceledAtPoll struct{ context.Context }
+
+func (canceledAtPoll) Err() error { return context.Canceled }
+
+// TestFullRunStopsItsFrontEnd: a full run reads each thread through a
+// read-ahead stream whose VM runs on its own goroutine. A canceled run and
+// a run over its strict cycle limit both end before their streams do, and
+// must leave no such goroutine once DoCtx returns.
+func TestFullRunStopsItsFrontEnd(t *testing.T) {
+	base := runtime.NumGoroutine()
+	settled := func(what string) {
+		t.Helper()
+		// A goroutine leaves the count just after the channel close its
+		// reader sees, so wait for the count to come back.
+		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d goroutines, want %d", what, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req := testRequest(uarch.POWER10(), workloads.Compress(), 4)
+	// Each thread's budget is far past what the read-ahead ring holds, so
+	// its VM stays blocked until the stream is closed.
+	req.Budget = 100_000
+	if res := New(1).DoCtx(canceledAtPoll{ctx}, req); !errors.Is(res.Err, context.Canceled) {
+		t.Errorf("canceled run: err = %v, want context.Canceled in chain", res.Err)
+	}
+	settled("canceled run")
+
+	req.MaxCycles = 1000
+	var hang *uarch.HangError
+	if res := New(1).DoCtx(context.Background(), req); !errors.As(res.Err, &hang) {
+		t.Errorf("cycle-limit run: err = %v, want a HangError", res.Err)
+	}
+	settled("cycle-limit run")
 }

@@ -133,9 +133,14 @@ func (r Request) runCtx(ctx context.Context, tracks ...uarch.SimOption) Result {
 		}
 		return Result{Activity: &est.Activity, Report: est.Report, Sampling: &est.Meta}
 	}
+	// Each thread reads a read-ahead stream, so the VM runs on its own
+	// goroutine while the core times what it already produced. The
+	// goroutines stop on every return, a failed or canceled run's included.
 	streams := make([]trace.Stream, 0, smt)
 	for i := 0; i < smt; i++ {
-		streams = append(streams, trace.NewVMStream(r.W.Prog, r.Budget))
+		s := trace.NewReadAhead(r.W.Prog, r.Budget)
+		defer s.Close()
+		streams = append(streams, s)
 	}
 	opts = append(opts, uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit())
 	opts = append(opts, tracks...)

@@ -198,7 +198,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		skew := spec.IntervalInsts / uint64(4*smt)
 		pcs := make(map[int32]struct{}, staggerMinPCs)
 		for i := iv.Start; i < iv.End && len(pcs) < staggerMinPCs; i++ {
-			pcs[rec.at(i).idx] = struct{}{}
+			pcs[rec.At(i).Idx()] = struct{}{}
 		}
 		if len(pcs) < staggerMinPCs {
 			skew = 0
@@ -207,7 +207,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		streams := make([]trace.Stream, smt)
 		for t := 0; t < smt; t++ {
 			skip := min(uint64(t)*skew, iv.Start-lo)
-			streams[t] = rec.replay(lo+skip, hi)
+			streams[t] = rec.Replay(lo+skip, hi)
 			warm += iv.Start - lo - skip
 		}
 		opts := append(append([]uarch.SimOption{}, extra...), uarch.WithWarmup(warm))
@@ -218,7 +218,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		}
 		if ws != nil {
 			for t := 1; t < smt; t++ {
-				if err := ws.Warm(rec.replay(0, lo), t); err != nil {
+				if err := ws.Warm(rec.Replay(0, lo), t); err != nil {
 					return meas{}, warmErr(c, ivIdx, err)
 				}
 			}
@@ -251,7 +251,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 				fwd.Reset()
 				pos = 0
 			}
-			if err := fwd.Warm(rec.replay(pos, lo), 0); err != nil {
+			if err := fwd.Warm(rec.Replay(pos, lo), 0); err != nil {
 				return nil, warmErr(c, ivIdx, err)
 			}
 			pos = lo

@@ -37,6 +37,7 @@ import (
 	"math"
 
 	"power10sim/internal/isa"
+	"power10sim/internal/trace"
 )
 
 // Error bounds the validation harness (and `make sample-check`) asserts:
@@ -195,7 +196,7 @@ func BuildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, error) {
 // buildPlan is BuildPlan returning the recording too: the plan's intervals
 // index into it, and Run times its windows from it. Each block of records is
 // featurized while the VM records the next.
-func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *recording, error) {
+func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *trace.Recording, error) {
 	spec = spec.Normalized()
 	if max(spec.MaxK, spec.RepsPerCluster, spec.SignatureDims) > 1<<16 {
 		return nil, nil, fmt.Errorf("sampling: spec %+v sizes a plan beyond 1<<16", spec)
@@ -211,12 +212,12 @@ func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *recording, 
 	seenLines := make(map[uint64]struct{})
 	seenPages := make(map[uint64]struct{})
 	start := uint64(0)
-	rec := newRecording(prog)
-	err := rec.fill(budget, func(blk []record) {
+	rec := trace.NewRecording(prog)
+	err := rec.Fill(budget, func(blk []trace.Record) {
 		for i := range blk {
 			r := &blk[i]
-			cls := prog.Code[r.idx].Class()
-			cur.observe(cls, rec.pcs[r.idx])
+			cls := prog.Code[r.Idx()].Class()
+			cur.observe(cls, rec.PC(r))
 			if cls.IsMem() {
 				// First-touch rates are the microarchitectural half of the
 				// signature: behaviorally identical code runs at a very
@@ -224,10 +225,10 @@ func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *recording, 
 				// in, and the class mix + PC signature cannot see that. A
 				// cold-footprint feature separates the warmup ramp into its
 				// own phase so its representative carries its true weight.
-				if line := r.ea / lineBytes; !member(seenLines, line) {
+				if line := r.EA() / lineBytes; !member(seenLines, line) {
 					cur.newLines++
 				}
-				if page := r.ea / pageBytes; !member(seenPages, page) {
+				if page := r.EA() / pageBytes; !member(seenPages, page) {
 					cur.newPages++
 				}
 			}
@@ -241,7 +242,7 @@ func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *recording, 
 		}
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("sampling: functional pass: %w", err)
 	}
 	if n == 0 {
 		return nil, nil, errors.New("sampling: empty dynamic trace")

@@ -18,7 +18,10 @@ type Stream interface {
 }
 
 // VMStream executes a program functionally, on demand, up to a budget of
-// dynamic instructions. Reset restarts execution from the initial state.
+// dynamic instructions, on the reader's goroutine. It suits direct
+// simulation callers and loops that Reset and replay a stream without
+// allocating; a runner's full run reads a ReadAhead instead, which overlaps
+// the VM with the reader. Reset restarts execution from the initial state.
 type VMStream struct {
 	prog   *isa.Program
 	budget uint64

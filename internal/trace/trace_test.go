@@ -174,24 +174,54 @@ func TestGEMMRatioSurfacesExecutionErrors(t *testing.T) {
 	}
 }
 
+// TestVMStreamSurfacesExecutionErrors: an out-of-range indirect branch
+// kills the stream and Err reports it. The read-ahead stream must end after
+// the same records with the same error, both when the fault comes in its
+// first block and when it comes several blocks in.
 func TestVMStreamSurfacesExecutionErrors(t *testing.T) {
-	// An out-of-range indirect branch kills the stream; Err reports it.
-	p := isa.NewBuilder("boom").
+	boom := isa.NewBuilder("boom").
 		Li(isa.GPR(1), 9999).
 		Br(isa.GPR(1)).
 		Halt().
 		MustBuild()
-	s := NewVMStream(p, 100)
-	for {
-		if _, ok := s.Next(); !ok {
-			break
+	// r1 counts a two-instruction loop down from 10000 before the branch.
+	runaway := isa.NewBuilder("runaway").
+		Li(isa.GPR(1), 10_000).
+		Li(isa.GPR(2), 0).
+		Li(isa.GPR(3), 9999).
+		Label("loop").
+		Addi(isa.GPR(1), isa.GPR(1), -1).
+		Bc(isa.CondNE, isa.GPR(1), isa.GPR(2), "loop").
+		Br(isa.GPR(3)).
+		Halt().
+		MustBuild()
+	for _, p := range []*isa.Program{boom, runaway} {
+		vs := NewVMStream(p, 1<<20)
+		ra := NewReadAhead(p, 1<<20)
+		var n int
+		for ; ; n++ {
+			v, vok := vs.Next()
+			r, rok := ra.Next()
+			if vok != rok || v != r {
+				t.Fatalf("%s: record %d: read-ahead %+v (ok=%v), VMStream %+v (ok=%v)", p.Name, n, r, rok, v, vok)
+			}
+			if !vok {
+				break
+			}
 		}
-	}
-	if s.Err() == nil {
-		t.Error("execution error not surfaced")
-	}
-	if _, ok := s.Next(); ok {
-		t.Error("stream continued after error")
+		ra.Close()
+		if vs.Err() == nil {
+			t.Errorf("%s: execution error not surfaced after %d records", p.Name, n)
+		}
+		if ra.Err() == nil || ra.Err().Error() != vs.Err().Error() {
+			t.Errorf("%s: read-ahead err %v, VMStream err %v", p.Name, ra.Err(), vs.Err())
+		}
+		if _, ok := vs.Next(); ok {
+			t.Errorf("%s: stream continued after error", p.Name)
+		}
+		if p == runaway && n <= 2*blockLen {
+			t.Errorf("%s: faulted after %d records, want more than two blocks", p.Name, n)
+		}
 	}
 }
 

@@ -24,33 +24,34 @@ func (r *Result) IPC() float64 { return r.Activity.IPC() }
 
 // depRef names a producing in-flight instruction.
 type depRef struct {
-	slot int
 	seq  uint64
+	slot int32
 	acc  bool // dependency through an MMA accumulator
 }
 
 var noDep = depRef{slot: -1}
 
-// robEntry is one slot of the instruction (completion) table.
+// robEntry is one slot of the instruction (completion) table. Its counters
+// are as narrow as their bounds allow (a fused pair sums two instructions'
+// flops, MACs and bytes; SMTMax is at most 8), so a slot fits in 120 bytes.
 type robEntry struct {
-	valid      bool
 	seq        uint64
-	thread     int
-	op         isa.Opcode
-	cls        isa.Class
 	pc         uint64
 	ea         uint64
-	memBytes   int
-	deps       [4]depRef
-	ndeps      int
-	issued     bool
 	issueCycle uint64
 	doneCycle  uint64
+	deps       [4]depRef
+	flops      uint16
+	intMACs    uint16
+	op         isa.Opcode
+	cls        isa.Class
+	thread     uint8
+	memBytes   uint8
+	ndeps      uint8
+	archCount  uint8 // architectural instructions folded in (2 when fused)
+	valid      bool
+	issued     bool
 	mispred    bool
-	archCount  int // architectural instructions folded in (2 when fused)
-	flops      int
-	intMACs    int
-	gathered   bool // fused store pair: one SQ entry, one AGEN
 }
 
 type fetchedInst struct {
@@ -77,17 +78,27 @@ type threadState struct {
 	branchFetchCycle uint64
 }
 
+// wrap reduces i, at most one ring length past its end, to a ring index.
+// The rings (ROB, fetch buffers, store drain queue) wrap by comparison: a
+// modulo by a non-constant length costs a division per access.
+func wrap(i, n int) int {
+	if i >= n {
+		i -= n
+	}
+	return i
+}
+
 func (t *threadState) bufAt(i int) *fetchedInst {
-	return &t.buf[(t.bufHead+i)%len(t.buf)]
+	return &t.buf[wrap(t.bufHead+i, len(t.buf))]
 }
 
 func (t *threadState) bufPush(f fetchedInst) {
-	t.buf[(t.bufHead+t.bufLen)%len(t.buf)] = f
+	t.buf[wrap(t.bufHead+t.bufLen, len(t.buf))] = f
 	t.bufLen++
 }
 
 func (t *threadState) bufPop(n int) {
-	t.bufHead = (t.bufHead + n) % len(t.buf)
+	t.bufHead = wrap(t.bufHead+n, len(t.buf))
 	t.bufLen -= n
 }
 
@@ -152,11 +163,13 @@ type core struct {
 	// reference scan (withNaiveSched) used by the equivalence tests.
 	naive      bool
 	schedLoc   []uint8
-	schedNext  []int32
+	schedNext  []int32 // next slot on the same waiter list or wheel bucket
 	waiterHead []int32
-	wakeHeap   []wakeItem
-	readyQ     []readyItem
-	deferred   []int32
+	readySet   []uint64 // the ready set: one bit per ROB slot
+	nready     int
+	wheel      [wakeHorizon]int32 // wake-wheel bucket heads, -1 when empty
+	wheelOcc   [wakeWords]uint64  // one bit per non-empty bucket
+	farWake    []wakeItem         // min-heap of wakes past the wheel
 
 	// Sampler window bookkeeping.
 	samplePrev  Activity
@@ -265,6 +278,9 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 	}
 	err := c.run(maxCycles)
 	if err == nil {
+		err = streamErr(streams)
+	}
+	if err == nil {
 		res.Config = cfg
 		res.SMT = len(streams)
 		res.Activity = c.act
@@ -272,6 +288,20 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 	}
 	putCore(c)
 	return err
+}
+
+// streamErr returns the functional execution error that ended a stream
+// early, for the streams that report one (VMStream, ReadAhead): a run whose
+// VM faulted must not read as a short, successful one.
+func streamErr(streams []trace.Stream) error {
+	for t, s := range streams {
+		if es, ok := s.(interface{ Err() error }); ok {
+			if err := es.Err(); err != nil {
+				return fmt.Errorf("uarch: functional execution of thread %d: %w", t, err)
+			}
+		}
+	}
+	return nil
 }
 
 func (c *core) run(maxCycles uint64) error {
@@ -432,7 +462,7 @@ func (c *core) ready(d depRef) bool {
 }
 
 func (c *core) entryReady(e *robEntry) bool {
-	for i := 0; i < e.ndeps; i++ {
+	for i := 0; i < int(e.ndeps); i++ {
 		if !c.ready(e.deps[i]) {
 			return false
 		}
@@ -449,7 +479,7 @@ func (c *core) retire() {
 			break
 		}
 		if e.cls.IsStore() {
-			c.drainQ[(c.drainHead+c.drainLen)%len(c.drainQ)] = drainEntry{addr: e.ea, bytes: e.memBytes}
+			c.drainQ[wrap(c.drainHead+c.drainLen, len(c.drainQ))] = drainEntry{addr: e.ea, bytes: int(e.memBytes)}
 			c.drainLen++
 			// SQ entry freed when drained.
 		}
@@ -462,7 +492,7 @@ func (c *core) retire() {
 		c.act.Flops += uint64(e.flops)
 		c.act.IntMACs += uint64(e.intMACs)
 		e.valid = false
-		c.head = (c.head + 1) % len(c.rob)
+		c.head = wrap(c.head+1, len(c.rob))
 		c.count--
 		retired++
 	}
@@ -479,7 +509,7 @@ func (c *core) drainStores() {
 		e := c.drainQ[c.drainHead]
 		n := 1
 		if c.cfg.StoreGather && c.drainLen > 1 {
-			nxt := c.drainQ[(c.drainHead+1)%len(c.drainQ)]
+			nxt := c.drainQ[wrap(c.drainHead+1, len(c.drainQ))]
 			if nxt.addr == e.addr+uint64(e.bytes) && e.bytes+nxt.bytes <= 32 {
 				n = 2
 				c.act.SQGathered++
@@ -491,7 +521,7 @@ func (c *core) drainStores() {
 			c.mmu.Translate(e.addr)
 		}
 		c.sqForward.del(e.addr) // the store left the queue
-		c.drainHead = (c.drainHead + n) % len(c.drainQ)
+		c.drainHead = wrap(c.drainHead+n, len(c.drainQ))
 		c.drainLen -= n
 		c.sqCount -= n
 		drains--
@@ -530,7 +560,7 @@ func (c *core) issue() {
 func (c *core) issueNaive() {
 	ports := c.newPorts()
 	issuedAny := 0
-	for i, slot := 0, c.head; i < c.count; i, slot = i+1, (slot+1)%len(c.rob) {
+	for i, slot := 0, c.head; i < c.count; i, slot = i+1, wrap(slot+1, len(c.rob)) {
 		e := &c.rob[slot]
 		if !e.valid || e.issued {
 			continue
@@ -825,23 +855,26 @@ func (c *core) allocate(t *threadState, f *fetchedInst, f2 *fetchedInst) (bool, 
 		return false, reason
 	}
 
-	slot := (c.head + c.count) % len(c.rob)
+	slot := wrap(c.head+c.count, len(c.rob))
 	c.seq++
+	// Every field is written here (issueCycle and doneCycle by tryIssue
+	// before anything reads them), so the slot's stale contents need no
+	// clearing first.
 	e := &c.rob[slot]
-	*e = robEntry{
-		valid:     true,
-		seq:       c.seq,
-		thread:    t.id,
-		op:        f.in.Op,
-		cls:       cls,
-		pc:        f.d.PC,
-		ea:        f.d.EA,
-		memBytes:  isa.MemBytesOf(f.in.Op),
-		mispred:   f.mispred,
-		archCount: 1,
-		flops:     isa.FlopsOf(f.in.Op),
-		intMACs:   isa.IntOpsOf(f.in.Op),
-	}
+	e.valid = true
+	e.seq = c.seq
+	e.thread = uint8(t.id)
+	e.op = f.in.Op
+	e.cls = cls
+	e.pc = f.d.PC
+	e.ea = f.d.EA
+	e.memBytes = uint8(isa.MemBytesOf(f.in.Op))
+	e.ndeps = 0
+	e.issued = false
+	e.mispred = f.mispred
+	e.archCount = 1
+	e.flops = uint16(isa.FlopsOf(f.in.Op))
+	e.intMACs = uint16(isa.IntOpsOf(f.in.Op))
 	c.addDeps(e, t.id, f.in)
 	c.rename(t.id, f.in, slot, c.seq)
 	if f2 != nil {
@@ -849,16 +882,15 @@ func (c *core) allocate(t *threadState, f *fetchedInst, f2 *fetchedInst) (bool, 
 		// dependency on f's destination resolves to this very slot and is
 		// filtered as an internal (zero-latency) edge.
 		e.archCount = 2
-		e.flops += isa.FlopsOf(f2.in.Op)
-		e.intMACs += isa.IntOpsOf(f2.in.Op)
+		e.flops += uint16(isa.FlopsOf(f2.in.Op))
+		e.intMACs += uint16(isa.IntOpsOf(f2.in.Op))
 		e.mispred = e.mispred || f2.mispred
 		c2 := f2.in.Class()
 		if c2 == isa.ClassCondBranch || c2.IsMem() {
 			e.cls = c2 // the pair executes on the second op's port
 			e.ea = f.d.EA
 			if c2.IsMem() {
-				e.memBytes = isa.MemBytesOf(f.in.Op) + isa.MemBytesOf(f2.in.Op)
-				e.gathered = true
+				e.memBytes += uint8(isa.MemBytesOf(f2.in.Op))
 			}
 		}
 		c.addDeps(e, t.id, f2.in)
@@ -887,18 +919,19 @@ func (c *core) allocate(t *threadState, f *fetchedInst, f2 *fetchedInst) (bool, 
 // addDeps records e's source dependencies through the rename tables,
 // de-duplicating and skipping already-retired producers.
 func (c *core) addDeps(e *robEntry, thread int, in *isa.Inst) {
+	self := int32(wrap(c.head+c.count, len(c.rob)))
 	add := func(d depRef) {
-		if d.slot < 0 || e.ndeps >= len(e.deps) {
+		if d.slot < 0 || int(e.ndeps) >= len(e.deps) {
 			return
 		}
 		pe := &c.rob[d.slot]
 		if !pe.valid || pe.seq != d.seq {
 			return
 		}
-		if d.slot == (c.head+c.count)%len(c.rob) {
+		if d.slot == self {
 			return // self
 		}
-		for i := 0; i < e.ndeps; i++ {
+		for i := 0; i < int(e.ndeps); i++ {
 			if e.deps[i] == d {
 				return
 			}
@@ -934,7 +967,7 @@ func (c *core) addDeps(e *robEntry, thread int, in *isa.Inst) {
 	case isa.OpXvf32gerpp, isa.OpXvi8ger4pp:
 		add(lookup(in.Dst))
 	case isa.OpXxmtacc:
-		for r := 1; r < 4 && e.ndeps < len(e.deps); r++ {
+		for r := 1; r < 4 && int(e.ndeps) < len(e.deps); r++ {
 			add(lookup(isa.VSR((int(in.A.Idx) + r) % isa.NumVSR)))
 		}
 	}
@@ -943,7 +976,7 @@ func (c *core) addDeps(e *robEntry, thread int, in *isa.Inst) {
 // rename points destination registers at the new producer.
 func (c *core) rename(thread int, in *isa.Inst, slot int, seq uint64) {
 	set := func(r isa.Reg) {
-		d := depRef{slot: slot, seq: seq}
+		d := depRef{slot: int32(slot), seq: seq}
 		switch r.File {
 		case isa.FileGPR:
 			c.renGPR[thread][r.Idx] = d

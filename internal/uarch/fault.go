@@ -90,7 +90,7 @@ func (c *core) applyUpset(u *Upset) {
 	// Collect eligible victims: valid entries, not yet issued for EA/dep
 	// targets, issued for done targets.
 	var victims []int
-	for i, slot := 0, c.head; i < c.count; i, slot = i+1, (slot+1)%len(c.rob) {
+	for i, slot := 0, c.head; i < c.count; i, slot = i+1, wrap(slot+1, len(c.rob)) {
 		e := &c.rob[slot]
 		if !e.valid {
 			continue
@@ -124,7 +124,7 @@ func (c *core) applyUpset(u *Upset) {
 	case UpsetDep:
 		// Self-dependency: the entry can never become ready, so the ROB
 		// head eventually wedges behind it.
-		e.deps[0] = depRef{slot: slot, seq: e.seq}
+		e.deps[0] = depRef{slot: int32(slot), seq: e.seq}
 		e.ndeps = 1
 	case UpsetDone:
 		delay := u.DoneDelay

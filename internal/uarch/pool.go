@@ -57,9 +57,8 @@ func newCore(cfg *Config) *core {
 		schedLoc:   make([]uint8, cfg.InstrTableEntries),
 		schedNext:  make([]int32, cfg.InstrTableEntries),
 		waiterHead: make([]int32, cfg.InstrTableEntries),
-		wakeHeap:   make([]wakeItem, 0, cfg.InstrTableEntries),
-		readyQ:     make([]readyItem, 0, cfg.InstrTableEntries),
-		deferred:   make([]int32, 0, cfg.InstrTableEntries),
+		readySet:   make([]uint64, (cfg.InstrTableEntries+63)/64),
+		farWake:    make([]wakeItem, 0, cfg.InstrTableEntries),
 	}
 	c.pendingFill.init(4 * cfg.LoadMissQueue)
 	c.sqForward.init(cfg.StoreQueueEntries)
@@ -122,9 +121,13 @@ func (c *core) reset(nthreads int) {
 	c.busy = [NumUnits]bool{}
 	c.upsetOutcome = nil
 	c.naive = false
-	c.wakeHeap = c.wakeHeap[:0]
-	c.readyQ = c.readyQ[:0]
-	c.deferred = c.deferred[:0]
+	clear(c.readySet)
+	c.nready = 0
+	for i := range c.wheel {
+		c.wheel[i] = -1
+	}
+	c.wheelOcc = [wakeWords]uint64{}
+	c.farWake = c.farWake[:0]
 	clear(c.schedLoc)
 	for i := range c.waiterHead {
 		c.waiterHead[i] = -1

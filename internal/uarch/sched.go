@@ -1,6 +1,10 @@
 package uarch
 
-import "power10sim/internal/isa"
+import (
+	"math/bits"
+
+	"power10sim/internal/isa"
+)
 
 // This file is the wakeup-driven issue scheduler. The original issue loop
 // (retained as the schedRef reference behind withNaiveSched) rescans the
@@ -10,46 +14,59 @@ import "power10sim/internal/isa"
 // un-issued entry lives in exactly one of three places, and only moves when
 // an event affecting it fires.
 //
-//   - the wake heap, keyed by the cycle its last producer's result becomes
-//     available (all producers already issued, so that cycle is known);
+//   - the wake queue, keyed by the cycle its last producer's result becomes
+//     available (all producers already issued, so that cycle is known). It
+//     is a timing wheel with one bucket per cycle over the next wakeHorizon
+//     cycles, each bucket an intrusive list through schedNext, plus a bitmap
+//     of non-empty buckets that hands idleSkip its next wake. A wake at or
+//     past the horizon — an injected UpsetDone delay, or a config whose
+//     memory latency approaches its 65,536-cycle cap — goes to a binary
+//     heap instead;
 //   - one producer's waiter list, when at least one producer has not issued
 //     yet (its completion cycle is unknown until it issues);
-//   - the ready queue (a min-heap on sequence number), when it could issue
-//     right now but for port availability.
+//   - the ready set, a bitmap over ROB slots, when it could issue right now
+//     but for port availability.
 //
 // Readiness is re-derived from the ROB on every transition
 // (revalidate-on-wake), never cached across moves. That makes the scheduler
 // robust to the fault-injection hooks, which mutate dependency and
 // completion state out from under it: a corrupted entry simply re-resolves
 // to a waiter list (self-dependency wedges, exactly like the scan version)
-// or a later wake cycle.
+// or a later wake cycle. It also makes the order in which one cycle's wakes
+// are revalidated irrelevant: each lands where its own ROB state says.
 //
-// Popping the ready queue in sequence order reproduces the scan's
-// oldest-first issue order bit-for-bit, including the same-cycle
-// store-to-load forwarding and L2-port ordering effects; entries that lose
-// port arbitration are put back, matching the scan's continue-not-break
-// behaviour. The equivalence tests in sched_equiv_test.go hold the two
-// schedulers to identical Activity counters across configs, SMT levels,
-// workload families and injected faults.
+// Scanning the ready set from the ROB head in slot order visits entries
+// oldest-first, since slots are allocated in sequence order, which
+// reproduces the scan's issue order bit-for-bit, including the same-cycle
+// store-to-load forwarding and L2-port ordering effects. An entry that loses
+// port arbitration keeps its bit for the next cycle, matching the scan's
+// continue-not-break behaviour; one made ready mid-scan by a zero-latency
+// producer is younger than that producer, so the scan still reaches it this
+// cycle, as the window scan would. The equivalence tests in
+// sched_equiv_test.go hold the two schedulers to identical Activity counters
+// across configs, SMT levels, workload families and injected faults.
 
 // Scheduler location tags: where an un-issued entry currently parks.
 const (
 	locNone   uint8 = iota // issued, retired, or not yet allocated
-	locWake   uint8 = iota // in the wake heap
-	locReady               // in the ready queue
+	locWake   uint8 = iota // in the wake wheel or the far-wake heap
+	locReady               // in the ready set
 	locWaiter              // on a producer's waiter list
 )
 
-// wakeItem is one wake-heap element: wake the entry in slot at cycle `at`.
+// wakeHorizon is the timing wheel's span in cycles, a power of two. Over
+// the 43 requests the long benchmark sets draw, the farthest of 3.55M wakes
+// was 394 cycles out.
+const (
+	wakeHorizon = 1 << 10
+	wakeMask    = wakeHorizon - 1
+	wakeWords   = wakeHorizon / 64
+)
+
+// wakeItem is one far-wake heap element: wake the entry in slot at cycle
+// `at`.
 type wakeItem struct {
 	at   uint64
-	seq  uint64
-	slot int32
-}
-
-// readyItem is one ready-queue element, ordered by sequence number so issue
-// considers ready entries oldest-first, exactly like the window scan.
-type readyItem struct {
 	seq  uint64
 	slot int32
 }
@@ -58,9 +75,21 @@ func wakeLess(a, b wakeItem) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// pushWake parks the entry in slot until cycle at, which is after now.
 func (c *core) pushWake(at uint64, slot int) {
 	c.schedLoc[slot] = locWake
-	h := append(c.wakeHeap, wakeItem{at: at, seq: c.rob[slot].seq, slot: int32(slot)})
+	if at-c.now >= wakeHorizon {
+		c.pushFar(at, slot)
+		return
+	}
+	b := at & wakeMask
+	c.schedNext[slot] = c.wheel[b]
+	c.wheel[b] = int32(slot)
+	c.wheelOcc[b>>6] |= 1 << (b & 63)
+}
+
+func (c *core) pushFar(at uint64, slot int) {
+	h := append(c.farWake, wakeItem{at: at, seq: c.rob[slot].seq, slot: int32(slot)})
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) / 2
@@ -70,11 +99,11 @@ func (c *core) pushWake(at uint64, slot int) {
 		h[i], h[p] = h[p], h[i]
 		i = p
 	}
-	c.wakeHeap = h
+	c.farWake = h
 }
 
-func (c *core) popWake() wakeItem {
-	h := c.wakeHeap
+func (c *core) popFar() wakeItem {
+	h := c.farWake
 	top := h[0]
 	last := len(h) - 1
 	h[0] = h[last]
@@ -94,48 +123,62 @@ func (c *core) popWake() wakeItem {
 		h[i], h[s] = h[s], h[i]
 		i = s
 	}
-	c.wakeHeap = h
+	c.farWake = h
 	return top
+}
+
+// nextWake returns the earliest pending wake cycle after now, or ok false
+// when nothing waits on a cycle. Every wheel entry wakes within
+// (now, now+wakeHorizon), so a bucket's distance from now+1's bucket is its
+// distance in cycles. The occupancy scan starts in now+1's word at its bit,
+// runs through the other words, and ends back in that word below the bit.
+func (c *core) nextWake() (at uint64, ok bool) {
+	if len(c.farWake) > 0 {
+		at, ok = c.farWake[0].at, true
+	}
+	b := (c.now + 1) & wakeMask
+	for k := uint64(0); k <= wakeWords; k++ {
+		w := (b>>6 + k) % wakeWords
+		m := c.wheelOcc[w]
+		switch k {
+		case 0:
+			m &= ^uint64(0) << (b & 63)
+		case wakeWords:
+			m &= 1<<(b&63) - 1
+		}
+		if m == 0 {
+			continue
+		}
+		bucket := w<<6 + uint64(bits.TrailingZeros64(m))
+		if wheelAt := c.now + 1 + ((bucket - b) & wakeMask); !ok || wheelAt < at {
+			return wheelAt, true
+		}
+		break
+	}
+	return at, ok
 }
 
 func (c *core) pushReady(slot int) {
 	c.schedLoc[slot] = locReady
-	h := append(c.readyQ, readyItem{seq: c.rob[slot].seq, slot: int32(slot)})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[i].seq >= h[p].seq {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	c.readyQ = h
+	c.readySet[slot>>6] |= 1 << (slot & 63)
+	c.nready++
 }
 
-func (c *core) popReady() int {
-	h := c.readyQ
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < len(h) && h[l].seq < h[s].seq {
-			s = l
+func (c *core) clearReady(slot int) {
+	c.schedLoc[slot] = locNone
+	c.readySet[slot>>6] &^= 1 << (slot & 63)
+	c.nready--
+}
+
+// nextReady returns the first ready slot in [i, hi), or hi.
+func (c *core) nextReady(i, hi int) int {
+	for i < hi {
+		if m := c.readySet[i>>6] >> (i & 63); m != 0 {
+			return min(i+bits.TrailingZeros64(m), hi)
 		}
-		if r < len(h) && h[r].seq < h[s].seq {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+		i = (i | 63) + 1
 	}
-	c.readyQ = h
-	return int(top.slot)
+	return hi
 }
 
 // scheduleEntry re-derives where the un-issued entry in slot must wait and
@@ -143,7 +186,7 @@ func (c *core) popReady() int {
 func (c *core) scheduleEntry(slot int) {
 	e := &c.rob[slot]
 	var readyAt uint64
-	for i := 0; i < e.ndeps; i++ {
+	for i := 0; i < int(e.ndeps); i++ {
 		d := e.deps[i]
 		if d.slot < 0 {
 			continue
@@ -179,8 +222,8 @@ func (c *core) scheduleEntry(slot int) {
 
 // drainWaiters re-schedules everything that was parked on slot's waiter list.
 // Called when the producer in slot issues (its completion cycle is now
-// known). Wake cycles land at now+1 or later, so the in-progress issue loop
-// is never perturbed.
+// known). A waiter is younger than its producer, so one made ready at once
+// by a zero-latency producer lies ahead of the in-progress issue scan.
 func (c *core) drainWaiters(slot int) {
 	w := c.waiterHead[slot]
 	c.waiterHead[slot] = -1
@@ -192,54 +235,73 @@ func (c *core) drainWaiters(slot int) {
 	}
 }
 
-// wakeDue moves every wake-heap entry due at the current cycle through
-// revalidation: into the ready queue, onto a waiter list, or back into the
-// heap at a later cycle (an injected UpsetDone pushes completion cycles out).
+// wakeDue moves every entry due to wake at the current cycle through
+// revalidation: into the ready set, onto a waiter list, or back into the
+// wake queue at a later cycle (an injected UpsetDone pushes completion
+// cycles out). Every executed cycle calls it and a skipped cycle holds no
+// wake, so now's bucket holds exactly the wakes due now.
 func (c *core) wakeDue() {
-	for len(c.wakeHeap) > 0 && c.wakeHeap[0].at <= c.now {
-		it := c.popWake()
-		slot := int(it.slot)
-		e := &c.rob[slot]
-		if c.schedLoc[slot] != locWake || !e.valid || e.seq != it.seq || e.issued {
-			continue // stale item; unreachable while the location invariant holds
+	b := c.now & wakeMask
+	if bit := uint64(1) << (b & 63); c.wheelOcc[b>>6]&bit != 0 {
+		c.wheelOcc[b>>6] &^= bit
+		w := c.wheel[b]
+		c.wheel[b] = -1
+		for w >= 0 {
+			next := c.schedNext[w]
+			c.wake(int(w))
+			w = next
 		}
-		c.schedLoc[slot] = locNone
-		c.scheduleEntry(slot)
+	}
+	for len(c.farWake) > 0 && c.farWake[0].at <= c.now {
+		if it := c.popFar(); c.rob[it.slot].seq == it.seq {
+			c.wake(int(it.slot))
+		}
 	}
 }
 
-// issueWakeup is the wakeup-list replacement for the window scan: it pops
-// ready entries in sequence order and issues them against the cycle's port
-// budget. Entries that lose port arbitration stay ready for the next cycle.
+// wake revalidates the entry in slot, parked in the wake queue until now.
+func (c *core) wake(slot int) {
+	e := &c.rob[slot]
+	if c.schedLoc[slot] != locWake || !e.valid || e.issued {
+		return // stale item; unreachable while the location invariant holds
+	}
+	c.schedLoc[slot] = locNone
+	c.scheduleEntry(slot)
+}
+
+// issueWakeup is the wakeup-list replacement for the window scan: it scans
+// the ready set in age order and issues against the cycle's port budget.
+// Entries that lose port arbitration stay ready for the next cycle.
 func (c *core) issueWakeup() {
 	c.wakeDue()
 	ports := c.newPorts()
 	issuedAny := 0
-	c.deferred = c.deferred[:0]
-	for len(c.readyQ) > 0 {
-		slot := c.popReady()
-		e := &c.rob[slot]
-		if !e.valid || e.issued {
-			c.schedLoc[slot] = locNone
-			continue // unreachable while the location invariant holds
+	if c.nready > 0 {
+		// The live window runs from head to the end of the array, then
+		// wraps to its start.
+		for _, r := range [2][2]int{{c.head, len(c.rob)}, {0, c.head}} {
+			for slot := c.nextReady(r[0], r[1]); slot < r[1]; slot = c.nextReady(slot+1, r[1]) {
+				e := &c.rob[slot]
+				if !e.valid || e.issued {
+					c.clearReady(slot)
+					continue // unreachable while the location invariant holds
+				}
+				if !c.entryReady(e) {
+					// An injected upset rewired a dependency or delayed a
+					// producer after this entry was declared ready;
+					// re-resolve it.
+					c.clearReady(slot)
+					c.scheduleEntry(slot)
+					continue
+				}
+				if !c.tryIssue(slot, &ports) {
+					continue
+				}
+				issuedAny++
+				c.clearReady(slot)
+				c.drainWaiters(slot)
+			}
 		}
-		if !c.entryReady(e) {
-			// An injected upset rewired a dependency or delayed a producer
-			// after this entry was declared ready; re-resolve it.
-			c.schedLoc[slot] = locNone
-			c.scheduleEntry(slot)
-			continue
-		}
-		if !c.tryIssue(slot, &ports) {
-			c.deferred = append(c.deferred, int32(slot))
-			continue
-		}
-		issuedAny++
-		c.schedLoc[slot] = locNone
-		c.drainWaiters(slot)
-	}
-	for _, s := range c.deferred {
-		c.pushReady(int(s))
 	}
 	if issuedAny > 0 {
 		c.busy[UnitIssue] = true
@@ -259,7 +321,7 @@ func (c *core) issueWakeup() {
 // (0 when the cycle must run normally).
 func (c *core) idleSkip(o *simOptions, lastProgress, maxCycles uint64, checkCtx bool) uint64 {
 	c.wakeDue()
-	if len(c.readyQ) > 0 {
+	if c.nready > 0 {
 		return 0 // something can issue
 	}
 	if c.count > 0 {
@@ -309,8 +371,8 @@ func (c *core) idleSkip(o *simOptions, lastProgress, maxCycles uint64, checkCtx 
 
 	// Provably idle. Find the next cycle that must execute normally.
 	next := maxCycles
-	if len(c.wakeHeap) > 0 && c.wakeHeap[0].at < next {
-		next = c.wakeHeap[0].at
+	if at, ok := c.nextWake(); ok && at < next {
+		next = at
 	}
 	if c.count > 0 {
 		h := &c.rob[c.head]

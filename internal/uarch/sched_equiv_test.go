@@ -60,7 +60,14 @@ func equivStreams(w *workloads.Workload, smt int) []trace.Stream {
 }
 
 func TestWakeupSchedulerMatchesNaiveScan(t *testing.T) {
-	configs := []*Config{POWER9(), POWER10()}
+	// A memory latency past the wake wheel's horizon sends every miss's
+	// dependents through the far-wake heap. The naive scan times its long
+	// stalls cycle by cycle, so that config runs at SMT1 only.
+	farMem := POWER10()
+	farMem.Name = "POWER10-farmem"
+	farMem.MemLatency = 2 * wakeHorizon
+	farMem.SMTMax = 1
+	configs := []*Config{POWER9(), POWER10(), farMem}
 	for _, w := range equivWorkloads(t) {
 		for _, cfg := range configs {
 			smtMax := cfg.SMTMax
@@ -100,9 +107,18 @@ func TestWakeupSchedulerMatchesNaiveScan(t *testing.T) {
 func TestWakeupSchedulerMatchesNaiveUnderUpset(t *testing.T) {
 	cfg := POWER10()
 	w := workloads.Daxpy(256, 4)
-	for _, target := range []UpsetTarget{UpsetEA, UpsetDone} {
-		t.Run(target.String(), func(t *testing.T) {
-			u := &Upset{Cycle: 200, Target: target, Slot: 3, Bit: 7, DoneDelay: 500}
+	for _, tc := range []struct {
+		name string
+		u    Upset
+	}{
+		{"ea", Upset{Cycle: 200, Target: UpsetEA, Slot: 3, Bit: 7, DoneDelay: 500}},
+		{"done", Upset{Cycle: 200, Target: UpsetDone, Slot: 3, Bit: 7, DoneDelay: 500}},
+		// Past the wake wheel's horizon: the victim's dependents wake at its
+		// old completion cycle and re-park in the far-wake heap.
+		{"done-far", Upset{Cycle: 200, Target: UpsetDone, Slot: 3, Bit: 7, DoneDelay: 4*wakeHorizon + 3}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			u, target := &tc.u, tc.u.Target
 			res, err := Simulate(cfg, equivStreams(w, 1), 10_000_000, WithUpset(u))
 			if err != nil {
 				t.Fatal(err)
