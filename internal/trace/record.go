@@ -1,6 +1,10 @@
 package trace
 
-import "power10sim/internal/isa"
+import (
+	"sync"
+
+	"power10sim/internal/isa"
+)
 
 // This file is the functional front end: one VM runs ahead of its consumer
 // on a second goroutine and hands over fixed-size blocks of compact records.
@@ -73,6 +77,10 @@ const (
 // one the VM fills, and two finished ones between them.
 const readAheadBlocks = 4
 
+// ringBlocks recycles ring blocks from one ReadAhead to the next: a sweep
+// runs hundreds of full simulations, each with a ring per thread.
+var ringBlocks = sync.Pool{New: func() any { return new([blockLen]Record) }}
+
 // pass is one functional execution of a program on its own goroutine. The
 // goroutine sends each finished block on full, in trace order, and closes
 // full when the program halts, the budget is spent, the VM fails (err) or
@@ -99,7 +107,7 @@ func startPass(prog *isa.Program, budget uint64, ring int) *pass {
 		p.full = make(chan []Record, ring)
 		p.free = make(chan []Record, ring)
 		for range ring {
-			p.free <- make([]Record, 0, blockLen)
+			p.free <- ringBlocks.Get().(*[blockLen]Record)[:0]
 		}
 	}
 	go func() {
@@ -298,7 +306,19 @@ func (s *ReadAhead) Close() {
 	if s.p == nil {
 		return
 	}
-	s.p.close()
+	close(s.p.stop)
+	recycle := func(blk []Record) { ringBlocks.Put((*[blockLen]Record)(blk[:blockLen])) }
+	for blk := range s.p.full {
+		recycle(blk)
+	}
+	// The VM's goroutine has exited, so the ring's blocks are all here but
+	// the one it was filling when it stopped, which is dropped.
+	for len(s.p.free) > 0 {
+		recycle(<-s.p.free)
+	}
+	if s.blk != nil {
+		recycle(s.blk)
+	}
 	s.p = nil
 	s.ended = true
 	s.blk, s.cur = nil, nil
