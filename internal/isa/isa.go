@@ -477,6 +477,14 @@ func (p *Program) PC(i int) uint64 {
 	return p.pcs[i]
 }
 
+// PCs returns the program's PC table: PC(i) for every static index i, plus
+// the address just past the last instruction. The slice is shared and must
+// not be modified.
+func (p *Program) PCs() []uint64 {
+	p.pcsOnce.Do(p.buildPCs)
+	return p.pcs
+}
+
 func (p *Program) buildPCs() {
 	base := p.CodeBase
 	if base == 0 {

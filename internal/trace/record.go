@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"sync"
-
-	"power10sim/internal/isa"
-)
+import "power10sim/internal/isa"
 
 // This file is the functional front end: one VM runs ahead of its consumer
 // on a second goroutine and hands over fixed-size blocks of compact records.
@@ -51,16 +47,6 @@ func (r *Record) dynInst(pcs []uint64) isa.DynInst {
 	}
 }
 
-// pcTable returns Program.PC for every static index of prog, plus the end
-// address.
-func pcTable(prog *isa.Program) []uint64 {
-	pcs := make([]uint64, len(prog.Code)+1)
-	for i := range pcs {
-		pcs[i] = prog.PC(i)
-	}
-	return pcs
-}
-
 // Records travel in blocks of blockLen (64 KiB). A block is the unit of
 // hand-over between the VM and its consumer, so it also bounds how far the
 // consumer can start behind the VM: a full run of a 65k-instruction program
@@ -76,10 +62,6 @@ const (
 // readAheadBlocks is a ReadAhead's ring: the block the consumer reads, the
 // one the VM fills, and two finished ones between them.
 const readAheadBlocks = 4
-
-// ringBlocks recycles ring blocks from one ReadAhead to the next: a sweep
-// runs hundreds of full simulations, each with a ring per thread.
-var ringBlocks = sync.Pool{New: func() any { return new([blockLen]Record) }}
 
 // pass is one functional execution of a program on its own goroutine. The
 // goroutine sends each finished block on full, in trace order, and closes
@@ -107,7 +89,7 @@ func startPass(prog *isa.Program, budget uint64, ring int) *pass {
 		p.full = make(chan []Record, ring)
 		p.free = make(chan []Record, ring)
 		for range ring {
-			p.free <- ringBlocks.Get().(*[blockLen]Record)[:0]
+			p.free <- make([]Record, 0, blockLen)
 		}
 	}
 	go func() {
@@ -179,7 +161,7 @@ type Recording struct {
 
 // NewRecording returns an empty recording of prog.
 func NewRecording(prog *isa.Program) *Recording {
-	return &Recording{prog: prog, pcs: pcTable(prog)}
+	return &Recording{prog: prog, pcs: prog.PCs()}
 }
 
 // Fill executes the program for up to budget instructions (fewer where it
@@ -259,7 +241,7 @@ type ReadAhead struct {
 
 // NewReadAhead starts executing prog for up to budget instructions.
 func NewReadAhead(prog *isa.Program, budget uint64) *ReadAhead {
-	return &ReadAhead{prog: prog, pcs: pcTable(prog), p: startPass(prog, budget, readAheadBlocks)}
+	return &ReadAhead{prog: prog, pcs: prog.PCs(), p: startPass(prog, budget, readAheadBlocks)}
 }
 
 // Next implements Stream.
@@ -306,19 +288,7 @@ func (s *ReadAhead) Close() {
 	if s.p == nil {
 		return
 	}
-	close(s.p.stop)
-	recycle := func(blk []Record) { ringBlocks.Put((*[blockLen]Record)(blk[:blockLen])) }
-	for blk := range s.p.full {
-		recycle(blk)
-	}
-	// The VM's goroutine has exited, so the ring's blocks are all here but
-	// the one it was filling when it stopped, which is dropped.
-	for len(s.p.free) > 0 {
-		recycle(<-s.p.free)
-	}
-	if s.blk != nil {
-		recycle(s.blk)
-	}
+	s.p.close()
 	s.p = nil
 	s.ended = true
 	s.blk, s.cur = nil, nil

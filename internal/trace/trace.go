@@ -67,6 +67,15 @@ func (s *VMStream) Reset() {
 // Err reports a functional execution error, if any occurred.
 func (s *VMStream) Err() error { return s.err }
 
+// StreamErr reports the functional execution error that ended s early, for
+// the streams that keep one (VMStream, ReadAhead), and nil for the others.
+func StreamErr(s Stream) error {
+	if es, ok := s.(interface{ Err() error }); ok {
+		return es.Err()
+	}
+	return nil
+}
+
 // SliceStream replays a captured record slice.
 type SliceStream struct {
 	prog *isa.Program

@@ -169,7 +169,6 @@ type core struct {
 	nready     int
 	wheel      [wakeHorizon]int32 // wake-wheel bucket heads, -1 when empty
 	wheelOcc   [wakeWords]uint64  // one bit per non-empty bucket
-	farWake    []wakeItem         // min-heap of wakes past the wheel
 
 	// Sampler window bookkeeping.
 	samplePrev  Activity
@@ -277,8 +276,11 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 		c.threads[t].prog = s.Program()
 	}
 	err := c.run(maxCycles)
-	if err == nil {
-		err = streamErr(streams)
+	// A run whose VM faulted must not read as a short, successful one.
+	for t := 0; t < len(streams) && err == nil; t++ {
+		if e := trace.StreamErr(streams[t]); e != nil {
+			err = fmt.Errorf("uarch: functional execution of thread %d: %w", t, e)
+		}
 	}
 	if err == nil {
 		res.Config = cfg
@@ -288,20 +290,6 @@ func SimulateInto(res *Result, cfg *Config, streams []trace.Stream, maxCycles ui
 	}
 	putCore(c)
 	return err
-}
-
-// streamErr returns the functional execution error that ended a stream
-// early, for the streams that report one (VMStream, ReadAhead): a run whose
-// VM faulted must not read as a short, successful one.
-func streamErr(streams []trace.Stream) error {
-	for t, s := range streams {
-		if es, ok := s.(interface{ Err() error }); ok {
-			if err := es.Err(); err != nil {
-				return fmt.Errorf("uarch: functional execution of thread %d: %w", t, err)
-			}
-		}
-	}
-	return nil
 }
 
 func (c *core) run(maxCycles uint64) error {

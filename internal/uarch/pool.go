@@ -58,7 +58,6 @@ func newCore(cfg *Config) *core {
 		schedNext:  make([]int32, cfg.InstrTableEntries),
 		waiterHead: make([]int32, cfg.InstrTableEntries),
 		readySet:   make([]uint64, (cfg.InstrTableEntries+63)/64),
-		farWake:    make([]wakeItem, 0, cfg.InstrTableEntries),
 	}
 	c.pendingFill.init(4 * cfg.LoadMissQueue)
 	c.sqForward.init(cfg.StoreQueueEntries)
@@ -127,7 +126,6 @@ func (c *core) reset(nthreads int) {
 		c.wheel[i] = -1
 	}
 	c.wheelOcc = [wakeWords]uint64{}
-	c.farWake = c.farWake[:0]
 	clear(c.schedLoc)
 	for i := range c.waiterHead {
 		c.waiterHead[i] = -1

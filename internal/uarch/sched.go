@@ -20,8 +20,8 @@ import (
 //     cycles, each bucket an intrusive list through schedNext, plus a bitmap
 //     of non-empty buckets that hands idleSkip its next wake. A wake at or
 //     past the horizon — an injected UpsetDone delay, or a config whose
-//     memory latency approaches its 65,536-cycle cap — goes to a binary
-//     heap instead;
+//     memory latency approaches its 65,536-cycle cap — parks in the wheel's
+//     farthest bucket and is re-parked from there until it is due;
 //   - one producer's waiter list, when at least one producer has not issued
 //     yet (its completion cycle is unknown until it issues);
 //   - the ready set, a bitmap over ROB slots, when it could issue right now
@@ -49,7 +49,7 @@ import (
 // Scheduler location tags: where an un-issued entry currently parks.
 const (
 	locNone   uint8 = iota // issued, retired, or not yet allocated
-	locWake   uint8 = iota // in the wake wheel or the far-wake heap
+	locWake   uint8 = iota // in the wake wheel
 	locReady               // in the ready set
 	locWaiter              // on a producer's waiter list
 )
@@ -63,68 +63,17 @@ const (
 	wakeWords   = wakeHorizon / 64
 )
 
-// wakeItem is one far-wake heap element: wake the entry in slot at cycle
-// `at`.
-type wakeItem struct {
-	at   uint64
-	seq  uint64
-	slot int32
-}
-
-func wakeLess(a, b wakeItem) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
-}
-
-// pushWake parks the entry in slot until cycle at, which is after now.
+// pushWake parks the entry in slot until cycle at, which is after now. A
+// wake at or past the horizon parks in the farthest bucket, a horizon less
+// one ahead: the entry wakes early, and wake's revalidation re-parks it
+// until it is due. Only idle-skip spans change, split at each early wake,
+// and idleSkip counts the same stalls over either.
 func (c *core) pushWake(at uint64, slot int) {
 	c.schedLoc[slot] = locWake
-	if at-c.now >= wakeHorizon {
-		c.pushFar(at, slot)
-		return
-	}
-	b := at & wakeMask
+	b := min(at, c.now+wakeHorizon-1) & wakeMask
 	c.schedNext[slot] = c.wheel[b]
 	c.wheel[b] = int32(slot)
 	c.wheelOcc[b>>6] |= 1 << (b & 63)
-}
-
-func (c *core) pushFar(at uint64, slot int) {
-	h := append(c.farWake, wakeItem{at: at, seq: c.rob[slot].seq, slot: int32(slot)})
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !wakeLess(h[i], h[p]) {
-			break
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-	c.farWake = h
-}
-
-func (c *core) popFar() wakeItem {
-	h := c.farWake
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r, s := 2*i+1, 2*i+2, i
-		if l < len(h) && wakeLess(h[l], h[s]) {
-			s = l
-		}
-		if r < len(h) && wakeLess(h[r], h[s]) {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
-	}
-	c.farWake = h
-	return top
 }
 
 // nextWake returns the earliest pending wake cycle after now, or ok false
@@ -133,9 +82,6 @@ func (c *core) popFar() wakeItem {
 // distance in cycles. The occupancy scan starts in now+1's word at its bit,
 // runs through the other words, and ends back in that word below the bit.
 func (c *core) nextWake() (at uint64, ok bool) {
-	if len(c.farWake) > 0 {
-		at, ok = c.farWake[0].at, true
-	}
 	b := (c.now + 1) & wakeMask
 	for k := uint64(0); k <= wakeWords; k++ {
 		w := (b>>6 + k) % wakeWords
@@ -150,12 +96,9 @@ func (c *core) nextWake() (at uint64, ok bool) {
 			continue
 		}
 		bucket := w<<6 + uint64(bits.TrailingZeros64(m))
-		if wheelAt := c.now + 1 + ((bucket - b) & wakeMask); !ok || wheelAt < at {
-			return wheelAt, true
-		}
-		break
+		return c.now + 1 + ((bucket - b) & wakeMask), true
 	}
-	return at, ok
+	return 0, false
 }
 
 func (c *core) pushReady(slot int) {
@@ -238,8 +181,9 @@ func (c *core) drainWaiters(slot int) {
 // wakeDue moves every entry due to wake at the current cycle through
 // revalidation: into the ready set, onto a waiter list, or back into the
 // wake queue at a later cycle (an injected UpsetDone pushes completion
-// cycles out). Every executed cycle calls it and a skipped cycle holds no
-// wake, so now's bucket holds exactly the wakes due now.
+// cycles out, and a wake past the horizon comes early). Every executed cycle
+// calls it and a skipped cycle holds no wake, so now's bucket holds exactly
+// the wakes due now.
 func (c *core) wakeDue() {
 	b := c.now & wakeMask
 	if bit := uint64(1) << (b & 63); c.wheelOcc[b>>6]&bit != 0 {
@@ -250,11 +194,6 @@ func (c *core) wakeDue() {
 			next := c.schedNext[w]
 			c.wake(int(w))
 			w = next
-		}
-	}
-	for len(c.farWake) > 0 && c.farWake[0].at <= c.now {
-		if it := c.popFar(); c.rob[it.slot].seq == it.seq {
-			c.wake(int(it.slot))
 		}
 	}
 }

@@ -60,9 +60,9 @@ func equivStreams(w *workloads.Workload, smt int) []trace.Stream {
 }
 
 func TestWakeupSchedulerMatchesNaiveScan(t *testing.T) {
-	// A memory latency past the wake wheel's horizon sends every miss's
-	// dependents through the far-wake heap. The naive scan times its long
-	// stalls cycle by cycle, so that config runs at SMT1 only.
+	// A memory latency past the wake wheel's horizon parks every miss's
+	// dependents early and re-parks them until due. The naive scan times
+	// its long stalls cycle by cycle, so that config runs at SMT1 only.
 	farMem := POWER10()
 	farMem.Name = "POWER10-farmem"
 	farMem.MemLatency = 2 * wakeHorizon
@@ -114,7 +114,7 @@ func TestWakeupSchedulerMatchesNaiveUnderUpset(t *testing.T) {
 		{"ea", Upset{Cycle: 200, Target: UpsetEA, Slot: 3, Bit: 7, DoneDelay: 500}},
 		{"done", Upset{Cycle: 200, Target: UpsetDone, Slot: 3, Bit: 7, DoneDelay: 500}},
 		// Past the wake wheel's horizon: the victim's dependents wake at its
-		// old completion cycle and re-park in the far-wake heap.
+		// old completion cycle and re-park a horizon at a time until due.
 		{"done-far", Upset{Cycle: 200, Target: UpsetDone, Slot: 3, Bit: 7, DoneDelay: 4*wakeHorizon + 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -135,10 +135,8 @@ func (w *WarmState) Warm(s trace.Stream, thread int) error {
 		}
 	}
 	w.clock[thread] = now
-	if es, ok := s.(interface{ Err() error }); ok {
-		if err := es.Err(); err != nil {
-			return fmt.Errorf("uarch: functional warming thread %d: %w", thread, err)
-		}
+	if err := trace.StreamErr(s); err != nil {
+		return fmt.Errorf("uarch: functional warming thread %d: %w", thread, err)
 	}
 	return nil
 }
