@@ -19,10 +19,7 @@
 //
 // The -listen address serves both the worker-facing fabric endpoints
 // (/fabric/*) and the human-facing observability surface (/status /events
-// /dashboard /metrics ...), including the external submit API:
-//
-//	curl -X POST :9170/fabric/submit -d '{"config":"POWER10","workload":"daxpy","smt":4}'
-//	curl :9170/fabric/poll?key=...
+// /dashboard /metrics ...).
 //
 // SIGINT/SIGTERM drain cooperatively: in-flight leases finish or expire,
 // workers are told to stop polling, the run ledger and telemetry flush, and a
@@ -42,10 +39,7 @@ import (
 	"power10sim/internal/fabric"
 	"power10sim/internal/obsserver"
 	"power10sim/internal/progress"
-	"power10sim/internal/runner"
 	"power10sim/internal/sweep"
-	"power10sim/internal/uarch"
-	"power10sim/internal/workloads"
 )
 
 func main() {
@@ -96,7 +90,6 @@ func main() {
 	coord := fabric.NewCoordinator(fabric.CoordinatorOptions{
 		LeaseTTL:    *leaseTTL,
 		MaxAttempts: *maxAttempts,
-		Resolve:     newSubmitResolver(),
 		Bus:         h.Bus,
 		Registry:    h.Reg,
 	})
@@ -194,33 +187,5 @@ func waitForWorkers(ctx context.Context, coord *fabric.Coordinator, n int, windo
 			return false
 		case <-time.After(100 * time.Millisecond):
 		}
-	}
-}
-
-// newSubmitResolver maps the external submit API's (config, workload, smt)
-// names onto full simulation requests, mirroring p10sim's request
-// construction so a fabric-submitted point lands on the same content key as
-// the equivalent CLI run.
-func newSubmitResolver() func(fabric.SubmitRequest) (runner.Request, error) {
-	catalog := workloads.Catalog()
-	return func(sr fabric.SubmitRequest) (runner.Request, error) {
-		cfg := uarch.ConfigByName(sr.Config)
-		if cfg == nil {
-			return runner.Request{}, fmt.Errorf("unknown config %q", sr.Config)
-		}
-		w := catalog[sr.Workload]
-		if w == nil {
-			return runner.Request{}, fmt.Errorf("unknown workload %q", sr.Workload)
-		}
-		smt := sr.SMT
-		if smt < 1 {
-			smt = 1
-		}
-		bud := w.Budget
-		if sr.Budget > 0 {
-			bud = sr.Budget
-		}
-		return runner.Request{Cfg: cfg, W: w, SMT: smt, Budget: bud,
-			Warmup: w.Warmup * uint64(smt), MaxCycles: 50_000_000}, nil
 	}
 }

@@ -47,7 +47,6 @@ func main() {
 	var (
 		coordURL  = flag.String("coord", "", "coordinator base URL (e.g. http://127.0.0.1:9170)")
 		name      = flag.String("name", "", "advertised worker name (default: hostname-pid)")
-		batch     = flag.Int("batch", 0, "max units leased per poll (0 = match -jobs)")
 		chaosSpec = flag.String("chaos", "", "misbehave on purpose: kill[:n] | stall[:n] | corrupt[:n]")
 	)
 	flag.Parse()
@@ -55,9 +54,6 @@ func main() {
 		cliutil.Usagef("-coord is required")
 	}
 	obs.Check()
-	if *batch < 0 {
-		cliutil.Usagef("-batch %d: must be >= 0", *batch)
-	}
 	chaos, err := fabric.ParseChaos(*chaosSpec)
 	if err != nil {
 		cliutil.Usagef("%v", err)
@@ -72,7 +68,6 @@ func main() {
 	w := fabric.NewWorker(h.Pool, fabric.WorkerOptions{
 		Coordinator: *coordURL,
 		Name:        *name,
-		Batch:       *batch,
 		Chaos:       chaos,
 		Registry:    h.Reg,
 		Logf: func(format string, args ...any) {

@@ -21,7 +21,6 @@ func TestUsageErrors(t *testing.T) {
 		{"-metrics", bad},
 		{"-flightrec", bad},
 		{"-jobs", "-1"},
-		{"-batch", "-1"},
 		{"-chaos", "explode"},
 	} {
 		clitest.UsageError(t, append(args, "-coord", "http://127.0.0.1:1")...)

@@ -8,8 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -17,10 +17,6 @@ import (
 	"power10sim/internal/runner"
 	"power10sim/internal/telemetry"
 )
-
-// ErrBusy is returned (and rendered as HTTP 429 + Retry-After) when an
-// external submission would overflow the coordinator's bounded queue.
-var ErrBusy = errors.New("fabric: queue full")
 
 // ErrClosed is returned for operations against a draining coordinator.
 var ErrClosed = errors.New("fabric: coordinator closed")
@@ -40,13 +36,6 @@ type CoordinatorOptions struct {
 	// RetryBackoff×2^(n-1) (capped at 16×) plus a deterministic per-key
 	// jitter, so a thundering herd of reclaimed units fans back out.
 	RetryBackoff time.Duration
-	// QueueBound caps externally submitted pending units (admission
-	// control); the coordinator's own sweep is exempt — its concurrency is
-	// already bounded by the experiment harness.
-	QueueBound int
-	// Resolve maps an external SubmitRequest onto a full simulation request.
-	// Nil disables the external submit API (501).
-	Resolve func(SubmitRequest) (runner.Request, error)
 	// Bus receives fleet lifecycle events (worker joined/lost/drained, unit
 	// requeued/duplicate).
 	Bus *progress.Bus
@@ -81,7 +70,6 @@ type unit struct {
 	key     string
 	label   string
 	payload []byte
-	req     runner.Request // original request; Report recomputation + poll
 
 	state     unitState
 	attempt   int // dispatch attempts so far
@@ -165,7 +153,6 @@ type Coordinator struct {
 	requeues   uint64
 	duplicates uint64
 	corrupt    uint64
-	rejected   uint64
 
 	tmPending   *telemetry.Gauge
 	tmLive      *telemetry.Gauge
@@ -173,7 +160,6 @@ type Coordinator struct {
 	tmRequeued  *telemetry.Counter
 	tmDuplicate *telemetry.Counter
 	tmCorrupt   *telemetry.Counter
-	tmRejected  *telemetry.Counter
 	tmJoined    *telemetry.Counter
 	tmLost      *telemetry.Counter
 
@@ -197,9 +183,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 	if opts.RetryBackoff <= 0 {
 		opts.RetryBackoff = DefaultRetryBackoff
 	}
-	if opts.QueueBound <= 0 {
-		opts.QueueBound = DefaultQueueBound
-	}
 	reg := opts.Registry
 	c := &Coordinator{
 		opts:    opts,
@@ -217,7 +200,6 @@ func NewCoordinator(opts CoordinatorOptions) *Coordinator {
 		tmRequeued:  reg.Counter("fabric_units_requeued_total"),
 		tmDuplicate: reg.Counter("fabric_duplicate_results_total"),
 		tmCorrupt:   reg.Counter("fabric_corrupt_results_total"),
-		tmRejected:  reg.Counter("fabric_submits_rejected_total"),
 		tmJoined:    reg.Counter("fabric_workers_joined_total"),
 		tmLost:      reg.Counter("fabric_workers_lost_total"),
 		// Dispatch-latency histograms: how long units sit queued before a
@@ -270,7 +252,7 @@ func (c *Coordinator) Execute(ctx context.Context, req runner.Request) (runner.R
 		// the runner execute locally.
 		return runner.Result{}, false
 	}
-	u, err := c.enqueue(key, spanLabel(req), payload, req, false)
+	u, err := c.enqueue(key, req.Label(), payload)
 	if err != nil {
 		return runner.Result{}, false
 	}
@@ -288,26 +270,9 @@ func (c *Coordinator) Execute(ctx context.Context, req runner.Request) (runner.R
 	return res, true
 }
 
-// SubmitExternal is the admission-controlled entry point behind PathSubmit.
-func (c *Coordinator) SubmitExternal(req runner.Request) (key string, state string, err error) {
-	payload, key, err := EncodeRequest(req)
-	if err != nil {
-		return "", "", err
-	}
-	u, err := c.enqueue(key, spanLabel(req), payload, req, true)
-	if err != nil {
-		return "", "", err
-	}
-	c.mu.Lock()
-	state = u.state.String()
-	c.mu.Unlock()
-	return key, state, nil
-}
-
 // enqueue registers a unit (or joins the existing one — fleet-wide dedup by
-// content key). External submissions are bounced with ErrBusy when the
-// pending backlog is at QueueBound.
-func (c *Coordinator) enqueue(key, label string, payload []byte, req runner.Request, external bool) (*unit, error) {
+// content key).
+func (c *Coordinator) enqueue(key, label string, payload []byte) (*unit, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -316,17 +281,11 @@ func (c *Coordinator) enqueue(key, label string, payload []byte, req runner.Requ
 	if u, ok := c.units[key]; ok {
 		return u, nil
 	}
-	if external && len(c.fifo) >= c.opts.QueueBound {
-		c.rejected++
-		c.tmRejected.Inc()
-		return nil, ErrBusy
-	}
 	now := c.now()
 	u := &unit{
 		key:     key,
 		label:   label,
 		payload: payload,
-		req:     req,
 		state:   statePending,
 		// The trace ID is a visible prefix of the content key, so a span in
 		// any process's trace can be joined back to cache entries, ledger
@@ -510,11 +469,14 @@ func (c *Coordinator) Heartbeat(req HeartbeatRequest) HeartbeatResponse {
 //     simulator's determinism makes both copies bit-identical).
 //   - Any later result for a done unit is counted and discarded.
 //   - A corrupt result (unknown key, or neither activity nor error) rejects
-//     the delivery; if it named a live unit, that unit re-enters the queue
-//     immediately rather than waiting out its lease.
-//   - A transient worker-side failure re-enters the queue (bounded by
-//     MaxAttempts); a deterministic simulation error is final — every
-//     worker would reproduce it, exactly as a local run would.
+//     the delivery; if its sender holds the unit's lease, that unit
+//     re-enters the queue immediately rather than waiting out its lease.
+//   - A transient worker-side failure from the leaseholder re-enters the
+//     queue (bounded by MaxAttempts); a deterministic simulation error is
+//     final — every worker would reproduce it, exactly as a local run would.
+//   - A failure from a worker that no longer holds the lease (it expired)
+//     is stale: the unit already waits in the queue or runs elsewhere, so
+//     the failure leaves it alone.
 func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -551,19 +513,24 @@ func (c *Coordinator) Complete(req CompleteRequest) CompleteResponse {
 			h.startedW = wr.StartedUnixMicro
 			h.finishedW = wr.FinishedUnixMicro
 		}
+		holds := u.state == stateLeased && u.leasedTo == req.WorkerID
 		if wr.Err == "" && wr.Activity == nil {
 			// Structurally corrupt: claims success but carries no ground
 			// truth. Recover the unit now instead of waiting for the lease.
 			resp.Rejected++
 			c.corrupt++
 			c.tmCorrupt.Inc()
-			c.requeueLocked(u, "corrupt result")
+			if holds {
+				c.requeueLocked(u, "corrupt result")
+			}
 			continue
 		}
 		if wr.Err != "" && wr.Transient {
 			// The worker's own retries are exhausted; give the unit to
 			// another worker (or fail it past the dispatch budget).
-			c.requeueLocked(u, fmt.Sprintf("transient failure: %s", wr.Err))
+			if holds {
+				c.requeueLocked(u, fmt.Sprintf("transient failure: %s", wr.Err))
+			}
 			resp.Accepted++
 			continue
 		}
@@ -594,9 +561,14 @@ func openHop(u *unit, workerID string) *hop {
 	return nil
 }
 
-// finishLocked transitions a unit to done and releases its waiters. Callers
-// hold c.mu.
+// finishLocked transitions a unit to done and releases its waiters. A unit
+// still waiting in the queue (a late result for a reclaimed lease) leaves
+// it, so it is never leased again. Callers hold c.mu.
 func (c *Coordinator) finishLocked(u *unit, wr WireResult, workerID string) {
+	if u.state == statePending {
+		c.fifo = slices.DeleteFunc(c.fifo, func(q *unit) bool { return q == u })
+		c.tmPending.Set(float64(len(c.fifo)))
+	}
 	u.state = stateDone
 	u.leasedTo = ""
 	u.wire = wr
@@ -614,18 +586,18 @@ func (c *Coordinator) finishLocked(u *unit, wr WireResult, workerID string) {
 	close(u.done)
 }
 
-// requeueLocked puts a leased (or just-delivered-corrupt) unit back in the
-// dispatch queue with exponential, per-key-jittered backoff — or fails it
-// permanently once the dispatch budget is spent. Callers hold c.mu.
+// requeueLocked puts a leased unit back in the dispatch queue with
+// exponential, per-key-jittered backoff — or fails it permanently once the
+// dispatch budget is spent. A unit that is not leased (already queued, or
+// done) is left alone. Callers hold c.mu.
 func (c *Coordinator) requeueLocked(u *unit, reason string) {
-	if u.state == stateDone {
+	if u.state != stateLeased {
 		return
 	}
 	now := c.now()
-	// Close the lease hop this requeue recovers from (the current
-	// leaseholder's, when the unit is leased) so the merged trace shows the
-	// doomed attempt with its recovery reason and the requeue-latency
-	// histogram sees how long the fabric took to notice.
+	// Close the leaseholder's hop so the merged trace shows the doomed
+	// attempt with its recovery reason and the requeue-latency histogram
+	// sees how long the fabric took to notice.
 	if h := openHop(u, u.leasedTo); h != nil {
 		h.ended = now
 		h.outcome = "requeued: " + reason
@@ -736,8 +708,8 @@ func (c *Coordinator) sweepOnce() {
 // ---------------------------------------------------------------------------
 // Status.
 
-// Fleet snapshots the worker table and queue counters for /status, the
-// dashboard, and PathFleet.
+// Fleet snapshots the worker table and queue counters for /status and the
+// dashboard.
 func (c *Coordinator) Fleet() FleetStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -746,7 +718,6 @@ func (c *Coordinator) Fleet() FleetStatus {
 		Requeues:   c.requeues,
 		Duplicates: c.duplicates,
 		Corrupt:    c.corrupt,
-		Rejected:   c.rejected,
 	}}
 	leases := map[string]int{}
 	for _, u := range c.units {
@@ -811,52 +782,12 @@ func (c *Coordinator) FederatedSnapshot() telemetry.Snapshot {
 	return telemetry.Federate(local, workers)
 }
 
-// Poll answers the external poll API for one unit key.
-func (c *Coordinator) Poll(key string) PollResponse {
-	c.mu.Lock()
-	u, ok := c.units[key]
-	if !ok {
-		c.mu.Unlock()
-		return PollResponse{Key: key, State: "unknown"}
-	}
-	state := u.state.String()
-	attempt := u.attempt
-	var wire WireResult
-	var req runner.Request
-	if u.state == stateDone {
-		if u.failed {
-			state = "failed"
-		}
-		wire = u.wire
-		req = u.req
-	}
-	c.mu.Unlock()
-
-	resp := PollResponse{Key: key, State: state, Attempts: attempt}
-	if state == "failed" {
-		resp.Err = wire.Err
-		return resp
-	}
-	if state == "done" {
-		if res, err := DecodeResult(wire, req); err == nil && res.Activity != nil {
-			resp.Cycles = res.Activity.Cycles
-			resp.Instructions = res.Activity.Instructions
-			resp.IPC = res.Activity.IPC()
-			resp.CPI = res.Activity.CPI()
-			if res.Report != nil {
-				resp.PowerTotal = res.Report.Total
-			}
-		}
-	}
-	return resp
-}
-
 // ---------------------------------------------------------------------------
 // HTTP surface.
 
-// Handler returns the coordinator's HTTP mux: the worker protocol plus the
-// external submit/poll/fleet API. obsserver mounts it under the same server
-// that serves /status and the dashboard.
+// Handler returns the coordinator's HTTP mux: the worker protocol.
+// obsserver mounts it under the same server that serves /status and the
+// dashboard.
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, func(w http.ResponseWriter, r *http.Request) {
@@ -906,45 +837,6 @@ func (c *Coordinator) Handler() http.Handler {
 		}
 		writeJSON(w, c.Complete(req))
 	})
-	mux.HandleFunc("POST "+PathSubmit, func(w http.ResponseWriter, r *http.Request) {
-		if c.opts.Resolve == nil {
-			http.Error(w, "fabric: no submit resolver configured", http.StatusNotImplemented)
-			return
-		}
-		var req SubmitRequest
-		if !decodeJSON(w, r, &req) {
-			return
-		}
-		simReq, err := c.opts.Resolve(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		key, state, err := c.SubmitExternal(simReq)
-		switch {
-		case errors.Is(err, ErrBusy):
-			// Backpressure: tell the client when to come back — after
-			// roughly one lease generation the queue has moved.
-			w.Header().Set("Retry-After", strconv.Itoa(int(c.opts.LeaseTTL.Seconds())+1))
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-			return
-		case err != nil:
-			http.Error(w, err.Error(), http.StatusServiceUnavailable)
-			return
-		}
-		writeJSON(w, SubmitResponse{Key: key, State: state})
-	})
-	mux.HandleFunc("GET "+PathPoll, func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
-		if key == "" {
-			http.Error(w, "missing key parameter", http.StatusBadRequest)
-			return
-		}
-		writeJSON(w, c.Poll(key))
-	})
-	mux.HandleFunc("GET "+PathFleet, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, c.Fleet())
-	})
 	return mux
 }
 
@@ -960,14 +852,4 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(v)
-}
-
-// spanLabel mirrors the runner's "workload@config/smtN" event label so fleet
-// events and simulation events name a unit identically.
-func spanLabel(req runner.Request) string {
-	smt := req.SMT
-	if smt < 1 {
-		smt = 1
-	}
-	return fmt.Sprintf("%s@%s/smt%d", req.W.Name, req.Cfg.Name, smt)
 }

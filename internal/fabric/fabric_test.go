@@ -2,15 +2,15 @@ package fabric
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"power10sim/internal/runner"
-	"power10sim/internal/telemetry"
 	"power10sim/internal/uarch"
 	"power10sim/internal/workloads"
 )
@@ -182,7 +182,7 @@ func TestAcceptOnceAndLateResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := coord.enqueue(key, "test", payload, req, false)
+	u, err := coord.enqueue(key, "test", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestCorruptResultRequeuesUnit(t *testing.T) {
 
 	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 	payload, key, _ := EncodeRequest(req)
-	if _, err := coord.enqueue(key, "test", payload, req, false); err != nil {
+	if _, err := coord.enqueue(key, "test", payload); err != nil {
 		t.Fatal(err)
 	}
 	if lease, _ := coord.Lease(context.Background(), reg.WorkerID, 1, 0); len(lease.Units) != 1 {
@@ -259,6 +259,146 @@ func TestCorruptResultRequeuesUnit(t *testing.T) {
 	}
 }
 
+// testUnit enters req into the coordinator's queue and returns its unit.
+func testUnit(t testing.TB, coord *Coordinator, req runner.Request) *unit {
+	t.Helper()
+	payload, key, err := EncodeRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := coord.enqueue(key, req.Label(), payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return u
+}
+
+// queueFault reports the first broken queue invariant: every queued unit is
+// pending and queued once, Fleet's pending count is the queue's length, and
+// a unit whose waiters were released is done, never leased again.
+func queueFault(coord *Coordinator) error {
+	fs := coord.Fleet()
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	queued := map[*unit]bool{}
+	for _, u := range coord.fifo {
+		if u.state != statePending {
+			return fmt.Errorf("%s unit %s in the queue", u.state, short(u.key))
+		}
+		if queued[u] {
+			return fmt.Errorf("unit %s queued twice", short(u.key))
+		}
+		queued[u] = true
+	}
+	if fs.Queue.Pending != len(coord.fifo) {
+		return fmt.Errorf("Fleet reads %d pending, the queue holds %d", fs.Queue.Pending, len(coord.fifo))
+	}
+	for _, u := range coord.units {
+		select {
+		case <-u.done:
+			if u.state != stateDone {
+				return fmt.Errorf("released unit %s is %s", short(u.key), u.state)
+			}
+		default:
+		}
+	}
+	return nil
+}
+
+// TestLateResultLeavesQueue: a worker whose lease expired delivers before
+// anyone re-leases the unit. The result is accepted, and the unit must
+// leave the queue; leased again, its next completion would release its
+// waiters a second time.
+func TestLateResultLeavesQueue(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Hour, RetryBackoff: time.Nanosecond})
+	defer coord.Close()
+	regA, _ := coord.Register(RegisterRequest{Name: "a"})
+	regB, _ := coord.Register(RegisterRequest{Name: "b"})
+	u := testUnit(t, coord, testRequest(uarch.POWER10(), workloads.Compress(), 1))
+
+	if lease, _ := coord.Lease(context.Background(), regA.WorkerID, 1, 0); len(lease.Units) != 1 {
+		t.Fatal("lease A failed")
+	}
+	coord.mu.Lock()
+	coord.requeueLocked(u, "test expiry")
+	coord.mu.Unlock()
+
+	wire := WireResult{Key: u.key, Activity: &uarch.Activity{Cycles: 1}}
+	if resp := coord.Complete(CompleteRequest{WorkerID: regA.WorkerID, Results: []WireResult{wire}}); resp.Accepted != 1 {
+		t.Fatalf("late result not accepted: %+v", resp)
+	}
+	if err := queueFault(coord); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(time.Millisecond) // past the requeue's backoff
+	if lease, _ := coord.Lease(context.Background(), regB.WorkerID, 1, 0); len(lease.Units) != 0 {
+		t.Fatalf("done unit leased again: %+v", coord.Fleet().Queue)
+	}
+	if resp := coord.Complete(CompleteRequest{WorkerID: regB.WorkerID, Results: []WireResult{wire}}); resp.Duplicates != 1 {
+		t.Fatalf("second result not a duplicate: %+v", resp)
+	}
+}
+
+// TestStaleFailureLeavesUnitAlone: a transient or corrupt delivery from a
+// worker whose lease expired must not requeue the unit. If the unit waits
+// in the queue, it must not be queued twice; if another worker holds it,
+// that worker keeps its lease and the unit spends no extra attempt.
+func TestStaleFailureLeavesUnitAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		wire WireResult
+	}{
+		{"transient", WireResult{Err: "worker exploded", Transient: true}},
+		{"corrupt", WireResult{}},
+	} {
+		for _, released := range []bool{false, true} {
+			name := tc.name + "/queued"
+			if released {
+				name = tc.name + "/leased-elsewhere"
+			}
+			t.Run(name, func(t *testing.T) {
+				coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Hour, RetryBackoff: time.Nanosecond})
+				defer coord.Close()
+				regA, _ := coord.Register(RegisterRequest{Name: "a"})
+				regB, _ := coord.Register(RegisterRequest{Name: "b"})
+				u := testUnit(t, coord, testRequest(uarch.POWER10(), workloads.Compress(), 1))
+				if lease, _ := coord.Lease(context.Background(), regA.WorkerID, 1, 0); len(lease.Units) != 1 {
+					t.Fatal("lease A failed")
+				}
+				coord.mu.Lock()
+				coord.requeueLocked(u, "test expiry")
+				coord.mu.Unlock()
+				if released {
+					time.Sleep(time.Millisecond) // past the requeue's backoff
+					if lease, _ := coord.Lease(context.Background(), regB.WorkerID, 1, 0); len(lease.Units) != 1 {
+						t.Fatal("lease B failed")
+					}
+				}
+
+				wire := tc.wire
+				wire.Key = u.key
+				coord.Complete(CompleteRequest{WorkerID: regA.WorkerID, Results: []WireResult{wire}})
+				if err := queueFault(coord); err != nil {
+					t.Fatal(err)
+				}
+				fs := coord.Fleet()
+				if fs.Queue.Requeues != 1 {
+					t.Errorf("requeues = %d, want 1: the stale failure requeued the unit", fs.Queue.Requeues)
+				}
+				coord.mu.Lock()
+				defer coord.mu.Unlock()
+				if released && (u.state != stateLeased || u.leasedTo != regB.WorkerID || u.attempt != 2) {
+					t.Errorf("unit is %s to %q at attempt %d, want leased to %q at attempt 2",
+						u.state, u.leasedTo, u.attempt, regB.WorkerID)
+				}
+				if !released && u.state != statePending {
+					t.Errorf("unit is %s, want pending", u.state)
+				}
+			})
+		}
+	}
+}
+
 func TestUnitFailsPermanentlyAfterMaxAttempts(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{
 		LeaseTTL: time.Hour, MaxAttempts: 2, RetryBackoff: time.Nanosecond})
@@ -267,7 +407,7 @@ func TestUnitFailsPermanentlyAfterMaxAttempts(t *testing.T) {
 
 	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 	payload, key, _ := EncodeRequest(req)
-	u, err := coord.enqueue(key, "test", payload, req, false)
+	u, err := coord.enqueue(key, "test", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,28 +442,6 @@ func TestUnitFailsPermanentlyAfterMaxAttempts(t *testing.T) {
 	}
 }
 
-func TestExternalSubmitBackpressure(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	coord := NewCoordinator(CoordinatorOptions{QueueBound: 1, Registry: reg})
-	defer coord.Close()
-
-	if _, _, err := coord.SubmitExternal(testRequest(uarch.POWER10(), workloads.Compress(), 1)); err != nil {
-		t.Fatal(err)
-	}
-	// Resubmitting the same point dedups instead of consuming queue space.
-	if _, state, err := coord.SubmitExternal(testRequest(uarch.POWER10(), workloads.Compress(), 1)); err != nil || state != "pending" {
-		t.Fatalf("dedup submit: state %q, err %v", state, err)
-	}
-	// A distinct point overflows the bound.
-	_, _, err := coord.SubmitExternal(testRequest(uarch.POWER9(), workloads.Compress(), 1))
-	if !errors.Is(err, ErrBusy) {
-		t.Fatalf("overflow submit err = %v, want ErrBusy", err)
-	}
-	if got := reg.Counter("fabric_submits_rejected_total").Value(); got != 1 {
-		t.Errorf("fabric_submits_rejected_total = %d, want 1", got)
-	}
-}
-
 func TestLostWorkerLeasesAreReclaimed(t *testing.T) {
 	coord := NewCoordinator(CoordinatorOptions{LeaseTTL: 60 * time.Millisecond})
 	defer coord.Close()
@@ -331,7 +449,7 @@ func TestLostWorkerLeasesAreReclaimed(t *testing.T) {
 
 	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 	payload, key, _ := EncodeRequest(req)
-	if _, err := coord.enqueue(key, "test", payload, req, false); err != nil {
+	if _, err := coord.enqueue(key, "test", payload); err != nil {
 		t.Fatal(err)
 	}
 	if lease, _ := coord.Lease(context.Background(), reg.WorkerID, 1, 0); len(lease.Units) != 1 {
@@ -353,6 +471,40 @@ func TestLostWorkerLeasesAreReclaimed(t *testing.T) {
 	// A lost worker's lease call is rejected so it re-registers.
 	if _, err := coord.Lease(context.Background(), reg.WorkerID, 1, 0); err == nil {
 		t.Fatal("lost worker leased without re-registering")
+	}
+}
+
+// TestHandlerServesOnlyTheWorkerProtocol: the coordinator serves one
+// client, its own sweep, so /fabric/ answers the worker protocol and
+// nothing else.
+func TestHandlerServesOnlyTheWorkerProtocol(t *testing.T) {
+	coord := NewCoordinator(CoordinatorOptions{})
+	defer coord.Close()
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	status := func(method, path string) int {
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, path := range []string{PathRegister, PathDeregister, PathLease, PathHeartbeat, PathComplete} {
+		if code := status(http.MethodPost, path); code == http.StatusNotFound {
+			t.Errorf("POST %s = 404", path)
+		}
+	}
+	for _, path := range []string{"/fabric/submit", "/fabric/poll", "/fabric/fleet"} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			if code := status(method, path); code != http.StatusNotFound {
+				t.Errorf("%s %s = %d, want 404", method, path, code)
+			}
+		}
 	}
 }
 
@@ -379,4 +531,125 @@ func TestParseChaos(t *testing.T) {
 			t.Errorf("ParseChaos(%q) = %+v, want %+v", tc.in, got, tc.want)
 		}
 	}
+}
+
+// FuzzCoordinatorQueue drives two workers and two units through
+// byte-chosen leases, lease expiries and deliveries, and checks the queue
+// invariants (queueFault) after every step. Each byte is one step: its low
+// two bits pick the step, the others its worker, unit and result kind.
+func FuzzCoordinatorQueue(f *testing.F) {
+	// A late result for a requeued unit, then a new lease and delivery.
+	f.Add([]byte{leaseStep(0, 1), expireStep(0), completeStep(0, 0, resultValid),
+		leaseStep(1, 1), completeStep(1, 0, resultValid)})
+	// A stale failure while the unit waits in the queue.
+	f.Add([]byte{leaseStep(0, 1), expireStep(0), completeStep(0, 0, resultTransient), leaseStep(1, 2)})
+	// Stale failures while another worker holds the unit.
+	f.Add([]byte{leaseStep(0, 2), expireStep(0), leaseStep(1, 1),
+		completeStep(0, 0, resultCorrupt), completeStep(0, 0, resultTransient), completeStep(1, 0, resultError)})
+
+	var payloads [2][]byte
+	var keys [2]string
+	for i, req := range []runner.Request{
+		testRequest(uarch.POWER10(), workloads.Compress(), 1),
+		testRequest(uarch.POWER9(), workloads.Compress(), 1),
+	} {
+		var err error
+		if payloads[i], keys[i], err = EncodeRequest(req); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, steps []byte) {
+		if len(steps) > 512 {
+			steps = steps[:512] // the fake clock stays far below the lease TTL
+		}
+		coord := NewCoordinator(CoordinatorOptions{LeaseTTL: time.Hour, RetryBackoff: time.Nanosecond})
+		defer coord.Close()
+		clock := time.Unix(1_000_000, 0)
+		coord.now = func() time.Time { return clock }
+		var workers [2]string
+		for i := range workers {
+			reg, err := coord.Register(RegisterRequest{Name: fmt.Sprintf("w%d", i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			workers[i] = reg.WorkerID
+		}
+		var units [2]*unit
+		for i := range units {
+			units[i], _ = coord.enqueue(keys[i], "unit", payloads[i])
+		}
+		for i, b := range steps {
+			clock = clock.Add(time.Second) // past every retry backoff
+			worker := workers[b>>2&1]
+			switch b & 3 {
+			case stepLease:
+				if _, err := coord.Lease(context.Background(), worker, 1+int(b>>3&1), 0); err != nil {
+					t.Fatalf("step %d: lease: %v", i, err)
+				}
+			case stepExpire:
+				u := units[b>>2&1]
+				coord.mu.Lock()
+				u.leaseExpiry = clock.Add(-time.Nanosecond)
+				coord.mu.Unlock()
+				coord.sweepOnce()
+			default:
+				u := units[b>>3&1]
+				kind := int(b>>4) % numResults
+				wire := WireResult{Key: u.key}
+				switch kind {
+				case resultValid:
+					wire.Activity = &uarch.Activity{Cycles: 1}
+				case resultTransient:
+					wire.Err, wire.Transient = "worker exploded", true
+				case resultError:
+					wire.Err = "simulation failed"
+				case resultUnknownKey:
+					wire.Key = "feedbeef"
+				case resultStale:
+					wire.Err, wire.Transient = "worker exploded", true
+					worker = "restarted#0"
+				}
+				coord.mu.Lock()
+				state, holder, attempt := u.state, u.leasedTo, u.attempt
+				coord.mu.Unlock()
+				coord.Complete(CompleteRequest{WorkerID: worker, Results: []WireResult{wire}})
+				failure := kind == resultTransient || kind == resultCorrupt || kind == resultStale
+				coord.mu.Lock()
+				nowState, nowHolder, nowAttempt := u.state, u.leasedTo, u.attempt
+				coord.mu.Unlock()
+				stale := !(state == stateLeased && holder == worker)
+				if failure && stale && (nowState != state || nowHolder != holder || nowAttempt != attempt) {
+					t.Fatalf("step %d: a failure from %s, which does not hold unit %s, moved it from %s to %q to %s to %q",
+						i, worker, short(u.key), state, holder, nowState, nowHolder)
+				}
+			}
+			if err := queueFault(coord); err != nil {
+				t.Fatalf("step %d (%#02x): %v", i, b, err)
+			}
+		}
+	})
+}
+
+// The steps FuzzCoordinatorQueue decodes from a byte.
+const (
+	stepLease    = 0 // bit 2: worker; bit 3: lease up to two units
+	stepExpire   = 1 // bit 2: unit
+	stepComplete = 2 // 2 or 3; bit 2: worker; bit 3: unit; bits 4-7: result kind
+)
+
+// The results a fuzzed delivery carries.
+const (
+	resultValid      = iota
+	resultTransient  // a worker-side failure: requeue if the sender holds the lease
+	resultError      // a deterministic simulation error: final
+	resultCorrupt    // neither activity nor error
+	resultUnknownKey // names no unit
+	resultStale      // a transient failure from a worker the coordinator never registered
+	numResults
+)
+
+func leaseStep(worker, n int) byte { return byte(stepLease | worker<<2 | (n-1)<<3) }
+func expireStep(unit int) byte     { return byte(stepExpire | unit<<2) }
+func completeStep(worker, unit, kind int) byte {
+	return byte(stepComplete | worker<<2 | unit<<3 | kind<<4)
 }

@@ -25,11 +25,9 @@
 //     coordinator recomputes the power report locally, exactly like a disk
 //     cache load, so a fleet result is indistinguishable from a local one.
 //
-// The coordinator embeds into the observability server (internal/obsserver
-// mounts Handler() under /fabric/ and surfaces FleetStatus in /status), and
-// the external submit/poll API gives any HTTP client a sweep-as-a-service
-// entry point with admission control: a bounded queue that answers 429 with
-// Retry-After under pressure.
+// The coordinator serves one client, its own sweep, and embeds into the
+// observability server: internal/obsserver mounts Handler() under /fabric/
+// and surfaces FleetStatus in /status and the dashboard.
 package fabric
 
 import (
@@ -43,17 +41,14 @@ import (
 // worker rejects units instead of misinterpreting them.
 const ProtocolVersion = "p10fabric-v1"
 
-// Worker-protocol and client-API endpoint paths, all rooted under the
-// coordinator's HTTP surface (obsserver mounts them verbatim).
+// Worker-protocol endpoint paths, all rooted under the coordinator's HTTP
+// surface (obsserver mounts them verbatim).
 const (
 	PathRegister   = "/fabric/register"
 	PathDeregister = "/fabric/deregister"
 	PathLease      = "/fabric/lease"
 	PathHeartbeat  = "/fabric/heartbeat"
 	PathComplete   = "/fabric/complete"
-	PathSubmit     = "/fabric/submit"
-	PathPoll       = "/fabric/poll"
-	PathFleet      = "/fabric/fleet"
 )
 
 // Defaults for CoordinatorOptions.
@@ -61,7 +56,6 @@ const (
 	DefaultLeaseTTL     = 10 * time.Second
 	DefaultMaxAttempts  = 5
 	DefaultRetryBackoff = 250 * time.Millisecond
-	DefaultQueueBound   = 1024
 )
 
 // Unit is one leased work item: a content-keyed simulation request.
@@ -179,43 +173,6 @@ type CompleteResponse struct {
 	Rejected   int `json:"rejected"`
 }
 
-// SubmitRequest is the external sweep-as-a-service entry point: one
-// simulation point by catalog name. (The coordinator's own sweep submits
-// internally with full request values; this API resolves names against the
-// workload catalog.)
-type SubmitRequest struct {
-	Config   string `json:"config"`
-	Workload string `json:"workload"`
-	SMT      int    `json:"smt"`
-	// Budget overrides the workload's default dynamic-instruction budget
-	// when > 0.
-	Budget uint64 `json:"budget,omitempty"`
-}
-
-// SubmitResponse acknowledges an accepted submission with the unit's content
-// key — the handle PathPoll answers for.
-type SubmitResponse struct {
-	Key string `json:"key"`
-	// State is the unit's state at submit time ("pending", or "done" when
-	// the fleet had already computed this point).
-	State string `json:"state"`
-}
-
-// PollResponse reports a unit's state and, once done, its headline
-// measurements.
-type PollResponse struct {
-	Key      string `json:"key"`
-	State    string `json:"state"` // pending | leased | done | failed | unknown
-	Attempts int    `json:"attempts,omitempty"`
-	Err      string `json:"error,omitempty"`
-	// Measurements (done units only).
-	Cycles       uint64  `json:"cycles,omitempty"`
-	Instructions uint64  `json:"instructions,omitempty"`
-	IPC          float64 `json:"ipc,omitempty"`
-	CPI          float64 `json:"cpi,omitempty"`
-	PowerTotal   float64 `json:"power_total,omitempty"`
-}
-
 // WorkerStatus is one worker's row in the fleet table.
 type WorkerStatus struct {
 	Name string `json:"name"`
@@ -244,11 +201,10 @@ type QueueStatus struct {
 	Requeues   uint64 `json:"requeues"`
 	Duplicates uint64 `json:"duplicates"`
 	Corrupt    uint64 `json:"corrupt_results"`
-	Rejected   uint64 `json:"submits_rejected"`
 }
 
-// FleetStatus is the coordinator's live view: the /status fabric block, the
-// /fabric/fleet payload, and the dashboard's fleet table all render it.
+// FleetStatus is the coordinator's live view: the /status fabric block and
+// the dashboard's fleet table render it.
 type FleetStatus struct {
 	Workers []WorkerStatus `json:"workers"`
 	Queue   QueueStatus    `json:"queue"`

@@ -52,7 +52,7 @@ func TestMergedTraceStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := coord.enqueue(key, "fig5", payload, req, false)
+	u, err := coord.enqueue(key, "fig5", payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestTraceInFlightUnit(t *testing.T) {
 	reg, _ := coord.Register(RegisterRequest{Name: "w"})
 	req := testRequest(uarch.POWER10(), workloads.Compress(), 1)
 	payload, key, _ := EncodeRequest(req)
-	if _, err := coord.enqueue(key, "live", payload, req, false); err != nil {
+	if _, err := coord.enqueue(key, "live", payload); err != nil {
 		t.Fatal(err)
 	}
 	if lease, _ := coord.Lease(context.Background(), reg.WorkerID, 1, 0); len(lease.Units) != 1 {

@@ -61,10 +61,6 @@ type WorkerOptions struct {
 	Coordinator string
 	// Name is the worker's advertised identity; defaults to hostname-pid.
 	Name string
-	// Batch is the maximum units leased at once; defaults to the pool's
-	// parallelism so a fleet of workers load-balances instead of one worker
-	// swallowing the queue.
-	Batch int
 	// PollWait is the lease long-poll duration (default 5s).
 	PollWait time.Duration
 	// Chaos, when non-nil, makes this worker misbehave on purpose.
@@ -91,7 +87,9 @@ type WorkerOptions struct {
 // coordinator, runs them on a local runner pool — inheriting every local
 // robustness layer: panic recovery, watchdog timeouts, retry policy, and the
 // shared persistent disk cache and p10runlog-v1 ledger — and reports
-// results, heartbeating while it works.
+// results, heartbeating while it works. It leases at most as many units as
+// the pool runs at once, so a fleet of workers load-balances instead of one
+// worker swallowing the queue.
 type Worker struct {
 	pool   *runner.Runner
 	opts   WorkerOptions
@@ -122,9 +120,6 @@ func NewWorker(pool *runner.Runner, opts WorkerOptions) *Worker {
 			host = "worker"
 		}
 		opts.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if opts.Batch <= 0 {
-		opts.Batch = pool.Workers()
 	}
 	if opts.PollWait <= 0 {
 		opts.PollWait = 5 * time.Second
@@ -294,7 +289,7 @@ func (w *Worker) lease(ctx context.Context) (LeaseResponse, error) {
 	var resp LeaseResponse
 	err := w.post(ctx, PathLease, LeaseRequest{
 		WorkerID:    w.id,
-		Max:         w.opts.Batch,
+		Max:         w.pool.Workers(),
 		WaitSeconds: w.opts.PollWait.Seconds(),
 	}, &resp)
 	return resp, err
@@ -319,49 +314,30 @@ func (w *Worker) executeBatch(ctx context.Context, units []Unit) []WireResult {
 		go w.heartbeatLoop(hbStop, &hbDone)
 	}
 
-	reqs := make([]runner.Request, len(units))
-	decodeErr := make([]error, len(units))
-	for i, u := range units {
-		reqs[i], decodeErr[i] = DecodeRequest(u.Payload, u.Key)
-	}
-	// Execute through the pool: decode failures become error results below,
-	// valid requests run with full local caching and fault tolerance. Each
-	// unit is timed individually on the worker's wall clock (the pool bounds
-	// concurrency inside DoCtx, so the goroutine-per-unit fan-out below has
-	// the same scheduling RunAllCtx would give).
-	run := make([]runner.Request, 0, len(units))
-	runIdx := make([]int, 0, len(units))
-	for i := range reqs {
-		if decodeErr[i] == nil {
-			run = append(run, reqs[i])
-			runIdx = append(runIdx, i)
+	// Run the units on the pool: decode failures become error results,
+	// valid requests run with full local caching and fault tolerance, each
+	// timed on the worker's wall clock. The lease never exceeds the pool's
+	// width, so every unit starts at once.
+	out := make([]WireResult, len(units))
+	ran := make([]bool, len(units))
+	runner.ForEach(w.pool.Workers(), len(units), func(i int) {
+		u := units[i]
+		req, err := DecodeRequest(u.Payload, u.Key)
+		if err != nil {
+			// A payload the worker cannot verify is an infrastructure
+			// problem, not a simulation result: report transient so the
+			// coordinator re-dispatches (another worker, or another build,
+			// may fare better).
+			out[i] = WireResult{Key: u.Key, Err: err.Error(), Transient: true}
+			return
 		}
-	}
-	results := make([]runner.Result, len(run))
-	started := make([]int64, len(run))
-	finished := make([]int64, len(run))
-	timedRun := func(j int) {
-		started[j] = time.Now().UnixMicro()
-		results[j] = w.pool.DoCtx(ctx, run[j])
-		finished[j] = time.Now().UnixMicro()
-	}
-	if w.pool.Workers() == 1 {
-		// Serial fast path, mirroring RunAllCtx: no goroutines, identical
-		// observable behavior.
-		for j := range run {
-			timedRun(j)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for j := range run {
-			wg.Add(1)
-			go func(j int) {
-				defer wg.Done()
-				timedRun(j)
-			}(j)
-		}
-		wg.Wait()
-	}
+		started := time.Now().UnixMicro()
+		res := w.pool.DoCtx(ctx, req)
+		finished := time.Now().UnixMicro()
+		out[i] = EncodeResult(u.Key, res)
+		out[i].StartedUnixMicro, out[i].FinishedUnixMicro = started, finished
+		ran[i] = true
+	})
 
 	close(hbStop)
 	hbDone.Wait()
@@ -369,23 +345,11 @@ func (w *Worker) executeBatch(ctx context.Context, units []Unit) []WireResult {
 	w.inKeys = nil
 	w.mu.Unlock()
 
-	out := make([]WireResult, len(units))
-	for i, u := range units {
-		if decodeErr[i] != nil {
-			// A payload the worker cannot verify is an infrastructure
-			// problem, not a simulation result: report transient so the
-			// coordinator re-dispatches (another worker, or another build,
-			// may fare better).
-			out[i] = WireResult{Key: u.Key, Err: decodeErr[i].Error(), Transient: true}
+	for i := range out {
+		if ran[i] {
+			w.executed++
+			w.applyChaos(&out[i], units[i])
 		}
-	}
-	for j, res := range results {
-		i := runIdx[j]
-		out[i] = EncodeResult(units[i].Key, res)
-		out[i].StartedUnixMicro = started[j]
-		out[i].FinishedUnixMicro = finished[j]
-		w.executed++
-		w.applyChaos(&out[i], units[i])
 	}
 	return out
 }

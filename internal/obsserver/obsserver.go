@@ -69,7 +69,7 @@ type Options struct {
 	// fabric.Coordinator.Fleet).
 	Fleet func() fabric.FleetStatus
 	// Fabric, when non-nil, is mounted under /fabric/ — the coordinator's
-	// worker protocol and submit/poll API share the observability listener.
+	// worker protocol shares the observability listener.
 	Fabric http.Handler
 	// FleetTrace, when non-nil, backs /fleet/trace: it renders the merged,
 	// clock-corrected Chrome trace of every fleet work unit (the coordinator

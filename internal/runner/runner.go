@@ -412,7 +412,7 @@ func (r *Runner) publish(kind progress.Kind, req Request, build func(*progress.E
 	if !r.bus.Active() {
 		return
 	}
-	ev := progress.Event{Kind: kind, Sim: spanName(req)}
+	ev := progress.Event{Kind: kind, Sim: "sim:" + req.Label()}
 	if build != nil {
 		build(&ev)
 	}
@@ -542,7 +542,7 @@ func (r *Runner) run(ctx context.Context, k key, req Request) Result {
 			return Result{Err: err}
 		}
 	}
-	sp := r.obs.tracer.Begin(spanName(req), "runner")
+	sp := r.obs.tracer.Begin("sim:"+req.Label(), "runner")
 	r.publish(progress.KindSimStarted, req, nil)
 	start := time.Now()
 	var res Result
@@ -706,10 +706,11 @@ func retryDelay(base time.Duration, attempt int, req Request) time.Duration {
 	return half + time.Duration(float64(half)*frac)
 }
 
-// spanName labels an executed simulation's trace span and progress events.
-// Nil config/workload (unkeyable requests) render as "?" instead of
+// Label names the simulation as "workload@config/smtN": the runner's trace
+// spans and progress events (prefixed "sim:") and the fabric's work units
+// use it. Nil config/workload (unkeyable requests) render as "?" instead of
 // panicking, since the progress path also labels uncacheable executions.
-func spanName(req Request) string {
+func (req Request) Label() string {
 	w, c := "?", "?"
 	if req.W != nil {
 		w = req.W.Name
@@ -717,7 +718,7 @@ func spanName(req Request) string {
 	if req.Cfg != nil {
 		c = req.Cfg.Name
 	}
-	return "sim:" + w + "@" + c + "/smt" + strconv.Itoa(max(req.SMT, 1))
+	return w + "@" + c + "/smt" + strconv.Itoa(max(req.SMT, 1))
 }
 
 // RunAll fans the requests out across the pool and returns their results in
@@ -750,9 +751,10 @@ func (r *Runner) RunAllCtx(ctx context.Context, reqs []Request) []Result {
 }
 
 // ForEach runs fn(i) for every i in [0, n) across at most workers
-// goroutines. It is the generic fan-out primitive for loops whose bodies do
-// not go through the runner (the socket Monte Carlo, proxy extraction,
-// surrogate training's targets and calibration folds).
+// goroutines. It is the generic fan-out primitive for loops that RunAll does
+// not fit: bodies that do not go through the runner (the socket Monte Carlo,
+// proxy extraction, surrogate training's targets and calibration folds) and
+// the fabric worker's leased units, each decoded and timed around its run.
 // workers <= 0 selects GOMAXPROCS. fn must be safe to call concurrently and
 // must write only to its own index's state.
 func ForEach(workers, n int, fn func(i int)) {

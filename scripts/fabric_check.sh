@@ -80,6 +80,13 @@ COORD_PID=""
 RC2=0; wait "$W2" || RC2=$?
 [ "$RC2" -eq 0 ] || { tail -5 "$TMP/w2.err" >&2; fail "steady worker exited $RC2"; }
 
+# A handler panic is caught by net/http and logged, so the coordinator can
+# still exit 0 after one; any such line fails the check.
+if grep -q 'http: panic' "$TMP/coord.err"; then
+    grep -m1 'http: panic' "$TMP/coord.err" >&2
+    fail "a coordinator HTTP handler panicked"
+fi
+
 # 1. Determinism: merged fleet stdout is byte-identical to the local run.
 cmp -s "$TMP/bench.out" "$TMP/coord.out" || {
     diff "$TMP/bench.out" "$TMP/coord.out" | head -20 >&2
