@@ -351,9 +351,9 @@ func TestStaleFailureLeavesUnitAlone(t *testing.T) {
 		{"transient", WireResult{Err: "worker exploded", Transient: true}},
 		{"corrupt", WireResult{}},
 	} {
-		for _, released := range []bool{false, true} {
+		for _, elsewhere := range []bool{false, true} {
 			name := tc.name + "/queued"
-			if released {
+			if elsewhere {
 				name = tc.name + "/leased-elsewhere"
 			}
 			t.Run(name, func(t *testing.T) {
@@ -368,7 +368,7 @@ func TestStaleFailureLeavesUnitAlone(t *testing.T) {
 				coord.mu.Lock()
 				coord.requeueLocked(u, "test expiry")
 				coord.mu.Unlock()
-				if released {
+				if elsewhere {
 					time.Sleep(time.Millisecond) // past the requeue's backoff
 					if lease, _ := coord.Lease(context.Background(), regB.WorkerID, 1, 0); len(lease.Units) != 1 {
 						t.Fatal("lease B failed")
@@ -387,11 +387,11 @@ func TestStaleFailureLeavesUnitAlone(t *testing.T) {
 				}
 				coord.mu.Lock()
 				defer coord.mu.Unlock()
-				if released && (u.state != stateLeased || u.leasedTo != regB.WorkerID || u.attempt != 2) {
+				if elsewhere && (u.state != stateLeased || u.leasedTo != regB.WorkerID || u.attempt != 2) {
 					t.Errorf("unit is %s to %q at attempt %d, want leased to %q at attempt 2",
 						u.state, u.leasedTo, u.attempt, regB.WorkerID)
 				}
-				if !released && u.state != statePending {
+				if !elsewhere && u.state != statePending {
 					t.Errorf("unit is %s, want pending", u.state)
 				}
 			})
