@@ -59,13 +59,17 @@ serve-check:
 
 # sample-check is the quick end-to-end gate for the interval-sampling
 # estimator: the sampled-vs-full validation sweep on a streaming kernel
-# (daxpy) and a GEMM (dgemm-mma, substituted to the VSU variant on POWER9).
-# Runs at full budgets on purpose — quick traces are a few intervals long,
-# where a full run is mostly startup transient and a steady-state
-# extrapolation is the wrong tool. Exits nonzero if any point breaks the
-# CPI/power error bounds the estimator promises.
+# (daxpy) and a GEMM (dgemm-mma, substituted to the VSU variant on POWER9),
+# then the sampler's gate over the 43 requests a benchmark long set can
+# draw (TestSampledLongRequests: a guarded result equals its full run bit
+# for bit, an estimate stays inside its bounds). Runs at full budgets on
+# purpose — quick traces are a few intervals long, where a full run is
+# mostly startup transient and a steady-state extrapolation is the wrong
+# tool. Exits nonzero if any point breaks the CPI/power error bounds the
+# estimator promises.
 sample-check:
 	$(GO) run ./cmd/p10bench -sample-mode=validate -sample-workloads daxpy,dgemm-mma >/dev/null
+	$(GO) test -count=1 -run '^TestSampledLongRequests$$' ./internal/runner
 
 # ledger-check is the end-to-end gate for the campaign ledger: the same quick
 # sweep twice with -runlog and a shared -cachedir, structural validation with

@@ -199,19 +199,31 @@ func max1(v uint64) float64 {
 }
 
 // printSampled reports a sampling-engine estimate with its coverage and
-// confidence intervals.
+// confidence intervals. A guarded run, which the sampler ran in full
+// because its windows would time no fewer instructions than they cover,
+// prints as such: exact, so with no intervals.
 func printSampled(w *workloads.Workload, cfg *uarch.Config, smt int, a *uarch.Activity, rep *power.Report, m *sampling.Meta) {
-	fmt.Printf("workload        %s (SMT%d) on %s [sampled]\n", w.Name, smt, cfg.Name)
-	fmt.Printf("intervals       %d x %d insts, %d phases, %d windows simulated\n",
-		m.Intervals, m.Spec.IntervalInsts, m.K, m.Windows)
+	mode := "sampled"
+	windows := fmt.Sprintf("%d windows simulated", m.Windows)
+	extrapolated := " (extrapolated)"
+	cpiCI := fmt.Sprintf(" (95%% CI +/- %.4f)", m.CPIHalfWidth)
+	powCI := fmt.Sprintf(" (95%% CI +/- %.3f)", m.PowerHalfWidth)
+	if m.Guarded {
+		mode = "sampled: guarded, ran in full"
+		windows = "no windows: they would time no fewer than they cover"
+		extrapolated, cpiCI, powCI = "", "", ""
+	}
+	fmt.Printf("workload        %s (SMT%d) on %s [%s]\n", w.Name, smt, cfg.Name, mode)
+	fmt.Printf("intervals       %d x %d insts, %d phases, %s\n",
+		m.Intervals, m.Spec.IntervalInsts, m.K, windows)
 	fmt.Printf("timed insts     %d of %d covered (%.1fx effective speedup)\n",
 		m.SimulatedInsts, m.ROIInsts, m.Speedup())
-	fmt.Printf("cycles          %d (extrapolated)\n", a.Cycles)
+	fmt.Printf("cycles          %d%s\n", a.Cycles, extrapolated)
 	fmt.Printf("instructions    %d\n", a.Instructions)
-	fmt.Printf("IPC             %.3f   CPI %.3f (95%% CI +/- %.4f)\n", a.IPC(), a.CPI(), m.CPIHalfWidth)
+	fmt.Printf("IPC             %.3f   CPI %.3f%s\n", a.IPC(), a.CPI(), cpiCI)
 	fmt.Printf("flops/cycle     %.2f   (total %d)\n", a.FlopsPerCycle(), a.Flops)
-	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f] (95%% CI +/- %.3f)\n",
-		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage, m.PowerHalfWidth)
+	fmt.Printf("power (total)   %.3f  [clock %.3f switch %.3f array %.3f leak %.3f]%s\n",
+		rep.Total, rep.Clock, rep.Switching, rep.Array, rep.Leakage, powCI)
 	fmt.Printf("perf/W (norm)   %.4f\n", a.IPC()/rep.Total)
 }
 

@@ -33,6 +33,17 @@ func TestDaxpySampledValidateGolden(t *testing.T) {
 	clitest.Golden(t, "daxpy-validate", out)
 }
 
+// TestDgemmVSUSampledValidateGolden pins the estimate's print path: unlike
+// daxpy, whose plan the sampler guards and runs in full, dgemm-vsu's
+// windows time about half of what they cover, so its run is extrapolated.
+func TestDgemmVSUSampledValidateGolden(t *testing.T) {
+	out, stderr, code := clitest.Run(t, "-workload", "dgemm-vsu", "-sample-mode", "validate")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr)
+	}
+	clitest.Golden(t, "dgemm-vsu-validate", out)
+}
+
 // TestTopGoldens pins the power deep-dive -top prints after the report.
 // Names resolve through workloads.Catalog, so daxpy is the same
 // Daxpy(4096, 12) that the fabric submit API runs.

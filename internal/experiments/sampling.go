@@ -36,6 +36,9 @@ type SamplePoint struct {
 	Speedup float64
 	// OK reports whether both errors are within the published bounds.
 	OK bool
+	// Guarded marks a point the sampler ran in full (sampling.Meta.Guarded):
+	// its errors are zero by construction.
+	Guarded bool
 	// Err tags a point whose full or sampled simulation failed outright.
 	Err error
 }
@@ -82,8 +85,11 @@ func (v *SampleValidation) Table() string {
 			continue
 		}
 		status := "ok"
-		if !p.OK {
+		switch {
+		case !p.OK:
 			status = "FAIL"
+		case p.Guarded:
+			status = "guarded"
 		}
 		t.add(p.Workload, p.Config, fmt.Sprint(p.SMT),
 			f3(p.FullCPI), f3(p.SampledCPI), pct(p.CPIErr),
@@ -207,6 +213,7 @@ func SampleValidate(o Options, spec sampling.Spec, only []string) (*SampleValida
 		p.CPIErr, p.PowerErr, p.OK = sampling.Compare(p.SampledCPI, p.FullCPI, p.SampledPower, p.FullPower)
 		if samp.Sampling != nil {
 			p.Speedup = samp.Sampling.Speedup()
+			p.Guarded = samp.Sampling.Guarded
 		}
 	}
 	return v, nil

@@ -105,7 +105,7 @@ type hop struct {
 	workerID string
 	leased   time.Time
 	ended    time.Time // zero while the lease is live
-	outcome  string    // "merged", "failed", "requeued: <reason>"
+	outcome  string    // "merged", "failed", "requeued: <reason>", "superseded"
 
 	startedW  int64
 	finishedW int64
@@ -563,11 +563,19 @@ func openHop(u *unit, workerID string) *hop {
 
 // finishLocked transitions a unit to done and releases its waiters. A unit
 // still waiting in the queue (a late result for a reclaimed lease) leaves
-// it, so it is never leased again. Callers hold c.mu.
+// it, so it is never leased again. A unit another worker has re-leased
+// since loses that lease: its hop closes as "superseded", so the merged
+// trace shows no live lease on a done unit. Callers hold c.mu.
 func (c *Coordinator) finishLocked(u *unit, wr WireResult, workerID string) {
-	if u.state == statePending {
+	switch u.state {
+	case statePending:
 		c.fifo = slices.DeleteFunc(c.fifo, func(q *unit) bool { return q == u })
 		c.tmPending.Set(float64(len(c.fifo)))
+	case stateLeased:
+		if h := openHop(u, u.leasedTo); h != nil {
+			h.ended = c.now()
+			h.outcome = "superseded"
+		}
 	}
 	u.state = stateDone
 	u.leasedTo = ""

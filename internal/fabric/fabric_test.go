@@ -225,6 +225,17 @@ func TestAcceptOnceAndLateResult(t *testing.T) {
 	if fs := coord.Fleet(); fs.Queue.Duplicates != 1 || fs.Queue.Requeues != 1 {
 		t.Errorf("queue accounting = %+v, want 1 duplicate, 1 requeue", fs.Queue)
 	}
+	// A's result superseded B's lease: the merged trace closes B's hop
+	// rather than showing a live lease on a done unit.
+	outcomes := map[string]string{}
+	for _, e := range traceEventsOf(t, coord) {
+		if strings.HasPrefix(e.Name, "leased:") {
+			outcomes[e.Name], _ = e.Args["outcome"].(string)
+		}
+	}
+	if want := map[string]string{"leased:a": "requeued: test expiry", "leased:b": "superseded"}; !reflect.DeepEqual(outcomes, want) {
+		t.Errorf("lease outcomes %v, want %v", outcomes, want)
+	}
 }
 
 func TestCorruptResultRequeuesUnit(t *testing.T) {
@@ -275,7 +286,8 @@ func testUnit(t testing.TB, coord *Coordinator, req runner.Request) *unit {
 
 // queueFault reports the first broken queue invariant: every queued unit is
 // pending and queued once, Fleet's pending count is the queue's length, and
-// a unit whose waiters were released is done, never leased again.
+// a unit whose waiters were released is done, never leased again, with
+// every lease hop closed.
 func queueFault(coord *Coordinator) error {
 	fs := coord.Fleet()
 	coord.mu.Lock()
@@ -298,6 +310,9 @@ func queueFault(coord *Coordinator) error {
 		case <-u.done:
 			if u.state != stateDone {
 				return fmt.Errorf("released unit %s is %s", short(u.key), u.state)
+			}
+			if h := openHop(u, ""); h != nil {
+				return fmt.Errorf("released unit %s has an open lease hop to %s", short(u.key), h.worker)
 			}
 		default:
 		}

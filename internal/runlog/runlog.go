@@ -91,8 +91,12 @@ type Record struct {
 	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// Sampled marks a SimPoint-style sampled estimate; SampleSpec is the
 	// normalized sampling spec in compact form ("iv2000 k8 r3 w4 sig32 s1").
-	Sampled    bool   `json:"sampled,omitempty"`
-	SampleSpec string `json:"sample_spec,omitempty"`
+	// SampleGuarded marks a sampled request the sampler ran in full, because
+	// its plan would have timed no fewer instructions than it covers: its
+	// measurements are the full run's.
+	Sampled       bool   `json:"sampled,omitempty"`
+	SampleSpec    string `json:"sample_spec,omitempty"`
+	SampleGuarded bool   `json:"sample_guarded,omitempty"`
 	// Upset marks a fault-injection run; FaultOutcome summarizes what the
 	// injected upset hit ("landed:MUL", "missed").
 	Upset        bool   `json:"upset,omitempty"`

@@ -202,9 +202,13 @@ func diskKey(k key) string {
 		keyGeneration, k.cfg, k.prog.name, k.prog.code, k.prog.hash,
 		k.smt, k.budget, k.warmup, k.maxCycles, k.hasUpset, k.upset)
 	if k.hasSample {
-		// Appended only for sampled keys, so every pre-sampling cache entry
-		// keeps its address.
-		fmt.Fprintf(h, "|sample|%#v", k.sample)
+		// Appended only for sampled keys, so every full-run entry keeps its
+		// address. The tag names the guarded sampler: a sampled request whose
+		// plan would time no fewer instructions than it covers now runs in
+		// full, so the entries the unguarded sampler wrote under "|sample|",
+		// estimates that could break their error bounds, are orphaned rather
+		// than served.
+		fmt.Fprintf(h, "|sample-guarded|%#v", k.sample)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -60,6 +60,7 @@ func (r *Runner) logRecord(k key, req Request, res Result, tier string, wall tim
 		rec.SampleSpec = fmt.Sprintf("iv%d k%d r%d w%d sig%d s%d",
 			n.IntervalInsts, n.MaxK, n.RepsPerCluster,
 			n.WarmupIntervals, n.SignatureDims, n.Seed)
+		rec.SampleGuarded = res.Sampling != nil && res.Sampling.Guarded
 	}
 	if req.Upset != nil {
 		rec.Upset = true

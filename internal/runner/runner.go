@@ -124,14 +124,9 @@ func (r Request) runCtx(ctx context.Context, tracks ...uarch.SimOption) Result {
 		opts = append(opts, uarch.WithContext(ctx))
 	}
 	if r.Sample != nil && r.Upset == nil {
-		// Sampled path: representative-interval simulation + extrapolation.
 		// Upset requests fall through to the full simulation — an injected
 		// fault targets a specific cycle of the complete run.
-		est, err := sampling.Run(r.Cfg, r.W.Prog, r.Budget, r.Warmup, smt, r.MaxCycles, *r.Sample, opts...)
-		if err != nil {
-			return Result{Err: fmt.Errorf("%s on %s (SMT%d, sampled): %w", r.W.Name, r.Cfg.Name, smt, err)}
-		}
-		return Result{Activity: &est.Activity, Report: est.Report, Sampling: &est.Meta}
+		return r.sampled(smt, opts)
 	}
 	// Each thread reads a read-ahead stream, so the VM runs on its own
 	// goroutine while the core times what it already produced. The
@@ -142,16 +137,63 @@ func (r Request) runCtx(ctx context.Context, tracks ...uarch.SimOption) Result {
 		defer s.Close()
 		streams = append(streams, s)
 	}
+	res, err := r.full(streams, append(opts, tracks...))
+	if err != nil {
+		return r.failed(smt, "", err)
+	}
+	return res
+}
+
+// sampled runs a sampled request. It prepares the plan once, recording the
+// trace. An unguarded plan is estimated from its representative windows
+// and extrapolated. A guarded plan, whose initial windows would time at
+// least as many instructions as they cover, runs in full instead: every
+// thread replays the one recording, so a single functional pass feeds them
+// all, and the result is the full request's bit for bit, tagged
+// Meta.Guarded. Neither records cycle tracks.
+func (r Request) sampled(smt int, opts []uarch.SimOption) Result {
+	p, err := sampling.Prepare(r.W.Prog, r.Budget, r.Warmup, smt, *r.Sample)
+	if err != nil {
+		return r.failed(smt, ", sampled", err)
+	}
+	if !p.Guarded() {
+		est, err := p.Estimate(r.Cfg, r.MaxCycles, opts...)
+		if err != nil {
+			return r.failed(smt, ", sampled", err)
+		}
+		return Result{Activity: &est.Activity, Report: est.Report, Sampling: &est.Meta}
+	}
+	streams := make([]trace.Stream, smt)
+	for i := range streams {
+		streams[i] = p.Rec.Replay(0, p.Plan.TotalInsts)
+	}
+	res, err := r.full(streams, opts)
+	if err != nil {
+		return r.failed(smt, ", sampled", err)
+	}
+	m := p.FullMeta(res.Activity, res.Report.Total)
+	res.Sampling = &m
+	return res
+}
+
+// full times every instruction of streams, one per thread, under opts and
+// the request's warmup, strict cycle limit and upset.
+func (r Request) full(streams []trace.Stream, opts []uarch.SimOption) (Result, error) {
 	opts = append(opts, uarch.WithWarmup(r.Warmup), uarch.WithStrictCycleLimit())
-	opts = append(opts, tracks...)
 	if r.Upset != nil {
 		opts = append(opts, uarch.WithUpset(r.Upset))
 	}
 	res, err := uarch.Simulate(r.Cfg, streams, r.MaxCycles, opts...)
 	if err != nil {
-		return Result{Err: fmt.Errorf("%s on %s (SMT%d): %w", r.W.Name, r.Cfg.Name, smt, err)}
+		return Result{}, err
 	}
-	return Result{Activity: &res.Activity, Report: power.NewModel(r.Cfg).Report(&res.Activity), Upset: res.Upset}
+	return Result{Activity: &res.Activity, Report: power.NewModel(r.Cfg).Report(&res.Activity), Upset: res.Upset}, nil
+}
+
+// failed is a failed result whose error names the request:
+// "workload on config (SMTn<mode>): err".
+func (r Request) failed(smt int, mode string, err error) Result {
+	return Result{Err: fmt.Errorf("%s on %s (SMT%d%s): %w", r.W.Name, r.Cfg.Name, smt, mode, err)}
 }
 
 // entry is one cache slot. The first requester computes the result and

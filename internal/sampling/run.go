@@ -26,7 +26,14 @@ type Meta struct {
 	// Windows is the number of representative windows actually simulated:
 	// Spec.RepsPerCluster per cluster with nonzero ROI weight (all members
 	// of a smaller cluster), plus every window adaptive refinement added.
-	Windows    int    `json:"windows"`
+	// It is 0 on a guarded run.
+	Windows int `json:"windows"`
+	// Guarded marks a plan whose initial windows would time at least as
+	// many instructions as they cover (Prepared.Guarded), run in full
+	// instead: its Activity is the full run's, SimulatedInsts is the whole
+	// trace across threads, and CPI and AvgPower are exact, with no
+	// half-widths.
+	Guarded    bool   `json:"guarded,omitempty"`
 	SMT        int    `json:"smt"`
 	TotalInsts uint64 `json:"total_insts"`
 	// ROIInsts is the instruction coverage of the extrapolation: the
@@ -85,31 +92,43 @@ const staggerMinPCs = 32
 // cancellation) are applied to every representative simulation before the
 // engine's own warmup option, from several goroutines at once.
 //
-// The SMT model mirrors the experiment harness: smt hardware threads each
-// run an identical copy of the workload, so one per-thread trace classifies
-// all of them and each representative is simulated at the requested SMT
-// level with smt copies of its window.
-//
-// Run uses every core it is given. The trace is recorded on a second
-// goroutine while the caller's goroutine featurizes it, and the initial
-// windows are timed concurrently while the caller's goroutine warms the next
-// one's state. Window simulations hold one of runtime.GOMAXPROCS(0) slots
-// shared by every Run in the process. A window's measurement depends only on
-// its interval, so the estimate does not depend on GOMAXPROCS or on which
-// window finishes first. The error returned is the first failing window's
-// in start order; a panic in a window panics again on the caller's goroutine
-// with the same value. No goroutine Run starts outlives it.
+// Run is Prepare followed by Estimate, whatever the plan's cost: it never
+// guards. A caller that would rather run a guarded plan in full prepares
+// and decides itself (see Prepared.Guarded).
 func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, maxCycles uint64, spec Spec, extra ...uarch.SimOption) (*Estimate, error) {
-	if smt < 1 {
-		smt = 1
+	p, err := Prepare(prog, budget, warmup, smt, spec)
+	if err != nil {
+		return nil, err
 	}
+	return p.Estimate(cfg, maxCycles, extra...)
+}
+
+// Prepared is a phase-classified trace, ready to estimate or to run in
+// full: the plan, the recording its intervals index, and each phase's share
+// of the region of interest (ROI), the trace after the warm-up boundary.
+// It is read-only, so it may be estimated any number of times.
+type Prepared struct {
+	Plan *Plan
+	// Rec is the per-thread trace the plan classified: Plan.TotalInsts
+	// records, the whole budget or up to the program's halt.
+	Rec *trace.Recording
+	smt int
+	// roi is the per-thread warm-up boundary: the ROI is
+	// [roi, Plan.TotalInsts), and roiIns[c] is cluster c's part of it.
+	roi    uint64
+	roiIns []uint64
+}
+
+// Prepare records prog's dynamic trace (budget instructions per thread) once
+// and phase-classifies it (BuildPlan) for an smt-thread run whose first
+// warmup instructions, in total across threads, are not measured. It fails
+// when the warmup consumes the whole trace.
+func Prepare(prog *isa.Program, budget, warmup uint64, smt int, spec Spec) (*Prepared, error) {
+	smt = max(smt, 1)
 	plan, rec, err := buildPlan(prog, budget, spec)
 	if err != nil {
 		return nil, err
 	}
-	spec = plan.Spec
-
-	// The region of interest starts at the per-thread warmup boundary.
 	// Cluster weights are each phase's instruction share *inside* the ROI;
 	// a phase living entirely in the warmup region gets weight zero and is
 	// never simulated.
@@ -127,10 +146,103 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		lo := max(iv.Start, roi)
 		roiIns[iv.Cluster] += iv.End - lo
 	}
-	totalROI := plan.TotalInsts - roi
+	return &Prepared{Plan: plan, Rec: rec, smt: smt, roi: roi, roiIns: roiIns}, nil
+}
+
+// Guarded reports whether the plan's initial windows would time at least as
+// many instructions as the ROI covers, so estimating would cost more
+// simulation than the full run it stands for. The initial windows are
+// Spec.RepsPerCluster per cluster with ROI weight, each a warm-up prefix,
+// its interval and a cooldown, and every one runs at the plan's SMT level,
+// as the ROI does. Adaptive refinement adds windows only once the initial
+// ones are measured, so the decision leaves them out.
+func (p *Prepared) Guarded() bool {
+	var timed uint64
+	for _, s := range p.initial() {
+		lo, hi := p.bounds(s.ivIdx)
+		timed += hi - lo
+	}
+	return timed >= p.Plan.TotalInsts-p.roi
+}
+
+// FullMeta is the Meta of a full run of the prepared trace, made in place
+// of an estimate: what the plan classified, Guarded set, no windows, every
+// instruction of every thread timed, and the run's own CPI and average
+// power, which are exact and so carry no half-widths.
+func (p *Prepared) FullMeta(a *uarch.Activity, avgPower float64) Meta {
+	smt := uint64(p.smt)
+	return Meta{
+		Spec:           p.Plan.Spec,
+		Intervals:      len(p.Plan.Intervals),
+		K:              p.Plan.K(),
+		Guarded:        true,
+		SMT:            p.smt,
+		TotalInsts:     p.Plan.TotalInsts * smt,
+		ROIInsts:       (p.Plan.TotalInsts - p.roi) * smt,
+		SimulatedInsts: p.Plan.TotalInsts * smt,
+		CPI:            a.CPI(),
+		AvgPower:       avgPower,
+	}
+}
+
+// slot is one initial window: the rep-th member of cluster c, interval
+// ivIdx of the plan.
+type slot struct{ c, rep, ivIdx int }
+
+// initial returns the initial windows, RepsPerCluster per cluster with ROI
+// weight (all members of a smaller cluster), in cluster order.
+func (p *Prepared) initial() []slot {
+	var out []slot
+	for c, cl := range p.Plan.Clusters {
+		if p.roiIns[c] == 0 {
+			continue // a phase living entirely in warmup is never simulated
+		}
+		n := min(p.Plan.Spec.RepsPerCluster, len(cl.Reps))
+		for rep, ivIdx := range cl.Reps[:n] {
+			out = append(out, slot{c, rep, ivIdx})
+		}
+	}
+	return out
+}
+
+// bounds returns the trace range [lo, hi) a window over interval ivIdx
+// times: a warm-up prefix of Spec.WarmupIntervals intervals, the measured
+// interval, and a cooldown suffix of one interval, clipped to the trace.
+// The suffix keeps the pipeline fed past the measurement boundary:
+// WithMeasureLimit stops counting at the interval's end with successors
+// still in flight, so the window does not pay a whole-pipeline drain that
+// in-context execution overlaps with downstream work.
+func (p *Prepared) bounds(ivIdx int) (lo, hi uint64) {
+	spec := &p.Plan.Spec
+	iv := &p.Plan.Intervals[ivIdx]
+	if back := spec.IntervalInsts * uint64(spec.WarmupIntervals); back < iv.Start {
+		lo = iv.Start - back
+	}
+	return lo, min(iv.End+spec.IntervalInsts, p.Plan.TotalInsts)
+}
+
+// Estimate simulates the prepared plan's representative windows on cfg and
+// extrapolates them to the whole ROI. The SMT model mirrors the experiment
+// harness: the plan's smt hardware threads each run an identical copy of
+// the workload, so one per-thread trace classifies all of them and each
+// representative is simulated at that SMT level with smt copies of its
+// window.
+//
+// Estimate uses every core it is given. The initial windows are timed
+// concurrently while the caller's goroutine warms the next one's state.
+// Window simulations hold one of runtime.GOMAXPROCS(0) slots shared by
+// every Estimate in the process. A window's measurement depends only on its
+// interval, so the estimate does not depend on GOMAXPROCS or on which
+// window finishes first. The error returned is the first failing window's
+// in start order; a panic in a window panics again on the caller's goroutine
+// with the same value. No goroutine Estimate starts outlives it.
+func (p *Prepared) Estimate(cfg *uarch.Config, maxCycles uint64, extra ...uarch.SimOption) (*Estimate, error) {
+	plan, rec, smt := p.Plan, p.Rec, p.smt
+	spec := plan.Spec
+	totalROI := plan.TotalInsts - p.roi
 	weights := make([]float64, plan.K())
 	for c := range weights {
-		weights[c] = float64(roiIns[c]) / float64(totalROI)
+		weights[c] = float64(p.roiIns[c]) / float64(totalROI)
 	}
 
 	// Pass 2+3, interleaved: simulate representative windows and adaptively
@@ -141,12 +253,12 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// their in-context contents. Both come from the plan's recording.
 	//
 	// Thread 0's warm state is advanced forward through the recording on
-	// Run's goroutine: fwd holds the state after [0, pos), and a window at
-	// lo >= pos warms only [pos, lo) into it. A window behind pos (only
-	// adaptive windows start there) restarts fwd from cold. Each window is
-	// simulated from its own snapshot of fwd. At SMT>1, threads 1 and up warm
-	// their own full [0, lo) on the snapshot, after thread 0, each on a
-	// pseudo-clock starting at zero.
+	// the caller's goroutine: fwd holds the state after [0, pos), and a
+	// window at lo >= pos warms only [pos, lo) into it. A window behind pos
+	// (only adaptive windows start there) restarts fwd from cold. Each
+	// window is simulated from its own snapshot of fwd. At SMT>1, threads 1
+	// and up warm their own full [0, lo) on the snapshot, after thread 0,
+	// each on a pseudo-clock starting at zero.
 	model := power.NewModel(cfg)
 	roiInsts := totalROI * uint64(smt)
 	var simulated uint64
@@ -155,19 +267,6 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 		cpi, pow float64
 	}
 	samples := make([][]meas, plan.K())
-	bounds := func(ivIdx int) (lo, hi uint64) {
-		iv := &plan.Intervals[ivIdx]
-		if back := spec.IntervalInsts * uint64(spec.WarmupIntervals); back < iv.Start {
-			lo = iv.Start - back
-		}
-		// The window is warmup prefix + measured interval + cooldown suffix.
-		// The suffix (the successor interval, when one exists) keeps the
-		// pipeline fed past the measurement boundary: WithMeasureLimit stops
-		// counting at the interval's end with successors still in flight, so
-		// the window does not pay a whole-pipeline drain that in-context
-		// execution overlaps with downstream work.
-		return lo, min(iv.End+spec.IntervalInsts, plan.TotalInsts)
-	}
 	warmErr := func(c, ivIdx int, err error) error {
 		iv := &plan.Intervals[ivIdx]
 		return fmt.Errorf("sampling: warming representative [%d,%d) of cluster %d: %w",
@@ -178,7 +277,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// and up into ws, which it owns; concurrent calls need distinct states.
 	simWindow := func(c, ivIdx int, ws *uarch.WarmState) (meas, error) {
 		iv := plan.Intervals[ivIdx]
-		lo, hi := bounds(ivIdx)
+		lo, hi := p.bounds(ivIdx)
 		// Thread stagger: a real SMT run's threads drift a few hundred
 		// instructions apart (measured: spreads of 100-400 at SMT4), so their
 		// resource demands decorrelate. Perfectly phase-locked copies issue
@@ -240,12 +339,12 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	fwd.Reset()
 	defer putWarm(cfg, fwd)
 	var pos uint64
-	// begin readies a window on Run's goroutine: it warms fwd to the
+	// begin readies a window on the caller's goroutine: it warms fwd to the
 	// window's lo, takes a core slot, and copies fwd into a pooled snapshot
 	// (nil at lo 0). The caller owes the slot back once it has recorded the
 	// window's outcome.
 	begin := func(c, ivIdx int) (*uarch.WarmState, error) {
-		lo, hi := bounds(ivIdx)
+		lo, hi := p.bounds(ivIdx)
 		if lo > 0 {
 			if lo < pos {
 				fwd.Reset()
@@ -277,17 +376,9 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// order of window start so the forward warm state never restarts, and
 	// simulated concurrently. Each measurement lands in its cluster-and-rep
 	// slot, so every sum below runs in cluster order.
-	type slot struct{ c, rep, ivIdx int }
-	var initial []slot
-	for c, cl := range plan.Clusters {
-		if roiIns[c] == 0 {
-			continue // a phase living entirely in warmup is never simulated
-		}
-		n := min(spec.RepsPerCluster, len(cl.Reps))
-		samples[c] = make([]meas, n)
-		for rep, ivIdx := range cl.Reps[:n] {
-			initial = append(initial, slot{c, rep, ivIdx})
-		}
+	initial := p.initial()
+	for _, s := range initial {
+		samples[s.c] = append(samples[s.c], meas{})
 	}
 	slices.SortFunc(initial, func(a, b slot) int {
 		return cmp.Compare(plan.Intervals[a.ivIdx].Start, plan.Intervals[b.ivIdx].Start)
@@ -316,8 +407,8 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 			// begin that takes it next sees the failure.
 			defer cores.release()
 			defer func() {
-				if p := recover(); p != nil {
-					panics[i] = p
+				if v := recover(); v != nil {
+					panics[i] = v
 					failed.Store(true)
 				}
 			}()
@@ -346,7 +437,7 @@ func Run(cfg *uarch.Config, prog *isa.Program, budget, warmup uint64, smt int, m
 	// full coverage in the worst case (each fully simulated cluster has zero
 	// variance contribution by the finite-population correction). Each pick
 	// depends on the measurements before it, so these windows run one at a
-	// time on Run's goroutine.
+	// time on the caller's goroutine.
 	strata := func(metric func(*meas) float64) []stratum {
 		out := make([]stratum, plan.K())
 		for c := range samples {

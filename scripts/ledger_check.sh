@@ -5,7 +5,8 @@
 # second pass was served entirely from cache (every record in the second
 # sequence range logs a disk/memo tier, so the summary's cache-tier hit rate
 # is exactly 100.0%). Last, one p10sim validate run must append exactly its
-# two records (the sampled request and its full twin) to the same ledger.
+# two records (the sampled request and its full twin) to the same ledger,
+# the sampled one marked sample_guarded.
 #
 # Run from the repository root (the `make ledger-check` target does).
 set -euo pipefail
@@ -62,6 +63,11 @@ echo "$SUMMARY" | grep -q 'cache-tier hit rate 100.0%' || {
     >/dev/null 2>"$TMP/stderr3" || { cat "$TMP/stderr3" >&2; fail "p10sim validate run failed"; }
 AFTER=$("$TMP/p10query" -runlog "$RL" -op count)
 [ "$AFTER" -eq $((TOTAL + 2)) ] || fail "p10sim validate run appended $((AFTER - TOTAL)) records, want 2"
+# daxpy's plan would time more instructions than it covers, so the sampler
+# runs it in full, and the sampled record says so; no other record is
+# sampled.
+GUARDED=$(grep -c '"sampled":true,.*"sample_guarded":true' "$RL/ledger.jsonl" || true)
+[ "$GUARDED" -eq 1 ] || fail "p10sim validate run logged $GUARDED guarded sampled records, want 1"
 "$TMP/p10obscheck" -runlog "$RL" -min-records "$AFTER" || fail "p10obscheck rejected the ledger with p10sim's records"
 
 # Aggregation smoke: top-k by energy-per-instruction over the whole campaign.
