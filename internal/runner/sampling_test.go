@@ -168,30 +168,6 @@ func TestDiskCacheOrphansUnguardedSamplerEntries(t *testing.T) {
 	}
 }
 
-// TestGuardedRequestRunsInFull: a sampled request whose plan the sampler
-// guards returns the full request's Activity and Report bit for bit, at
-// SMT1, 2 and 4, with Meta saying so: no windows, every instruction of
-// every thread timed, and no confidence interval.
-func TestGuardedRequestRunsInFull(t *testing.T) {
-	for _, smt := range []int{1, 2, 4} {
-		full, sampled := sampledPair(uarch.POWER10(), workloads.Interp(), smt)
-		want, got := New(1).Do(full), New(1).Do(sampled)
-		if want.Err != nil || got.Err != nil {
-			t.Fatalf("SMT%d: full %v, sampled %v", smt, want.Err, got.Err)
-		}
-		if !reflect.DeepEqual(got.Activity, want.Activity) || !reflect.DeepEqual(got.Report, want.Report) {
-			t.Errorf("SMT%d: guarded result differs from the full run: %d cycles %.6f W, full %d cycles %.6f W",
-				smt, got.Activity.Cycles, got.Report.Total, want.Activity.Cycles, want.Report.Total)
-		}
-		m := got.Sampling
-		if m == nil || !m.Guarded || m.Windows != 0 || m.SMT != smt ||
-			m.SimulatedInsts != m.TotalInsts || m.TotalInsts != full.Budget*uint64(smt) ||
-			m.CPIHalfWidth != 0 || m.PowerHalfWidth != 0 {
-			t.Errorf("SMT%d: guarded meta %+v", smt, m)
-		}
-	}
-}
-
 // TestUnguardedRequestMatchesRun: a sampled request whose plan is not
 // guarded returns exactly sampling.Run's estimate, so routing the runner
 // through Prepare and Estimate moved no estimate.
@@ -218,9 +194,11 @@ func TestUnguardedRequestMatchesRun(t *testing.T) {
 // benchmark long set can draw (bench/workloads.go): the daxpy-200 anchor on
 // POWER10 at SMT1, and seven SPECint programs on POWER9 and POWER10 at SMT1,
 // 2 and 4, each workload's budget split across threads. A guarded result
-// must equal its full run bit for bit, and an estimate must stay inside the
-// published CPI and power bounds. The anchor, whose windows time about a
-// fifth of what they cover, must still be estimated.
+// must equal its full run's Activity and Report bit for bit, with Meta
+// saying so: no windows, every instruction of every thread timed, and no
+// confidence interval. An estimate must stay inside the published CPI and
+// power bounds. The anchor, whose windows time about a fifth of what they
+// cover, must still be estimated.
 func TestSampledLongRequests(t *testing.T) {
 	type point struct {
 		name          string
@@ -264,6 +242,10 @@ func TestSampledLongRequests(t *testing.T) {
 			guarded++
 			if !reflect.DeepEqual(samp.Activity, full.Activity) || !reflect.DeepEqual(samp.Report, full.Report) {
 				t.Errorf("%s: guarded result differs from the full run", p.name)
+			}
+			if m, smt := samp.Sampling, uint64(p.full.SMT); m.Windows != 0 || m.SimulatedInsts != m.TotalInsts ||
+				m.TotalInsts != p.full.Budget*smt || m.CPIHalfWidth != 0 || m.PowerHalfWidth != 0 {
+				t.Errorf("%s: guarded meta %+v", p.name, m)
 			}
 			continue
 		}

@@ -14,15 +14,17 @@
 // functionally once per run, whatever the window count: one VM records the
 // whole trace compactly on a second goroutine while BuildPlan featurizes it,
 // and every window's timed records and every thread's functional-warming
-// prefix are read from that recording (Run). The VM retires instructions
-// several times faster than the timing core, so the pass costs a fraction
-// of one full simulation. Functional warming is paid about once per run too:
+// prefix are read from that recording (Prepare, then Estimate). The VM
+// retires instructions several times faster than the timing core, so the
+// pass costs a fraction of one full simulation. Functional warming is paid about once per run too:
 // one warm state of the cache and predictor models is advanced forward
 // through the recording and copied into a snapshot at each window start, so
 // the initial windows can be timed concurrently, on up to GOMAXPROCS cores.
 // Two cases still replay from zero: an adaptive window that starts behind
 // the state re-warms it from cold, and at SMT>1 every thread after the first
-// replays its window's whole prefix.
+// replays its window's whole prefix. A prepared plan whose initial windows
+// would time no fewer instructions than they cover is guarded
+// (Prepared.Guarded): the runner runs it in full over the recording instead.
 //
 // Determinism: featurization is a pure function of the trace, k-means uses a
 // seeded LCG for initialization, ties break on lowest index, and the
