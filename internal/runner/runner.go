@@ -61,10 +61,12 @@ type Request struct {
 	// Sample, when non-nil, runs the simulation through the SimPoint-style
 	// sampling engine instead of timing every instruction: phase-classify
 	// the trace, simulate a few representative intervals per phase, and
-	// extrapolate (see internal/sampling). The normalized spec joins the
-	// cache key, so sampled and full results never collide. Requests with
-	// an Upset always run full: fault injection targets a specific cycle of
-	// the complete run, which a sampled run never reaches.
+	// extrapolate (see internal/sampling). A plan whose windows would time
+	// no fewer instructions than they cover runs in full instead, from the
+	// plan's recording (Result.Sampling.Guarded). The normalized spec joins
+	// the cache key, so sampled and full results never collide. Requests
+	// with an Upset always run full: fault injection targets a specific
+	// cycle of the complete run, which a sampled run never reaches.
 	Sample *sampling.Spec
 }
 
