@@ -26,7 +26,8 @@ type Proxy struct {
 	// Weight is the region's share of the source's dynamic execution,
 	// used for whole-suite projection.
 	Weight float64
-	// Recs is the captured dynamic slice (code + data state).
+	// Recs is the captured dynamic slice (code + data state), in an array
+	// of its own.
 	Recs []isa.DynInst
 	prog *isa.Program
 }
@@ -125,35 +126,42 @@ func findRegions(execCount []uint64) []region {
 	return regions
 }
 
-// Extract profiles the workload and produces its proxy set.
+// Extract profiles the workload and produces its proxy set. One VM pass
+// records the profile compactly, counting executions per static instruction
+// as each block lands; the kept slices are then copied out of the
+// recording, so no proxy holds on to the rest of the trace.
 func Extract(w *workloads.Workload, opt Options) (*Result, error) {
 	budget := opt.ProfileBudget
 	if budget == 0 {
 		budget = DefaultOptions().ProfileBudget
 	}
-	recs, err := trace.Capture(w.Prog, budget)
+	rec := trace.NewRecording(w.Prog)
+	execCount := make([]uint64, len(w.Prog.Code))
+	n := 0
+	err := rec.Fill(budget, func(blk []trace.Record) {
+		for i := range blk {
+			execCount[blk[i].Idx()]++
+		}
+		n += len(blk)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("proxy: profiling %s: %w", w.Name, err)
 	}
-	if len(recs) == 0 {
+	if n == 0 {
 		return nil, fmt.Errorf("proxy: %s produced no instructions", w.Name)
-	}
-	execCount := make([]uint64, len(w.Prog.Code))
-	for i := range recs {
-		execCount[recs[i].Idx]++
 	}
 	regions := findRegions(execCount)
 	if opt.TopRegions > 0 && len(regions) > opt.TopRegions {
 		regions = regions[:opt.TopRegions]
 	}
 
-	res := &Result{Source: w.Name, TotalDynamic: uint64(len(recs))}
+	res := &Result{Source: w.Name, TotalDynamic: uint64(n)}
 	var covered uint64
 	for ri, rg := range regions {
 		covered += rg.count
-		weight := float64(rg.count) / float64(len(recs))
+		weight := float64(rg.count) / float64(n)
 		// Capture up to Invocations distinct dynamic slices of the region.
-		slices := captureSlices(recs, rg, opt)
+		slices := captureSlices(rec, n, rg, opt)
 		for si, sl := range slices {
 			res.Proxies = append(res.Proxies, &Proxy{
 				Name:   fmt.Sprintf("%s.r%d.i%d", w.Name, ri, si),
@@ -166,12 +174,13 @@ func Extract(w *workloads.Workload, opt Options) (*Result, error) {
 			})
 		}
 	}
-	res.Coverage = float64(covered) / float64(len(recs))
+	res.Coverage = float64(covered) / float64(n)
 	return res, nil
 }
 
-// captureSlices pulls contiguous in-region dynamic slices from the trace.
-func captureSlices(recs []isa.DynInst, rg region, opt Options) [][]isa.DynInst {
+// captureSlices cuts contiguous in-region dynamic slices from the n records
+// of rec and copies each out as its own slice.
+func captureSlices(rec *trace.Recording, n int, rg region, opt Options) [][]isa.DynInst {
 	maxLen := opt.MaxSnippet
 	if maxLen <= 0 {
 		maxLen = 22_000
@@ -181,20 +190,23 @@ func captureSlices(recs []isa.DynInst, rg region, opt Options) [][]isa.DynInst {
 	if inv <= 0 {
 		inv = 1
 	}
-	inRegion := func(idx int32) bool { return int(idx) >= rg.start && int(idx) < rg.end }
+	inRegion := func(i int) bool {
+		idx := int(rec.At(uint64(i)).Idx())
+		return idx >= rg.start && idx < rg.end
+	}
 	var out [][]isa.DynInst
 	i := 0
-	for len(out) < inv && i < len(recs) {
-		for i < len(recs) && !inRegion(recs[i].Idx) {
+	for len(out) < inv && i < n {
+		for i < n && !inRegion(i) {
 			i++
 		}
-		if i >= len(recs) {
+		if i >= n {
 			break
 		}
 		start := i
 		escapes := 0
-		for i < len(recs) && i-start < maxLen {
-			if inRegion(recs[i].Idx) {
+		for i < n && i-start < maxLen {
+			if inRegion(i) {
 				escapes = 0
 			} else {
 				escapes++
@@ -204,12 +216,16 @@ func captureSlices(recs []isa.DynInst, rg region, opt Options) [][]isa.DynInst {
 			}
 			i++
 		}
-		sl := recs[start:i]
-		if len(sl) >= minLen {
+		if i-start >= minLen {
+			sl := make([]isa.DynInst, 0, i-start)
+			r := rec.Replay(uint64(start), uint64(i))
+			for d, ok := r.Next(); ok; d, ok = r.Next() {
+				sl = append(sl, d)
+			}
 			out = append(out, sl)
 		}
 		// Skip ahead so invocations are distinct phases.
-		i += len(recs) / (inv * 4)
+		i += n / (inv * 4)
 	}
 	return out
 }

@@ -303,14 +303,15 @@ func TestChaosTelemetryAccountsFailures(t *testing.T) {
 // its request on the full path, as it does on the sampled one, instead of
 // reporting the instructions retired before the fault as a complete run.
 // Fabric workers run wire-decoded programs whose indirect targets no static
-// check can bound.
+// check can bound. The fault comes after the functional front end's first
+// 4,096-record block.
 func TestFunctionalFaultFailsFullRun(t *testing.T) {
 	b := isa.NewBuilder("boom").Li(isa.GPR(3), 9999)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 5000; i++ {
 		b.Addi(isa.GPR(1), isa.GPR(1), 1)
 	}
-	w := &workloads.Workload{Name: "boom", Prog: b.Br(isa.GPR(3)).Halt().MustBuild(), Budget: 1000}
-	const fault = "boom @51: indirect target 9999 out of range"
+	w := &workloads.Workload{Name: "boom", Prog: b.Br(isa.GPR(3)).Halt().MustBuild(), Budget: 10_000}
+	const fault = "boom @5001: indirect target 9999 out of range"
 	spec := sampling.DefaultSpec()
 	for _, sample := range []*sampling.Spec{nil, &spec} {
 		req := Request{Cfg: uarch.POWER10(), W: w, SMT: 1, Budget: w.Budget, MaxCycles: 1_000_000, Sample: sample}

@@ -5,9 +5,10 @@ import "power10sim/internal/isa"
 // This file is the functional front end: one VM runs ahead of its consumer
 // on a second goroutine and hands over fixed-size blocks of compact records.
 // It serves two consumers. A Recording keeps every block, for a sampled run
-// that reads the whole trace several times; a ReadAhead recycles a few
-// blocks, so a full simulation's core reads records while the VM executes
-// the ones after them.
+// that reads the whole trace several times and for proxy extraction, which
+// counts a profile as it lands and then copies out the slices it keeps; a
+// ReadAhead recycles a few blocks, so a full simulation's core reads records
+// while the VM executes the ones after them.
 
 // Record is one dynamic instruction in 16 bytes, against the 40 of
 // isa.DynInst: a whole-trace recording's footprint is a sampled run's memory
@@ -153,6 +154,10 @@ func (p *pass) close() {
 // Recording is a whole dynamic trace, recorded compactly once, from which
 // any range can be replayed any number of times. It is complete and
 // read-only once Fill returns, so any number of goroutines may replay it.
+// The interval sampler replays it window by window; proxy extraction
+// (internal/proxy) counts executions in Fill's callback and copies only the
+// slices it keeps out through Replay, so the recording is garbage once the
+// proxies are built.
 type Recording struct {
 	prog   *isa.Program
 	pcs    []uint64

@@ -124,7 +124,10 @@ func (s *SliceStream) Next() (isa.DynInst, bool) {
 func (s *SliceStream) Program() *isa.Program { return s.prog }
 
 // Capture functionally executes prog for up to budget instructions and
-// returns the dynamic trace.
+// returns the dynamic trace, 40 bytes a record. Its callers index or replay
+// the whole trace as isa.DynInst: tracepoints.Collect and the benchmark's
+// traced executor (bench/trace.go). A caller that needs counts and a few
+// slices of a trace records a Recording instead, as proxy extraction does.
 func Capture(prog *isa.Program, budget uint64) ([]isa.DynInst, error) {
 	vm := isa.NewVM(prog)
 	recs := make([]isa.DynInst, 0, min(budget, 1<<16))
