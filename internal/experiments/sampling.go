@@ -123,20 +123,11 @@ func sampleFamilies() ([]*workloads.Workload, map[string]*workloads.Workload, er
 	if err != nil {
 		return nil, nil, fmt.Errorf("sample-validate: %w", err)
 	}
-	var intcompute *workloads.Workload
-	for _, w := range workloads.SPECintSuite() {
-		if w.Name == "intcompute" {
-			intcompute = w
-		}
-	}
-	if intcompute == nil {
-		return nil, nil, fmt.Errorf("sample-validate: intcompute missing from SPECint suite")
-	}
 	resnet, err := workloads.ResNet50(false)
 	if err != nil {
 		return nil, nil, fmt.Errorf("sample-validate: %w", err)
 	}
-	fams := []*workloads.Workload{daxpy, dgemm, intcompute, resnet, workloads.Stressmark(false)}
+	fams := []*workloads.Workload{daxpy, dgemm, workloads.IntCompute(), resnet, workloads.Stressmark(false)}
 	return fams, map[string]*workloads.Workload{dgemm.Name: dgemmVSU}, nil
 }
 

@@ -5,10 +5,11 @@ import (
 	"power10sim/internal/uarch"
 )
 
-// progID identifies a program by content, not pointer: the workload builders
-// construct a fresh *isa.Program on every call, so two experiments that run
-// "the same" workload hold distinct pointers to identical code. Keying on
-// the program's content Fingerprint is what lets the cache collapse them.
+// progID identifies a program by content, not pointer: the size-parameterised
+// workload builders construct a fresh *isa.Program on every call, and a
+// fabric unit decodes into a new one, so two experiments that run "the same"
+// workload can hold distinct pointers to identical code. Keying on the
+// program's content Fingerprint is what lets the cache collapse them.
 type progID struct {
 	name string
 	code int

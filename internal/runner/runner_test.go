@@ -142,14 +142,15 @@ func TestConcurrentIdenticalRequestsSingleflight(t *testing.T) {
 	}
 }
 
-// TestKeyedProgramIsFreed: keying a program must not keep it alive. Every
-// experiment call builds its workloads afresh, so a key path that held on to
-// the programs it saw would grow with every call a sweep makes.
+// TestKeyedProgramIsFreed: keying a program must not keep it alive. The
+// named workloads are shared, but every size-parameterised kernel (the GEMMs,
+// daxpy) is built afresh per call, so a key path that held on to the
+// programs it saw would grow with every kernel a sweep builds.
 func TestKeyedProgramIsFreed(t *testing.T) {
 	const programs = 8
 	freed := make(chan struct{}, programs) // one send per program
 	for i := 0; i < programs; i++ {
-		w := workloads.GraphOpt()
+		w := workloads.Daxpy(4096, 12) // fresh per call, with a data image
 		runtime.SetFinalizer(w.Prog, func(*isa.Program) { freed <- struct{}{} })
 		if _, ok := ContentKey(testRequest(uarch.POWER10(), w, 1)); !ok {
 			t.Fatal("request is unkeyable")

@@ -70,36 +70,39 @@ type CorpusOptions struct {
 	// with neither is skipped and counted.
 	Configs func(name string) *uarch.Config
 	// Profiles resolves a workload name to its sampling.Profile vector. The
-	// default functionally executes the catalog workload at ProfileBudget
-	// (cached per name).
+	// default, CatalogProfiler, functionally executes the catalog workload
+	// at ProfileBudget once per name per process.
 	Profiles func(name string) ([]float64, bool)
 }
 
-// CatalogProfiler profiles workloads from the standard catalog, caching each
-// profile (one functional execution per distinct workload name). Safe for
-// concurrent use.
-func CatalogProfiler() func(name string) ([]float64, bool) {
-	catalog := workloads.Catalog()
-	var mu sync.Mutex
-	cache := map[string][]float64{}
-	return func(name string) ([]float64, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if p, ok := cache[name]; ok {
-			return p, p != nil
-		}
-		w, ok := catalog[name]
-		if !ok {
-			cache[name] = nil
-			return nil, false
-		}
-		p, err := sampling.Profile(w.Prog, ProfileBudget)
-		if err != nil {
-			p = nil
-		}
-		cache[name] = p
-		return p, p != nil
+// CatalogProfiler profiles workloads from the standard catalog. Each
+// catalog name is profiled once per process, on first use, and every
+// profiler returns that one shared vector, which callers must not modify; a
+// name outside the catalog reports false. Safe for concurrent use.
+func CatalogProfiler() func(name string) ([]float64, bool) { return catalogProfile }
+
+// catalogProfiles maps each catalog name to its profile, computed once.
+var catalogProfiles = sync.OnceValue(func() map[string]func() []float64 {
+	m := map[string]func() []float64{}
+	for name, w := range workloads.Catalog() {
+		m[name] = sync.OnceValue(func() []float64 {
+			p, err := sampling.Profile(w.Prog, ProfileBudget)
+			if err != nil {
+				return nil
+			}
+			return p
+		})
 	}
+	return m
+})
+
+func catalogProfile(name string) ([]float64, bool) {
+	profile, ok := catalogProfiles()[name]
+	if !ok {
+		return nil, false
+	}
+	p := profile()
+	return p, p != nil
 }
 
 // LoadCorpus reads a p10runlog-v1 ledger directory into a training corpus.

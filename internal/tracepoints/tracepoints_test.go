@@ -165,9 +165,9 @@ func TestSimpointSelectionBasics(t *testing.T) {
 // binning separates the performance phases of interpreted-language code.
 func TestTracepointsBeatSimpointsOnInterpretedCode(t *testing.T) {
 	cfg := uarch.POWER10()
-	w := workloads.Interp()
-	w.Warmup = 0 // profile end to end
-	p, err := Collect(w, cfg, 2000)
+	w := *workloads.Interp() // a copy: the named workloads are shared
+	w.Warmup = 0             // profile end to end
+	p, err := Collect(&w, cfg, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package workloads
 
-import "power10sim/internal/isa"
+import (
+	"sync"
+
+	"power10sim/internal/isa"
+)
 
 // The synthetic SPECint-like suite. Each benchmark reproduces the dominant
 // micro-architectural character of one class of SPECint workloads (the
@@ -55,7 +59,9 @@ func chaseImage(base uint64, entries int, span uint64, seed uint64) []byte {
 // Interp models interpreted-language execution (the paper's "interpreted
 // languages / Python" class): a bytecode dispatch loop whose indirect branch
 // target depends on the bytecode stream.
-func Interp() *Workload {
+func Interp() *Workload { return sharedInterp() }
+
+func interp() *Workload {
 	const nOps = 8
 	const progLen = 2048
 	rng := newLCG(11)
@@ -159,7 +165,9 @@ func Interp() *Workload {
 // frequency distribution, indirect dispatch, biased branches, and moderate
 // data traffic over 512 KiB. The long tail of lukewarm procedures is what
 // limits Chopstix proxy coverage on gcc (the paper's 41% end).
-func Compile() *Workload {
+func Compile() *Workload { return sharedCompile() }
+
+func compile() *Workload {
 	const nProcs = 16
 	const procLen = 32 // instructions reserved per procedure slot
 	// Zipf-like dispatch table: 32 slots worth of procedure ids.
@@ -270,7 +278,9 @@ func blockLabel(prefix string, i int) string {
 // GraphOpt models network-optimization codes (mcf class): dependent pointer
 // chasing over a working set that fits POWER10's 2 MiB L2 but thrashes
 // POWER9's 512 KiB.
-func GraphOpt() *Workload {
+func GraphOpt() *Workload { return sharedGraphOpt() }
+
+func graphOpt() *Workload {
 	// 12288 entries on distinct 128B lines: a 1.5 MiB cache footprint that
 	// fits POWER10's 2 MiB L2 but thrashes POWER9's 512 KiB. The chase
 	// walks the cycle ~4 times so steady-state (not cold-miss) behaviour
@@ -301,7 +311,9 @@ func GraphOpt() *Workload {
 
 // DSim models discrete-event simulation (omnetpp class): scattered
 // loads/stores over a ~1 MiB event heap with predictable control.
-func DSim() *Workload {
+func DSim() *Workload { return sharedDSim() }
+
+func dsim() *Workload {
 	b := isa.NewBuilder("dsim")
 	rng := newLCG(31)
 	heap := make([]uint64, 1<<17) // 1 MiB of events
@@ -345,7 +357,9 @@ func DSim() *Workload {
 
 // MediaVec models media/vector codes (x264 class): streaming VSX FMA work
 // that benefits directly from the doubled SIMD engines.
-func MediaVec() *Workload {
+func MediaVec() *Workload { return sharedMediaVec() }
+
+func mediaVec() *Workload {
 	n := 4096
 	rng := newLCG(41)
 	src := make([]float64, n)
@@ -394,7 +408,9 @@ func MediaVec() *Workload {
 
 // BoardEval models game-tree searching (deepsjeng class): hard
 // data-dependent branches over a small working set.
-func BoardEval() *Workload {
+func BoardEval() *Workload { return sharedBoardEval() }
+
+func boardEval() *Workload {
 	b := isa.NewBuilder("boardeval")
 	rSt := isa.GPR(1)
 	rMul := isa.GPR(2)
@@ -440,7 +456,9 @@ func BoardEval() *Workload {
 
 // PathFind models go/game playout engines (leela class): a mix of short
 // pointer chases and moderately predictable branches on 256 KiB of state.
-func PathFind() *Workload {
+func PathFind() *Workload { return sharedPathFind() }
+
+func pathFind() *Workload {
 	const entries = 4096
 	const span = 1 << 18 // 256 KiB
 	b := isa.NewBuilder("pathfind")
@@ -477,7 +495,9 @@ func PathFind() *Workload {
 
 // IntCompute models pure integer computation (exchange2 class): nested
 // L1-resident loops with high ILP and fully predictable branches.
-func IntCompute() *Workload {
+func IntCompute() *Workload { return sharedIntCompute() }
+
+func intCompute() *Workload {
 	b := isa.NewBuilder("intcompute")
 	rI := isa.GPR(1)
 	rJ := isa.GPR(2)
@@ -507,7 +527,9 @@ func IntCompute() *Workload {
 
 // Compress models dictionary compression (xz class): byte-granular loads,
 // match loops with data-dependent exits, 256 KiB dictionary.
-func Compress() *Workload {
+func Compress() *Workload { return sharedCompress() }
+
+func compress() *Workload {
 	b := isa.NewBuilder("compress")
 	rng := newLCG(61)
 	dict := make([]uint64, 1<<15) // 256 KiB
@@ -555,7 +577,9 @@ func Compress() *Workload {
 
 // XMLTrans models markup transformation (xalancbmk class): byte scanning
 // with compare branches, frequent calls into small helpers, stores.
-func XMLTrans() *Workload {
+func XMLTrans() *Workload { return sharedXMLTrans() }
+
+func xmlTrans() *Workload {
 	b := isa.NewBuilder("xmltrans")
 	rng := newLCG(71)
 	text := make([]uint64, 1<<14) // 128 KiB of "text"
@@ -599,7 +623,25 @@ func XMLTrans() *Workload {
 	return &Workload{Name: "xmltrans", Category: CatSPECint, Prog: b.MustBuild(), Weight: 1, Budget: 90_000, Warmup: 25_000}
 }
 
+// The one instance of each suite benchmark, built by its lower-case builder
+// on first use.
+var (
+	sharedInterp     = sync.OnceValue(interp)
+	sharedCompile    = sync.OnceValue(compile)
+	sharedGraphOpt   = sync.OnceValue(graphOpt)
+	sharedDSim       = sync.OnceValue(dsim)
+	sharedMediaVec   = sync.OnceValue(mediaVec)
+	sharedBoardEval  = sync.OnceValue(boardEval)
+	sharedPathFind   = sync.OnceValue(pathFind)
+	sharedIntCompute = sync.OnceValue(intCompute)
+	sharedCompress   = sync.OnceValue(compress)
+	sharedXMLTrans   = sync.OnceValue(xmlTrans)
+)
+
 // SPECintSuite returns the 10-benchmark synthetic suite with equal weights.
+// The slice is fresh on every call, so a caller may append to it or reorder
+// it; its workloads are the shared, read-only instances the constructors
+// return (see the package doc).
 func SPECintSuite() []*Workload {
 	return []*Workload{
 		Interp(), Compile(), GraphOpt(), DSim(), MediaVec(),

@@ -1,12 +1,29 @@
 package workloads
 
-import "power10sim/internal/isa"
+import (
+	"sync"
 
-// Stressmark builds a maximum-power virus: every unit class busy every
+	"power10sim/internal/isa"
+)
+
+// Stressmark returns a maximum-power virus: every unit class busy every
 // cycle — wide independent integer work, many independent VSX FMA streams,
 // MMA outer products, and load/store traffic (the "maximum power
 // stressmarks" the paper's power modeling flow tracks).
 func Stressmark(withMMA bool) *Workload {
+	if withMMA {
+		return sharedStressmarkMMA()
+	}
+	return sharedStressmark()
+}
+
+var (
+	sharedStressmark    = sync.OnceValue(func() *Workload { return stressmark(false) })
+	sharedStressmarkMMA = sync.OnceValue(func() *Workload { return stressmark(true) })
+	sharedActiveIdle    = sync.OnceValue(activeIdle)
+)
+
+func stressmark(withMMA bool) *Workload {
 	b := isa.NewBuilder("stressmark")
 	if withMMA {
 		b.MMAWake()
@@ -54,11 +71,13 @@ func Stressmark(withMMA bool) *Workload {
 		Weight: 1, Budget: 110_000, Warmup: 20_000}
 }
 
-// ActiveIdle builds a minimal-activity spin: a serial long-latency
+// ActiveIdle returns a minimal-activity spin: a serial long-latency
 // dependency chain keeps retirement alive at a trickle while nearly every
 // unit sits clock-gate-eligible — the "active-idle" power point the power
 // model separates from workload-dependent power.
-func ActiveIdle() *Workload {
+func ActiveIdle() *Workload { return sharedActiveIdle() }
+
+func activeIdle() *Workload {
 	b := isa.NewBuilder("active-idle")
 	rI := isa.GPR(1)
 	rL := isa.GPR(2)
