@@ -14,9 +14,9 @@ import (
 )
 
 // TestMain fails the package if any test changed a shared workload. The
-// named workloads and the catalog's are one value per process (see the
-// workloads package doc), so every experiment test here doubles as a check
-// that no experiment writes to them.
+// named workloads are one value per process (see the workloads package
+// doc), so every experiment test here doubles as a check that no experiment
+// writes to them.
 func TestMain(m *testing.M) {
 	shared := sharedWorkloads()
 	before := make([]workloadState, len(shared))
@@ -33,17 +33,11 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// sharedWorkloads returns every shared workload once: the suite, the
-// stressmarks, active-idle and the rest of the catalog.
+// sharedWorkloads returns every shared workload: the suite, the
+// stressmarks and active-idle.
 func sharedWorkloads() []*workloads.Workload {
-	ws := append(workloads.SPECintSuite(),
+	return append(workloads.SPECintSuite(),
 		workloads.Stressmark(false), workloads.Stressmark(true), workloads.ActiveIdle())
-	for _, w := range workloads.Catalog() {
-		if !slices.Contains(ws, w) {
-			ws = append(ws, w)
-		}
-	}
-	return ws
 }
 
 // workloadState is a deep copy of a workload's exported fields and its

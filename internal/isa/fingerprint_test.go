@@ -14,8 +14,12 @@ func TestFingerprintDistinguishesPrograms(t *testing.T) {
 		t.Error("different programs share a fingerprint")
 	}
 	// Identical content from separate constructions must collide (that is
-	// the point of content keying).
-	if workloads.Compress().Prog.Fingerprint() != a.Prog.Fingerprint() {
+	// the point of content keying). Daxpy builds afresh per call.
+	c, d := workloads.Daxpy(64, 2).Prog, workloads.Daxpy(64, 2).Prog
+	if c == d {
+		t.Fatal("Daxpy returned one program twice; the test needs separate builds")
+	}
+	if c.Fingerprint() != d.Fingerprint() {
 		t.Error("identical program content fingerprints differently")
 	}
 }
@@ -41,9 +45,10 @@ func TestFingerprintPinned(t *testing.T) {
 
 // TestFingerprintConcurrent: the first calls on a fresh program may race
 // each other (a batch keys one program from many goroutines); all must see
-// one value. Run with -race.
+// one value. Run with -race. The named workloads are shared and may already
+// be fingerprinted, so the program is a fresh Daxpy build with a data image.
 func TestFingerprintConcurrent(t *testing.T) {
-	p := workloads.GraphOpt().Prog
+	p := workloads.Daxpy(4096, 12).Prog
 	const callers = 8
 	got := make([]uint64, callers)
 	var wg sync.WaitGroup

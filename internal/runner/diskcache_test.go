@@ -268,15 +268,15 @@ func TestDiskCacheSkipsChaosRequests(t *testing.T) {
 }
 
 func TestDiskKeySensitivity(t *testing.T) {
-	base := testRequest(uarch.POWER10(), workloads.Compress(), 1)
+	base := testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 1)
 	kBase, _ := keyOf(base)
 
-	cfgVariant := testRequest(uarch.POWER10(), workloads.Compress(), 1)
+	cfgVariant := testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 1)
 	cfg2 := *cfgVariant.Cfg
 	cfg2.FetchWidth++
 	cfgVariant.Cfg = &cfg2
 
-	smtVariant := testRequest(uarch.POWER10(), workloads.Compress(), 2)
+	smtVariant := testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 2)
 	upsetVariant := base
 	upsetVariant.Upset = &uarch.Upset{Cycle: 1}
 
@@ -292,8 +292,12 @@ func TestDiskKeySensitivity(t *testing.T) {
 		}
 	}
 	// Same content, distinct construction: must share the key (that is the
-	// whole point of content addressing).
-	same, _ := keyOf(testRequest(uarch.POWER10(), workloads.Compress(), 1))
+	// whole point of content addressing). Daxpy builds afresh per call.
+	sameReq := testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 1)
+	if sameReq.W.Prog == base.W.Prog {
+		t.Fatal("Daxpy returned one program twice; the test needs separate builds")
+	}
+	same, _ := keyOf(sameReq)
 	if diskKey(same) != diskKey(kBase) {
 		t.Error("identical requests derived different disk keys")
 	}

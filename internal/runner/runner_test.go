@@ -45,11 +45,15 @@ func TestCacheDedupesIdenticalRequests(t *testing.T) {
 	r := New(4)
 	// Two distinct workload constructions with identical content must share
 	// one simulation: the cache keys on program content, not pointers.
+	// Daxpy builds a fresh program on every call.
 	reqs := []Request{
-		testRequest(uarch.POWER10(), workloads.Compress(), 1),
-		testRequest(uarch.POWER10(), workloads.Compress(), 1),
-		testRequest(uarch.POWER9(), workloads.Compress(), 1),
-		testRequest(uarch.POWER10(), workloads.Compress(), 2),
+		testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 1),
+		testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 1),
+		testRequest(uarch.POWER9(), workloads.Daxpy(4096, 12), 1),
+		testRequest(uarch.POWER10(), workloads.Daxpy(4096, 12), 2),
+	}
+	if reqs[0].W.Prog == reqs[1].W.Prog {
+		t.Fatal("Daxpy returned one program twice; the test needs separate builds")
 	}
 	results := r.RunAll(reqs)
 	for i, res := range results {

@@ -70,16 +70,10 @@ type CorpusOptions struct {
 	// with neither is skipped and counted.
 	Configs func(name string) *uarch.Config
 	// Profiles resolves a workload name to its sampling.Profile vector. The
-	// default, CatalogProfiler, functionally executes the catalog workload
+	// default, catalogProfile, functionally executes the catalog workload
 	// at ProfileBudget once per name per process.
 	Profiles func(name string) ([]float64, bool)
 }
-
-// CatalogProfiler profiles workloads from the standard catalog. Each
-// catalog name is profiled once per process, on first use, and every
-// profiler returns that one shared vector, which callers must not modify; a
-// name outside the catalog reports false. Safe for concurrent use.
-func CatalogProfiler() func(name string) ([]float64, bool) { return catalogProfile }
 
 // catalogProfiles maps each catalog name to its profile, computed once.
 var catalogProfiles = sync.OnceValue(func() map[string]func() []float64 {
@@ -96,6 +90,10 @@ var catalogProfiles = sync.OnceValue(func() map[string]func() []float64 {
 	return m
 })
 
+// catalogProfile profiles a workload from the standard catalog. Each
+// catalog name is profiled once per process, on first use, and every call
+// returns that one shared vector, which callers must not modify; a name
+// outside the catalog reports false. Safe for concurrent use.
 func catalogProfile(name string) ([]float64, bool) {
 	profile, ok := catalogProfiles()[name]
 	if !ok {
@@ -131,7 +129,7 @@ func CorpusFromRecords(recs []runlog.Record, scan runlog.ScanStats, opts CorpusO
 		opts.Configs = uarch.ResolveConfigName
 	}
 	if opts.Profiles == nil {
-		opts.Profiles = CatalogProfiler()
+		opts.Profiles = catalogProfile
 	}
 	c := &Corpus{}
 	c.Stats.Scan = scan

@@ -1,31 +1,20 @@
 package workloads
 
-import (
-	"maps"
-	"sync"
-)
-
 // Catalog returns every named workload the CLI surfaces expose, keyed by
 // name: the SPECint-style suite, the stressmarks and active-idle, plus the
 // GEMM/AI kernels at their standard demo sizes. It is shared by p10sim
-// (-workload lookup, -list), p10explore (-workload) and
-// surrogate.CatalogProfiler, so a workload name means the same simulation
+// (-workload lookup, -list), p10explore (-workload) and the surrogate's
+// default catalog profiler, so a workload name means the same simulation
 // everywhere — including its content key.
 //
-// The catalog is built once per process. Each call returns a fresh map, so a
-// caller may add or delete names, over the same shared, read-only workloads
-// (see the package doc): the kernels in it are built once here, not per
-// call, and its suite, stressmark and active-idle entries are the
-// constructors' own instances.
+// Each call returns a fresh map. Its suite, stressmark and active-idle
+// entries are the constructors' shared, read-only instances (see the package
+// doc); its kernels are built afresh on every call, and the caller owns them.
 //
 // Construction is deterministic, so a build error here is a programming
 // error, not an input error; Catalog panics like the workload constructors'
 // tests would.
-func Catalog() map[string]*Workload { return maps.Clone(sharedCatalog()) }
-
-var sharedCatalog = sync.OnceValue(catalog)
-
-func catalog() map[string]*Workload {
+func Catalog() map[string]*Workload {
 	m := map[string]*Workload{}
 	add := func(w *Workload, err error) {
 		if err != nil {

@@ -1,7 +1,6 @@
 package workloads
 
 import (
-	"maps"
 	"reflect"
 	"slices"
 	"sync"
@@ -29,18 +28,21 @@ var sharedCases = []struct {
 }
 
 // TestSharedConstructorsReturnOneInstance: every shared constructor, the
-// suite and the catalog hand out the same pointers on every call, from any
-// goroutine (run under -race, this also checks the first builds).
+// suite and the catalog's shared entries hand out the same pointers on every
+// call, from any goroutine (run under -race, this also checks the first
+// builds).
 func TestSharedConstructorsReturnOneInstance(t *testing.T) {
 	type view struct {
 		each    []*Workload
 		suite   []*Workload
-		catalog map[string]*Workload
+		catalog []*Workload // Catalog()'s entries for sharedCases' names
 	}
 	look := func() view {
-		v := view{suite: SPECintSuite(), catalog: Catalog()}
+		v := view{suite: SPECintSuite()}
+		cat := Catalog()
 		for _, c := range sharedCases {
 			v.each = append(v.each, c.shared())
+			v.catalog = append(v.catalog, cat[c.name])
 		}
 		return v
 	}
@@ -61,13 +63,13 @@ func TestSharedConstructorsReturnOneInstance(t *testing.T) {
 		if w.Name != c.name {
 			t.Errorf("%s: shared workload is named %q", c.name, w.Name)
 		}
-		if want.catalog[c.name] != w {
+		if want.catalog[i] != w {
 			t.Errorf("%s: Catalog() holds another instance", c.name)
 		}
 	}
 	for g, v := range views {
 		if !slices.Equal(v.each, want.each) || !slices.Equal(v.suite, want.suite) ||
-			!maps.Equal(v.catalog, want.catalog) {
+			!slices.Equal(v.catalog, want.catalog) {
 			t.Errorf("goroutine %d saw other instances than a later call", g)
 		}
 	}

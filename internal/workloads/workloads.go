@@ -7,14 +7,14 @@
 // Every argument-free named workload is one shared value per process: the
 // ten SPECint constructors (Interp … XMLTrans), Stressmark(false),
 // Stressmark(true) and ActiveIdle each build their workload on first use and
-// return that same pointer on every later call, and Catalog's workloads are
-// built once too. A shared workload and its Prog are read-only: a caller
-// that needs different fields (a budget, a warmup) copies the Workload
-// first. Sharing lets a program's Fingerprint and PC table be computed once
-// per process. The size-parameterised constructors (DGEMMVSU, DGEMMMMA,
-// DGEMMMMAFrom, the SGEMM and INT8 kernels, Daxpy, Conv2DMMA, DFTMMA,
-// TRSVUnitLower, ResNet50, BERTLarge) build a fresh workload on every call,
-// which the caller owns.
+// return that same pointer on every later call; SPECintSuite and Catalog
+// hold those instances. A shared workload and its Prog are read-only: a
+// caller that needs different fields (a budget, a warmup) copies the
+// Workload first. Sharing lets a program's Fingerprint and PC table be
+// computed once per process. The size-parameterised constructors (DGEMMVSU,
+// DGEMMMMA, DGEMMMMAFrom, the SGEMM and INT8 kernels, Daxpy, Conv2DMMA,
+// DFTMMA, TRSVUnitLower, ResNet50, BERTLarge) build a fresh workload on
+// every call, which the caller owns, and so do Catalog's kernels.
 package workloads
 
 import (
