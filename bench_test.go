@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"power10sim/internal/experiments"
+	"power10sim/internal/isa"
 	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/simobs"
@@ -139,6 +140,40 @@ func BenchmarkVMStream(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		stream.Reset()
+		drain()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(insts)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minst/s")
+}
+
+// BenchmarkVMSuite is the functional layer over a program mix: the ten
+// SPECint programs, each run at its own budget through the record-free
+// VM.Run that kernel sizing and fault-injection replays use. Each VM is reset
+// in place between iterations, so like BenchmarkVMStream it allocates
+// nothing once the programs' pages are touched.
+func BenchmarkVMSuite(b *testing.B) {
+	suite := workloads.SPECintSuite()
+	vms := make([]*isa.VM, len(suite))
+	drain := func() uint64 {
+		var n uint64
+		for i, w := range suite {
+			vms[i].Reset()
+			k, err := vms[i].Run(w.Budget, nil)
+			if err != nil {
+				b.Fatalf("%s: %v", w.Name, err)
+			}
+			n += k
+		}
+		return n
+	}
+	for i, w := range suite {
+		vms[i] = isa.NewVM(w.Prog)
+	}
+	// Warmup: touch every program's memory footprint.
+	insts := drain()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		drain()
 	}
 	b.StopTimer()

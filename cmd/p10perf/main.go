@@ -39,7 +39,7 @@ import (
 // tier (nanosecond-to-microsecond ops) needs real iteration counts — at 3
 // iterations a 100ns op is timer noise, and noise was tripping the
 // regression gate on code that had not changed.
-const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreP10Full|BenchmarkVMStream|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain|BenchmarkSocket|BenchmarkProxyExtraction)$"
+const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCoreP10Full|BenchmarkVMStream|BenchmarkVMSuite|BenchmarkCoreTelemetryOff|BenchmarkCoreTelemetryOn|BenchmarkCoreInjectionOff|BenchmarkModelFits|BenchmarkSurrogateTrain|BenchmarkSocket|BenchmarkProxyExtraction)$"
 
 // fastBenchTier runs at fastBenchTime iterations, -count fastBenchCount,
 // and the ledger keeps each benchmark's minimum ns/op (best-of-N is the
@@ -62,6 +62,7 @@ const (
 var zeroAllocBenches = map[string]bool{
 	"BenchmarkCoreP10":          true,
 	"BenchmarkVMStream":         true,
+	"BenchmarkVMSuite":          true,
 	"BenchmarkSurrogatePredict": true,
 }
 

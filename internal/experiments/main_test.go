@@ -10,13 +10,15 @@ import (
 	"testing"
 
 	"power10sim/internal/isa"
+	"power10sim/internal/runner"
+	"power10sim/internal/sampling"
 	"power10sim/internal/workloads"
 )
 
 // TestMain fails the package if any test changed a shared workload. The
 // named workloads are one value per process (see the workloads package
 // doc), so every experiment test here doubles as a check that no experiment
-// writes to them.
+// writes to them; TestOtherStudiesRun runs the studies no other test does.
 func TestMain(m *testing.M) {
 	shared := sharedWorkloads()
 	before := make([]workloadState, len(shared))
@@ -31,6 +33,39 @@ func TestMain(m *testing.M) {
 		}
 	}
 	os.Exit(code)
+}
+
+// TestOtherStudiesRun runs, once each in quick mode on one shared runner, the
+// studies no other test in this package runs, so that TestMain's check sees
+// every experiment's path, and requires each to render a table. The
+// sampled-vs-full validation runs its one shared integer family only.
+func TestOtherStudiesRun(t *testing.T) {
+	o := Options{Quick: true, Runner: runner.New(0)}
+	studies := []struct {
+		name string
+		run  func(Options) (tabler, error)
+	}{
+		{"TableI", func(o Options) (tabler, error) { return TableI(o) }},
+		{"Headline", func(o Options) (tabler, error) { return Headline(o) }},
+		{"Fig4", func(o Options) (tabler, error) { return Fig4(o) }},
+		{"Fig10", func(o Options) (tabler, error) { return Fig10(o) }},
+		{"Fig11", func(o Options) (tabler, error) { return Fig11(o) }},
+		{"Fig12", func(o Options) (tabler, error) { return Fig12(o) }},
+		{"Fig15", func(o Options) (tabler, error) { return Fig15(o) }},
+		{"WOF", func(o Options) (tabler, error) { return WOF(o) }},
+		{"SampleValidate", func(o Options) (tabler, error) {
+			return SampleValidate(o, sampling.DefaultSpec(), []string{"intcompute"})
+		}},
+	}
+	for _, s := range studies {
+		r, err := s.run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if r.Table() == "" {
+			t.Errorf("%s rendered an empty table", s.name)
+		}
+	}
 }
 
 // sharedWorkloads returns every shared workload: the suite, the

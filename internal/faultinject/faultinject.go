@@ -583,19 +583,13 @@ func replayTrial(w *workloads.Workload, g *golden, smt int, cycle uint64, unit u
 		}
 	}
 	flipArchBit(vm, unit, r)
-	steps := inj
-	for steps < g.vmSteps {
-		_, ok, err := vm.Step()
-		if err != nil {
-			// The corruption steered execution somewhere illegal (indirect
-			// branch out of range): a visible crash.
-			return OutcomeDetected
-		}
-		if !ok {
-			break
-		}
-		steps++
+	n, err := vm.Run(g.vmSteps-inj, nil)
+	if err != nil {
+		// The corruption steered execution somewhere illegal (indirect
+		// branch out of range): a visible crash.
+		return OutcomeDetected
 	}
+	steps := inj + n
 	switch {
 	case steps < g.vmSteps && !vm.Halted():
 		// Fell off the end of code without halting: visible crash.

@@ -468,18 +468,12 @@ type Program struct {
 // DefaultCodeBase is used when a program does not set CodeBase.
 const DefaultCodeBase = 0x1000_0000
 
-// PC returns the virtual address of instruction index i, accounting for
-// prefixed (8-byte) instructions. The table build is guarded so that
-// concurrent simulations sharing one Program (SMT streams, the parallel
-// experiment runner) are race free.
-func (p *Program) PC(i int) uint64 {
-	p.pcsOnce.Do(p.buildPCs)
-	return p.pcs[i]
-}
-
-// PCs returns the program's PC table: PC(i) for every static index i, plus
-// the address just past the last instruction. The slice is shared and must
-// not be modified.
+// PCs returns the program's PC table: the virtual address of every static
+// index i, accounting for prefixed (8-byte) instructions, plus the address
+// just past the last instruction. The slice is shared and must not be
+// modified. The table build is guarded so that concurrent simulations
+// sharing one Program (SMT streams, the parallel experiment runner) are race
+// free.
 func (p *Program) PCs() []uint64 {
 	p.pcsOnce.Do(p.buildPCs)
 	return p.pcs

@@ -122,14 +122,15 @@ func TestProgramPCAccountsForPrefixes(t *testing.T) {
 		Addi(GPR(2), GPR(2), 1).
 		Halt().
 		MustBuild()
-	base := p.PC(0)
+	pcs := p.PCs()
+	base := pcs[0]
 	if base != DefaultCodeBase {
 		t.Fatalf("PC(0) = %#x, want %#x", base, uint64(DefaultCodeBase))
 	}
-	if got := p.PC(1) - base; got != 4 {
+	if got := pcs[1] - base; got != 4 {
 		t.Errorf("PC(1) offset = %d, want 4", got)
 	}
-	if got := p.PC(2) - base; got != 12 {
+	if got := pcs[2] - base; got != 12 {
 		t.Errorf("PC(2) offset = %d, want 12 (after 8-byte prefixed lxvp)", got)
 	}
 }

@@ -5,20 +5,31 @@ import "encoding/binary"
 // Memory is a sparse, page-granular byte-addressable memory for the
 // functional executor. Reads of untouched memory return zeros.
 //
-// The page map is the only storage; a one-entry cache of the most recently
-// touched page short-cuts the map probe for the streaming and loop-local
-// access patterns that dominate dynamic traces. Every access — reads
-// included — may update that cache, so a Memory is not safe for concurrent
-// use, even by readers. Each VM owns its Memory.
+// The page map is the only storage. A small direct-mapped cache of page
+// pointers short-cuts the map probe, so a loop that streams through a few
+// arrays at once (daxpy's x and y) finds each array's current page without
+// one evicting the other. Every access — reads included — may update that
+// cache, so a Memory is not safe for concurrent use, even by readers. Each
+// VM owns its Memory.
 type Memory struct {
 	pages map[uint64]*page
+	cache [pageCacheLen]cachedPage
+}
 
-	lastPN uint64 // page number of last; meaningful only when last != nil
-	last   *page
+// cachedPage is one page cache slot; p is nil while the slot is empty.
+type cachedPage struct {
+	pn uint64
+	p  *page
 }
 
 const pageShift = 12 // 4 KiB pages
 const pageSize = 1 << pageShift
+
+// pageCacheBits sets the page cache at 64 slots (256 KiB of pages).
+const (
+	pageCacheBits = 6
+	pageCacheLen  = 1 << pageCacheBits
+)
 
 type page [pageSize]byte
 
@@ -27,13 +38,22 @@ func NewMemory() *Memory {
 	return &Memory{pages: make(map[uint64]*page)}
 }
 
+// cacheSlot maps a page number to its cache slot. A multiplicative hash
+// spreads page numbers that differ only in high bits: the kernels' arrays
+// sit at megabyte-aligned bases, which the low bits alone would send to one
+// slot.
+func cacheSlot(pn uint64) uint64 {
+	return pn * 0x9E3779B97F4A7C15 >> (64 - pageCacheBits)
+}
+
 // pageFor returns the page holding addr, allocating it when create is set;
 // otherwise an untouched page is nil. Pages are never removed (Reset zeroes
 // them in place), so a cached page pointer stays valid for the Memory's life.
 func (m *Memory) pageFor(addr uint64, create bool) *page {
 	pn := addr >> pageShift
-	if m.last != nil && m.lastPN == pn {
-		return m.last
+	c := &m.cache[cacheSlot(pn)]
+	if c.p != nil && c.pn == pn {
+		return c.p
 	}
 	p := m.pages[pn]
 	if p == nil {
@@ -43,7 +63,7 @@ func (m *Memory) pageFor(addr uint64, create bool) *page {
 		p = new(page)
 		m.pages[pn] = p
 	}
-	m.lastPN, m.last = pn, p
+	*c = cachedPage{pn, p}
 	return p
 }
 
@@ -101,13 +121,28 @@ func (m *Memory) Write(addr uint64, v uint64, n int) {
 	}
 }
 
-// Read128 reads a 16-byte quantity as two uint64 words.
+// Read128 reads a 16-byte quantity as two uint64 words, with one page
+// lookup when it lies inside one page.
 func (m *Memory) Read128(addr uint64) [2]uint64 {
+	if off := addr & (pageSize - 1); off <= pageSize-16 {
+		p := m.pageFor(addr, false)
+		if p == nil {
+			return [2]uint64{}
+		}
+		return [2]uint64{binary.LittleEndian.Uint64(p[off : off+8]), binary.LittleEndian.Uint64(p[off+8 : off+16])}
+	}
 	return [2]uint64{m.Read(addr, 8), m.Read(addr+8, 8)}
 }
 
-// Write128 writes a 16-byte quantity.
+// Write128 writes a 16-byte quantity, with one page lookup when it lies
+// inside one page.
 func (m *Memory) Write128(addr uint64, v [2]uint64) {
+	if off := addr & (pageSize - 1); off <= pageSize-16 {
+		p := m.pageFor(addr, true)
+		binary.LittleEndian.PutUint64(p[off:off+8], v[0])
+		binary.LittleEndian.PutUint64(p[off+8:off+16], v[1])
+		return
+	}
 	m.Write(addr, v[0], 8)
 	m.Write(addr+8, v[1], 8)
 }

@@ -35,13 +35,27 @@ func (r refMemory) hash() uint64 {
 // TestMemoryMatchesByteModel drives Memory and the byte-map model with the
 // same seeded random operations — every access width, 128-bit accesses,
 // page-straddling addresses, reads of untouched pages, image loads that
-// start and end mid-page and cross pages, interleaved Resets — and requires
-// identical reads and hashes throughout.
+// start and end mid-page and cross pages, interleaved Resets, and accesses
+// over more pages than the page cache has slots, several of them sharing
+// one slot — and requires identical reads and hashes throughout.
 func TestMemoryMatchesByteModel(t *testing.T) {
 	// Three adjacent pages (so accesses straddle both inner boundaries) and
 	// one distant page; reads also probe pages no operation ever writes.
 	written := []uint64{0x2000_0000, 0x2000_1000, 0x2000_2000, 0x7fff_f000}
 	untouched := []uint64{0x2000_3000, 0x5000_0000}
+	// More scattered pages than the cache has slots, and six pages that map
+	// to one slot, so lookups miss, evict and refill. Half the seeds spread
+	// their accesses over these too; the rest keep to the pages above.
+	var wide []uint64
+	for i := uint64(0); i < pageCacheLen+8; i++ {
+		wide = append(wide, 0x4000_0000+i*0x13000)
+	}
+	for pn, shared := uint64(0x6_0000), 0; shared < 6; pn++ {
+		if cacheSlot(pn) == cacheSlot(0x6_0000) {
+			wide = append(wide, pn<<pageShift)
+			shared++
+		}
+	}
 	// An image stays inside one run of adjacent written pages.
 	regions := [][2]uint64{{0x2000_0000, 0x2000_3000}, {0x7fff_f000, 0x8000_0000}}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -57,6 +71,9 @@ func TestMemoryMatchesByteModel(t *testing.T) {
 		m, ref := NewMemory(), refMemory{}
 		for op := 0; op < 4000; op++ {
 			a := addr(written)
+			if seed > 4 && rng.Intn(2) == 0 {
+				a = addr(wide)
+			}
 			switch k := rng.Intn(100); {
 			case k < 35:
 				n := 1 + rng.Intn(8)

@@ -5,16 +5,60 @@ import (
 	"math"
 )
 
-// DynInst is one dynamic (executed) instruction as observed at retirement of
-// the functional executor. It is the unit of the instruction traces consumed
-// by the timing, power and methodology models.
+// DynInst is one dynamic (executed) instruction as the timing, power and
+// methodology models consume it: a Record with its PC and NextPC rebuilt
+// from the program's PC table (Record.DynInst).
 type DynInst struct {
-	Idx    int32  // index into Program.Code
+	Site          // static index and branch outcome, in one word
 	PC     uint64 // virtual address of the instruction
 	NextPC uint64 // address of the next dynamic instruction
 	EA     uint64 // effective address for memory operations
-	Taken  bool   // branch outcome (true also for unconditional)
-	Thread uint8  // hardware thread that executed it (set by SMT drivers)
+}
+
+// Site is the static half of a DynInst: which instruction executed and
+// which way it branched. Nesting it keeps DynInst at four fields in 32
+// bytes, which the compiler passes and copies in registers.
+type Site struct {
+	Idx   int32 // index into Program.Code
+	Taken bool  // branch outcome (true also for unconditional)
+}
+
+// Record is one dynamic instruction as the VM writes it, in 16 bytes against
+// the 32 of DynInst: the static index, the static index of the instruction
+// executed next and the branch outcome, and the effective address. Compact
+// records keep a whole-trace recording small and let the VM write a block of
+// them without looking up a PC.
+type Record struct {
+	idx int32
+	// next is the static index of the following dynamic instruction shifted
+	// left one, with the branch-taken outcome in bit 0.
+	next uint32
+	ea   uint64
+}
+
+// Idx is the record's static instruction index.
+func (r *Record) Idx() int32 { return r.idx }
+
+// Next is the static index of the instruction executed after this one; a
+// halt's is its own index plus one.
+func (r *Record) Next() int { return int(r.next >> 1) }
+
+// Taken is the branch outcome (true also for unconditional branches).
+func (r *Record) Taken() bool { return r.next&1 != 0 }
+
+// EA is the record's effective address (0 for non-memory instructions).
+func (r *Record) EA() uint64 { return r.ea }
+
+// DynInst rebuilds the full dynamic instruction from pcs, the program's PC
+// table (Program.PCs). A halt's successor index is idx+1, and pcs[idx+1] is
+// its PC plus its size, so no instruction needs a special case.
+func (r *Record) DynInst(pcs []uint64) DynInst {
+	return DynInst{
+		Site:   Site{Idx: r.idx, Taken: r.next&1 != 0},
+		PC:     pcs[r.idx],
+		NextPC: pcs[r.next>>1],
+		EA:     r.ea,
+	}
 }
 
 // VM is the functional executor: it runs a Program architecturally and
@@ -85,226 +129,251 @@ func vsrF32(v [2]uint64) [4]float32 {
 	return [4]float32{f32lo(v[0]), f32hi(v[0]), f32lo(v[1]), f32hi(v[1])}
 }
 
-// Step executes one instruction and returns its dynamic record.
-// It returns ok=false when the VM is halted or runs off the end of code.
-func (vm *VM) Step() (rec DynInst, ok bool, err error) {
-	if vm.halted || vm.pc < 0 || vm.pc >= len(vm.Prog.Code) {
-		return DynInst{}, false, nil
-	}
-	idx := vm.pc
-	in := &vm.Prog.Code[idx]
-	rec = DynInst{Idx: int32(idx), PC: vm.Prog.PC(idx)}
-	next := idx + 1
+// runBlock is the number of records Run hands its callback at a time.
+const runBlock = 1024
 
-	switch in.Op {
-	case OpNop, OpMMAWake:
-		// no architectural effect
-	case OpHalt:
-		vm.halted = true
-	case OpLi:
-		vm.GPRs[in.Dst.Idx] = uint64(in.Imm)
-	case OpAdd:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] + vm.GPRs[in.B.Idx]
-	case OpAddi:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-	case OpSub:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] - vm.GPRs[in.B.Idx]
-	case OpMul:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] * vm.GPRs[in.B.Idx]
-	case OpDiv:
-		d := vm.GPRs[in.B.Idx]
-		if d == 0 {
-			vm.GPRs[in.Dst.Idx] = 0
-		} else {
-			vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] / d
-		}
-	case OpAnd:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] & vm.GPRs[in.B.Idx]
-	case OpOr:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] | vm.GPRs[in.B.Idx]
-	case OpXor:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] ^ vm.GPRs[in.B.Idx]
-	case OpShl:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] << (uint64(in.Imm) & 63)
-	case OpShr:
-		vm.GPRs[in.Dst.Idx] = vm.GPRs[in.A.Idx] >> (uint64(in.Imm) & 63)
-
-	case OpB, OpCall:
-		rec.Taken = true
-		next = in.Target
-	case OpBc:
-		if in.Cond.Eval(int64(vm.GPRs[in.A.Idx]), int64(vm.GPRs[in.B.Idx])) {
-			rec.Taken = true
-			next = in.Target
-		}
-	case OpBr:
-		t := int(vm.GPRs[in.A.Idx])
-		if t < 0 || t >= len(vm.Prog.Code) {
-			return rec, false, fmt.Errorf("%s @%d: indirect target %d out of range", vm.Prog.Name, idx, t)
-		}
-		rec.Taken = true
-		next = t
-
-	case OpLd:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.GPRs[in.Dst.Idx] = vm.Mem.Read(rec.EA, 8)
-	case OpLw:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.GPRs[in.Dst.Idx] = vm.Mem.Read(rec.EA, 4)
-	case OpSt:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.Mem.Write(rec.EA, vm.GPRs[in.B.Idx], 8)
-	case OpStw:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.Mem.Write(rec.EA, vm.GPRs[in.B.Idx], 4)
-	case OpLxv:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.VSRs[in.Dst.Idx] = vm.Mem.Read128(rec.EA)
-	case OpStxv:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.Mem.Write128(rec.EA, vm.VSRs[in.B.Idx])
-	case OpLxvdsx:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		v := vm.Mem.Read(rec.EA, 8)
-		vm.VSRs[in.Dst.Idx] = [2]uint64{v, v}
-	case OpLxvwsx:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		w := vm.Mem.Read(rec.EA, 4)
-		v := w | w<<32
-		vm.VSRs[in.Dst.Idx] = [2]uint64{v, v}
-	case OpLxvp:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.VSRs[in.Dst.Idx] = vm.Mem.Read128(rec.EA)
-		vm.VSRs[(in.Dst.Idx+1)%NumVSR] = vm.Mem.Read128(rec.EA + 16)
-	case OpStxvp:
-		rec.EA = vm.GPRs[in.A.Idx] + uint64(in.Imm)
-		vm.Mem.Write128(rec.EA, vm.VSRs[in.B.Idx])
-		vm.Mem.Write128(rec.EA+16, vm.VSRs[(in.B.Idx+1)%NumVSR])
-
-	case OpXvadddp:
-		a, c := vsrF64(vm.VSRs[in.A.Idx]), vsrF64(vm.VSRs[in.B.Idx])
-		vm.VSRs[in.Dst.Idx] = [2]uint64{u64(a[0] + c[0]), u64(a[1] + c[1])}
-	case OpXvmuldp:
-		a, c := vsrF64(vm.VSRs[in.A.Idx]), vsrF64(vm.VSRs[in.B.Idx])
-		vm.VSRs[in.Dst.Idx] = [2]uint64{u64(a[0] * c[0]), u64(a[1] * c[1])}
-	case OpXvmaddadp:
-		a, c := vsrF64(vm.VSRs[in.A.Idx]), vsrF64(vm.VSRs[in.B.Idx])
-		d := vsrF64(vm.VSRs[in.Dst.Idx])
-		vm.VSRs[in.Dst.Idx] = [2]uint64{u64(a[0]*c[0] + d[0]), u64(a[1]*c[1] + d[1])}
-	case OpXvmaddasp:
-		a, c := vsrF32(vm.VSRs[in.A.Idx]), vsrF32(vm.VSRs[in.B.Idx])
-		d := vsrF32(vm.VSRs[in.Dst.Idx])
-		var out [4]float32
-		for i := range out {
-			out[i] = a[i]*c[i] + d[i]
-		}
-		vm.VSRs[in.Dst.Idx] = [2]uint64{packF32(out[0], out[1]), packF32(out[2], out[3])}
-	case OpXxlxor:
-		vm.VSRs[in.Dst.Idx] = [2]uint64{
-			vm.VSRs[in.A.Idx][0] ^ vm.VSRs[in.B.Idx][0],
-			vm.VSRs[in.A.Idx][1] ^ vm.VSRs[in.B.Idx][1],
-		}
-	case OpXxperm:
-		// Modelled as a byte rotate across the two words.
-		a := vm.VSRs[in.A.Idx]
-		vm.VSRs[in.Dst.Idx] = [2]uint64{a[0]>>8 | a[1]<<56, a[1]>>8 | a[0]<<56}
-
-	case OpXxsetaccz:
-		vm.ACCs[in.Dst.Idx] = [8]uint64{}
-	case OpXxmtacc:
-		base := int(in.A.Idx)
-		for r := 0; r < 4; r++ {
-			v := vm.VSRs[(base+r)%NumVSR]
-			vm.ACCs[in.Dst.Idx][2*r] = v[0]
-			vm.ACCs[in.Dst.Idx][2*r+1] = v[1]
-		}
-	case OpXxmfacc:
-		base := int(in.Dst.Idx)
-		for r := 0; r < 4; r++ {
-			vm.VSRs[(base+r)%NumVSR] = [2]uint64{
-				vm.ACCs[in.A.Idx][2*r], vm.ACCs[in.A.Idx][2*r+1],
-			}
-		}
-	case OpXvf64gerpp:
-		// 4x2 DP outer product accumulate: X (VSR pair a,a+1) x Y (VSR b).
-		var x [4]float64
-		xa := vsrF64(vm.VSRs[in.A.Idx])
-		xb := vsrF64(vm.VSRs[(in.A.Idx+1)%NumVSR])
-		x[0], x[1], x[2], x[3] = xa[0], xa[1], xb[0], xb[1]
-		y := vsrF64(vm.VSRs[in.B.Idx])
-		acc := &vm.ACCs[in.Dst.Idx]
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 2; c++ {
-				w := &acc[2*r+c]
-				*w = u64(f64(*w) + x[r]*y[c])
-			}
-		}
-	case OpXvf32gerpp:
-		// 4x4 SP outer product accumulate; accumulator rows hold 4 floats.
-		x := vsrF32(vm.VSRs[in.A.Idx])
-		y := vsrF32(vm.VSRs[in.B.Idx])
-		acc := &vm.ACCs[in.Dst.Idx]
-		for r := 0; r < 4; r++ {
-			row := [2]uint64{acc[2*r], acc[2*r+1]}
-			f := vsrF32(row)
-			for c := 0; c < 4; c++ {
-				f[c] += x[r] * y[c]
-			}
-			acc[2*r] = packF32(f[0], f[1])
-			acc[2*r+1] = packF32(f[2], f[3])
-		}
-	case OpXvi8ger4pp:
-		// 4x4 INT8 outer product with 4-way dot product per cell.
-		acc := &vm.ACCs[in.Dst.Idx]
-		a := vm.VSRs[in.A.Idx]
-		c := vm.VSRs[in.B.Idx]
-		for r := 0; r < 4; r++ {
-			for col := 0; col < 4; col++ {
-				var dot int32
-				for k := 0; k < 4; k++ {
-					av := int8(a[r/2] >> uint((r%2)*32+k*8))
-					bv := int8(c[col/2] >> uint((col%2)*32+k*8))
-					dot += int32(av) * int32(bv)
-				}
-				w := &acc[2*r+col/2]
-				shift := uint((col % 2) * 32)
-				cur := int32(*w >> shift)
-				*w = (*w &^ (0xFFFFFFFF << shift)) | uint64(uint32(cur+dot))<<shift
-			}
-		}
-
-	default:
-		return rec, false, fmt.Errorf("%s @%d: unimplemented opcode %v", vm.Prog.Name, idx, in.Op)
-	}
-
-	vm.pc = next
-	vm.retired++
-	if vm.halted {
-		rec.NextPC = rec.PC + in.Bytes()
-	} else {
-		rec.NextPC = vm.Prog.PC(next)
-	}
-	return rec, true, nil
+// Fill executes up to len(buf) instructions and writes the record of each,
+// in order, into buf. It returns the number executed: fewer than len(buf)
+// when the program halts, runs off the end of its code, or meets an
+// instruction it cannot execute. That instruction is not executed and the
+// VM stays before it, so the records before it are in buf and the next Fill
+// returns the same error having executed nothing.
+func (vm *VM) Fill(buf []Record) (int, error) {
+	n, err := vm.exec(buf, uint64(len(buf)))
+	return int(n), err
 }
 
-// Run executes up to budget instructions, invoking emit for each. It stops
-// early on Halt or when emit returns false. It returns the number executed.
-func (vm *VM) Run(budget uint64, emit func(DynInst) bool) (uint64, error) {
+// Run executes up to budget instructions and returns the number executed,
+// stopping early where Fill does. It hands the records to use in blocks, in
+// order, through one buffer it reuses; with a nil use it records nothing.
+func (vm *VM) Run(budget uint64, use func([]Record)) (uint64, error) {
+	if use == nil {
+		return vm.exec(nil, budget)
+	}
+	buf := make([]Record, min(budget, runBlock))
 	var n uint64
 	for n < budget {
-		rec, ok, err := vm.Step()
-		if err != nil {
+		lim := min(budget-n, runBlock)
+		k, err := vm.exec(buf[:lim], lim)
+		n += k
+		if k > 0 {
+			use(buf[:k])
+		}
+		if err != nil || k < lim {
 			return n, err
-		}
-		if !ok {
-			break
-		}
-		n++
-		if emit != nil && !emit(rec) {
-			break
 		}
 	}
 	return n, nil
+}
+
+// exec is the interpreter. It executes up to budget instructions and, when
+// buf is not nil, writes the record of each into buf[0:budget]. The program
+// counter and the halt flag live in locals for the whole call and the
+// register files and memory behind local pointers, so an instruction costs
+// its opcode's work and one 16-byte record.
+func (vm *VM) exec(buf []Record, budget uint64) (uint64, error) {
+	code := vm.Prog.Code
+	gpr, vsr, acc, mem := &vm.GPRs, &vm.VSRs, &vm.ACCs, vm.Mem
+	pc, halted := vm.pc, vm.halted
+	var n uint64
+	var err error
+loop:
+	for ; n < budget && !halted && uint(pc) < uint(len(code)); n++ {
+		in := &code[pc]
+		next := pc + 1
+		var taken uint32
+		var ea uint64
+
+		switch in.Op {
+		case OpNop, OpMMAWake:
+			// no architectural effect
+		case OpHalt:
+			halted = true
+		case OpLi:
+			gpr[in.Dst.Idx] = uint64(in.Imm)
+		case OpAdd:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] + gpr[in.B.Idx]
+		case OpAddi:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] + uint64(in.Imm)
+		case OpSub:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] - gpr[in.B.Idx]
+		case OpMul:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] * gpr[in.B.Idx]
+		case OpDiv:
+			if d := gpr[in.B.Idx]; d == 0 {
+				gpr[in.Dst.Idx] = 0
+			} else {
+				gpr[in.Dst.Idx] = gpr[in.A.Idx] / d
+			}
+		case OpAnd:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] & gpr[in.B.Idx]
+		case OpOr:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] | gpr[in.B.Idx]
+		case OpXor:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] ^ gpr[in.B.Idx]
+		case OpShl:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] << (uint64(in.Imm) & 63)
+		case OpShr:
+			gpr[in.Dst.Idx] = gpr[in.A.Idx] >> (uint64(in.Imm) & 63)
+
+		case OpB, OpCall:
+			taken = 1
+			next = in.Target
+		case OpBc:
+			if in.Cond.Eval(int64(gpr[in.A.Idx]), int64(gpr[in.B.Idx])) {
+				taken = 1
+				next = in.Target
+			}
+		case OpBr:
+			t := int(gpr[in.A.Idx])
+			if t < 0 || t >= len(code) {
+				err = fmt.Errorf("%s @%d: indirect target %d out of range", vm.Prog.Name, pc, t)
+				break loop
+			}
+			taken = 1
+			next = t
+
+		case OpLd:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			gpr[in.Dst.Idx] = mem.Read(ea, 8)
+		case OpLw:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			gpr[in.Dst.Idx] = mem.Read(ea, 4)
+		case OpSt:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			mem.Write(ea, gpr[in.B.Idx], 8)
+		case OpStw:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			mem.Write(ea, gpr[in.B.Idx], 4)
+		case OpLxv:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			vsr[in.Dst.Idx] = mem.Read128(ea)
+		case OpStxv:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			mem.Write128(ea, vsr[in.B.Idx])
+		case OpLxvdsx:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			v := mem.Read(ea, 8)
+			vsr[in.Dst.Idx] = [2]uint64{v, v}
+		case OpLxvwsx:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			w := mem.Read(ea, 4)
+			v := w | w<<32
+			vsr[in.Dst.Idx] = [2]uint64{v, v}
+		case OpLxvp:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			vsr[in.Dst.Idx] = mem.Read128(ea)
+			vsr[(in.Dst.Idx+1)%NumVSR] = mem.Read128(ea + 16)
+		case OpStxvp:
+			ea = gpr[in.A.Idx] + uint64(in.Imm)
+			mem.Write128(ea, vsr[in.B.Idx])
+			mem.Write128(ea+16, vsr[(in.B.Idx+1)%NumVSR])
+
+		case OpXvadddp:
+			a, c := vsrF64(vsr[in.A.Idx]), vsrF64(vsr[in.B.Idx])
+			vsr[in.Dst.Idx] = [2]uint64{u64(a[0] + c[0]), u64(a[1] + c[1])}
+		case OpXvmuldp:
+			a, c := vsrF64(vsr[in.A.Idx]), vsrF64(vsr[in.B.Idx])
+			vsr[in.Dst.Idx] = [2]uint64{u64(a[0] * c[0]), u64(a[1] * c[1])}
+		case OpXvmaddadp:
+			a, c := vsrF64(vsr[in.A.Idx]), vsrF64(vsr[in.B.Idx])
+			d := vsrF64(vsr[in.Dst.Idx])
+			vsr[in.Dst.Idx] = [2]uint64{u64(a[0]*c[0] + d[0]), u64(a[1]*c[1] + d[1])}
+		case OpXvmaddasp:
+			a, c := vsrF32(vsr[in.A.Idx]), vsrF32(vsr[in.B.Idx])
+			d := vsrF32(vsr[in.Dst.Idx])
+			var out [4]float32
+			for i := range out {
+				out[i] = a[i]*c[i] + d[i]
+			}
+			vsr[in.Dst.Idx] = [2]uint64{packF32(out[0], out[1]), packF32(out[2], out[3])}
+		case OpXxlxor:
+			vsr[in.Dst.Idx] = [2]uint64{
+				vsr[in.A.Idx][0] ^ vsr[in.B.Idx][0],
+				vsr[in.A.Idx][1] ^ vsr[in.B.Idx][1],
+			}
+		case OpXxperm:
+			// Modelled as a byte rotate across the two words.
+			a := vsr[in.A.Idx]
+			vsr[in.Dst.Idx] = [2]uint64{a[0]>>8 | a[1]<<56, a[1]>>8 | a[0]<<56}
+
+		case OpXxsetaccz:
+			acc[in.Dst.Idx] = [8]uint64{}
+		case OpXxmtacc:
+			base := int(in.A.Idx)
+			for r := 0; r < 4; r++ {
+				v := vsr[(base+r)%NumVSR]
+				acc[in.Dst.Idx][2*r] = v[0]
+				acc[in.Dst.Idx][2*r+1] = v[1]
+			}
+		case OpXxmfacc:
+			base := int(in.Dst.Idx)
+			for r := 0; r < 4; r++ {
+				vsr[(base+r)%NumVSR] = [2]uint64{
+					acc[in.A.Idx][2*r], acc[in.A.Idx][2*r+1],
+				}
+			}
+		case OpXvf64gerpp:
+			// 4x2 DP outer product accumulate: X (VSR pair a,a+1) x Y (VSR b).
+			var x [4]float64
+			xa := vsrF64(vsr[in.A.Idx])
+			xb := vsrF64(vsr[(in.A.Idx+1)%NumVSR])
+			x[0], x[1], x[2], x[3] = xa[0], xa[1], xb[0], xb[1]
+			y := vsrF64(vsr[in.B.Idx])
+			a := &acc[in.Dst.Idx]
+			for r := 0; r < 4; r++ {
+				for c := 0; c < 2; c++ {
+					w := &a[2*r+c]
+					*w = u64(f64(*w) + x[r]*y[c])
+				}
+			}
+		case OpXvf32gerpp:
+			// 4x4 SP outer product accumulate; accumulator rows hold 4 floats.
+			x := vsrF32(vsr[in.A.Idx])
+			y := vsrF32(vsr[in.B.Idx])
+			a := &acc[in.Dst.Idx]
+			for r := 0; r < 4; r++ {
+				row := [2]uint64{a[2*r], a[2*r+1]}
+				f := vsrF32(row)
+				for c := 0; c < 4; c++ {
+					f[c] += x[r] * y[c]
+				}
+				a[2*r] = packF32(f[0], f[1])
+				a[2*r+1] = packF32(f[2], f[3])
+			}
+		case OpXvi8ger4pp:
+			// 4x4 INT8 outer product with 4-way dot product per cell.
+			ac := &acc[in.Dst.Idx]
+			a := vsr[in.A.Idx]
+			c := vsr[in.B.Idx]
+			for r := 0; r < 4; r++ {
+				for col := 0; col < 4; col++ {
+					var dot int32
+					for k := 0; k < 4; k++ {
+						av := int8(a[r/2] >> uint((r%2)*32+k*8))
+						bv := int8(c[col/2] >> uint((col%2)*32+k*8))
+						dot += int32(av) * int32(bv)
+					}
+					w := &ac[2*r+col/2]
+					shift := uint((col % 2) * 32)
+					cur := int32(*w >> shift)
+					*w = (*w &^ (0xFFFFFFFF << shift)) | uint64(uint32(cur+dot))<<shift
+				}
+			}
+
+		default:
+			err = fmt.Errorf("%s @%d: unimplemented opcode %v", vm.Prog.Name, pc, in.Op)
+			break loop
+		}
+
+		if buf != nil {
+			buf[n] = Record{idx: int32(pc), next: uint32(next)<<1 | taken, ea: ea}
+		}
+		pc = next
+	}
+	vm.pc, vm.halted = pc, halted
+	vm.retired += n
+	return n, err
 }
 
 // GPR returns the value of general-purpose register i.

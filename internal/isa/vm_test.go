@@ -98,11 +98,12 @@ func TestVMEffectiveAddresses(t *testing.T) {
 		MustBuild()
 	vm := NewVM(p)
 	var eas []uint64
-	if _, err := vm.Run(100, func(d DynInst) bool {
-		if ClassOf(p.Code[d.Idx].Op).IsMem() {
-			eas = append(eas, d.EA)
+	if _, err := vm.Run(100, func(blk []Record) {
+		for _, r := range blk {
+			if ClassOf(p.Code[r.Idx()].Op).IsMem() {
+				eas = append(eas, r.EA())
+			}
 		}
-		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +123,16 @@ func TestVMBranchOutcomesInTrace(t *testing.T) {
 		MustBuild()
 	vm := NewVM(p)
 	var taken, notTaken int
-	if _, err := vm.Run(1000, func(d DynInst) bool {
-		if p.Code[d.Idx].Op == OpBc {
-			if d.Taken {
-				taken++
-			} else {
-				notTaken++
+	if _, err := vm.Run(1000, func(blk []Record) {
+		for _, r := range blk {
+			if p.Code[r.Idx()].Op == OpBc {
+				if r.Taken() {
+					taken++
+				} else {
+					notTaken++
+				}
 			}
 		}
-		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -369,12 +371,14 @@ func TestVMTracePCsMonotoneWithinBasicBlock(t *testing.T) {
 		MustBuild()
 	vm := NewVM(p)
 	var last uint64
-	if _, err := vm.Run(100, func(d DynInst) bool {
-		if last != 0 && d.PC != last {
-			t.Errorf("PC %#x does not follow previous NextPC %#x", d.PC, last)
+	if _, err := vm.Run(100, func(blk []Record) {
+		for _, r := range blk {
+			d := r.DynInst(p.PCs())
+			if last != 0 && d.PC != last {
+				t.Errorf("PC %#x does not follow previous NextPC %#x", d.PC, last)
+			}
+			last = d.NextPC
 		}
-		last = d.NextPC
-		return true
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -138,7 +138,7 @@ func Extract(w *workloads.Workload, opt Options) (*Result, error) {
 	rec := trace.NewRecording(w.Prog)
 	execCount := make([]uint64, len(w.Prog.Code))
 	n := 0
-	err := rec.Fill(budget, func(blk []trace.Record) {
+	err := rec.Fill(budget, func(blk []isa.Record) {
 		for i := range blk {
 			execCount[blk[i].Idx()]++
 		}

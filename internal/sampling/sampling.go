@@ -215,7 +215,7 @@ func buildPlan(prog *isa.Program, budget uint64, spec Spec) (*Plan, *trace.Recor
 	seenPages := make(map[uint64]struct{})
 	start := uint64(0)
 	rec := trace.NewRecording(prog)
-	err := rec.Fill(budget, func(blk []trace.Record) {
+	err := rec.Fill(budget, func(blk []isa.Record) {
 		for i := range blk {
 			r := &blk[i]
 			cls := prog.Code[r.Idx()].Class()

@@ -3,50 +3,13 @@ package trace
 import "power10sim/internal/isa"
 
 // This file is the functional front end: one VM runs ahead of its consumer
-// on a second goroutine and hands over fixed-size blocks of compact records.
+// on a second goroutine and hands over fixed-size blocks of compact records
+// (isa.Record), which the VM writes in place.
 // It serves two consumers. A Recording keeps every block, for a sampled run
 // that reads the whole trace several times and for proxy extraction, which
 // counts a profile as it lands and then copies out the slices it keeps; a
 // ReadAhead recycles a few blocks, so a full simulation's core reads records
 // while the VM executes the ones after them.
-
-// Record is one dynamic instruction in 16 bytes, against the 40 of
-// isa.DynInst: a whole-trace recording's footprint is a sampled run's memory
-// high-water mark. PC and NextPC are rebuilt from the static code's PC table.
-type Record struct {
-	idx int32
-	// next is the static index of the following dynamic instruction shifted
-	// left one, with the branch-taken outcome in bit 0.
-	next uint32
-	ea   uint64
-}
-
-// Idx is the record's static instruction index.
-func (r *Record) Idx() int32 { return r.idx }
-
-// EA is the record's effective address (0 for non-memory instructions).
-func (r *Record) EA() uint64 { return r.ea }
-
-func pack(d isa.DynInst, next int) Record {
-	r := Record{idx: d.Idx, next: uint32(next) << 1, ea: d.EA}
-	if d.Taken {
-		r.next |= 1
-	}
-	return r
-}
-
-// dynInst rebuilds the VM's record from the program's PC table. A halt's
-// successor index is idx+1, and pcs[idx+1] is PC+Bytes(): exactly the NextPC
-// VM.Step reports for a halt, so no instruction needs a special case.
-func (r *Record) dynInst(pcs []uint64) isa.DynInst {
-	return isa.DynInst{
-		Idx:    r.idx,
-		PC:     pcs[r.idx],
-		NextPC: pcs[r.next>>1],
-		EA:     r.ea,
-		Taken:  r.next&1 != 0,
-	}
-}
 
 // Records travel in blocks of blockLen (64 KiB). A block is the unit of
 // hand-over between the VM and its consumer, so it also bounds how far the
@@ -70,10 +33,12 @@ const readAheadBlocks = 4
 // panics (panicked), or stop is closed. err and panicked are written before
 // full closes, so they may be read once a receive on full reports it closed.
 type pass struct {
-	full chan []Record
+	full chan []isa.Record
 	// free holds the empty blocks a ring recycles; nil allocates a new
 	// block for each one filled.
-	free     chan []Record
+	free chan []isa.Record
+	// unmade counts the ring's blocks not yet allocated.
+	unmade   int
 	stop     chan struct{}
 	err      error
 	panicked any
@@ -82,16 +47,13 @@ type pass struct {
 // startPass starts executing prog for up to budget instructions. ring is the
 // number of blocks to recycle, or 0 to allocate every block.
 func startPass(prog *isa.Program, budget uint64, ring int) *pass {
-	p := &pass{stop: make(chan struct{})}
+	p := &pass{stop: make(chan struct{}), unmade: ring}
 	if ring == 0 {
-		p.full = make(chan []Record, 1)
+		p.full = make(chan []isa.Record, 1)
 	} else {
 		// Sized to the ring, so only the free list holds the VM back.
-		p.full = make(chan []Record, ring)
-		p.free = make(chan []Record, ring)
-		for range ring {
-			p.free <- make([]Record, 0, blockLen)
-		}
+		p.full = make(chan []isa.Record, ring)
+		p.free = make(chan []isa.Record, ring)
 	}
 	go func() {
 		defer close(p.full)
@@ -101,6 +63,32 @@ func startPass(prog *isa.Program, budget uint64, ring int) *pass {
 	return p
 }
 
+// block returns an empty block of at least lim records for the VM to fill,
+// or ok false once stop is closed. Without a ring it allocates lim records.
+// A ring block is one the reader has freed or, while none is free, one of
+// the ring's blocks not yet allocated: a pass that halts early allocates
+// only the blocks it fills.
+func (p *pass) block(lim uint64) (blk []isa.Record, ok bool) {
+	if p.free == nil {
+		return make([]isa.Record, lim), true
+	}
+	select {
+	case blk = <-p.free:
+		return blk, true
+	default:
+	}
+	if p.unmade > 0 {
+		p.unmade--
+		return make([]isa.Record, blockLen), true
+	}
+	select {
+	case blk = <-p.free:
+		return blk, true
+	case <-p.stop:
+		return nil, false
+	}
+}
+
 // execute runs prog's VM, sending each block on full as it fills. The
 // records before a VM error are sent before the error is returned, so the
 // consumer sees exactly the records a VMStream delivers.
@@ -108,36 +96,19 @@ func (p *pass) execute(prog *isa.Program, budget uint64) error {
 	vm := isa.NewVM(prog)
 	for n := uint64(0); n < budget; n += blockLen {
 		lim := min(blockLen, budget-n)
-		var blk []Record
-		if p.free == nil {
-			blk = make([]Record, 0, lim)
-		} else {
+		blk, ok := p.block(lim)
+		if !ok {
+			return nil
+		}
+		k, err := vm.Fill(blk[:lim])
+		if k > 0 {
 			select {
-			case blk = <-p.free:
+			case p.full <- blk[:k]:
 			case <-p.stop:
 				return nil
 			}
 		}
-		var err error
-		for uint64(len(blk)) < lim {
-			d, ok, e := vm.Step()
-			if e != nil {
-				err = e
-				break
-			}
-			if !ok {
-				break
-			}
-			blk = append(blk, pack(d, vm.PC()))
-		}
-		if len(blk) > 0 {
-			select {
-			case p.full <- blk:
-			case <-p.stop:
-				return nil
-			}
-		}
-		if err != nil || uint64(len(blk)) < lim {
+		if err != nil || uint64(k) < lim {
 			return err // the VM failed or the program halted
 		}
 	}
@@ -161,7 +132,7 @@ func (p *pass) close() {
 type Recording struct {
 	prog   *isa.Program
 	pcs    []uint64
-	blocks [][]Record
+	blocks [][]isa.Record
 }
 
 // NewRecording returns an empty recording of prog.
@@ -176,7 +147,7 @@ func NewRecording(prog *isa.Program) *Recording {
 // returned after use has seen every record before it; a panic in the VM
 // panics again on the caller's goroutine. The VM's goroutine has exited by
 // the time Fill returns, on every path.
-func (r *Recording) Fill(budget uint64, use func([]Record)) error {
+func (r *Recording) Fill(budget uint64, use func([]isa.Record)) error {
 	p := startPass(r.prog, budget, 0)
 	defer p.close() // unblocks a pending send if use panicked
 	for blk := range p.full {
@@ -190,12 +161,12 @@ func (r *Recording) Fill(budget uint64, use func([]Record)) error {
 }
 
 // At returns record i.
-func (r *Recording) At(i uint64) *Record {
+func (r *Recording) At(i uint64) *isa.Record {
 	return &r.blocks[i>>blockShift][i&blockMask]
 }
 
 // PC returns the address of rec's instruction.
-func (r *Recording) PC(rec *Record) uint64 { return r.pcs[rec.idx] }
+func (r *Recording) PC(rec *isa.Record) uint64 { return r.pcs[rec.Idx()] }
 
 // Replay returns a stream over the records [from, to).
 func (r *Recording) Replay(from, to uint64) *Replay {
@@ -206,7 +177,7 @@ func (r *Recording) Replay(from, to uint64) *Replay {
 type Replay struct {
 	rec     *Recording
 	to, pos uint64
-	cur     []Record // the records from pos to the end of its block or to
+	cur     []isa.Record // the records from pos to the end of its block or to
 }
 
 // Next implements Stream.
@@ -222,7 +193,7 @@ func (s *Replay) Next() (isa.DynInst, bool) {
 	r := &s.cur[0]
 	s.cur = s.cur[1:]
 	s.pos++
-	return r.dynInst(s.rec.pcs), true
+	return r.DynInst(s.rec.pcs), true
 }
 
 // Program implements Stream.
@@ -238,9 +209,9 @@ func (s *Replay) Program() *isa.Program { return s.rec.prog }
 type ReadAhead struct {
 	prog     *isa.Program
 	pcs      []uint64
-	p        *pass    // nil once closed
-	blk, cur []Record // the block being read, and its unread records
-	ended    bool     // the pass has closed full, or Close was called
+	p        *pass        // nil once closed
+	blk, cur []isa.Record // the block being read, and its unread records
+	ended    bool         // the pass has closed full, or Close was called
 	err      error
 }
 
@@ -256,7 +227,7 @@ func (s *ReadAhead) Next() (isa.DynInst, bool) {
 	}
 	r := &s.cur[0]
 	s.cur = s.cur[1:]
-	return r.dynInst(s.pcs), true
+	return r.DynInst(s.pcs), true
 }
 
 // refill recycles the block just read and receives the next one.
@@ -265,7 +236,7 @@ func (s *ReadAhead) refill() bool {
 		return false
 	}
 	if s.blk != nil {
-		s.p.free <- s.blk[:0] // never blocks: the ring's other blocks are elsewhere
+		s.p.free <- s.blk // never blocks: the ring's other blocks are elsewhere
 		s.blk = nil
 	}
 	blk, ok := <-s.p.full

@@ -37,7 +37,7 @@ func TestRecordingReplaysVMStream(t *testing.T) {
 		rec := NewRecording(c.prog)
 		var blocks int
 		var n uint64
-		if err := rec.Fill(c.budget, func(blk []Record) { blocks++; n += uint64(len(blk)) }); err != nil {
+		if err := rec.Fill(c.budget, func(blk []isa.Record) { blocks++; n += uint64(len(blk)) }); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if blocks != len(rec.blocks) {
@@ -117,7 +117,7 @@ func TestReadAheadMatchesVMStream(t *testing.T) {
 		w := workloads.Catalog()[name]
 		budgets := []uint64{w.Budget}
 		limit := 4 * w.Budget
-		n, err := isa.NewVM(w.Prog).Run(limit, func(isa.DynInst) bool { return true })
+		n, err := isa.NewVM(w.Prog).Run(limit, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

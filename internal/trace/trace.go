@@ -18,38 +18,55 @@ type Stream interface {
 }
 
 // VMStream executes a program functionally, on demand, up to a budget of
-// dynamic instructions, on the reader's goroutine. It suits direct
-// simulation callers and loops that Reset and replay a stream without
-// allocating; a runner's full run reads a ReadAhead instead, which overlaps
-// the VM with the reader. Reset restarts execution from the initial state.
+// dynamic instructions, on the reader's goroutine: when its block of records
+// is read it has the VM fill the next. It suits direct simulation callers
+// and loops that Reset and replay a stream without allocating; a runner's
+// full run reads a ReadAhead instead, which overlaps the VM with the reader.
+// Reset restarts execution from the initial state.
 type VMStream struct {
 	prog   *isa.Program
+	pcs    []uint64
 	budget uint64
 	vm     *isa.VM
-	n      uint64
+	n      uint64 // instructions executed so far
 	err    error
+	buf    [vmStreamBlock]isa.Record
+	pos, k int // buf[pos:k] are the unread records
 }
+
+// vmStreamBlock is the number of records a VMStream executes at a time.
+const vmStreamBlock = 256
 
 // NewVMStream creates a stream over prog limited to budget instructions.
 func NewVMStream(prog *isa.Program, budget uint64) *VMStream {
-	return &VMStream{prog: prog, budget: budget, vm: isa.NewVM(prog)}
+	return &VMStream{prog: prog, pcs: prog.PCs(), budget: budget, vm: isa.NewVM(prog)}
 }
 
 // Next implements Stream.
 func (s *VMStream) Next() (isa.DynInst, bool) {
+	if s.pos == s.k && !s.refill() {
+		return isa.DynInst{}, false
+	}
+	r := &s.buf[s.pos]
+	s.pos++
+	return r.DynInst(s.pcs), true
+}
+
+// refill executes the next block. A VM error ends the stream after the
+// records before it: the VM stays before the failing instruction, so the
+// refill after those records meets the error again and executes nothing.
+func (s *VMStream) refill() bool {
 	if s.err != nil || s.n >= s.budget {
-		return isa.DynInst{}, false
+		return false
 	}
-	rec, ok, err := s.vm.Step()
-	if err != nil {
+	k, err := s.vm.Fill(s.buf[:min(s.budget-s.n, vmStreamBlock)])
+	if k == 0 {
 		s.err = err
-		return isa.DynInst{}, false
+		return false
 	}
-	if !ok {
-		return isa.DynInst{}, false
-	}
-	s.n++
-	return rec, true
+	s.n += uint64(k)
+	s.pos, s.k = 0, k
+	return true
 }
 
 // Program implements Stream.
@@ -62,6 +79,7 @@ func (s *VMStream) Reset() {
 	s.vm.Reset()
 	s.n = 0
 	s.err = nil
+	s.pos, s.k = 0, 0
 }
 
 // Err reports a functional execution error, if any occurred.
@@ -124,16 +142,17 @@ func (s *SliceStream) Next() (isa.DynInst, bool) {
 func (s *SliceStream) Program() *isa.Program { return s.prog }
 
 // Capture functionally executes prog for up to budget instructions and
-// returns the dynamic trace, 40 bytes a record. Its callers index or replay
+// returns the dynamic trace, 32 bytes a record. Its callers index or replay
 // the whole trace as isa.DynInst: tracepoints.Collect and the benchmark's
 // traced executor (bench/trace.go). A caller that needs counts and a few
 // slices of a trace records a Recording instead, as proxy extraction does.
 func Capture(prog *isa.Program, budget uint64) ([]isa.DynInst, error) {
-	vm := isa.NewVM(prog)
+	pcs := prog.PCs()
 	recs := make([]isa.DynInst, 0, min(budget, 1<<16))
-	_, err := vm.Run(budget, func(d isa.DynInst) bool {
-		recs = append(recs, d)
-		return true
+	_, err := isa.NewVM(prog).Run(budget, func(blk []isa.Record) {
+		for i := range blk {
+			recs = append(recs, blk[i].DynInst(pcs))
+		}
 	})
 	if err != nil {
 		return nil, fmt.Errorf("capture %q: %w", prog.Name, err)
@@ -143,8 +162,8 @@ func Capture(prog *isa.Program, budget uint64) ([]isa.DynInst, error) {
 
 // GEMMRatio functionally executes prog for up to budget instructions and
 // returns the fraction of them in the MMA or VSX-FMA classes — the "GEMM
-// instruction ratio" panel of Fig. 6. It counts the classes as the VM runs
-// and records nothing.
+// instruction ratio" panel of Fig. 6. It counts the classes block by block
+// as the VM runs and keeps no trace.
 func GEMMRatio(prog *isa.Program, budget uint64) (float64, error) {
 	gemm := make([]bool, len(prog.Code))
 	for i := range prog.Code {
@@ -152,11 +171,12 @@ func GEMMRatio(prog *isa.Program, budget uint64) (float64, error) {
 		gemm[i] = c == isa.ClassMMA || c == isa.ClassVSXFMA
 	}
 	var g uint64
-	n, err := isa.NewVM(prog).Run(budget, func(d isa.DynInst) bool {
-		if gemm[d.Idx] {
-			g++
+	n, err := isa.NewVM(prog).Run(budget, func(blk []isa.Record) {
+		for i := range blk {
+			if gemm[blk[i].Idx()] {
+				g++
+			}
 		}
-		return true
 	})
 	if err != nil {
 		return 0, fmt.Errorf("gemm ratio %q: %w", prog.Name, err)
