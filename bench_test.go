@@ -10,6 +10,7 @@ import (
 
 	"power10sim/internal/experiments"
 	"power10sim/internal/isa"
+	"power10sim/internal/power"
 	"power10sim/internal/runner"
 	"power10sim/internal/sampling"
 	"power10sim/internal/simobs"
@@ -391,6 +392,27 @@ func BenchmarkModelFits(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(len(ds.Samples)), "samples")
 }
+
+// BenchmarkPowerReport times one power report of a full compress run on
+// POWER10: the runner builds one per simulation, and the model corpus one
+// per epoch. The simulation runs once, outside the timer.
+func BenchmarkPowerReport(b *testing.B) {
+	cfg := uarch.POWER10()
+	w := workloads.Compress()
+	res, err := uarch.Simulate(cfg, []trace.Stream{trace.NewVMStream(w.Prog, w.Budget)},
+		30_000_000, uarch.WithWarmup(w.Warmup))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := power.NewModel(cfg)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reportSink = m.Report(&res.Activity)
+	}
+}
+
+var reportSink *power.Report
 
 func BenchmarkFig12(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -252,11 +252,12 @@ func opExplore(o options, out, errw io.Writer) int {
 		fmt.Fprintf(errw, "p10explore: %v\n", err)
 		return 1
 	}
-	w := workloads.Catalog()[o.workload]
-	if w == nil {
+	build, ok := workloads.CatalogEntry(o.workload)
+	if !ok {
 		fmt.Fprintf(errw, "p10explore: workload %q is not in the catalog\n", o.workload)
 		return 2
 	}
+	w := build()
 	opt := surrogate.ExploreOptions{
 		Points:    o.points,
 		Seed:      o.seed,

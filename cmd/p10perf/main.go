@@ -48,7 +48,7 @@ const heavyBenchTier = "^(BenchmarkCoreP10|BenchmarkCoreP10Sampled|BenchmarkCore
 // the one-subscriber publish bench: it stays within the subscriber's buffer,
 // so the number is the buffered fast path, not saturation drain.
 const (
-	fastBenchTier  = "^(BenchmarkPublishNoSubscribers|BenchmarkPublishOneSubscriber|BenchmarkSurrogatePredict)$"
+	fastBenchTier  = "^(BenchmarkPublishNoSubscribers|BenchmarkPublishOneSubscriber|BenchmarkSurrogatePredict|BenchmarkPowerReport)$"
 	fastBenchTime  = "1000x"
 	fastBenchCount = 3
 )

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -337,4 +339,62 @@ func TestSocketExperiment(t *testing.T) {
 		t.Error("table missing CLY rows")
 	}
 	assertSameTableAtAnyWidth(t, func(o Options) (tabler, error) { return Socket(o) })
+}
+
+// TestModelFiguresShareOneCorpus runs Figs. 11, 12 and 15 on one runner with
+// a cache directory, after ModelDataset collected their corpus there. The
+// runner's in-memory blob layer hands every figure that one corpus, which
+// none of them changes, so it is collected once and never read back from
+// disk; each figure's table equals the one a runner without a cache
+// directory renders.
+func TestModelFiguresShareOneCorpus(t *testing.T) {
+	cfg := uarch.POWER10()
+	pool := runner.New(0)
+	if err := pool.SetCacheDir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	cached, plain := Options{Quick: true, Runner: pool}, Options{Quick: true, Runner: runner.New(0)}
+	ds, err := ModelDataset(cfg, cached)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := func() [32]byte {
+		b, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sha256.Sum256(b)
+	}
+	before := sum()
+	for _, f := range []struct {
+		name string
+		run  func(Options) (tabler, error)
+	}{
+		{"Fig11", func(o Options) (tabler, error) { return Fig11(o) }},
+		{"Fig12", func(o Options) (tabler, error) { return Fig12(o) }},
+		{"Fig15", func(o Options) (tabler, error) { return Fig15(o) }},
+	} {
+		got, err := f.run(cached)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		want, err := f.run(plain)
+		if err != nil {
+			t.Fatalf("%s without a cache directory: %v", f.name, err)
+		}
+		if got.Table() != want.Table() {
+			t.Errorf("%s table with the shared corpus:\n%s\nwithout a cache directory:\n%s", f.name, got.Table(), want.Table())
+		}
+	}
+	if again, err := ModelDataset(cfg, cached); err != nil || again != ds {
+		t.Errorf("ModelDataset again: %v; want the kept corpus", err)
+	}
+	if sum() != before {
+		t.Error("a figure changed the shared corpus")
+	}
+	// The corpus and the three figures each missed the disk once; nothing
+	// was read back.
+	if st := pool.Stats(); st.DiskHits != 0 || st.DiskMisses != 4 {
+		t.Errorf("disk hits=%d misses=%d, want 0/4", st.DiskHits, st.DiskMisses)
+	}
 }

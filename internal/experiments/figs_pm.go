@@ -50,7 +50,7 @@ func Fig15(o Options) (*Fig15Result, error) {
 		}
 		mk := func() trace.Stream { return trace.NewVMStream(w.Prog, o.scale(w.Budget)) }
 		gran, err := pmgmt.GranularityError(px, cfg, mk,
-			[]uint64{10, 25, 50, 100, 500, 2000, 10000}, ds.IdleFloor)
+			[]uint64{10, 25, 50, 100, 500, 2000, 10000}, ds.IdleFloor, o.jobs())
 		if err != nil {
 			return nil, err
 		}
@@ -64,17 +64,18 @@ func Fig15(o Options) (*Fig15Result, error) {
 }
 
 // Fig15aFits designs the proxy on a model corpus: Fig. 15(a)'s accuracy
-// curve over counter budgets and the selected 16-counter design.
+// curve over counter budgets and the selected 16-counter design, both read
+// off one selection path.
 func Fig15aFits(ds *powermodel.Dataset) (map[int]float64, *pmgmt.Proxy, error) {
-	curve, err := pmgmt.AccuracyCurve(ds, []int{2, 4, 8, 16, 24})
+	proxies, err := pmgmt.AccuracyCurve(ds, []int{2, 4, 8, 16, 24})
 	if err != nil {
 		return nil, nil, err
 	}
-	px, err := pmgmt.DesignProxy(ds, 16)
-	if err != nil {
-		return nil, nil, err
+	curve := map[int]float64{}
+	for n, p := range proxies {
+		curve[n] = p.ActiveError
 	}
-	return curve, px, nil
+	return curve, proxies[16], nil
 }
 
 // Table renders Fig. 15.

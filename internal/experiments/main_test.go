@@ -49,9 +49,6 @@ func TestOtherStudiesRun(t *testing.T) {
 		{"Headline", func(o Options) (tabler, error) { return Headline(o) }},
 		{"Fig4", func(o Options) (tabler, error) { return Fig4(o) }},
 		{"Fig10", func(o Options) (tabler, error) { return Fig10(o) }},
-		{"Fig11", func(o Options) (tabler, error) { return Fig11(o) }},
-		{"Fig12", func(o Options) (tabler, error) { return Fig12(o) }},
-		{"Fig15", func(o Options) (tabler, error) { return Fig15(o) }},
 		{"WOF", func(o Options) (tabler, error) { return WOF(o) }},
 		{"SampleValidate", func(o Options) (tabler, error) {
 			return SampleValidate(o, sampling.DefaultSpec(), []string{"intcompute"})

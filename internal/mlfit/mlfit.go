@@ -8,6 +8,9 @@ package mlfit
 import (
 	"errors"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 )
 
 // LinearModel is y ~ intercept + sum_i coef[i] * x[features[i]].
@@ -80,11 +83,13 @@ func solve(a [][]float64, b []float64) ([]float64, error) {
 // from: X'X over the feature columns plus a trailing ones column (the
 // intercept). Each entry adds its products in sample order, the order a
 // row-by-row normal-equation build adds them, so a fit solved from a slice
-// of the matrix is bit-identical to one built from the samples.
+// of the matrix is bit-identical to one built from the samples. A Gram is
+// read-only once built, so any number of goroutines may share it.
 type Gram struct {
-	x   [][]float64 // the samples, kept to score candidate fits
-	nf  int         // feature columns; index nf is the ones column
-	xtx []float64   // (nf+1) x (nf+1), row-major, symmetric
+	cols [][]float64 // the samples column by column, kept to score candidate fits
+	n    int         // samples
+	nf   int         // feature columns; index nf is the ones column
+	xtx  []float64   // (nf+1) x (nf+1), row-major, symmetric
 }
 
 // NewGram sums X'X for a corpus.
@@ -94,9 +99,15 @@ func NewGram(X [][]float64) (*Gram, error) {
 	}
 	nf := len(X[0])
 	d := nf + 1
-	g := &Gram{x: X, nf: nf, xtx: make([]float64, d*d)}
+	g := &Gram{cols: make([][]float64, nf), n: len(X), nf: nf, xtx: make([]float64, d*d)}
+	for f := range g.cols {
+		g.cols[f] = make([]float64, len(X))
+	}
 	row := make([]float64, 0, d)
-	for _, xs := range X {
+	for s, xs := range X {
+		for f, v := range xs {
+			g.cols[f][s] = v
+		}
 		row = append(append(row[:0], xs...), 1)
 		for i := range row {
 			gi := g.xtx[i*d : (i+1)*d]
@@ -124,14 +135,16 @@ type Target struct {
 // Target sums X'y for a response vector.
 func (g *Gram) Target(y []float64) *Target {
 	t := &Target{g: g, y: y, xty: make([]float64, g.nf+1)}
-	if len(y) != len(g.x) {
+	if len(y) != g.n {
 		return t // every fit reports the bad dimensions
 	}
-	for s, xs := range g.x {
-		for i, v := range xs {
+	for i, col := range g.cols {
+		for s, v := range col {
 			t.xty[i] += v * y[s]
 		}
-		t.xty[g.nf] += y[s] // the ones column
+	}
+	for _, v := range y {
+		t.xty[g.nf] += v // the ones column
 	}
 	return t
 }
@@ -139,7 +152,7 @@ func (g *Gram) Target(y []float64) *Target {
 // Fit fits the target on the given columns, solving the (ridge) normal
 // equations sliced from the Gram matrix.
 func (t *Target) Fit(cols []int, opt Options) (*LinearModel, error) {
-	if len(t.y) != len(t.g.x) {
+	if len(t.y) != t.g.n {
 		return nil, errors.New("mlfit: bad sample dimensions")
 	}
 	k := len(cols)
@@ -275,24 +288,46 @@ func (p Path) At(budget int) (Step, error) {
 // the first such column on a tie, so the path to a large budget passes
 // through the selection at every smaller one. The walk stops early when no
 // candidate fits.
+//
+// A step fits and scores its candidates on up to GOMAXPROCS goroutines.
+// Each candidate's error is summed as MeanAbsPctError sums it, and the pick
+// is made in column order once every candidate is scored, so the path is
+// the same at any GOMAXPROCS. sel.Candidate is called on the caller's
+// goroutine only.
 func (t *Target) Path(maxFeatures int, sel Selection) Path {
 	var path Path
-	var chosen, cand []int
+	var chosen []int
 	used := make([]bool, t.g.nf)
 	best := Step{Error: math.Inf(1)}
+	workers := runtime.GOMAXPROCS(0)
+	scratch := make([]struct {
+		cand []int
+		pred []float64
+	}, workers)
 	for len(chosen) < maxFeatures {
-		step, pick := Step{Error: math.Inf(1)}, -1
+		var admitted []int
 		for f := 0; f < t.g.nf; f++ {
-			if used[f] || (sel.Candidate != nil && !sel.Candidate(f)) {
-				continue
+			if !used[f] && (sel.Candidate == nil || sel.Candidate(f)) {
+				admitted = append(admitted, f)
 			}
-			cand = append(append(cand[:0], chosen...), f)
-			m, err := t.Fit(cand, sel.Options)
-			if err != nil || (sel.Strict && len(m.Features) != len(cand)) {
-				continue
+		}
+		scored := make([]Step, len(admitted))
+		forEach(workers, len(admitted), func(w, k int) {
+			s := &scratch[w]
+			s.cand = append(append(s.cand[:0], chosen...), admitted[k])
+			m, err := t.Fit(s.cand, sel.Options)
+			if err != nil || (sel.Strict && len(m.Features) != len(s.cand)) {
+				return
 			}
-			if e := MeanAbsPctError(m, t.g.x, t.y); e < step.Error {
-				step, pick = Step{Model: m, Error: e}, f
+			if s.pred == nil {
+				s.pred = make([]float64, len(t.y))
+			}
+			scored[k] = Step{Model: m, Error: t.meanAbsPctError(m, s.pred)}
+		})
+		step, pick := Step{Error: math.Inf(1)}, -1
+		for k, s := range scored {
+			if s.Model != nil && s.Error < step.Error {
+				step, pick = s, admitted[k]
 			}
 		}
 		if pick < 0 {
@@ -306,6 +341,57 @@ func (t *Target) Path(maxFeatures int, sel Selection) Path {
 		path = append(path, best)
 	}
 	return path
+}
+
+// meanAbsPctError is MeanAbsPctError(m, X, t.y) over the Gram's columns:
+// pred accumulates every sample's prediction column by column, each adding
+// the intercept and then the features in the order Predict adds them, and
+// the absolute errors are summed in sample order. The ones column of X'y is
+// the sum of y in sample order, the sum MeanAbsPctError takes its mean of.
+func (t *Target) meanAbsPctError(m *LinearModel, pred []float64) float64 {
+	meanY := t.xty[t.g.nf] / float64(len(t.y))
+	if meanY == 0 {
+		return 0
+	}
+	for s := range pred {
+		pred[s] = m.Intercept
+	}
+	for i, f := range m.Features {
+		c, col := m.Coef[i], t.g.cols[f]
+		for s, v := range col {
+			pred[s] += c * v
+		}
+	}
+	var sumAbs float64
+	for s, p := range pred {
+		sumAbs += math.Abs(p - t.y[s])
+	}
+	return sumAbs / float64(len(pred)) / meanY * 100
+}
+
+// forEach calls fn(w, i) for every i in [0, n) on up to workers goroutines
+// and returns when all calls have; w names the calling goroutine, in
+// [0, workers), so fn may keep per-goroutine scratch.
+func forEach(workers, n int, fn func(w, i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				fn(w, i)
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // ForwardSelect greedily adds up to maxFeatures columns, each step choosing

@@ -13,6 +13,7 @@ import (
 	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
 	"power10sim/internal/powermodel"
+	"power10sim/internal/runner"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 )
@@ -125,11 +126,12 @@ func DesignProxy(ds *powermodel.Dataset, nCounters int) (*Proxy, error) {
 // Estimate returns the proxy's active-power estimate for a counter row.
 func (p *Proxy) Estimate(counters []float64) float64 { return p.Model.Predict(counters) }
 
-// AccuracyCurve produces Fig. 15(a): active-power error versus counter
-// budget under the hardware constraints. Every budget reads one greedy path
-// walked to the largest budget.
-func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
-	out := map[int]float64{}
+// AccuracyCurve produces Fig. 15(a) under the hardware constraints: the
+// proxy designed at each counter budget, whose ActiveError is the curve's
+// point. Every budget reads one greedy path walked to the largest budget,
+// so the design at a budget is DesignProxy's at that budget.
+func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]*Proxy, error) {
+	out := map[int]*Proxy{}
 	if len(budgets) == 0 {
 		return out, nil
 	}
@@ -139,7 +141,7 @@ func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]float64, erro
 		if err != nil {
 			return nil, err
 		}
-		out[n] = p.ActiveError
+		out[n] = p
 	}
 	return out, nil
 }
@@ -150,15 +152,20 @@ func AccuracyCurve(ds *powermodel.Dataset, budgets []int) (map[int]float64, erro
 // rejected. This is how the final design ends up with the full 16-counter
 // budget populated rather than a pruned handful.
 func proxyPath(ds *powermodel.Dataset, nCounters int) mlfit.Path {
-	g, err := mlfit.NewGram(ds.X())
+	g, err := ds.Gram()
 	if err != nil {
 		return nil // no samples: no counter set is implementable
 	}
-	return g.Target(ds.ActiveY()).Path(nCounters, mlfit.Selection{
+	return g.Target(ds.ActiveY()).Path(nCounters, proxySelection(ds))
+}
+
+// proxySelection is the hardware proxy's selection rule on a corpus.
+func proxySelection(ds *powermodel.Dataset) mlfit.Selection {
+	return mlfit.Selection{
 		Options:   mlfit.Options{Intercept: true, NonNegative: true, Ridge: 1e-6},
 		Candidate: func(f int) bool { return hardwareImplementable(ds.Names[f]) },
 		Strict:    true,
-	})
+	}
 }
 
 // proxyAt returns the proxy a selection path holds at a counter budget.
@@ -180,10 +187,14 @@ func proxyAt(ds *powermodel.Dataset, path mlfit.Path, nCounters int) (*Proxy, er
 // GranularityError produces Fig. 15(b): the proxy's total-power prediction
 // error when read at different time granularities (cycles per prediction
 // window). Short windows under-sample the counters' relationship to power.
-func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windows []uint64, idleFloor float64) (map[uint64]float64, error) {
+// The windows replay on up to jobs goroutines, each its own simulation, so
+// the errors do not depend on jobs; mk must be safe for concurrent use.
+func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windows []uint64, idleFloor float64, jobs int) (map[uint64]float64, error) {
 	model := power.NewModel(cfg)
-	out := map[uint64]float64{}
-	for _, win := range windows {
+	errs := make([]float64, len(windows))
+	fails := make([]error, len(windows))
+	runner.ForEach(jobs, len(windows), func(i int) {
+		win := windows[i]
 		var sumAbs, sumRef float64
 		var n int
 		cb := func(s uarch.CycleSample) {
@@ -203,13 +214,21 @@ func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windo
 		}
 		_, err := uarch.Simulate(cfg, []trace.Stream{mk()}, 50_000_000,
 			uarch.WithSampler(win, cb))
-		if err != nil {
-			return nil, fmt.Errorf("pmgmt: window %d: %w", win, err)
+		switch {
+		case err != nil:
+			fails[i] = fmt.Errorf("pmgmt: window %d: %w", win, err)
+		case n == 0 || sumRef == 0:
+			fails[i] = fmt.Errorf("pmgmt: window %d produced no samples", win)
+		default:
+			errs[i] = sumAbs / sumRef * 100
 		}
-		if n == 0 || sumRef == 0 {
-			return nil, fmt.Errorf("pmgmt: window %d produced no samples", win)
+	})
+	out := map[uint64]float64{}
+	for i, win := range windows {
+		if fails[i] != nil {
+			return nil, fails[i]
 		}
-		out[win] = sumAbs / sumRef * 100
+		out[win] = errs[i]
 	}
 	return out, nil
 }

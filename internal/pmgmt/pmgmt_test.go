@@ -2,6 +2,7 @@ package pmgmt
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"power10sim/internal/mlfit"
@@ -110,8 +111,8 @@ func TestProxyAccuracyCurveShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if curve[2] < curve[16] {
-		t.Errorf("Fig 15a shape violated: 2 counters %.1f%% < 16 counters %.1f%%", curve[2], curve[16])
+	if curve[2].ActiveError < curve[16].ActiveError {
+		t.Errorf("Fig 15a shape violated: 2 counters %.1f%% < 16 counters %.1f%%", curve[2].ActiveError, curve[16].ActiveError)
 	}
 }
 
@@ -125,9 +126,14 @@ func TestGranularityErrorShape(t *testing.T) {
 	}
 	w := workloads.Compress()
 	mk := func() trace.Stream { return trace.NewVMStream(w.Prog, w.Budget) }
-	errs, err := GranularityError(p, uarch.POWER10(), mk, []uint64{10, 50, 500, 5000}, ds.IdleFloor)
+	windows := []uint64{10, 50, 500, 5000}
+	errs, err := GranularityError(p, uarch.POWER10(), mk, windows, ds.IdleFloor, 1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The windows replay concurrently; the errors must not depend on how.
+	if errs4, err := GranularityError(p, uarch.POWER10(), mk, windows, ds.IdleFloor, 4); err != nil || !reflect.DeepEqual(errs4, errs) {
+		t.Errorf("jobs 4: %v, %v; jobs 1: %v", errs4, err, errs)
 	}
 	if errs[10] <= errs[500] {
 		t.Errorf("10-cycle windows error %.1f%% <= 500-cycle %.1f%%", errs[10], errs[500])
@@ -276,6 +282,17 @@ func TestCurveBudgetEdgeCases(t *testing.T) {
 	errorCurve := func(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
 		return powermodel.ErrorCurve(ds, budgets, mlfit.Options{Intercept: true})
 	}
+	accuracyCurve := func(ds *powermodel.Dataset, budgets []int) (map[int]float64, error) {
+		proxies, err := AccuracyCurve(ds, budgets)
+		if err != nil {
+			return nil, err
+		}
+		curve := map[int]float64{}
+		for n, p := range proxies {
+			curve[n] = p.ActiveError
+		}
+		return curve, nil
+	}
 	cases := []struct {
 		name    string
 		curve   func(*powermodel.Dataset, []int) (map[int]float64, error)
@@ -286,20 +303,20 @@ func TestCurveBudgetEdgeCases(t *testing.T) {
 		same [][2]int
 	}{
 		{name: "ErrorCurve/no budgets", curve: errorCurve, ds: rising},
-		{name: "AccuracyCurve/no budgets", curve: AccuracyCurve, ds: rising},
+		{name: "AccuracyCurve/no budgets", curve: accuracyCurve, ds: rising},
 		{name: "ErrorCurve/zero budget", curve: errorCurve, ds: rising, budgets: []int{2, 0},
 			wantErr: "mlfit: forward selection found no usable feature"},
 		{name: "ErrorCurve/negative budget", curve: errorCurve, ds: rising, budgets: []int{-1},
 			wantErr: "mlfit: forward selection found no usable feature"},
-		{name: "AccuracyCurve/zero budget", curve: AccuracyCurve, ds: rising, budgets: []int{0, 2},
+		{name: "AccuracyCurve/zero budget", curve: accuracyCurve, ds: rising, budgets: []int{0, 2},
 			wantErr: "pmgmt: proxy needs at least one counter"},
-		{name: "AccuracyCurve/negative budget", curve: AccuracyCurve, ds: rising, budgets: []int{1, -3},
+		{name: "AccuracyCurve/negative budget", curve: accuracyCurve, ds: rising, budgets: []int{1, -3},
 			wantErr: "pmgmt: proxy needs at least one counter"},
 		{name: "ErrorCurve/budget above feature count", curve: errorCurve, ds: rising, budgets: []int{1, 4, 9},
 			same: [][2]int{{4, 9}}},
-		{name: "AccuracyCurve/budget above early stop", curve: AccuracyCurve, ds: rising, budgets: []int{1, 2, 3, 16},
+		{name: "AccuracyCurve/budget above early stop", curve: accuracyCurve, ds: rising, budgets: []int{1, 2, 3, 16},
 			same: [][2]int{{2, 3}, {2, 16}}},
-		{name: "AccuracyCurve/no counter passes the strict rule", curve: AccuracyCurve, ds: falling, budgets: []int{1, 4},
+		{name: "AccuracyCurve/no counter passes the strict rule", curve: accuracyCurve, ds: falling, budgets: []int{1, 4},
 			wantErr: "pmgmt: no implementable counter set found"},
 	}
 	for _, tc := range cases {

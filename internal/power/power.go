@@ -10,35 +10,118 @@
 package power
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"power10sim/internal/isa"
 	"power10sim/internal/rtl"
 	"power10sim/internal/uarch"
 )
 
+// Component indices into ComponentNames and Report.Components.
+const (
+	ifuL1IArray = iota
+	ifuFetchLatch
+	ifuPredecode
+	ifuIERAT
+	bruDirArray
+	bruBTBArray
+	bruIndirArray
+	bruPipe
+	iduDecode
+	iduFusion
+	iduDispatch
+	renameMap
+	issqWake
+	issqData
+	regfileRead
+	regfileWrite
+	fxuALU
+	fxuMulDiv
+	vsuFMA
+	vsuSimple
+	mmaGrid
+	mmaAcc
+	mmaMove
+	lsuL1DArray
+	lsuLQ
+	lsuSQ
+	lsuAgen
+	lsuPrefetch
+	mmuDERAT
+	mmuTLB
+	mmuWalk
+	l2Tag
+	l2Data
+	l3
+	membus
+	cplTable
+	cplRetire
+	clockGrid
+	pcu
+	numComponents
+)
+
+var componentNames = [numComponents]string{
+	ifuL1IArray: "ifu-l1i-array", ifuFetchLatch: "ifu-fetch-latch", ifuPredecode: "ifu-predecode", ifuIERAT: "ifu-ierat",
+	bruDirArray: "bru-dir-array", bruBTBArray: "bru-btb-array", bruIndirArray: "bru-indir-array", bruPipe: "bru-pipe",
+	iduDecode: "idu-decode", iduFusion: "idu-fusion", iduDispatch: "idu-dispatch",
+	renameMap: "rename-map",
+	issqWake:  "issq-wake", issqData: "issq-data",
+	regfileRead: "regfile-read", regfileWrite: "regfile-write",
+	fxuALU: "fxu-alu", fxuMulDiv: "fxu-muldiv",
+	vsuFMA: "vsu-fma", vsuSimple: "vsu-simple",
+	mmaGrid: "mma-grid", mmaAcc: "mma-acc", mmaMove: "mma-move",
+	lsuL1DArray: "lsu-l1d-array", lsuLQ: "lsu-lq", lsuSQ: "lsu-sq", lsuAgen: "lsu-agen", lsuPrefetch: "lsu-prefetch",
+	mmuDERAT: "mmu-derat", mmuTLB: "mmu-tlb", mmuWalk: "mmu-walk",
+	l2Tag: "l2-tag", l2Data: "l2-data", l3: "l3",
+	membus:   "membus",
+	cplTable: "cpl-table", cplRetire: "cpl-retire",
+	clockGrid: "clock-grid", pcu: "pcu",
+}
+
 // ComponentNames lists the 39 macro components of the bottom-up power
 // breakdown (Section III-D).
-var ComponentNames = []string{
-	"ifu-l1i-array", "ifu-fetch-latch", "ifu-predecode", "ifu-ierat",
-	"bru-dir-array", "bru-btb-array", "bru-indir-array", "bru-pipe",
-	"idu-decode", "idu-fusion", "idu-dispatch",
-	"rename-map",
-	"issq-wake", "issq-data",
-	"regfile-read", "regfile-write",
-	"fxu-alu", "fxu-muldiv",
-	"vsu-fma", "vsu-simple",
-	"mma-grid", "mma-acc", "mma-move",
-	"lsu-l1d-array", "lsu-lq", "lsu-sq", "lsu-agen", "lsu-prefetch",
-	"mmu-derat", "mmu-tlb", "mmu-walk",
-	"l2-tag", "l2-data", "l3",
-	"membus",
-	"cpl-table", "cpl-retire",
-	"clock-grid", "pcu",
-}
+var ComponentNames = componentNames[:]
 
 // NumComponents is the bottom-up component count.
 var NumComponents = len(ComponentNames)
+
+// unitComponent books each unit's latch clock and latch leakage.
+var unitComponent = [uarch.NumUnits]int{
+	uarch.UnitFetch: ifuFetchLatch, uarch.UnitBPred: bruPipe,
+	uarch.UnitDecode: iduDecode, uarch.UnitRename: renameMap,
+	uarch.UnitIssue: issqData, uarch.UnitFXU: fxuALU,
+	uarch.UnitVSU: vsuFMA, uarch.UnitMMA: mmaGrid,
+	uarch.UnitLSU: lsuAgen, uarch.UnitMMU: mmuDERAT,
+	uarch.UnitL2: l2Tag, uarch.UnitCompletion: cplTable,
+}
+
+// Float accumulation order must be deterministic (the experiment runner
+// memoizes reports and asserts bit-identical reruns), so each category's
+// components are summed in sorted-name order. switchingOrder and arrayOrder
+// hold that order for the components each category charges; a
+// configuration without an indirect predictor or an L3 drops those two
+// from its array order (Model.arrayOrder).
+var (
+	switchingOrder = byName(iduDecode, iduFusion, iduDispatch, renameMap, issqData, issqWake,
+		regfileRead, regfileWrite, fxuALU, fxuMulDiv, vsuSimple, vsuFMA, mmaGrid, mmaMove,
+		lsuAgen, lsuLQ, lsuSQ, lsuPrefetch, cplTable, cplRetire, mmuWalk, pcu)
+	arrayOrder = byName(ifuL1IArray, ifuPredecode, ifuIERAT, bruDirArray, bruBTBArray, bruIndirArray,
+		lsuL1DArray, mmuDERAT, mmuTLB, l2Tag, l2Data, l3, membus, regfileRead, regfileWrite, mmaAcc)
+)
+
+// bitComponent books each rtl.ArrayBits array's bit leakage.
+var bitComponent = map[string]int{
+	"l1i": ifuL1IArray, "l1d": lsuL1DArray, "l2": l2Data, "l3": l3,
+	"tlb": mmuTLB, "bpred": bruDirArray, "regfile": regfileRead,
+}
+
+// byName returns component indices sorted by component name.
+func byName(cs ...int) []int {
+	slices.SortFunc(cs, func(a, b int) int { return strings.Compare(componentNames[a], componentNames[b]) })
+	return cs
+}
 
 // Report is the power breakdown for one workload run.
 type Report struct {
@@ -70,7 +153,9 @@ func (r *Report) Component(name string) float64 {
 	return 0
 }
 
-// Model computes power for one core configuration.
+// Model computes power for one core configuration. Cfg and Latch are
+// read-only once NewModel returns: the model's tables are derived from them.
+// Report is read-only on the model, so one model may serve many goroutines.
 type Model struct {
 	Cfg   *uarch.Config
 	Latch *rtl.LatchModel
@@ -86,6 +171,27 @@ type Model struct {
 	vsuImpl float64
 	// implLeak scales leakage per latch/bit.
 	implLeak float64
+
+	// The activity-independent part of a report, fixed by the
+	// configuration.
+	arrayOrder []int                   // arrayOrder less the arrays this core lacks
+	access     accessEnergy            // per-access array energies
+	unitLeak   [uarch.NumUnits]float64 // latch leakage per unit, before MMA gating
+	bitLeak    []componentPower        // array-bit leakage, in rtl.ArrayBits order
+	idleLatch  float64                 // clock gating leaves on idle functional latches
+}
+
+// accessEnergy holds the array access energies Report charges per access:
+// the arrE values include kArray, the others are bare rtl.AccessEnergy.
+type accessEnergy struct {
+	l1iArrE, l1dArrE, l2ArrE          float64
+	dir, btb, indir, tlb, l3, regfile float64
+}
+
+// componentPower is a fixed power booked to one component.
+type componentPower struct {
+	comp int
+	p    float64
 }
 
 // Per-event energy coefficients (arbitrary units). Shared by both
@@ -151,23 +257,6 @@ func NewModel(cfg *uarch.Config) *Model {
 		m.vsuImpl = cfg.CircuitGrade * 0.7
 		m.implLeak = cfg.CircuitGrade + 0.05
 	}
-	return m
-}
-
-// Report computes the power breakdown for a workload's activity.
-func (m *Model) Report(a *uarch.Activity) *Report {
-	cfg := m.Cfg
-	cyc := float64(a.Cycles)
-	if cyc == 0 {
-		cyc = 1
-	}
-	rate := func(v uint64) float64 { return float64(v) / cyc }
-	comp := make([]float64, NumComponents)
-	idx := map[string]int{}
-	for i, n := range ComponentNames {
-		idx[n] = i
-	}
-	add := func(name string, v float64) { comp[idx[name]] += v }
 
 	bits := rtl.ArrayBits(cfg)
 	bitOf := func(name string) int {
@@ -179,116 +268,139 @@ func (m *Model) Report(a *uarch.Activity) *Report {
 		return 0
 	}
 	arrE := func(name string) float64 { return kArray * rtl.AccessEnergy(bitOf(name)) }
+	m.access = accessEnergy{
+		l1iArrE: arrE("l1i"), l1dArrE: arrE("l1d"), l2ArrE: arrE("l2"),
+		dir:     rtl.AccessEnergy(cfg.BPred.DirEntries*2 + cfg.BPred.SecondEntries*14),
+		btb:     rtl.AccessEnergy(cfg.BPred.BTBEntries * 60),
+		indir:   rtl.AccessEnergy(cfg.BPred.IndirEntries * 60),
+		tlb:     rtl.AccessEnergy(bitOf("tlb")),
+		l3:      rtl.AccessEnergy(bitOf("l3")),
+		regfile: rtl.AccessEnergy(bitOf("regfile")),
+	}
+	m.arrayOrder = slices.DeleteFunc(slices.Clone(arrayOrder), func(c int) bool {
+		return (c == bruIndirArray && cfg.BPred.IndirEntries <= 0) || (c == l3 && bitOf("l3") <= 0)
+	})
+
+	var latchByUnit [uarch.NumUnits]float64
+	for _, b := range m.Latch.Buckets {
+		latchByUnit[b.Unit] += float64(b.Latches)
+		if !b.Config && b.Weight > 0 {
+			m.idleLatch += float64(b.Latches) * (1 - m.Latch.GatingEff) * cClkLatch
+		}
+	}
+	for u, n := range latchByUnit {
+		m.unitLeak[u] = n * cLeakLatch * m.implLeak
+	}
+	m.bitLeak = make([]componentPower, len(bits))
+	for i, b := range bits {
+		m.bitLeak[i] = componentPower{bitComponent[b.Name], float64(b.Bits) * cLeakBit * m.implLeak}
+	}
+	return m
+}
+
+// Report computes the power breakdown for a workload's activity. Each
+// category sums its components in sorted-name order, and each component
+// adds its clock, switching, array and leakage shares in that order, so a
+// report is bit-identical on every run.
+func (m *Model) Report(a *uarch.Activity) *Report {
+	cfg := m.Cfg
+	cyc := float64(a.Cycles)
+	if cyc == 0 {
+		cyc = 1
+	}
+	rate := func(v uint64) float64 { return float64(v) / cyc }
+	comp := make([]float64, numComponents)
 
 	lstats := m.Latch.Analyze(a)
 
 	// --- Clock: latch clocks per unit + global grid. ---
-	unitClock := make([]float64, uarch.NumUnits)
+	var unitClock [uarch.NumUnits]float64
 	for i, b := range m.Latch.Buckets {
 		unitClock[b.Unit] += float64(b.Latches) * lstats.BucketUtil[i] * cClkLatch
-	}
-	clockMap := map[uarch.Unit]string{
-		uarch.UnitFetch: "ifu-fetch-latch", uarch.UnitBPred: "bru-pipe",
-		uarch.UnitDecode: "idu-decode", uarch.UnitRename: "rename-map",
-		uarch.UnitIssue: "issq-data", uarch.UnitFXU: "fxu-alu",
-		uarch.UnitVSU: "vsu-fma", uarch.UnitMMA: "mma-grid",
-		uarch.UnitLSU: "lsu-agen", uarch.UnitMMU: "mmu-derat",
-		uarch.UnitL2: "l2-tag", uarch.UnitCompletion: "cpl-table",
 	}
 	var clock float64
 	for u, p := range unitClock {
 		p *= m.impl
 		clock += p
-		add(clockMap[uarch.Unit(u)], p)
+		comp[unitComponent[u]] += p
 	}
 	gridP := cClkGrid * m.impl
 	clock += gridP
-	add("clock-grid", gridP)
+	comp[clockGrid] += gridP
 
 	// --- Switching: per-event logic energies. ---
-	sw := map[string]float64{}
-	sw["idu-decode"] = rate(a.DecodeSlots) * eDecodeSlot
-	sw["idu-fusion"] = rate(a.FusedPairs) * eFusion
-	sw["idu-dispatch"] = rate(a.InternalOps) * eDispatch
-	sw["rename-map"] = rate(a.RenameOps) * eRename
-	sw["issq-data"] = rate(a.IssueQueueWrites) * eIQWrite
-	sw["issq-wake"] = rate(a.RSWakeups) * eRSWake
-	sw["regfile-read"] = rate(a.RegReads) * eRegRead
-	sw["regfile-write"] = rate(a.RegWrites) * eRegWrite
+	var sw [numComponents]float64
+	sw[iduDecode] = rate(a.DecodeSlots) * eDecodeSlot
+	sw[iduFusion] = rate(a.FusedPairs) * eFusion
+	sw[iduDispatch] = rate(a.InternalOps) * eDispatch
+	sw[renameMap] = rate(a.RenameOps) * eRename
+	sw[issqData] = rate(a.IssueQueueWrites) * eIQWrite
+	sw[issqWake] = rate(a.RSWakeups) * eRSWake
+	sw[regfileRead] = rate(a.RegReads) * eRegRead
+	sw[regfileWrite] = rate(a.RegWrites) * eRegWrite
 	rc := func(c isa.Class) float64 { return rate(a.IssueByClass[c]) }
-	sw["fxu-alu"] = (rc(isa.ClassIntALU) + rc(isa.ClassNop) + rc(isa.ClassSystem)) * eIntOp
-	sw["fxu-alu"] += (rc(isa.ClassBranch) + rc(isa.ClassCondBranch) + rc(isa.ClassIndirBranch)) * eBranchOp
-	sw["fxu-muldiv"] = rc(isa.ClassIntMul)*eMulOp + rc(isa.ClassIntDiv)*eDivOp
-	sw["vsu-simple"] = (rc(isa.ClassVSXALU)*eVSXALU + rc(isa.ClassVSXFP)*eVSXFP) * m.vsuImpl
-	sw["vsu-fma"] = rc(isa.ClassVSXFMA) * eVSXFMA * m.vsuImpl
-	sw["mma-grid"] = rate(a.MMAOps) * eMMAGer
-	sw["mma-move"] = rate(a.MMAMoves) * eMMAMove
+	sw[fxuALU] = (rc(isa.ClassIntALU) + rc(isa.ClassNop) + rc(isa.ClassSystem)) * eIntOp
+	sw[fxuALU] += (rc(isa.ClassBranch) + rc(isa.ClassCondBranch) + rc(isa.ClassIndirBranch)) * eBranchOp
+	sw[fxuMulDiv] = rc(isa.ClassIntMul)*eMulOp + rc(isa.ClassIntDiv)*eDivOp
+	sw[vsuSimple] = (rc(isa.ClassVSXALU)*eVSXALU + rc(isa.ClassVSXFP)*eVSXFP) * m.vsuImpl
+	sw[vsuFMA] = rc(isa.ClassVSXFMA) * eVSXFMA * m.vsuImpl
+	sw[mmaGrid] = rate(a.MMAOps) * eMMAGer
+	sw[mmaMove] = rate(a.MMAMoves) * eMMAMove
 	loads := rc(isa.ClassLoad) + rc(isa.ClassVSXLoad) + rc(isa.ClassVSXPairLoad)
 	stores := rc(isa.ClassStore) + rc(isa.ClassVSXStore) + rc(isa.ClassVSXPairStore)
-	sw["lsu-agen"] = (loads + stores) * eAgen
-	sw["lsu-lq"] = rate(a.LQAllocs) * eLQ
-	sw["lsu-sq"] = rate(a.SQAllocs) * eSQ
-	sw["lsu-prefetch"] = rate(a.Prefetches) * ePrefetch
-	sw["cpl-table"] = rate(a.InternalOps) * eCplOp
-	sw["cpl-retire"] = rate(a.Instructions) * eRetire
-	sw["mmu-walk"] = rate(a.TLBMisses) * eWalk
-	sw["pcu"] = cPCU
+	sw[lsuAgen] = (loads + stores) * eAgen
+	sw[lsuLQ] = rate(a.LQAllocs) * eLQ
+	sw[lsuSQ] = rate(a.SQAllocs) * eSQ
+	sw[lsuPrefetch] = rate(a.Prefetches) * ePrefetch
+	sw[cplTable] = rate(a.InternalOps) * eCplOp
+	sw[cplRetire] = rate(a.Instructions) * eRetire
+	sw[mmuWalk] = rate(a.TLBMisses) * eWalk
+	sw[pcu] = cPCU
 
-	// Float accumulation order must be deterministic (the experiment runner
-	// memoizes reports and asserts bit-identical reruns), so the component
-	// maps are summed in sorted-name order, never map order.
 	var switching float64
-	for _, name := range sortedNames(sw) {
-		p := sw[name] * m.impl
+	for _, c := range switchingOrder {
+		p := sw[c] * m.impl
 		switching += p
-		add(name, p)
+		comp[c] += p
 	}
 	// Ghost switching: charged against the datapath latch population.
 	ghost := lstats.GhostSwitchRatio * float64(lstats.TotalLatches) * cGhost * m.impl
 	switching += ghost
-	add("idu-dispatch", ghost) // distributed; book under dispatch datapath
+	comp[iduDispatch] += ghost // distributed; book under dispatch datapath
 
 	// --- Arrays. ---
-	ar := map[string]float64{}
-	ar["ifu-l1i-array"] = rate(a.ICacheAccesses) * arrE("l1i")
-	ar["ifu-predecode"] = rate(a.FetchSlots+a.WrongPathSlots) * 0.6
-	ar["ifu-ierat"] = rate(a.IERATLookups) * kERATCam
-	ar["bru-dir-array"] = rate(a.BranchObserved) * kArray * rtl.AccessEnergy(cfg.BPred.DirEntries*2+cfg.BPred.SecondEntries*14)
-	ar["bru-btb-array"] = rate(a.BranchObserved) * kArray * rtl.AccessEnergy(cfg.BPred.BTBEntries*60)
-	if cfg.BPred.IndirEntries > 0 {
-		ar["bru-indir-array"] = rate(a.BranchObserved) * kArray * rtl.AccessEnergy(cfg.BPred.IndirEntries*60) * 0.3
-	}
-	ar["lsu-l1d-array"] = rate(a.L1DAccesses) * arrE("l1d")
-	ar["mmu-derat"] = rate(a.DERATLookups) * kERATCam
-	ar["mmu-tlb"] = rate(a.TLBLookups) * kTLB * rtl.AccessEnergy(bitOf("tlb"))
-	ar["l2-tag"] = rate(a.L2Accesses) * 2.2
-	ar["l2-data"] = rate(a.L2Accesses) * arrE("l2") * 0.5
-	if b3 := bitOf("l3"); b3 > 0 {
-		ar["l3"] = rate(a.L3Accesses) * kArray * rtl.AccessEnergy(b3) * 0.4
-	}
-	ar["membus"] = rate(a.MemAccesses) * 95.0
+	e := &m.access
+	var ar [numComponents]float64
+	ar[ifuL1IArray] = rate(a.ICacheAccesses) * e.l1iArrE
+	ar[ifuPredecode] = rate(a.FetchSlots+a.WrongPathSlots) * 0.6
+	ar[ifuIERAT] = rate(a.IERATLookups) * kERATCam
+	ar[bruDirArray] = rate(a.BranchObserved) * kArray * e.dir
+	ar[bruBTBArray] = rate(a.BranchObserved) * kArray * e.btb
+	ar[bruIndirArray] = rate(a.BranchObserved) * kArray * e.indir * 0.3
+	ar[lsuL1DArray] = rate(a.L1DAccesses) * e.l1dArrE
+	ar[mmuDERAT] = rate(a.DERATLookups) * kERATCam
+	ar[mmuTLB] = rate(a.TLBLookups) * kTLB * e.tlb
+	ar[l2Tag] = rate(a.L2Accesses) * 2.2
+	ar[l2Data] = rate(a.L2Accesses) * e.l2ArrE * 0.5
+	ar[l3] = rate(a.L3Accesses) * kArray * e.l3 * 0.4
+	ar[membus] = rate(a.MemAccesses) * 95.0
 	// Register-file array energy (beyond port logic).
-	ar["regfile-read"] = rate(a.RegReads) * kArray * rtl.AccessEnergy(bitOf("regfile")) * 0.25
-	ar["regfile-write"] = rate(a.RegWrites) * kArray * rtl.AccessEnergy(bitOf("regfile")) * 0.35
+	ar[regfileRead] = rate(a.RegReads) * kArray * e.regfile * 0.25
+	ar[regfileWrite] = rate(a.RegWrites) * kArray * e.regfile * 0.35
 	// MMA accumulator file: local, cheap, only when active.
-	ar["mma-acc"] = rate(a.MMAOps+a.MMAMoves) * 2.0
+	ar[mmaAcc] = rate(a.MMAOps+a.MMAMoves) * 2.0
 
 	var array float64
-	for _, name := range sortedNames(ar) {
-		p := ar[name] * m.impl
+	for _, c := range m.arrayOrder {
+		p := ar[c] * m.impl
 		array += p
-		add(name, p)
+		comp[c] += p
 	}
 
 	// --- Leakage. ---
 	var leak float64
-	latchByUnit := make([]float64, uarch.NumUnits)
-	for _, b := range m.Latch.Buckets {
-		latchByUnit[b.Unit] += float64(b.Latches)
-	}
-	for u := uarch.Unit(0); u < uarch.NumUnits; u++ {
-		l := latchByUnit[u] * cLeakLatch * m.implLeak
-		if u == uarch.UnitMMA && cfg.HasMMA {
+	for u, l := range m.unitLeak {
+		if uarch.Unit(u) == uarch.UnitMMA && cfg.HasMMA {
 			// The decoupled MMA power-gates when idle (Section IV-A).
 			duty := 0.0
 			if a.Cycles > 0 {
@@ -300,27 +412,11 @@ func (m *Model) Report(a *uarch.Activity) *Report {
 			l = l * (mmaGatedLeak + (1-mmaGatedLeak)*duty)
 		}
 		leak += l
-		add(clockMap[u], l)
+		comp[unitComponent[u]] += l
 	}
-	for _, b := range bits {
-		p := float64(b.Bits) * cLeakBit * m.implLeak
-		leak += p
-		switch b.Name {
-		case "l1i":
-			add("ifu-l1i-array", p)
-		case "l1d":
-			add("lsu-l1d-array", p)
-		case "l2":
-			add("l2-data", p)
-		case "l3":
-			add("l3", p)
-		case "tlb":
-			add("mmu-tlb", p)
-		case "bpred":
-			add("bru-dir-array", p)
-		case "regfile":
-			add("regfile-read", p)
-		}
+	for _, b := range m.bitLeak {
+		leak += b.p
+		comp[b.comp] += b.p
 	}
 
 	total := clock + switching + array + leak
@@ -339,22 +435,6 @@ func (m *Model) Report(a *uarch.Activity) *Report {
 	}
 	// Active idle: the floor with no instruction activity (grid + gated
 	// latch residue + leakage + PCU).
-	var idleLatch float64
-	for _, b := range m.Latch.Buckets {
-		if !b.Config && b.Weight > 0 {
-			idleLatch += float64(b.Latches) * (1 - m.Latch.GatingEff) * cClkLatch
-		}
-	}
-	rep.ActiveIdle = (idleLatch*m.impl + gridP + cPCU*m.impl + leak) * globalScale
+	rep.ActiveIdle = (m.idleLatch*m.impl + gridP + cPCU*m.impl + leak) * globalScale
 	return rep
-}
-
-// sortedNames returns a float-valued map's keys in sorted order.
-func sortedNames(m map[string]float64) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

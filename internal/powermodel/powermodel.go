@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
@@ -34,13 +35,26 @@ type Sample struct {
 	Components []float64
 }
 
-// Dataset is the model-building corpus.
+// Dataset is the model-building corpus. Every fit on it reads one Gram
+// matrix, built on first use; the samples must not change after the first
+// fit.
 type Dataset struct {
 	Config  *uarch.Config
 	Names   []string // counter names (feature order)
 	Samples []Sample
 	// IdleFloor is the config's active-idle power subtracted from totals.
 	IdleFloor float64
+
+	gramOnce sync.Once
+	gram     *mlfit.Gram
+	gramErr  error
+}
+
+// Gram returns the corpus's Gram matrix, built on the first call. Safe for
+// concurrent use.
+func (d *Dataset) Gram() (*mlfit.Gram, error) {
+	d.gramOnce.Do(func() { d.gram, d.gramErr = mlfit.NewGram(d.X()) })
+	return d.gram, d.gramErr
 }
 
 // X returns the feature matrix.
@@ -146,15 +160,15 @@ type TopDown struct {
 
 // FitTopDown builds the top-down model with at most nInputs counters.
 func FitTopDown(ds *Dataset, nInputs int, opt mlfit.Options) (*TopDown, error) {
-	m, err := mlfit.ForwardSelect(ds.X(), ds.ActiveY(), nInputs, opt)
+	g, err := ds.Gram()
 	if err != nil {
 		return nil, err
 	}
-	return &TopDown{
-		Model:      m,
-		Inputs:     len(m.Features),
-		TrainError: mlfit.MeanAbsPctError(m, ds.X(), ds.ActiveY()),
-	}, nil
+	s, err := g.Target(ds.ActiveY()).Path(nInputs, mlfit.Selection{Options: opt}).At(nInputs)
+	if err != nil {
+		return nil, err
+	}
+	return &TopDown{Model: s.Model, Inputs: len(s.Model.Features), TrainError: s.Error}, nil
 }
 
 // Predict returns the model's active-power estimate for a counter row.
@@ -168,7 +182,7 @@ func ErrorCurve(ds *Dataset, inputCounts []int, opt mlfit.Options) (map[int]floa
 	if len(inputCounts) == 0 {
 		return out, nil
 	}
-	g, err := mlfit.NewGram(ds.X())
+	g, err := ds.Gram()
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +212,7 @@ func FitBottomUp(ds *Dataset, maxPerComponent int, opt mlfit.Options) (*BottomUp
 	if len(ds.Samples) == 0 {
 		return nil, errors.New("powermodel: empty dataset")
 	}
-	g, err := mlfit.NewGram(ds.X())
+	g, err := ds.Gram()
 	if err != nil {
 		return nil, err
 	}

@@ -41,6 +41,11 @@ func WorkloadFingerprint(w *workloads.Workload) string {
 // configured — or a nil runner — it degenerates to compute(). Marshal or
 // write failures fall back to the computed value; a corrupt entry is
 // quarantined and recomputed.
+//
+// With a cache directory, the runner also keeps every value it computed or
+// decoded in memory for its life, and a later call for the same artifact
+// returns that value without touching the disk. Callers share it, so they
+// must treat it as read-only. Without a cache directory nothing is kept.
 func CachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T, error) {
 	if r == nil || r.cacheDir == "" {
 		return compute()
@@ -48,15 +53,23 @@ func CachedJSON[T any](r *Runner, kind, fp string, compute func() (T, error)) (T
 	h := sha256.New()
 	fmt.Fprintf(h, "%s|blob|%s|%s", keyGeneration, kind, fp)
 	path := filepath.Join(r.cacheDir, hex.EncodeToString(h.Sum(nil))+".json")
+	r.mu.Lock()
+	kept, ok := r.blobs[path].(T)
+	r.mu.Unlock()
+	if ok {
+		return kept, nil
+	}
 	var v T
-	if r.readEntry(path, kind, func(value []byte) error { return json.Unmarshal(value, &v) }) {
-		return v, nil
+	if !r.readEntry(path, kind, func(value []byte) error { return json.Unmarshal(value, &v) }) {
+		var err error
+		if v, err = compute(); err != nil {
+			var zero T
+			return zero, err
+		}
+		r.writeEntry(path, kind, v)
 	}
-	v, err := compute()
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	r.writeEntry(path, kind, v)
+	r.mu.Lock()
+	r.blobs[path] = v
+	r.mu.Unlock()
 	return v, nil
 }

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"power10sim/internal/telemetry"
@@ -239,6 +240,75 @@ func testBlobCorruptEntries(t *testing.T) {
 				t.Errorf("repaired blob = %d, %v, stats %+v; want a disk hit of 42", v, err, r3.Stats())
 			}
 		})
+	}
+}
+
+// TestCachedJSONKeepsValues checks the in-memory layer over the blob cache:
+// with a cache directory a runner computes or decodes an artifact once and
+// hands every later caller, concurrent ones included, that one value
+// without reading the disk; without a cache directory every call computes.
+func TestCachedJSONKeepsValues(t *testing.T) {
+	dir := t.TempDir()
+	computes := 0
+	compute := func() (*[]int, error) {
+		computes++
+		return &[]int{42}, nil
+	}
+	call := func(r *Runner) *[]int {
+		t.Helper()
+		v, err := CachedJSON(r, "pin", "fp", compute)
+		if err != nil || v == nil || (*v)[0] != 42 {
+			t.Fatalf("CachedJSON = %v, %v; want [42]", v, err)
+		}
+		return v
+	}
+
+	r := New(1)
+	if err := r.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	first := call(r)
+	if again := call(r); again != first || computes != 1 {
+		t.Errorf("second call: same value %v, computes %d; want the kept value and 1", again == first, computes)
+	}
+	if st := r.Stats(); st.DiskHits != 0 || st.DiskMisses != 1 {
+		t.Errorf("disk hits=%d misses=%d, want 0/1", st.DiskHits, st.DiskMisses)
+	}
+
+	r2 := New(4)
+	if err := r2.SetCacheDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	decoded := call(r2)
+	if decoded == first {
+		t.Error("a second runner shares the first runner's value")
+	}
+	got := make([]*[]int, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := CachedJSON(r2, "pin", "fp", compute)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = v
+		}(i)
+	}
+	wg.Wait()
+	for i, v := range got {
+		if v != decoded {
+			t.Errorf("concurrent call %d got another value", i)
+		}
+	}
+	if st := r2.Stats(); computes != 1 || st.DiskHits != 1 || st.DiskMisses != 0 {
+		t.Errorf("computes %d, disk hits=%d misses=%d; want 1, 1/0", computes, st.DiskHits, st.DiskMisses)
+	}
+
+	plain := New(1)
+	if a, b := call(plain), call(plain); a == b || computes != 3 {
+		t.Errorf("without a cache directory: same value %v, computes %d; want two computations", a == b, computes)
 	}
 }
 

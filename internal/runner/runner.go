@@ -8,8 +8,8 @@
 //
 // Soundness of the cache rests on the simulator being deterministic: the
 // timing model is trace driven with no randomized state, the functional
-// executor is pure, and the power model iterates its component maps in
-// sorted order — so two runs of the same request produce bit-identical
+// executor is pure, and the power model sums its components in a fixed
+// sorted-name order — so two runs of the same request produce bit-identical
 // Activity and Report values (see the determinism regression test in
 // internal/experiments). Results are therefore returned in request order and
 // a parallel sweep renders byte-identically to a serial one.
@@ -332,6 +332,9 @@ type Runner struct {
 	// cacheDir roots the persistent result cache; empty disables it (see
 	// SetCacheDir in diskcache.go).
 	cacheDir string
+	// blobs keeps every CachedJSON value by its cache file path (guarded by
+	// mu).
+	blobs map[string]any
 
 	// exec, when non-nil, offers cache-miss executions to an external
 	// executor (the distributed sweep fabric) before the local pool (see
@@ -361,6 +364,7 @@ func New(workers int) *Runner {
 		sem:   make(chan struct{}, workers),
 		base:  context.Background(),
 		cache: map[key]*entry{},
+		blobs: map[string]any{},
 		obs:   newObs(telemetry.NewRegistry(), nil),
 	}
 }

@@ -75,31 +75,33 @@ type CorpusOptions struct {
 	Profiles func(name string) ([]float64, bool)
 }
 
-// catalogProfiles maps each catalog name to its profile, computed once.
-var catalogProfiles = sync.OnceValue(func() map[string]func() []float64 {
-	m := map[string]func() []float64{}
-	for name, w := range workloads.Catalog() {
-		m[name] = sync.OnceValue(func() []float64 {
-			p, err := sampling.Profile(w.Prog, ProfileBudget)
-			if err != nil {
-				return nil
-			}
-			return p
-		})
-	}
-	return m
-})
+// catalogProfiles holds, for each catalog name profiled so far, its
+// profile computed once (a func() []float64 from sync.OnceValue). A name's
+// workload is built only inside that computation, so the process keeps
+// the profiles of the names its ledgers ask for and no workload beyond the
+// shared ones.
+var catalogProfiles sync.Map
 
 // catalogProfile profiles a workload from the standard catalog. Each
 // catalog name is profiled once per process, on first use, and every call
 // returns that one shared vector, which callers must not modify; a name
 // outside the catalog reports false. Safe for concurrent use.
 func catalogProfile(name string) ([]float64, bool) {
-	profile, ok := catalogProfiles()[name]
+	profile, ok := catalogProfiles.Load(name)
 	if !ok {
-		return nil, false
+		build, ok := workloads.CatalogEntry(name)
+		if !ok {
+			return nil, false
+		}
+		profile, _ = catalogProfiles.LoadOrStore(name, sync.OnceValue(func() []float64 {
+			p, err := sampling.Profile(build().Prog, ProfileBudget)
+			if err != nil {
+				return nil
+			}
+			return p
+		}))
 	}
-	p := profile()
+	p := profile.(func() []float64)()
 	return p, p != nil
 }
 

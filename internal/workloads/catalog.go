@@ -15,41 +15,59 @@ package workloads
 // error, not an input error; Catalog panics like the workload constructors'
 // tests would.
 func Catalog() map[string]*Workload {
-	m := map[string]*Workload{}
-	add := func(w *Workload, err error) {
-		if err != nil {
-			panic(err)
-		}
-		m[w.Name] = w
+	m := make(map[string]*Workload, len(catalog))
+	for name, build := range catalog {
+		m[name] = build()
 	}
-	for _, w := range SPECintSuite() {
-		m[w.Name] = w
-	}
-	gd := GEMMSize{M: 16, N: 64, K: 256}
-	wv, _, err := DGEMMVSU(gd)
-	add(wv, err)
-	wm, _, err := DGEMMMMA(gd)
-	add(wm, err)
-	gs := GEMMSize{M: 32, N: 64, K: 64}
-	sv, _, err := SGEMMVSU(gs)
-	add(sv, err)
-	sm, _, err := SGEMMMMA(gs)
-	add(sm, err)
-	i8, err := GEMMInt8MMA(gs)
-	add(i8, err)
-	add(ResNet50(false))
-	add(ResNet50(true))
-	add(BERTLarge(false))
-	add(BERTLarge(true))
-	cw, _, err := Conv2DMMA(ConvShape{H: 6, W: 6, C: 4, K: 3, F: 16})
-	add(cw, err)
-	dw, _, err := DFTMMA(16, 16)
-	add(dw, err)
-	tw, _, err := TRSVUnitLower(64)
-	add(tw, err)
-	m["daxpy"] = Daxpy(4096, 12)
-	m["stressmark"] = Stressmark(false)
-	m["stressmark-mma"] = Stressmark(true)
-	m["active-idle"] = ActiveIdle()
 	return m
+}
+
+// CatalogEntry returns the constructor of one catalog entry, which builds
+// it exactly as Catalog does, without building anything; false for a name
+// outside the catalog.
+func CatalogEntry(name string) (func() *Workload, bool) {
+	build, ok := catalog[name]
+	return build, ok
+}
+
+// catalog maps every catalog name to its constructor.
+var catalog = map[string]func() *Workload{
+	"interp": Interp, "compile": Compile, "graphopt": GraphOpt, "dsim": DSim, "mediavec": MediaVec,
+	"boardeval": BoardEval, "pathfind": PathFind, "intcompute": IntCompute, "compress": Compress, "xmltrans": XMLTrans,
+
+	"dgemm-vsu":     func() *Workload { w, _, err := DGEMMVSU(catalogDGEMM); return must(w, err) },
+	"dgemm-mma":     func() *Workload { w, _, err := DGEMMMMA(catalogDGEMM); return must(w, err) },
+	"sgemm-vsu":     func() *Workload { w, _, err := SGEMMVSU(catalogSGEMM); return must(w, err) },
+	"sgemm-mma":     func() *Workload { w, _, err := SGEMMMMA(catalogSGEMM); return must(w, err) },
+	"gemm-int8-mma": func() *Workload { return must(GEMMInt8MMA(catalogSGEMM)) },
+	"resnet50-vsu":  func() *Workload { return must(ResNet50(false)) },
+	"resnet50-mma":  func() *Workload { return must(ResNet50(true)) },
+	"bertlarge-vsu": func() *Workload { return must(BERTLarge(false)) },
+	"bertlarge-mma": func() *Workload { return must(BERTLarge(true)) },
+	"conv2d-mma": func() *Workload {
+		w, _, err := Conv2DMMA(ConvShape{H: 6, W: 6, C: 4, K: 3, F: 16})
+		return must(w, err)
+	},
+	"dft-mma":         func() *Workload { w, _, err := DFTMMA(16, 16); return must(w, err) },
+	"trsv-unit-lower": func() *Workload { w, _, err := TRSVUnitLower(64); return must(w, err) },
+	"daxpy":           func() *Workload { return Daxpy(4096, 12) },
+
+	"stressmark":     func() *Workload { return Stressmark(false) },
+	"stressmark-mma": func() *Workload { return Stressmark(true) },
+	"active-idle":    ActiveIdle,
+}
+
+// The catalog's GEMM sizes: double precision, and single precision and
+// int8.
+var (
+	catalogDGEMM = GEMMSize{M: 16, N: 64, K: 256}
+	catalogSGEMM = GEMMSize{M: 32, N: 64, K: 64}
+)
+
+// must returns w, panicking on a build error (see Catalog).
+func must(w *Workload, err error) *Workload {
+	if err != nil {
+		panic(err)
+	}
+	return w
 }

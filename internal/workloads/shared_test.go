@@ -104,6 +104,34 @@ func TestSuiteAndCatalogAreFreshContainers(t *testing.T) {
 	}
 }
 
+// TestCatalogEntryBuildsCatalogEntries: each of the 26 catalog names is
+// its workload's name, and CatalogEntry builds what Catalog holds under it,
+// the shared instance for a shared workload and the same program for a
+// kernel.
+func TestCatalogEntryBuildsCatalogEntries(t *testing.T) {
+	cat := Catalog()
+	if len(cat) != 26 {
+		t.Errorf("catalog has %d names, want 26", len(cat))
+	}
+	for name, w := range cat {
+		build, ok := CatalogEntry(name)
+		if !ok {
+			t.Errorf("CatalogEntry(%q) not found", name)
+			continue
+		}
+		got := build()
+		if w.Name != name || got.Name != name || got.Prog.Fingerprint() != w.Prog.Fingerprint() {
+			t.Errorf("%s: Catalog holds %q, CatalogEntry builds %q with another program", name, w.Name, got.Name)
+		}
+		if shared := w.Category == CatSPECint || w.Category == CatSynthetic; shared && got != w {
+			t.Errorf("%s: CatalogEntry builds another instance of a shared workload", name)
+		}
+	}
+	if _, ok := CatalogEntry("nope"); ok {
+		t.Error("CatalogEntry found a name outside the catalog")
+	}
+}
+
 // TestSharedWorkloadsMatchFreshBuilds: a shared workload is what its builder
 // makes, field by field, with the same content key.
 func TestSharedWorkloadsMatchFreshBuilds(t *testing.T) {
