@@ -26,20 +26,19 @@ race:
 # telemetry registry/tracer, the progress bus, the HTTP server, the
 # instrumented runner, and the sim-sampling glue are all exercised from many
 # goroutines. The runner also keeps CachedJSON values in memory, handed to
-# concurrent callers. isa, trace, sampling, mlfit and pmgmt ride along:
+# concurrent callers. isa, trace, sampling and mlfit ride along:
 # isa.Memory mutates its page cache on reads, so a Memory shared across
 # goroutines would race here; trace runs the VM on its own goroutine and
 # hands its records to the reader in blocks, which a read-ahead stream
 # recycles; sampling featurizes that recording as it fills, then times
 # windows on several goroutines over the one read-only recording, each from
-# its own warm-state snapshot; mlfit's forward selection fits and scores a
-# step's candidates on several goroutines over one shared Gram matrix; and
-# pmgmt replays Fig. 15(b)'s windows concurrently over one power model.
+# its own warm-state snapshot; and mlfit's forward selection fits and scores
+# a step's candidates on several goroutines over one shared Gram matrix.
 race-obs:
 	$(GO) test -race ./internal/telemetry ./internal/progress ./internal/obsserver \
 		./internal/runner ./internal/simobs ./internal/runlog ./internal/fabric \
 		./internal/flightrec ./internal/isa ./internal/trace ./internal/sampling \
-		./internal/mlfit ./internal/pmgmt
+		./internal/mlfit
 
 # chaos is the fault-tolerance gate: the runner hardening tests under the
 # race detector, then a p10faults self-test campaign with forced panics,

@@ -111,11 +111,6 @@ func (o Options) scale(budget uint64) uint64 {
 	return budget
 }
 
-// scaleWarmup leaves warmup unscaled: architectural warmup must cover the
-// workload's working set regardless of how short the measurement window is
-// (quick mode shortens only the measured region).
-func (o Options) scaleWarmup(warmup uint64) uint64 { return warmup }
-
 // maxSimCycles bounds any single simulation.
 const maxSimCycles = 80_000_000
 
@@ -149,12 +144,15 @@ func (o Options) jobs() int {
 
 // request builds the runner request RunOn executes: in SMT mode each thread
 // runs an equal share of the budget so aggregate work stays comparable to ST.
+// The warmup is not scaled: it must cover the workload's working set however
+// short the measurement window is (quick mode shortens only the measured
+// region).
 func (o Options) request(cfg *uarch.Config, w *workloads.Workload, smt int) runner.Request {
 	if smt < 1 {
 		smt = 1
 	}
 	budget := o.scale(w.Budget) / uint64(smt)
-	warmup := o.scaleWarmup(w.Warmup)
+	warmup := w.Warmup
 	if warmup >= budget*uint64(smt) {
 		warmup = budget * uint64(smt) / 2
 	}

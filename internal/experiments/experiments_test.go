@@ -25,8 +25,9 @@ func TestScale(t *testing.T) {
 	if got := quick.scale(100); got != 4096 {
 		t.Errorf("floor = %d", got)
 	}
-	if got := quick.scaleWarmup(0); got != 0 {
-		t.Errorf("zero warmup scaled to %d", got)
+	w := workloads.Workload{Budget: 100_000, Warmup: 20_000}
+	if r := quick.request(uarch.POWER10(), &w, 1); r.Budget != 50_000 || r.Warmup != 20_000 {
+		t.Errorf("quick request: budget %d, warmup %d; want 50000, 20000 (warmup unscaled)", r.Budget, r.Warmup)
 	}
 	full := Options{}
 	if got := full.scale(100_000); got != 100_000 {

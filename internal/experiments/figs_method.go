@@ -90,7 +90,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 	fp := fmt.Sprintf("%#v|interval=5000|maxcycles=%d", *cfg, uint64(maxSimCycles))
 	for _, w := range suite {
 		fp += fmt.Sprintf("|%s|budget=%d|warmup=%d",
-			runner.WorkloadFingerprint(w), o.scale(w.Budget)/2, o.scaleWarmup(w.Warmup))
+			runner.WorkloadFingerprint(w), o.scale(w.Budget)/2, w.Warmup)
 	}
 	return runner.CachedJSON(o.pool(), "fig10", fp, func() (*Fig10Result, error) {
 		points := make([]Fig10Point, len(suite))
@@ -105,7 +105,7 @@ func Fig10(o Options) (*Fig10Result, error) {
 				}
 			}
 			core, chip, err := apex.CoreVsChip(cfg, w.Name, mk, 5000, maxSimCycles,
-				uarch.WithWarmup(o.scaleWarmup(w.Warmup)))
+				uarch.WithWarmup(w.Warmup))
 			if err != nil {
 				errs[i] = fmt.Errorf("fig10 %s: %w", w.Name, err)
 				return
@@ -335,7 +335,7 @@ func APEXSpeedup(o Options) (*APEXResult, error) {
 	w := workloads.Compress()
 	run, err := apex.Extract(uarch.POWER10(),
 		[]trace.Stream{trace.NewVMStream(w.Prog, o.scale(w.Budget))},
-		5000, maxSimCycles, uarch.WithWarmup(o.scaleWarmup(w.Warmup)))
+		5000, maxSimCycles, uarch.WithWarmup(w.Warmup))
 	if err != nil {
 		return nil, err
 	}

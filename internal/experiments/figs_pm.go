@@ -48,9 +48,8 @@ func Fig15(o Options) (*Fig15Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		mk := func() trace.Stream { return trace.NewVMStream(w.Prog, o.scale(w.Budget)) }
-		gran, err := pmgmt.GranularityError(px, cfg, mk,
-			[]uint64{10, 25, 50, 100, 500, 2000, 10000}, ds.IdleFloor, o.jobs())
+		gran, err := pmgmt.GranularityError(px, cfg, trace.NewVMStream(w.Prog, o.scale(w.Budget)),
+			[]uint64{10, 25, 50, 100, 500, 2000, 10000}, ds.IdleFloor)
 		if err != nil {
 			return nil, err
 		}

@@ -8,12 +8,12 @@ package pmgmt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"power10sim/internal/mlfit"
 	"power10sim/internal/power"
 	"power10sim/internal/powermodel"
-	"power10sim/internal/runner"
 	"power10sim/internal/trace"
 	"power10sim/internal/uarch"
 )
@@ -187,48 +187,66 @@ func proxyAt(ds *powermodel.Dataset, path mlfit.Path, nCounters int) (*Proxy, er
 // GranularityError produces Fig. 15(b): the proxy's total-power prediction
 // error when read at different time granularities (cycles per prediction
 // window). Short windows under-sample the counters' relationship to power.
-// The windows replay on up to jobs goroutines, each its own simulation, so
-// the errors do not depend on jobs; mk must be safe for concurrent use.
-func GranularityError(p *Proxy, cfg *uarch.Config, mk func() trace.Stream, windows []uint64, idleFloor float64, jobs int) (map[uint64]float64, error) {
-	model := power.NewModel(cfg)
-	errs := make([]float64, len(windows))
-	fails := make([]error, len(windows))
-	runner.ForEach(jobs, len(windows), func(i int) {
-		win := windows[i]
-		var sumAbs, sumRef float64
-		var n int
-		cb := func(s uarch.CycleSample) {
-			d := s.Delta
-			if d.Cycles == 0 {
-				return
-			}
-			ref := model.Report(&d)
-			est := p.Estimate(d.Counters()) + idleFloor
-			diff := est - ref.Total
-			if diff < 0 {
-				diff = -diff
-			}
-			sumAbs += diff
-			sumRef += ref.Total
-			n++
+// The window does not change the simulation, so s runs once, sampled at the
+// windows' greatest common divisor, and each window scores the sum of the
+// base deltas over its span, the final partial window included. The
+// Activity counters are plain uint64 counters, so that sum is the delta the
+// window's own sampler reports.
+func GranularityError(p *Proxy, cfg *uarch.Config, s trace.Stream, windows []uint64, idleFloor float64) (map[uint64]float64, error) {
+	var base uint64
+	for _, w := range windows {
+		if w == 0 {
+			return nil, errors.New("pmgmt: window 0 produced no samples")
 		}
-		_, err := uarch.Simulate(cfg, []trace.Stream{mk()}, 50_000_000,
-			uarch.WithSampler(win, cb))
-		switch {
-		case err != nil:
-			fails[i] = fmt.Errorf("pmgmt: window %d: %w", win, err)
-		case n == 0 || sumRef == 0:
-			fails[i] = fmt.Errorf("pmgmt: window %d produced no samples", win)
-		default:
-			errs[i] = sumAbs / sumRef * 100
+		for w != 0 {
+			base, w = w, base%w
 		}
-	})
+	}
 	out := map[uint64]float64{}
-	for i, win := range windows {
-		if fails[i] != nil {
-			return nil, fails[i]
+	if base == 0 {
+		return out, nil
+	}
+	model := power.NewModel(cfg)
+	type span struct {
+		start          uarch.Activity // sum at the window's start
+		sumAbs, sumRef float64
+		n              int
+	}
+	spans := make([]span, len(windows))
+	var sum uarch.Activity // every base delta so far
+	score := func(sp *span) {
+		d := sum.Sub(&sp.start)
+		sp.start = sum
+		ref := model.Report(&d)
+		est := p.Estimate(d.Counters()) + idleFloor
+		sp.sumAbs += math.Abs(est - ref.Total)
+		sp.sumRef += ref.Total
+		sp.n++
+	}
+	cb := func(cs uarch.CycleSample) {
+		v, dv := sum.Vector(), cs.Delta.Vector()
+		for i := range v {
+			v[i] += dv[i]
 		}
-		out[win] = errs[i]
+		sum.SetVector(v)
+		for i, w := range windows {
+			if sum.Cycles%w == 0 {
+				score(&spans[i])
+			}
+		}
+	}
+	if _, err := uarch.Simulate(cfg, []trace.Stream{s}, 50_000_000, uarch.WithSampler(base, cb)); err != nil {
+		return nil, fmt.Errorf("pmgmt: granularity run: %w", err)
+	}
+	for i, w := range windows {
+		sp := &spans[i]
+		if sum.Cycles > sp.start.Cycles {
+			score(sp)
+		}
+		if sp.n == 0 || sp.sumRef == 0 {
+			return nil, fmt.Errorf("pmgmt: window %d produced no samples", w)
+		}
+		out[w] = sp.sumAbs / sp.sumRef * 100
 	}
 	return out, nil
 }

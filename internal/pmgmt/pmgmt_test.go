@@ -1,8 +1,8 @@
 package pmgmt
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"power10sim/internal/mlfit"
@@ -126,14 +126,18 @@ func TestGranularityErrorShape(t *testing.T) {
 	}
 	w := workloads.Compress()
 	mk := func() trace.Stream { return trace.NewVMStream(w.Prog, w.Budget) }
-	windows := []uint64{10, 50, 500, 5000}
-	errs, err := GranularityError(p, uarch.POWER10(), mk, windows, ds.IdleFloor, 1)
+	// 25 is not a multiple of 10: the shared run samples at 5 cycles.
+	windows := []uint64{10, 25, 50, 500, 5000}
+	errs, err := GranularityError(p, uarch.POWER10(), mk(), windows, ds.IdleFloor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The windows replay concurrently; the errors must not depend on how.
-	if errs4, err := GranularityError(p, uarch.POWER10(), mk, windows, ds.IdleFloor, 4); err != nil || !reflect.DeepEqual(errs4, errs) {
-		t.Errorf("jobs 4: %v, %v; jobs 1: %v", errs4, err, errs)
+	// The windows share one run summed from the windows' gcd; each window
+	// read off its own sampler in its own run must score exactly the same.
+	for _, win := range windows {
+		if alone := windowAlone(t, p, uarch.POWER10(), mk(), win, ds.IdleFloor); alone != errs[win] {
+			t.Errorf("window %d: %v alone, %v in the shared run", win, alone, errs[win])
+		}
 	}
 	if errs[10] <= errs[500] {
 		t.Errorf("10-cycle windows error %.1f%% <= 500-cycle %.1f%%", errs[10], errs[500])
@@ -141,6 +145,23 @@ func TestGranularityErrorShape(t *testing.T) {
 	if errs[5000] > 20 {
 		t.Errorf("coarse-window error %.1f%% too high", errs[5000])
 	}
+}
+
+// windowAlone is Fig. 15(b)'s error at one window, scored on the deltas of
+// that window's own sampler in a run of its own.
+func windowAlone(t *testing.T, p *Proxy, cfg *uarch.Config, s trace.Stream, win uint64, idleFloor float64) float64 {
+	t.Helper()
+	model := power.NewModel(cfg)
+	var sumAbs, sumRef float64
+	cb := func(cs uarch.CycleSample) {
+		ref := model.Report(&cs.Delta)
+		sumAbs += math.Abs(p.Estimate(cs.Delta.Counters()) + idleFloor - ref.Total)
+		sumRef += ref.Total
+	}
+	if _, err := uarch.Simulate(cfg, []trace.Stream{s}, 50_000_000, uarch.WithSampler(win, cb)); err != nil {
+		t.Fatal(err)
+	}
+	return sumAbs / sumRef * 100
 }
 
 func TestFitThrottleRespectsCap(t *testing.T) {

@@ -114,11 +114,6 @@ func (s *Study) Thresholds(vts []int) map[int]float64 {
 	return out
 }
 
-// derate classifies latches given per-bucket max switching values.
-func (s *Study) derate(name string, maxSwitch []float64, vts []int) Report {
-	return s.derateThresholds(name, maxSwitch, vts, nil)
-}
-
 // derateThresholds classifies with explicit thresholds (nil = self-derived).
 func (s *Study) derateThresholds(name string, maxSwitch []float64, vts []int, thr map[int]float64) Report {
 	rep := Report{

@@ -157,18 +157,16 @@ func emitActivation(b *isa.Builder, base uint64, n int, prefix string) {
 
 // buildAI assembles an inference program from a model description.
 func buildAI(m aiModel, mma bool) (*Workload, error) {
-	variant := "vsu"
+	variant, gemm := "vsu", &sgemmVSU
 	if mma {
-		variant = "mma"
+		variant, gemm = "mma", &sgemmMMA
 	}
 	b := isa.NewBuilder(m.name + "-" + variant)
 	if mma {
 		b.MMAWake()
 	}
-	rPass := isa.GPR(30)
-	rPassLim := isa.GPR(31)
 	b.Li(rPass, 0)
-	b.Li(rPassLim, int64(m.passes))
+	b.Li(rPasses, int64(m.passes))
 	b.Label("pass")
 	if m.preBytes > 0 {
 		emitStreamPre(b, aiInput, m.preBytes, "p")
@@ -182,17 +180,14 @@ func buildAI(m aiModel, mma bool) (*Workload, error) {
 		}
 		bases := gemmBases{at: aiActA, b: l.weightBase, c: aiActC}
 		prefix := fmt.Sprintf("L%d", li)
-		if mma {
-			emitSGEMMMMA(b, l.s, bases, prefix)
-		} else {
-			emitSGEMMVSU(b, l.s, bases, prefix)
-		}
+		gemm.limits(b, l.s)
+		gemm.loop(b, bases, prefix)
 		if m.actBytes > 0 {
 			emitActivation(b, aiActC, m.actBytes, prefix)
 		}
 	}
 	b.Addi(rPass, rPass, 1)
-	b.Bc(isa.CondLT, rPass, rPassLim, "pass")
+	b.Bc(isa.CondLT, rPass, rPasses, "pass")
 	b.Halt()
 	p, err := b.Build()
 	if err != nil {

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"math/bits"
 
 	"power10sim/internal/isa"
 )
@@ -30,49 +31,6 @@ func (s GEMMSize) Valid() error {
 	return nil
 }
 
-// gemmImage builds the initial memory image for a double-precision GEMM
-// with pseudo-random operands and returns the reference result.
-func gemmImage(s GEMMSize, seed uint64) (map[uint64][]byte, []float64) {
-	rng := newLCG(seed)
-	a := make([]float64, s.M*s.K) // logical A[i][k]
-	bm := make([]float64, s.K*s.N)
-	for i := range a {
-		a[i] = rng.f64()
-	}
-	for i := range bm {
-		bm[i] = rng.f64()
-	}
-	return gemmImageFrom(s, a, bm)
-}
-
-// gemmImageFrom builds the GEMM memory image for the given logical
-// row-major A (MxK) and B (KxN), returning the reference product.
-func gemmImageFrom(s GEMMSize, a, bm []float64) (map[uint64][]byte, []float64) {
-	// At[k][i] = A[i][k], row-major K x M.
-	at := make([]float64, s.K*s.M)
-	for i := 0; i < s.M; i++ {
-		for k := 0; k < s.K; k++ {
-			at[k*s.M+i] = a[i*s.K+k]
-		}
-	}
-	ref := make([]float64, s.M*s.N)
-	for i := 0; i < s.M; i++ {
-		for j := 0; j < s.N; j++ {
-			var sum float64
-			for k := 0; k < s.K; k++ {
-				sum += a[i*s.K+k] * bm[k*s.N+j]
-			}
-			ref[i*s.N+j] = sum
-		}
-	}
-	img := map[uint64][]byte{
-		addrAt: F64Bytes(at),
-		addrB:  F64Bytes(bm),
-		addrC:  F64Bytes(make([]float64, s.M*s.N)),
-	}
-	return img, ref
-}
-
 // kernelWorkload finalizes a kernel program: it measures the exact dynamic
 // instruction count functionally and, for two-pass kernels, sets the
 // measurement window to the second (warm) pass — Fig. 5's methodology of
@@ -93,140 +51,249 @@ func kernelWorkload(name string, p *isa.Program, twoPass bool) (*Workload, error
 	return w, nil
 }
 
-// emitPassLoop brackets callers' kernel body in a two-iteration outer loop.
-type passLoop struct{ b *isa.Builder }
-
-func beginPasses(b *isa.Builder) passLoop {
-	b.Li(isa.GPR(30), 0)
-	b.Li(isa.GPR(31), 2)
-	b.Label("pass")
-	return passLoop{b}
-}
-
-func (p passLoop) end() {
-	p.b.Addi(isa.GPR(30), isa.GPR(30), 1)
-	p.b.Bc(isa.CondLT, isa.GPR(30), isa.GPR(31), "pass")
-}
-
 // Register allocation conventions shared by the GEMM builders.
 var (
-	rI0   = isa.GPR(1)  // row block index i0
-	rJ0   = isa.GPR(2)  // col block index j0
-	rK    = isa.GPR(3)  // k counter
-	rPA   = isa.GPR(4)  // A panel pointer
-	rPB   = isa.GPR(5)  // B panel pointer
-	rPC   = isa.GPR(6)  // C row pointer
-	rM    = isa.GPR(7)  // M limit
-	rN    = isa.GPR(8)  // N limit
-	rKlim = isa.GPR(9)  // K limit
-	rSA   = isa.GPR(10) // A k-stride (M*8)
-	rSB   = isa.GPR(11) // B k-stride (N*8)
-	rT0   = isa.GPR(12)
-	rT1   = isa.GPR(13)
-	rT2   = isa.GPR(14)
+	rI0     = isa.GPR(1)  // row block index i0
+	rJ0     = isa.GPR(2)  // col block index j0
+	rK      = isa.GPR(3)  // k counter
+	rPA     = isa.GPR(4)  // A panel pointer
+	rPB     = isa.GPR(5)  // B panel pointer
+	rPC     = isa.GPR(6)  // C row pointer
+	rM      = isa.GPR(7)  // M limit
+	rN      = isa.GPR(8)  // N limit
+	rKlim   = isa.GPR(9)  // K-step limit
+	rSA     = isa.GPR(10) // A k-step stride
+	rSB     = isa.GPR(11) // B k-step stride, and C's row stride
+	rT0     = isa.GPR(12)
+	rPass   = isa.GPR(30) // pass counter
+	rPasses = isa.GPR(31) // pass limit
 )
 
-// DGEMMVSU builds the vector (VSU) coding of double-precision GEMM: a
-// 4-row x 16-column micro-kernel with 32 vector accumulators, splat loads of
-// A and streaming loads of B — the "POWER9 VSU code" of Fig. 5.
-func DGEMMVSU(s GEMMSize) (*Workload, []float64, error) {
-	if err := s.Valid(); err != nil {
-		return nil, nil, err
-	}
-	if s.M%4 != 0 {
-		return nil, nil, fmt.Errorf("dgemm-vsu: M must be multiple of 4")
-	}
-	img, ref := gemmImage(s, 1)
-	b := isa.NewBuilder("dgemm-vsu")
-	for addr, data := range img {
-		b.SetMem(addr, data)
-	}
-	// Accumulators vs16..vs47: acc(r, c) for r in 0..3, c in 0..7 (2 cols each).
-	acc := func(r, c int) isa.Reg { return isa.VSR(16 + r*8 + c) }
-	splat := func(r int) isa.Reg { return isa.VSR(r) }    // vs0..3
-	bvec := func(c int) isa.Reg { return isa.VSR(4 + c) } // vs4..11
+// gemmCoding is one coding of the blocked GEMM micro-kernel: everything
+// that differs between the VSU and MMA codings of DGEMM and SGEMM and the
+// INT8 MMA kernel. A block is rows x 16 columns of C; each k-step reads
+// kStep elements of K from every row of A and every column of B, so a
+// k-step of one row or column spans width*kStep bytes, and a 16-column row
+// of B spans that many 16-byte vectors.
+type gemmCoding struct {
+	name  string
+	width int  // bytes per A and B element: 8 fp64, 4 fp32, 1 int8
+	rows  int  // rows of C per block
+	kStep int  // K elements per step (4 for xvi8ger4)
+	mma   bool // accumulate in the eight MMA accumulators, not in VSRs
+	// hoist loads the limits once, before the two passes. The SGEMM
+	// kernels reload them at the top of each pass, which is the emission
+	// their AI layers share.
+	hoist bool
+	loadA func(b *isa.Builder, dst, base isa.Reg, disp int64) *isa.Builder
+	acc   func(b *isa.Builder, acc, a, rb isa.Reg) *isa.Builder
+}
 
+// The five codings. The VSU ones splat one row of A per VSR and keep a
+// block's 32 accumulators in vs16..vs47; the MMA ones load four rows of A
+// per vector (DGEMM as one lxvp pair) into outer products on all eight
+// accumulators.
+var (
+	dgemmVSU = gemmCoding{name: "dgemm-vsu", width: 8, rows: 4, kStep: 1, hoist: true,
+		loadA: (*isa.Builder).Lxvdsx, acc: (*isa.Builder).Xvmaddadp}
+	dgemmMMA = gemmCoding{name: "dgemm-mma", width: 8, rows: 4, kStep: 1, mma: true, hoist: true,
+		loadA: (*isa.Builder).Lxvp, acc: (*isa.Builder).Xvf64gerpp}
+	sgemmVSU = gemmCoding{name: "sgemm-vsu", width: 4, rows: 8, kStep: 1,
+		loadA: (*isa.Builder).Lxvwsx, acc: (*isa.Builder).Xvmaddasp}
+	sgemmMMA = gemmCoding{name: "sgemm-mma", width: 4, rows: 8, kStep: 1, mma: true,
+		loadA: (*isa.Builder).Lxv, acc: (*isa.Builder).Xvf32gerpp}
+	int8MMA = gemmCoding{name: "gemm-int8-mma", width: 1, rows: 8, kStep: 4, mma: true, hoist: true,
+		loadA: (*isa.Builder).Lxv, acc: (*isa.Builder).Xvi8ger4pp}
+)
+
+// gemmBases names the memory regions one GEMM call works over.
+type gemmBases struct{ at, b, c uint64 }
+
+// limits loads the loop limits and k-step strides for a GEMM of size s.
+func (g *gemmCoding) limits(b *isa.Builder, s GEMMSize) {
+	step := int64(g.width * g.kStep)
 	b.Li(rM, int64(s.M))
 	b.Li(rN, int64(s.N))
-	b.Li(rKlim, int64(s.K))
-	b.Li(rSA, int64(s.M*8))
-	b.Li(rSB, int64(s.N*8))
-	pass2 := beginPasses(b)
+	b.Li(rKlim, int64(s.K/g.kStep))
+	b.Li(rSA, int64(s.M)*step)
+	b.Li(rSB, int64(s.N)*step)
+}
+
+// loop emits the blocked i/j/k triple loop (no Halt) over the regions in
+// bases, after limits. Labels are prefixed so several GEMMs can share one
+// program. C's elements are as wide as a k-step of A's (an int8 step of
+// four bytes accumulates into one int32).
+func (g *gemmCoding) loop(b *isa.Builder, bases gemmBases, prefix string) {
+	step := g.width * g.kStep
+	shift := int64(bits.TrailingZeros(uint(step)))
+	cols := step // B vectors per block row
+	// VSU: one row per A splat and per accumulator, B's vectors right
+	// after the splats. MMA: four rows per A vector and per accumulator,
+	// B's vectors from vs4.
+	perAcc, bBase := 1, g.rows
+	if g.mma {
+		perAcc, bBase = 4, 4
+	}
+	nA := g.rows / perAcc
+	acc := func(i int) isa.Reg {
+		if g.mma {
+			return isa.ACC(i)
+		}
+		return isa.VSR(16 + i)
+	}
+
 	b.Li(rI0, 0)
-	b.Label("iloop")
+	b.Label(prefix + "iloop")
 	b.Li(rJ0, 0)
-	b.Label("jloop")
-	// Zero accumulators.
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 8; c++ {
-			b.Xxlxor(acc(r, c), acc(r, c), acc(r, c))
+	b.Label(prefix + "jloop")
+	for i := 0; i < nA*cols; i++ {
+		if g.mma {
+			b.Xxsetaccz(acc(i))
+		} else {
+			b.Xxlxor(acc(i), acc(i), acc(i))
 		}
 	}
-	// ptrA = At + i0*8 ; ptrB = B + j0*8.
-	b.Shl(rT0, rI0, 3)
-	b.Addi(rPA, rT0, addrAt)
-	b.Shl(rT0, rJ0, 3)
-	b.Addi(rPB, rT0, addrB)
+	b.Shl(rT0, rI0, shift)
+	b.Addi(rPA, rT0, int64(bases.at))
+	b.Shl(rT0, rJ0, shift)
+	b.Addi(rPB, rT0, int64(bases.b))
 	b.Li(rK, 0)
-	b.Label("kloop")
-	for r := 0; r < 4; r++ {
-		b.Lxvdsx(splat(r), rPA, int64(r*8))
+	b.Label(prefix + "kloop")
+	for a := 0; a < nA; a++ {
+		g.loadA(b, isa.VSR(a), rPA, int64(a*perAcc*step))
 	}
-	for c := 0; c < 8; c++ {
-		b.Lxv(bvec(c), rPB, int64(c*16))
+	for c := 0; c < cols; c++ {
+		b.Lxv(isa.VSR(bBase+c), rPB, int64(c*16))
 	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 8; c++ {
-			b.Xvmaddadp(acc(r, c), splat(r), bvec(c))
+	for a := 0; a < nA; a++ {
+		for c := 0; c < cols; c++ {
+			g.acc(b, acc(a*cols+c), isa.VSR(a), isa.VSR(bBase+c))
 		}
 	}
 	b.Add(rPA, rPA, rSA)
 	b.Add(rPB, rPB, rSB)
 	b.Addi(rK, rK, 1)
-	b.Bc(isa.CondLT, rK, rKlim, "kloop")
-	// Store C block: ptrC = C + (i0*N + j0)*8, row stride N*8.
+	b.Bc(isa.CondLT, rK, rKlim, prefix+"kloop")
+	// Store the block: ptrC = C + (i0*N + j0)*step, row stride rSB. An MMA
+	// accumulator reads out to four VSRs from vs16, one per row.
 	b.Mul(rT0, rI0, rN)
 	b.Add(rT0, rT0, rJ0)
-	b.Shl(rT0, rT0, 3)
-	b.Addi(rPC, rT0, addrC)
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 8; c++ {
-			b.Stxv(acc(r, c), rPC, int64(c*16))
+	b.Shl(rT0, rT0, shift)
+	b.Addi(rPC, rT0, int64(bases.c))
+	if g.mma {
+		for i := 0; i < nA*cols; i++ {
+			b.Xxmfacc(isa.VSR(16+4*i), acc(i))
+		}
+	}
+	for r := 0; r < g.rows; r++ {
+		a, rr := r/perAcc, r%perAcc
+		for c := 0; c < cols; c++ {
+			b.Stxv(isa.VSR(16+perAcc*(a*cols+c)+rr), rPC, int64(c*16))
 		}
 		b.Add(rPC, rPC, rSB)
 	}
 	b.Addi(rJ0, rJ0, 16)
-	b.Bc(isa.CondLT, rJ0, rN, "jloop")
-	b.Addi(rI0, rI0, 4)
-	b.Bc(isa.CondLT, rI0, rM, "iloop")
-	pass2.end()
-	b.Halt()
+	b.Bc(isa.CondLT, rJ0, rN, prefix+"jloop")
+	b.Addi(rI0, rI0, int64(g.rows))
+	b.Bc(isa.CondLT, rI0, rM, prefix+"iloop")
+}
 
+// kernel builds the coding's standalone kernel over img: the GEMM run twice,
+// so that kernelWorkload can measure the second, warm pass.
+func (g *gemmCoding) kernel(name string, s GEMMSize, img map[uint64][]byte) (*Workload, error) {
+	b := isa.NewBuilder(name)
+	for addr, data := range img {
+		b.SetMem(addr, data)
+	}
+	if g.mma {
+		b.MMAWake() // proactive power-on hint before the compute region
+	}
+	if g.hoist {
+		g.limits(b, s)
+	}
+	b.Li(rPass, 0)
+	b.Li(rPasses, 2)
+	b.Label("pass")
+	if !g.hoist {
+		g.limits(b, s)
+	}
+	g.loop(b, gemmBases{at: addrAt, b: addrB, c: addrC}, "")
+	b.Addi(rPass, rPass, 1)
+	b.Bc(isa.CondLT, rPass, rPasses, "pass")
+	b.Halt()
 	p, err := b.Build()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w, err := kernelWorkload("dgemm-vsu", p, true)
+	return kernelWorkload(name, p, true)
+}
+
+// floatGEMM builds the coding's kernel, named name, over row-major A (MxK)
+// and B (KxN), laid out at the GEMM base addresses with a zeroed C, and
+// returns it with the reference product.
+func floatGEMM[T float32 | float64](g *gemmCoding, name string, s GEMMSize, a, bm []T) (*Workload, []T, error) {
+	at := make([]T, s.K*s.M)
+	for i := 0; i < s.M; i++ {
+		for k := 0; k < s.K; k++ {
+			at[k*s.M+i] = a[i*s.K+k]
+		}
+	}
+	ref := make([]T, s.M*s.N)
+	for i := 0; i < s.M; i++ {
+		for j := 0; j < s.N; j++ {
+			var sum T
+			for k := 0; k < s.K; k++ {
+				sum += a[i*s.K+k] * bm[k*s.N+j]
+			}
+			ref[i*s.N+j] = sum
+		}
+	}
+	img := map[uint64][]byte{addrAt: floatBytes(at), addrB: floatBytes(bm), addrC: floatBytes(make([]T, s.M*s.N))}
+	w, err := g.kernel(name, s, img)
 	if err != nil {
 		return nil, nil, err
 	}
 	return w, ref, nil
 }
 
+// randomGEMM is floatGEMM over pseudo-random operands drawn from seed, under
+// the coding's own name.
+func randomGEMM[T float32 | float64](g *gemmCoding, s GEMMSize, seed uint64) (*Workload, []T, error) {
+	if err := s.Valid(); err != nil {
+		return nil, nil, err
+	}
+	rng := newLCG(seed)
+	a := make([]T, s.M*s.K) // logical A[i][k]
+	bm := make([]T, s.K*s.N)
+	for i := range a {
+		a[i] = T(rng.f64())
+	}
+	for i := range bm {
+		bm[i] = T(rng.f64())
+	}
+	return floatGEMM(g, g.name, s, a, bm)
+}
+
+// floatBytes serializes fp64 or fp32 values little-endian.
+func floatBytes[T float32 | float64](vals []T) []byte {
+	if f, ok := any(vals).([]float32); ok {
+		return F32Bytes(f)
+	}
+	return F64Bytes(any(vals).([]float64))
+}
+
+// DGEMMVSU builds the vector (VSU) coding of double-precision GEMM: a
+// 4-row x 16-column micro-kernel with 32 vector accumulators, splat loads of
+// A and streaming loads of B — the "POWER9 VSU code" of Fig. 5.
+func DGEMMVSU(s GEMMSize) (*Workload, []float64, error) {
+	return randomGEMM[float64](&dgemmVSU, s, 1)
+}
+
 // DGEMMMMA builds the MMA coding of double-precision GEMM: a 4-row x
 // 16-column micro-kernel on all eight 512-bit accumulators fed by paired
 // vector loads — the "POWER10 MMA code" of Fig. 5.
 func DGEMMMMA(s GEMMSize) (*Workload, []float64, error) {
-	rng := newLCG(1)
-	a := make([]float64, s.M*s.K)
-	bm := make([]float64, s.K*s.N)
-	for i := range a {
-		a[i] = rng.f64()
-	}
-	for i := range bm {
-		bm[i] = rng.f64()
-	}
-	return DGEMMMMAFrom("dgemm-mma", s, a, bm)
+	return randomGEMM[float64](&dgemmMMA, s, 1)
 }
 
 // DGEMMMMAFrom builds the MMA DGEMM kernel over caller-supplied row-major
@@ -237,294 +304,23 @@ func DGEMMMMAFrom(name string, s GEMMSize, a, bm []float64) (*Workload, []float6
 	if err := s.Valid(); err != nil {
 		return nil, nil, err
 	}
-	if s.N%8 != 0 || s.M%4 != 0 {
-		return nil, nil, fmt.Errorf("%s: M%%4, N%%8 required", name)
-	}
 	if len(a) != s.M*s.K || len(bm) != s.K*s.N {
 		return nil, nil, fmt.Errorf("%s: operand sizes %d/%d do not match %+v", name, len(a), len(bm), s)
 	}
-	img, ref := gemmImageFrom(s, a, bm)
-	b := isa.NewBuilder(name)
-	for addr, data := range img {
-		b.SetMem(addr, data)
-	}
-	b.MMAWake() // proactive power-on hint before the compute region
-
-	b.Li(rM, int64(s.M))
-	b.Li(rN, int64(s.N))
-	b.Li(rKlim, int64(s.K))
-	b.Li(rSA, int64(s.M*8))
-	b.Li(rSB, int64(s.N*8))
-	pass2 := beginPasses(b)
-	b.Li(rI0, 0)
-	b.Label("iloop")
-	b.Li(rJ0, 0)
-	b.Label("jloop")
-	// 4-row x 16-column block on all eight accumulators: acc c covers
-	// columns j0+2c .. j0+2c+1.
-	for c := 0; c < 8; c++ {
-		b.Xxsetaccz(isa.ACC(c))
-	}
-	b.Shl(rT0, rI0, 3)
-	b.Addi(rPA, rT0, addrAt)
-	b.Shl(rT0, rJ0, 3)
-	b.Addi(rPB, rT0, addrB)
-	b.Li(rK, 0)
-	b.Label("kloop")
-	// A column block: 4 doubles -> VSR pair vs0,vs1.
-	b.Lxvp(isa.VSR(0), rPA, 0)
-	for c := 0; c < 8; c++ {
-		b.Lxv(isa.VSR(4+c), rPB, int64(c*16))
-	}
-	for c := 0; c < 8; c++ {
-		b.Xvf64gerpp(isa.ACC(c), isa.VSR(0), isa.VSR(4+c))
-	}
-	b.Add(rPA, rPA, rSA)
-	b.Add(rPB, rPB, rSB)
-	b.Addi(rK, rK, 1)
-	b.Bc(isa.CondLT, rK, rKlim, "kloop")
-	// Read out accumulators and store: acc c holds rows 0..3 of columns
-	// j0+2c..j0+2c+1.
-	b.Mul(rT0, rI0, rN)
-	b.Add(rT0, rT0, rJ0)
-	b.Shl(rT0, rT0, 3)
-	b.Addi(rPC, rT0, addrC)
-	for c := 0; c < 8; c++ {
-		b.Xxmfacc(isa.VSR(16+4*c), isa.ACC(c))
-	}
-	for r := 0; r < 4; r++ {
-		for c := 0; c < 8; c++ {
-			b.Stxv(isa.VSR(16+4*c+r), rPC, int64(c*16))
-		}
-		b.Add(rPC, rPC, rSB)
-	}
-	b.Addi(rJ0, rJ0, 16)
-	b.Bc(isa.CondLT, rJ0, rN, "jloop")
-	b.Addi(rI0, rI0, 4)
-	b.Bc(isa.CondLT, rI0, rM, "iloop")
-	pass2.end()
-	b.Halt()
-
-	p, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := kernelWorkload(name, p, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, ref, nil
+	return floatGEMM(&dgemmMMA, name, s, a, bm)
 }
 
-// sgemmImage builds the fp32 image; reference returned as float32.
-func sgemmImage(s GEMMSize, seed uint64) (map[uint64][]byte, []float32) {
-	rng := newLCG(seed)
-	a := make([]float32, s.M*s.K)
-	bm := make([]float32, s.K*s.N)
-	for i := range a {
-		a[i] = rng.f32()
-	}
-	for i := range bm {
-		bm[i] = rng.f32()
-	}
-	at := make([]float32, s.K*s.M)
-	for i := 0; i < s.M; i++ {
-		for k := 0; k < s.K; k++ {
-			at[k*s.M+i] = a[i*s.K+k]
-		}
-	}
-	ref := make([]float32, s.M*s.N)
-	for i := 0; i < s.M; i++ {
-		for j := 0; j < s.N; j++ {
-			var sum float32
-			for k := 0; k < s.K; k++ {
-				sum += a[i*s.K+k] * bm[k*s.N+j]
-			}
-			ref[i*s.N+j] = sum
-		}
-	}
-	img := map[uint64][]byte{
-		addrAt: F32Bytes(at),
-		addrB:  F32Bytes(bm),
-		addrC:  F32Bytes(make([]float32, s.M*s.N)),
-	}
-	return img, ref
-}
-
-// gemmBases names the memory regions one GEMM call works over.
-type gemmBases struct{ at, b, c uint64 }
-
-var defaultBases = gemmBases{at: addrAt, b: addrB, c: addrC}
-
-// emitSGEMMVSU emits the fp32 vector triple loop (no Halt): an 8-row x
+// SGEMMVSU builds the standalone fp32 vector kernel workload: an 8-row x
 // 16-column micro-kernel with 32 accumulators of 4 float lanes each.
-// Labels are prefixed so multiple GEMMs can share one program.
-func emitSGEMMVSU(b *isa.Builder, s GEMMSize, bases gemmBases, prefix string) {
-	acc := func(r, c int) isa.Reg { return isa.VSR(16 + r*4 + c) } // 8x4 = 32
-	splat := func(r int) isa.Reg { return isa.VSR(r) }             // vs0..7
-	bvec := func(c int) isa.Reg { return isa.VSR(8 + c) }          // vs8..11
-
-	b.Li(rM, int64(s.M))
-	b.Li(rN, int64(s.N))
-	b.Li(rKlim, int64(s.K))
-	b.Li(rSA, int64(s.M*4))
-	b.Li(rSB, int64(s.N*4))
-	b.Li(rI0, 0)
-	b.Label(prefix + "iloop")
-	b.Li(rJ0, 0)
-	b.Label(prefix + "jloop")
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			b.Xxlxor(acc(r, c), acc(r, c), acc(r, c))
-		}
-	}
-	b.Shl(rT0, rI0, 2)
-	b.Addi(rPA, rT0, int64(bases.at))
-	b.Shl(rT0, rJ0, 2)
-	b.Addi(rPB, rT0, int64(bases.b))
-	b.Li(rK, 0)
-	b.Label(prefix + "kloop")
-	for r := 0; r < 8; r++ {
-		b.Lxvwsx(splat(r), rPA, int64(r*4))
-	}
-	for c := 0; c < 4; c++ {
-		b.Lxv(bvec(c), rPB, int64(c*16))
-	}
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			b.Xvmaddasp(acc(r, c), splat(r), bvec(c))
-		}
-	}
-	b.Add(rPA, rPA, rSA)
-	b.Add(rPB, rPB, rSB)
-	b.Addi(rK, rK, 1)
-	b.Bc(isa.CondLT, rK, rKlim, prefix+"kloop")
-	b.Mul(rT0, rI0, rN)
-	b.Add(rT0, rT0, rJ0)
-	b.Shl(rT0, rT0, 2)
-	b.Addi(rPC, rT0, int64(bases.c))
-	for r := 0; r < 8; r++ {
-		for c := 0; c < 4; c++ {
-			b.Stxv(acc(r, c), rPC, int64(c*16))
-		}
-		b.Add(rPC, rPC, rSB)
-	}
-	b.Addi(rJ0, rJ0, 16)
-	b.Bc(isa.CondLT, rJ0, rN, prefix+"jloop")
-	b.Addi(rI0, rI0, 8)
-	b.Bc(isa.CondLT, rI0, rM, prefix+"iloop")
-}
-
-// SGEMMVSU builds the standalone fp32 vector kernel workload.
 func SGEMMVSU(s GEMMSize) (*Workload, []float32, error) {
-	if err := s.Valid(); err != nil {
-		return nil, nil, err
-	}
-	img, ref := sgemmImage(s, 2)
-	b := isa.NewBuilder("sgemm-vsu")
-	for addr, data := range img {
-		b.SetMem(addr, data)
-	}
-	pass2 := beginPasses(b)
-	emitSGEMMVSU(b, s, defaultBases, "")
-	pass2.end()
-	b.Halt()
-	p, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := kernelWorkload("sgemm-vsu", p, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, ref, nil
+	return randomGEMM[float32](&sgemmVSU, s, 2)
 }
 
-// emitSGEMMMMA emits the fp32 MMA triple loop (no Halt): 8x16 SGEMM panels
-// on all eight accumulators — matching the paper's "8x16 SGEMM panels on the
-// MMA". Labels are prefixed so multiple GEMMs can share one program.
-func emitSGEMMMMA(b *isa.Builder, s GEMMSize, bases gemmBases, prefix string) {
-	// acc(h, c): h in 0..1 row halves (4 rows each), c in 0..3 col quads.
-	accIdx := func(h, c int) isa.Reg { return isa.ACC(h*4 + c) }
-
-	b.Li(rM, int64(s.M))
-	b.Li(rN, int64(s.N))
-	b.Li(rKlim, int64(s.K))
-	b.Li(rSA, int64(s.M*4))
-	b.Li(rSB, int64(s.N*4))
-	b.Li(rI0, 0)
-	b.Label(prefix + "iloop")
-	b.Li(rJ0, 0)
-	b.Label(prefix + "jloop")
-	for i := 0; i < 8; i++ {
-		b.Xxsetaccz(isa.ACC(i))
-	}
-	b.Shl(rT0, rI0, 2)
-	b.Addi(rPA, rT0, int64(bases.at))
-	b.Shl(rT0, rJ0, 2)
-	b.Addi(rPB, rT0, int64(bases.b))
-	b.Li(rK, 0)
-	b.Label(prefix + "kloop")
-	b.Lxv(isa.VSR(0), rPA, 0)  // A rows i0..i0+3 at k
-	b.Lxv(isa.VSR(1), rPA, 16) // A rows i0+4..i0+7 at k
-	for c := 0; c < 4; c++ {
-		b.Lxv(isa.VSR(4+c), rPB, int64(c*16))
-	}
-	for h := 0; h < 2; h++ {
-		for c := 0; c < 4; c++ {
-			b.Xvf32gerpp(accIdx(h, c), isa.VSR(h), isa.VSR(4+c))
-		}
-	}
-	b.Add(rPA, rPA, rSA)
-	b.Add(rPB, rPB, rSB)
-	b.Addi(rK, rK, 1)
-	b.Bc(isa.CondLT, rK, rKlim, prefix+"kloop")
-	b.Mul(rT0, rI0, rN)
-	b.Add(rT0, rT0, rJ0)
-	b.Shl(rT0, rT0, 2)
-	b.Addi(rPC, rT0, int64(bases.c))
-	for h := 0; h < 2; h++ {
-		for c := 0; c < 4; c++ {
-			b.Xxmfacc(isa.VSR(16+16*h+4*c), accIdx(h, c))
-		}
-	}
-	for r := 0; r < 8; r++ {
-		h, rr := r/4, r%4
-		for c := 0; c < 4; c++ {
-			b.Stxv(isa.VSR(16+16*h+4*c+rr), rPC, int64(c*16))
-		}
-		b.Add(rPC, rPC, rSB)
-	}
-	b.Addi(rJ0, rJ0, 16)
-	b.Bc(isa.CondLT, rJ0, rN, prefix+"jloop")
-	b.Addi(rI0, rI0, 8)
-	b.Bc(isa.CondLT, rI0, rM, prefix+"iloop")
-}
-
-// SGEMMMMA builds the standalone fp32 MMA kernel workload.
+// SGEMMMMA builds the standalone fp32 MMA kernel workload: 8x16 SGEMM
+// panels on all eight accumulators — matching the paper's "8x16 SGEMM
+// panels on the MMA".
 func SGEMMMMA(s GEMMSize) (*Workload, []float32, error) {
-	if err := s.Valid(); err != nil {
-		return nil, nil, err
-	}
-	img, ref := sgemmImage(s, 2)
-	b := isa.NewBuilder("sgemm-mma")
-	for addr, data := range img {
-		b.SetMem(addr, data)
-	}
-	b.MMAWake()
-	pass2 := beginPasses(b)
-	emitSGEMMMMA(b, s, defaultBases, "")
-	pass2.end()
-	b.Halt()
-	p, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := kernelWorkload("sgemm-mma", p, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, ref, nil
+	return randomGEMM[float32](&sgemmMMA, s, 2)
 }
 
 // GEMMInt8MMA builds an INT8 outer-product GEMM (xvi8ger4) used for the
@@ -537,7 +333,6 @@ func GEMMInt8MMA(s GEMMSize) (*Workload, error) {
 	if s.K%4 != 0 {
 		return nil, fmt.Errorf("int8 gemm: K must be multiple of 4")
 	}
-	b := isa.NewBuilder("gemm-int8-mma")
 	rng := newLCG(3)
 	bufA := make([]uint64, s.K*s.M/8+16)
 	bufB := make([]uint64, s.K*s.N/8+16)
@@ -547,71 +342,7 @@ func GEMMInt8MMA(s GEMMSize) (*Workload, error) {
 	for i := range bufB {
 		bufB[i] = rng.next()
 	}
-	b.SetMem(addrAt, U64Bytes(bufA))
-	b.SetMem(addrB, U64Bytes(bufB))
-	b.MMAWake()
-
-	b.Li(rM, int64(s.M))
-	b.Li(rN, int64(s.N))
-	b.Li(rKlim, int64(s.K/4)) // 4 int8 per ger step
-	b.Li(rSA, int64(s.M*4))
-	b.Li(rSB, int64(s.N*4))
-	pass2 := beginPasses(b)
-	b.Li(rI0, 0)
-	b.Label("iloop")
-	b.Li(rJ0, 0)
-	b.Label("jloop")
-	for i := 0; i < 8; i++ {
-		b.Xxsetaccz(isa.ACC(i))
-	}
-	b.Shl(rT0, rI0, 2)
-	b.Addi(rPA, rT0, addrAt)
-	b.Shl(rT0, rJ0, 2)
-	b.Addi(rPB, rT0, addrB)
-	b.Li(rK, 0)
-	b.Label("kloop")
-	b.Lxv(isa.VSR(0), rPA, 0)
-	b.Lxv(isa.VSR(1), rPA, 16)
-	for c := 0; c < 4; c++ {
-		b.Lxv(isa.VSR(4+c), rPB, int64(c*16))
-	}
-	for h := 0; h < 2; h++ {
-		for c := 0; c < 4; c++ {
-			b.Xvi8ger4pp(isa.ACC(h*4+c), isa.VSR(h), isa.VSR(4+c))
-		}
-	}
-	b.Add(rPA, rPA, rSA)
-	b.Add(rPB, rPB, rSB)
-	b.Addi(rK, rK, 1)
-	b.Bc(isa.CondLT, rK, rKlim, "kloop")
-	b.Mul(rT0, rI0, rN)
-	b.Add(rT0, rT0, rJ0)
-	b.Shl(rT0, rT0, 2)
-	b.Addi(rPC, rT0, addrC)
-	for h := 0; h < 2; h++ {
-		for c := 0; c < 4; c++ {
-			b.Xxmfacc(isa.VSR(16+16*h+4*c), isa.ACC(h*4+c))
-		}
-	}
-	for r := 0; r < 8; r++ {
-		h, rr := r/4, r%4
-		for c := 0; c < 4; c++ {
-			b.Stxv(isa.VSR(16+16*h+4*c+rr), rPC, int64(c*16))
-		}
-		b.Add(rPC, rPC, rSB)
-	}
-	b.Addi(rJ0, rJ0, 16)
-	b.Bc(isa.CondLT, rJ0, rN, "jloop")
-	b.Addi(rI0, rI0, 8)
-	b.Bc(isa.CondLT, rI0, rM, "iloop")
-	pass2.end()
-	b.Halt()
-
-	p, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return kernelWorkload("gemm-int8-mma", p, true)
+	return int8MMA.kernel(int8MMA.name, s, map[uint64][]byte{addrAt: U64Bytes(bufA), addrB: U64Bytes(bufB)})
 }
 
 // Daxpy builds the classic y += a*x streaming kernel over n doubles

@@ -223,3 +223,63 @@ func TestGEMMSizeValidation(t *testing.T) {
 		t.Error("invalid K accepted for int8")
 	}
 }
+
+// TestGEMMProgramsPinned holds every GEMM coding to the program it builds at
+// sizes outside the catalog (TestCatalogTracePinned in internal/isa covers
+// each coding at its catalog size only): the content fingerprint every cache
+// key derives from, and the budget and warmup kernelWorkload measures. The
+// AI models' layers share the SGEMM codings' emitter, and their operands are
+// all zero, so only the fingerprint sees which registers a layer uses.
+func TestGEMMProgramsPinned(t *testing.T) {
+	drop := func(w *Workload, _ any, err error) (*Workload, error) { return w, err }
+	build := map[string]func(GEMMSize) (*Workload, error){
+		"dgemm-vsu":     func(s GEMMSize) (*Workload, error) { return drop(DGEMMVSU(s)) },
+		"dgemm-mma":     func(s GEMMSize) (*Workload, error) { return drop(DGEMMMMA(s)) },
+		"sgemm-vsu":     func(s GEMMSize) (*Workload, error) { return drop(SGEMMVSU(s)) },
+		"sgemm-mma":     func(s GEMMSize) (*Workload, error) { return drop(SGEMMMMA(s)) },
+		"gemm-int8-mma": GEMMInt8MMA,
+		"resnet50-vsu":  func(GEMMSize) (*Workload, error) { return ResNet50(false) },
+		"resnet50-mma":  func(GEMMSize) (*Workload, error) { return ResNet50(true) },
+		"bertlarge-vsu": func(GEMMSize) (*Workload, error) { return BERTLarge(false) },
+		"bertlarge-mma": func(GEMMSize) (*Workload, error) { return BERTLarge(true) },
+	}
+	small, mid, large := GEMMSize{M: 8, N: 16, K: 8}, GEMMSize{M: 16, N: 32, K: 12}, GEMMSize{M: 24, N: 48, K: 20}
+	for _, tc := range []struct {
+		name           string
+		s              GEMMSize
+		fp             uint64
+		budget, warmup uint64
+	}{
+		{"dgemm-vsu", small, 0xe20bd159f96cf62f, 1878, 939},
+		{"dgemm-vsu", mid, 0x4a8f9bb8dbd25a82, 10518, 5259},
+		{"dgemm-vsu", large, 0x57f1ab8d3fafcf4c, 37454, 18727},
+		{"dgemm-mma", small, 0x1bc585a25b0c555c, 951, 475},
+		{"dgemm-mma", mid, 0x9739c9eecbfc830d, 5079, 2539},
+		{"dgemm-mma", large, 0x960f99685a994d0f, 17439, 8719},
+		{"sgemm-vsu", small, 0x6db961e1daea18ee, 959, 479},
+		{"sgemm-vsu", mid, 0xae0418e2a0ab1344, 5303, 2651},
+		{"sgemm-vsu", large, 0x7752b5508698ee20, 18811, 9405},
+		{"sgemm-mma", small, 0xf38c1c4bf9d91378, 448, 224},
+		{"sgemm-mma", mid, 0xe07c142a35e7af1e, 2296, 1148},
+		{"sgemm-mma", large, 0x2a9695d1cff6dd4a, 7724, 3862},
+		{"gemm-int8-mma", small, 0x9d4ba6969ff6ed3b, 227, 113},
+		{"gemm-int8-mma", mid, 0x3e47d5f2df387023, 995, 497},
+		{"gemm-int8-mma", large, 0xd3b6d6716d69b15c, 2859, 1429},
+		{"resnet50-vsu", GEMMSize{}, 0xd370d78601e8e1bd, 2_000_000, 0},
+		{"resnet50-mma", GEMMSize{}, 0x4efbc794aa43e8c6, 2_000_000, 0},
+		{"bertlarge-vsu", GEMMSize{}, 0x5e1ce0a52096dd54, 2_000_000, 0},
+		{"bertlarge-mma", GEMMSize{}, 0x0c3a6ba21b0b2203, 2_000_000, 0},
+	} {
+		w, err := build[tc.name](tc.s)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", tc.name, tc.s, err)
+		}
+		if w.Name != tc.name {
+			t.Errorf("%s %+v: named %q", tc.name, tc.s, w.Name)
+		}
+		if fp := w.Prog.Fingerprint(); fp != tc.fp || w.Budget != tc.budget || w.Warmup != tc.warmup {
+			t.Errorf("%s %+v: fingerprint %#016x, budget %d, warmup %d; pinned %#016x, %d, %d",
+				tc.name, tc.s, fp, w.Budget, w.Warmup, tc.fp, tc.budget, tc.warmup)
+		}
+	}
+}

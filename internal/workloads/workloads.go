@@ -89,5 +89,3 @@ func (l *lcg) next() uint64 {
 }
 
 func (l *lcg) f64() float64 { return float64(l.next()%2000)/1000.0 - 1.0 }
-
-func (l *lcg) f32() float32 { return float32(l.f64()) }
